@@ -159,8 +159,14 @@ pub struct CompressSide {
     /// the event loop returns displaced NIC blobs via
     /// [`CompressSide::recycle_blob`].
     pool: BufPool,
+    /// Action lists handed back through [`CompressSide::recycle`].
+    spare_actions: Vec<Vec<DriverAction>>,
     stats: CompressSideStats,
 }
+
+/// Spare action lists a [`CompressSide`] keeps: one in use by the event
+/// loop while the driver fills the next.
+const SPARE_ACTION_LISTS: usize = 2;
 
 /// Default [`CompressSide`] held-queue cap. Generous: §3.4 retention in
 /// a healthy exchange holds at most a batch or two (tens of ACKs), and
@@ -184,6 +190,7 @@ impl CompressSide {
             stale_limit: None,
             health: DriverHealth::default(),
             pool: BufPool::new(),
+            spare_actions: Vec::new(),
             stats: CompressSideStats::default(),
         }
     }
@@ -222,12 +229,12 @@ impl CompressSide {
         self.forced_native = true;
         self.stats.forced_native += 1;
         self.clear_after_response = false;
-        let mut out = Vec::new();
+        let mut out = self.action_list();
         if self.flush_armed {
             self.flush_armed = false;
             out.push(DriverAction::CancelFlushTimer);
         }
-        out.extend(self.flush(FlushCause::Forced));
+        self.flush(&mut out);
         out
     }
 
@@ -286,9 +293,8 @@ impl CompressSide {
         if self.held.is_empty() {
             DriverAction::ClearBlob
         } else {
-            debug_assert_eq!(
-                self.blob_cache.as_slice(),
-                &self.rebuild_blob_from_scratch()[1..],
+            debug_assert!(
+                self.blob_cache_matches_held(),
                 "incremental blob diverged from a from-scratch encode"
             );
             // The payload is maintained incrementally (append on hold,
@@ -305,11 +311,24 @@ impl CompressSide {
         }
     }
 
+    /// Is the cached payload exactly the held segments, concatenated?
+    /// (Compared in place: the check must not cost debug builds an
+    /// allocation per rebuild that release builds do not make.)
+    fn blob_cache_matches_held(&self) -> bool {
+        let mut rest = self.blob_cache.as_slice();
+        for h in &self.held {
+            match rest.strip_prefix(&h.segment[..]) {
+                Some(tail) => rest = tail,
+                None => return false,
+            }
+        }
+        rest.is_empty()
+    }
+
     /// The blob a from-scratch rebuild would produce (count byte + every
     /// held segment re-serialized). Verification hook for the
-    /// incremental `blob_cache` — `rebuild_blob` debug-asserts against
-    /// it, and the equivalence proptests compare it to the cached bytes
-    /// after arbitrary driver-op sequences.
+    /// incremental `blob_cache`: the equivalence proptests compare it to
+    /// the cached bytes after arbitrary driver-op sequences.
     pub fn rebuild_blob_from_scratch(&self) -> Vec<u8> {
         let mut bytes =
             Vec::with_capacity(1 + self.held.iter().map(|h| h.segment.len()).sum::<usize>());
@@ -328,6 +347,21 @@ impl CompressSide {
         bytes.push(u8::try_from(self.held.len()).expect("≤255 held ACKs"));
         bytes.extend_from_slice(&self.blob_cache);
         bytes
+    }
+
+    /// Hand back an action list this driver returned, once applied, so
+    /// the next call fills it instead of allocating. Optional, like
+    /// [`CompressSide::recycle_blob`].
+    pub fn recycle(&mut self, mut actions: Vec<DriverAction>) {
+        if self.spare_actions.len() < SPARE_ACTION_LISTS && actions.capacity() > 0 {
+            actions.clear();
+            self.spare_actions.push(actions);
+        }
+    }
+
+    /// An empty action list, recycled when one is spare.
+    fn action_list(&mut self) -> Vec<DriverAction> {
+        self.spare_actions.pop().unwrap_or_default()
     }
 
     /// Return a displaced NIC blob's byte buffer to the scratch pool.
@@ -402,7 +436,7 @@ impl CompressSide {
     /// path.
     pub fn on_ack_out(&mut self, pkt: Ipv4Packet, now: SimTime) -> Vec<DriverAction> {
         self.compressor.set_trace_clock(now.as_nanos());
-        let mut out = Vec::new();
+        let mut out = self.action_list();
         if self.forced_native {
             self.send_native(pkt, &mut out);
             return out;
@@ -463,7 +497,7 @@ impl CompressSide {
     /// rules.
     pub fn on_data_received(&mut self, info: &RxDataInfo, now: SimTime) -> Vec<DriverAction> {
         self.compressor.set_trace_clock(now.as_nanos());
-        let mut out = Vec::new();
+        let mut out = self.action_list();
         if self.mode == HackMode::Disabled || self.forced_native {
             return out;
         }
@@ -517,7 +551,7 @@ impl CompressSide {
     /// The MAC transmitted a response to the peer; `attached` reports
     /// whether our blob rode on it (the NIC's interrupt status, §3.3.1).
     pub fn on_response_sent(&mut self, attached: bool, _now: SimTime) -> Vec<DriverAction> {
-        let mut out = Vec::new();
+        let mut out = self.action_list();
         if self.mode == HackMode::Disabled || self.forced_native {
             return out;
         }
@@ -532,7 +566,7 @@ impl CompressSide {
         }
         if self.clear_after_response {
             self.clear_after_response = false;
-            out.extend(self.flush(FlushCause::NoMoreData));
+            self.flush(&mut out);
         }
         out
     }
@@ -572,11 +606,11 @@ impl CompressSide {
                 i += 1;
             }
         }
+        let mut out = self.action_list();
         if self.held.len() != before {
-            vec![self.rebuild_blob()]
-        } else {
-            Vec::new()
+            out.push(self.rebuild_blob());
         }
+        out
     }
 
     /// Opportunistic mode: our blob rode an LL ACK; the native twins of
@@ -602,13 +636,16 @@ impl CompressSide {
             return Vec::new();
         }
         self.stats.timer_flushes += 1;
-        self.flush(FlushCause::Timer)
+        let mut out = self.action_list();
+        self.flush(&mut out);
+        out
     }
 
-    fn flush(&mut self, _cause: FlushCause) -> Vec<DriverAction> {
-        let mut out = Vec::new();
+    /// Empty the held queue: unridden ACKs go out natively, ridden ones
+    /// are left to later cumulative ACKs, and the NIC slot is cleared.
+    fn flush(&mut self, out: &mut Vec<DriverAction>) {
         self.blob_cache.clear();
-        for h in std::mem::take(&mut self.held) {
+        for h in self.held.drain(..) {
             if h.rode_ll_ack {
                 // Rode at least one LL ACK: if that ACK was lost, a later
                 // cumulative TCP ACK covers it (Figure 7).
@@ -627,15 +664,7 @@ impl CompressSide {
         self.generation += 1;
         out.push(DriverAction::ClearBlob);
         self.latched = false;
-        out
     }
-}
-
-#[derive(Debug, Clone, Copy)]
-enum FlushCause {
-    NoMoreData,
-    Timer,
-    Forced,
 }
 
 /// The decompress-side (AP) HACK driver.

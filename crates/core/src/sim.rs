@@ -14,11 +14,11 @@
 //!   `stack_delay`; blob installs cost `dma_delay`. Both exceed SIFS,
 //!   which is why TCP ACKs must ride a *later* frame's LL ACK (§2.2).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use hack_mac::{
-    Action, AssocMachine, AssocState, AssocStep, Frame, HackBlob, MacConfig, Station, TimerKind,
-    TxDescriptor,
+    Action, AssocMachine, AssocState, AssocStep, Frame, FrameKind, HackBlob, MacConfig, Station,
+    TimerKind, TxDescriptor,
 };
 use hack_phy::{
     BssPlacement, Channel, InterferenceGraph, LossModel, Medium, MpduStatus, PhyRate, PpduMeta,
@@ -26,7 +26,7 @@ use hack_phy::{
 };
 use hack_rohc::DecompressStats;
 use hack_sim::{
-    QuantileSketch, Scheduler, SimDuration, SimRng, SimTime, ThroughputMeter, TimerTable,
+    FastMap, QuantileSketch, Scheduler, SimDuration, SimRng, SimTime, ThroughputMeter, TimerTable,
     TimerToken,
 };
 use hack_tcp::{Connection, FiveTuple, Ipv4Addr, Ipv4Packet, SendBudget, TcpConfig, Transport};
@@ -232,7 +232,8 @@ impl Endpoint {
 enum Event {
     FlowStart(usize),
     MacTimer(StationId, TimerKind, TimerToken<(u32, TimerKind)>),
-    TxEnd(TxId),
+    /// The PPDU `TxId` that the given station put on the air ends.
+    TxEnd(TxId, StationId),
     HostRx {
         station: StationId,
         pkt: Ipv4Packet,
@@ -306,7 +307,7 @@ impl Event {
         match self {
             Event::FlowStart(_) => 0,
             Event::MacTimer(..) => 1,
-            Event::TxEnd(_) => 2,
+            Event::TxEnd(..) => 2,
             Event::HostRx { .. } => 3,
             Event::WiredDeliver { .. } => 4,
             Event::TcpTimer(..) => 5,
@@ -353,7 +354,7 @@ struct PaceState {
     /// on-period start so a superseded tick chain dies quietly.
     tick_token: u32,
     /// Send timestamps of in-flight datagrams, keyed by ident.
-    sent_at: HashMap<u16, SimTime>,
+    sent_at: FastMap<u16, SimTime>,
     /// Send order, so lost datagrams age out of `sent_at` (bounded).
     order: VecDeque<u16>,
     /// Previous delivered datagram's one-way latency (ns), for jitter.
@@ -371,7 +372,7 @@ impl PaceState {
             on,
             ident: 0,
             tick_token: 0,
-            sent_at: HashMap::new(),
+            sent_at: FastMap::default(),
             order: VecDeque::new(),
             last_latency: None,
         }
@@ -427,6 +428,46 @@ struct RoamRuntime {
     roams: u64,
 }
 
+/// What a bystander needs to know of one frame of a PPDU addressed to
+/// another station.
+#[derive(Clone, Copy)]
+struct OverheardFrame {
+    kind: FrameKind,
+    /// Size in bits of the HACK blob the frame carries (0 without one):
+    /// the range of the draw that picks which bit an FCS-escaping
+    /// corruption flips.
+    blob_bits: u32,
+}
+
+impl OverheardFrame {
+    fn of(f: &Frame<NetPacket>) -> Self {
+        let blob = match f {
+            Frame::Ack { hack, .. } | Frame::BlockAck { hack, .. } => hack.as_ref(),
+            _ => None,
+        };
+        OverheardFrame {
+            kind: f.kind(),
+            blob_bits: blob.map_or(0, |b| b.bytes.len() as u32 * 8),
+        }
+    }
+}
+
+/// Flip one deterministic-RNG-chosen bit in the frame's HACK blob
+/// extension, modelling a corruption the FCS check cannot see. Frames
+/// without a blob pass through unchanged (the flip hit padding).
+fn corrupt_frame(f: &mut Frame<NetPacket>, rng: &mut SimRng) {
+    let blob = match f {
+        Frame::Ack { hack, .. } | Frame::BlockAck { hack, .. } => hack.as_mut(),
+        _ => None,
+    };
+    if let Some(b) = blob {
+        if !b.bytes.is_empty() {
+            let bit = rng.uniform(b.bytes.len() as u32 * 8);
+            b.bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
+        }
+    }
+}
+
 /// The assembled simulation.
 pub struct World {
     cfg: ScenarioConfig,
@@ -440,15 +481,22 @@ pub struct World {
     supervisors: Vec<FlowSupervisor>,
     medium: Medium,
     stations: Vec<Station<NetPacket>>,
-    compress: HashMap<(u32, u32), CompressSide>,
+    /// Compress-side drivers, two per flow: `[flow][0]` runs on the
+    /// client toward the AP serving it, `[flow][1]` on that AP toward
+    /// the client. They follow the flow across handoffs (see
+    /// [`World::driver_slot`]).
+    compress: Vec<[CompressSide; 2]>,
     decompress: Vec<DecompressSide>,
-    tx_payloads: HashMap<TxId, (Vec<Frame<NetPacket>>, bool, StationId)>,
+    /// The PPDU each station has on the air (a station transmits one at
+    /// a time): its frames and whether it is an A-MPDU. Indexed by
+    /// station id, grown on first use.
+    tx_payloads: Vec<Option<(Vec<Frame<NetPacket>>, bool)>>,
     /// One backhaul per cell (legacy worlds: exactly one).
     wired: Vec<WiredLink>,
     endpoints: Vec<Endpoint>,
-    ep_by_tuple: HashMap<FiveTuple, usize>,
-    /// Client IP → flow index (replaces the per-packet linear scan).
-    ip_to_flow: HashMap<Ipv4Addr, usize>,
+    /// Client IP → flow index. A packet's endpoint is then one of the
+    /// flow's two or four, found by comparing five-tuples.
+    ip_to_flow: FastMap<Ipv4Addr, usize>,
     meters: Vec<ThroughputMeter>,
     flow_start_at: Vec<SimTime>,
     /// Per-flow traffic runtime (model, endpoint range, restart/pacing
@@ -473,6 +521,15 @@ pub struct World {
     /// Scratch for the idle-edge sweep in `on_tx_end` (avoids a per-PPDU
     /// allocation).
     idle_buf: Vec<StationId>,
+    /// Scratch for `on_tx_end`: what bystanders need to know of each
+    /// frame of the ending PPDU, once its addressee owns the frames.
+    overheard_buf: Vec<OverheardFrame>,
+    /// The MPDU-length vector of the last PPDU the medium finished,
+    /// reused for the next one to start.
+    lens_buf: Vec<u32>,
+    /// Per-event-kind `(count, ns)` accumulated by `run_until`.
+    #[cfg(feature = "evprof")]
+    evprof: [(u64, u64); 16],
     trace: TraceHandle,
 }
 
@@ -683,7 +740,7 @@ impl World {
             .collect();
 
         // --- HACK drivers ---
-        let mut compress = HashMap::new();
+        let mut compress = Vec::with_capacity(n);
         let decompress: Vec<DecompressSide> = station_ids
             .iter()
             .map(|&sid| {
@@ -705,7 +762,7 @@ impl World {
             if supervised {
                 cs.set_stale_limit(Some(HELD_STALE_LIMIT));
             }
-            compress.insert((c.0, ap.0), cs);
+            let client_side = cs;
             // …and the AP toward each client (uploads) — symmetric design.
             let mut cs = CompressSide::new(cfg.hack_mode);
             cs.set_trace(trace.clone(), ap.0);
@@ -713,7 +770,7 @@ impl World {
             if supervised {
                 cs.set_stale_limit(Some(HELD_STALE_LIMIT));
             }
-            compress.insert((ap.0, c.0), cs);
+            compress.push([client_side, cs]);
         }
         let supervisors: Vec<FlowSupervisor> = if supervised {
             let sup_cfg = cfg.supervisor.expect("checked");
@@ -724,7 +781,6 @@ impl World {
 
         // --- endpoints ---
         let mut endpoints = Vec::new();
-        let mut ep_by_tuple = HashMap::new();
         let mut meters = Vec::new();
         let mut flow_start_at = Vec::new();
         let base_start = SimTime::from_millis(10);
@@ -740,7 +796,6 @@ impl World {
         #[allow(clippy::too_many_arguments)]
         fn push_pair(
             endpoints: &mut Vec<Endpoint>,
-            ep_by_tuple: &mut HashMap<FiveTuple, usize>,
             trace: &TraceHandle,
             tcp_cfg: &TcpConfig,
             layout: &Layout,
@@ -784,11 +839,7 @@ impl World {
                 0,
             );
             ep_server.conn = Some(server_conn);
-            let ci = endpoints.len();
-            ep_by_tuple.insert(ep_client.tuple, ci);
             endpoints.push(ep_client);
-            let si = endpoints.len();
-            ep_by_tuple.insert(ep_server.tuple, si);
             endpoints.push(ep_server);
         }
         let mut flows_rt: Vec<FlowRt> = Vec::with_capacity(n);
@@ -811,7 +862,6 @@ impl World {
                     let upload = matches!(model, TrafficModel::BulkUpload);
                     push_pair(
                         &mut endpoints,
-                        &mut ep_by_tuple,
                         &trace,
                         &tcp_cfg,
                         &layout,
@@ -830,7 +880,6 @@ impl World {
                     // per transfer at flow (re)start.
                     push_pair(
                         &mut endpoints,
-                        &mut ep_by_tuple,
                         &trace,
                         &tcp_cfg,
                         &layout,
@@ -848,7 +897,6 @@ impl World {
                     // Download direction on the historical tuple plan…
                     push_pair(
                         &mut endpoints,
-                        &mut ep_by_tuple,
                         &trace,
                         &tcp_cfg,
                         &layout,
@@ -872,7 +920,6 @@ impl World {
                     };
                     push_pair(
                         &mut endpoints,
-                        &mut ep_by_tuple,
                         &trace,
                         &tcp_cfg,
                         &layout,
@@ -934,10 +981,9 @@ impl World {
             stations,
             compress,
             decompress,
-            tx_payloads: HashMap::new(),
+            tx_payloads: Vec::new(),
             wired,
             endpoints,
-            ep_by_tuple,
             ip_to_flow,
             meters,
             flow_start_at: flow_start_at.clone(),
@@ -953,6 +999,10 @@ impl World {
             completion: None,
             roam: None,
             idle_buf: Vec::new(),
+            overheard_buf: Vec::new(),
+            lens_buf: Vec::new(),
+            #[cfg(feature = "evprof")]
+            evprof: [(0, 0); 16],
             trace,
             layout,
             cfg,
@@ -1008,14 +1058,7 @@ impl World {
                 // Permanent clean fallback on this link: the MAC already
                 // gates blobs, but force the drivers native too so ACKs
                 // are never held against a peer that cannot decode them.
-                for key in [(c.0, ap.0), (ap.0, c.0)] {
-                    let dacts = world
-                        .compress
-                        .get_mut(&key)
-                        .expect("driver exists")
-                        .force_native(SimTime::ZERO);
-                    world.apply_driver(StationId(key.0), StationId(key.1), dacts, SimTime::ZERO);
-                }
+                world.force_flow_native(i, ap, SimTime::ZERO);
                 if !world.supervisors.is_empty() {
                     let acts = world.supervisors[i].mark_peer_incapable();
                     world.apply_supervisor(i, acts, SimTime::ZERO);
@@ -1027,37 +1070,8 @@ impl World {
 
     /// Run to completion and collect results.
     pub fn run(mut self) -> RunResult {
-        #[cfg(feature = "evprof")]
-        let mut prof = [(0u64, 0u64); 16];
-        while let Some(at) = self.sched.peek_time() {
-            if at > self.end {
-                break;
-            }
-            let (now, ev) = self.sched.pop().expect("peeked");
-            #[cfg(feature = "evprof")]
-            let (kind, t0) = (ev.kind_index(), std::time::Instant::now());
-            self.handle(ev, now);
-            #[cfg(feature = "evprof")]
-            {
-                prof[kind].0 += 1;
-                prof[kind].1 += t0.elapsed().as_nanos() as u64;
-            }
-            if self.completion.is_some() {
-                break;
-            }
-        }
-        #[cfg(feature = "evprof")]
-        for (i, (n, ns)) in prof.iter().enumerate() {
-            if *n > 0 {
-                eprintln!(
-                    "evprof {:<16} {:>9} events  {:>8.1} ns/event  {:>7.1} ms total",
-                    Event::KIND_NAMES[i],
-                    n,
-                    *ns as f64 / *n as f64,
-                    *ns as f64 / 1e6,
-                );
-            }
-        }
+        let end = self.end;
+        self.run_until(end);
         self.collect()
     }
 
@@ -1065,8 +1079,9 @@ impl World {
     /// `until` (clamped to the configured end). Returns `false` once the
     /// world has nothing left to do — queue drained past the end, or all
     /// byte-budgeted flows completed — and `true` while more work
-    /// remains. The epoch driver for sharded dense worlds; a full run is
-    /// `while run_until(next_epoch) {}` followed by [`World::finish`].
+    /// remains. The one dispatch loop: [`World::run`] is
+    /// `run_until(end)` and the sharded dense engine steps its worlds
+    /// through it epoch by epoch, then calls [`World::finish`].
     pub fn run_until(&mut self, until: SimTime) -> bool {
         let until = until.min(self.end);
         while let Some(at) = self.sched.peek_time() {
@@ -1077,7 +1092,14 @@ impl World {
                 return true;
             }
             let (now, ev) = self.sched.pop().expect("peeked");
+            #[cfg(feature = "evprof")]
+            let (kind, t0) = (ev.kind_index(), std::time::Instant::now());
             self.handle(ev, now);
+            #[cfg(feature = "evprof")]
+            {
+                self.evprof[kind].0 += 1;
+                self.evprof[kind].1 += t0.elapsed().as_nanos() as u64;
+            }
             if self.completion.is_some() {
                 return false;
             }
@@ -1127,7 +1149,7 @@ impl World {
                     }
                 }
             }
-            Event::TxEnd(id) => self.on_tx_end(id, now),
+            Event::TxEnd(id, src) => self.on_tx_end(id, src, now),
             Event::HostRx {
                 station,
                 pkt,
@@ -1138,7 +1160,8 @@ impl World {
                     let ap = self.layout.cells[cell].ap;
                     self.ap_downstream(ap, pkt, now);
                 } else {
-                    self.deliver_to_endpoint(pkt, now);
+                    let ep = self.ep_for(&pkt);
+                    self.deliver_to_endpoint(pkt, ep, now);
                 }
             }
             Event::TcpTimer(ep, token) => {
@@ -1181,11 +1204,12 @@ impl World {
                 bytes,
                 generation,
             } => {
-                // No driver for this key: the association was re-keyed to
-                // a new AP while the install waited out the DMA delay.
-                let Some(side) = self.compress.get_mut(&(station.0, peer.0)) else {
+                // No driver for this pair: the flow moved to a new AP
+                // while the install waited out the DMA delay.
+                let Some((flow, side)) = self.driver_slot(station, peer) else {
                     return;
                 };
+                let side = &mut self.compress[flow][side];
                 if side.generation() == generation {
                     hack_trace::trace_ev!(
                         self.trace,
@@ -1199,10 +1223,7 @@ impl World {
                     let displaced =
                         self.stations[station.0 as usize].set_hack_blob(peer, HackBlob { bytes });
                     if let Some(old) = displaced {
-                        self.compress
-                            .get_mut(&(station.0, peer.0))
-                            .expect("driver exists")
-                            .recycle_blob(old.bytes);
+                        side.recycle_blob(old.bytes);
                     }
                 } else {
                     // Stale install (a newer rebuild superseded it while
@@ -1213,10 +1234,10 @@ impl World {
             }
             Event::HackFlush(station, peer, token) => {
                 if self.flush_timers.fire(token) {
-                    // The key may have moved to a new AP mid-roam; the
+                    // The flow may have moved to a new AP mid-roam; the
                     // force-native flush already emptied the hold queue.
-                    if let Some(side) = self.compress.get_mut(&(station.0, peer.0)) {
-                        let dacts = side.on_flush_timer(now);
+                    if let Some((flow, side)) = self.driver_slot(station, peer) {
+                        let dacts = self.compress[flow][side].on_flush_timer(now);
                         self.apply_driver(station, peer, dacts, now);
                     }
                 }
@@ -1400,12 +1421,7 @@ impl World {
         //    re-injected post-roam) — never silently dropped, and holds
         //    that already rode a response were delivered, so no ACK is
         //    ever delivered twice either.
-        for key in [(client.0, old_ap.0), (old_ap.0, client.0)] {
-            if let Some(side) = self.compress.get_mut(&key) {
-                let dacts = side.force_native(now);
-                self.apply_driver(StationId(key.0), StationId(key.1), dacts, now);
-            }
-        }
+        self.force_flow_native(flow, old_ap, now);
         // 2) The old association's ROHC contexts die with it: decoding
         //    against a stale context across a handoff is never legal, so
         //    every party forgets the flow and the first post-roam native
@@ -1413,11 +1429,9 @@ impl World {
         let new_ap = self.layout.cells[target].ap;
         for fwd in self.client_tuples(flow) {
             let rev = fwd.reversed();
-            for key in [(client.0, old_ap.0), (old_ap.0, client.0)] {
-                if let Some(side) = self.compress.get_mut(&key) {
-                    side.drop_context(&fwd);
-                    side.drop_context(&rev);
-                }
+            for side in &mut self.compress[flow] {
+                side.drop_context(&fwd);
+                side.drop_context(&rev);
             }
             for sid in [client.0 as usize, old_ap.0 as usize, new_ap.0 as usize] {
                 self.decompress[sid].drop_context(&fwd);
@@ -1549,16 +1563,11 @@ impl World {
         let old_ap = self.layout.cells[old_cell].ap;
         let new_ap = self.layout.cells[cell].ap;
         // Driver state follows the association: the flow's compress
-        // sides are re-keyed to the new AP. Stats survive the move; the
-        // ROHC contexts were already dropped at disassociation.
+        // sides answer to the new AP once `cur_cell` moves below. Stats
+        // survive the move; the ROHC contexts were already dropped at
+        // disassociation.
         if new_ap != old_ap {
-            if let Some(side) = self.compress.remove(&(client.0, old_ap.0)) {
-                self.compress.insert((client.0, new_ap.0), side);
-            }
-            if let Some(mut side) = self.compress.remove(&(old_ap.0, client.0)) {
-                side.set_trace(self.trace.clone(), new_ap.0);
-                self.compress.insert((new_ap.0, client.0), side);
-            }
+            self.compress[flow][1].set_trace(self.trace.clone(), new_ap.0);
         }
         // Retune the radio: the client joins the new cell's interference
         // domain (channel) — without this, the new AP's frames would
@@ -1591,12 +1600,7 @@ impl World {
         if !negotiated {
             // Incapable new AP: the drivers must never hold an ACK
             // against a peer that cannot decode it.
-            for key in [(client.0, new_ap.0), (new_ap.0, client.0)] {
-                if let Some(side) = self.compress.get_mut(&key) {
-                    let dacts = side.force_native(now);
-                    self.apply_driver(StationId(key.0), StationId(key.1), dacts, now);
-                }
-            }
+            self.force_flow_native(flow, new_ap, now);
         }
         if flow < self.supervisors.len() {
             let acts = self.supervisors[flow].on_reassociated(negotiated, now);
@@ -1722,17 +1726,13 @@ impl World {
         let cur_ap = self.cur_ap_of_flow(flow);
         let old = self.endpoints[base].tuple;
         let old_rev = old.reversed();
-        self.ep_by_tuple.remove(&old);
-        self.ep_by_tuple.remove(&old_rev);
         for ep in [base, server] {
             self.endpoints[ep].timer_at = None;
             self.tcp_timers.cancel(ep as u32);
         }
-        for key in [(client_sid.0, cur_ap.0), (cur_ap.0, client_sid.0)] {
-            if let Some(side) = self.compress.get_mut(&key) {
-                side.drop_context(&old);
-                side.drop_context(&old_rev);
-            }
+        for side in &mut self.compress[flow] {
+            side.drop_context(&old);
+            side.drop_context(&old_rev);
         }
         for sid in [client_sid.0 as usize, cur_ap.0 as usize] {
             self.decompress[sid].drop_context(&old);
@@ -1781,8 +1781,6 @@ impl World {
             e.delivered_recorded = 0;
             e.timeouts_seen = 0;
         }
-        self.ep_by_tuple.insert(tuple, base);
-        self.ep_by_tuple.insert(tuple.reversed(), server);
         {
             let st = self.flows[flow].short.as_mut().expect("short state");
             st.target = size;
@@ -1947,71 +1945,113 @@ impl World {
         }
     }
 
-    fn on_tx_end(&mut self, id: TxId, now: SimTime) {
-        let (mut frames, aggregated, src) = self.tx_payloads.remove(&id).expect("tx payload");
+    fn on_tx_end(&mut self, id: TxId, src: StationId, now: SimTime) {
+        let (mut frames, aggregated) = self.tx_payloads[src.0 as usize].take().expect("tx payload");
         let outcome = self.medium.end_tx(id, now, &mut self.rng);
+        let addressee = frames.first().map(Frame::dst);
 
-        // 1) Receptions (before idle edges: NAV first). The last detected
-        // receiver takes ownership of the frame batch; earlier ones clone.
-        // In the common unicast case this turns every delivered MPDU's
-        // deep copy (packet + TCP options) into a move.
-        let last_detected = outcome.receptions.iter().rposition(|r| r.detected);
-        for (ri, rec) in outcome.receptions.iter().enumerate() {
+        // 1) Receptions (before idle edges: NAV first). The addressee
+        // takes the frames themselves — every MPDU it decodes is moved
+        // to it, never copied. Everyone else who detects the PPDU is a
+        // bystander, and a bystander's MAC only looks at frame kinds, so
+        // those are noted up front and the frames are never cloned.
+        let mut overheard = std::mem::take(&mut self.overheard_buf);
+        overheard.clear();
+        if outcome
+            .receptions
+            .iter()
+            .any(|r| r.detected && Some(r.station) != addressee)
+        {
+            overheard.extend(frames.iter().map(OverheardFrame::of));
+        }
+        let status_of =
+            |mpdus: &[MpduStatus], i: usize| mpdus.get(i).copied().unwrap_or(MpduStatus::Lost);
+        for rec in &outcome.receptions {
             let sid = rec.station;
-            if rec.detected {
-                let mut decoded: Vec<Frame<NetPacket>> = Vec::with_capacity(rec.mpdus.len());
-                let mut fcs_bad = 0u32;
-                let status_of = |mpdus: &[MpduStatus], i: usize| {
-                    mpdus.get(i).copied().unwrap_or(MpduStatus::Lost)
-                };
-                if Some(ri) == last_detected {
-                    for (i, f) in std::mem::take(&mut frames).into_iter().enumerate() {
-                        match status_of(&rec.mpdus, i) {
-                            MpduStatus::Ok => decoded.push(f),
-                            MpduStatus::Lost => {}
-                            MpduStatus::Corrupt { fcs_ok: false } => fcs_bad += 1,
-                            // The flip escaped the FCS region: deliver the
-                            // frame with one bit flipped in its blob
-                            // extension (or unchanged when there is no blob
-                            // — the flip landed in padding).
-                            MpduStatus::Corrupt { fcs_ok: true } => {
-                                decoded.push(self.corrupt_frame(f));
-                            }
+            if !rec.detected {
+                let acts = self.stations[sid.0 as usize].on_rx_garbage(now);
+                self.apply(sid, acts, now);
+                continue;
+            }
+            let for_me = Some(sid) == addressee;
+            let mut fcs_bad = 0u32;
+            let mut decoded = 0usize;
+            if for_me {
+                // Keep what decoded, in place.
+                let rng = &mut self.rng;
+                let mut i = 0;
+                frames.retain_mut(|f| {
+                    let status = status_of(&rec.mpdus, i);
+                    i += 1;
+                    match status {
+                        MpduStatus::Ok => true,
+                        MpduStatus::Lost => false,
+                        MpduStatus::Corrupt { fcs_ok: false } => {
+                            fcs_bad += 1;
+                            false
+                        }
+                        // The flip escaped the FCS region: deliver the
+                        // frame with one bit flipped in its blob
+                        // extension (or unchanged when there is no blob
+                        // — the flip landed in padding).
+                        MpduStatus::Corrupt { fcs_ok: true } => {
+                            corrupt_frame(f, rng);
+                            true
                         }
                     }
-                } else {
-                    for (i, f) in frames.iter().enumerate() {
-                        match status_of(&rec.mpdus, i) {
-                            MpduStatus::Ok => decoded.push(f.clone()),
-                            MpduStatus::Lost => {}
-                            MpduStatus::Corrupt { fcs_ok: false } => fcs_bad += 1,
-                            MpduStatus::Corrupt { fcs_ok: true } => {
-                                decoded.push(self.corrupt_frame(f.clone()));
-                            }
-                        }
-                    }
-                }
-                if fcs_bad > 0 {
-                    let acts = self.stations[sid.0 as usize].on_rx_corrupt(src, fcs_bad, now);
-                    self.apply(sid, acts, now);
-                    if !self.supervisors.is_empty() {
-                        if let Some(flow) = self.sup_flow(sid, src) {
-                            self.sup_signal(flow, HealthSignal::FcsBad, now);
-                        }
-                    }
-                }
-                if !decoded.is_empty() {
-                    let acts = self.stations[sid.0 as usize].on_rx_ppdu(decoded, aggregated, now);
-                    self.apply(sid, acts, now);
-                } else if fcs_bad == 0 {
-                    let acts = self.stations[sid.0 as usize].on_rx_garbage(now);
-                    self.apply(sid, acts, now);
-                }
+                });
+                decoded = frames.len();
             } else {
+                for (i, f) in overheard.iter().enumerate() {
+                    match status_of(&rec.mpdus, i) {
+                        MpduStatus::Ok => decoded += 1,
+                        MpduStatus::Lost => {}
+                        MpduStatus::Corrupt { fcs_ok: false } => fcs_bad += 1,
+                        MpduStatus::Corrupt { fcs_ok: true } => {
+                            // A bystander never reads the blob, but which
+                            // of its bits flipped was still drawn.
+                            if f.blob_bits > 0 {
+                                let _ = self.rng.uniform(f.blob_bits);
+                            }
+                            decoded += 1;
+                        }
+                    }
+                }
+            }
+            if fcs_bad > 0 {
+                let acts = self.stations[sid.0 as usize].on_rx_corrupt(src, fcs_bad, now);
+                self.apply(sid, acts, now);
+                if !self.supervisors.is_empty() {
+                    if let Some(flow) = self.sup_flow(sid, src) {
+                        self.sup_signal(flow, HealthSignal::FcsBad, now);
+                    }
+                }
+            }
+            if decoded > 0 {
+                let station = &mut self.stations[sid.0 as usize];
+                let acts = if for_me {
+                    station.on_rx_ppdu(std::mem::take(&mut frames), aggregated, now)
+                } else {
+                    let kinds = overheard
+                        .iter()
+                        .enumerate()
+                        .filter(|&(i, _)| {
+                            matches!(
+                                status_of(&rec.mpdus, i),
+                                MpduStatus::Ok | MpduStatus::Corrupt { fcs_ok: true }
+                            )
+                        })
+                        .map(|(_, f)| f.kind);
+                    station.on_overheard(kinds, aggregated, now)
+                };
+                self.apply(sid, acts, now);
+            } else if fcs_bad == 0 {
                 let acts = self.stations[sid.0 as usize].on_rx_garbage(now);
                 self.apply(sid, acts, now);
             }
         }
+        self.overheard_buf = overheard;
+        self.lens_buf = outcome.meta.mpdu_lens;
 
         // 2) Idle edges for everyone who heard this PPDU and whose own
         // domain is now quiet. The idle set is snapshotted before the
@@ -2040,26 +2080,9 @@ impl World {
         self.apply(src, acts, now);
     }
 
-    /// Flip one deterministic-RNG-chosen bit in the frame's HACK blob
-    /// extension, modelling a corruption the FCS check cannot see. Frames
-    /// without a blob pass through unchanged (the flip hit padding).
-    fn corrupt_frame(&mut self, mut f: Frame<NetPacket>) -> Frame<NetPacket> {
-        let blob = match &mut f {
-            Frame::Ack { hack, .. } | Frame::BlockAck { hack, .. } => hack.as_mut(),
-            _ => None,
-        };
-        if let Some(b) = blob {
-            if !b.bytes.is_empty() {
-                let bit = self.rng.uniform(b.bytes.len() as u32 * 8);
-                b.bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
-            }
-        }
-        f
-    }
-
     /// Materialize MAC actions for station `sid`.
-    fn apply(&mut self, sid: StationId, actions: Vec<Action<NetPacket>>, now: SimTime) {
-        for act in actions {
+    fn apply(&mut self, sid: StationId, mut actions: Vec<Action<NetPacket>>, now: SimTime) {
+        for act in actions.drain(..) {
             match act {
                 Action::StartTx(desc) => self.start_tx(sid, desc, now),
                 Action::SetTimer { kind, at } => {
@@ -2081,9 +2104,8 @@ impl World {
                     );
                 }
                 Action::DataReceived(info) => {
-                    let key = (sid.0, info.from.0);
-                    if let Some(side) = self.compress.get_mut(&key) {
-                        let dacts = side.on_data_received(&info, now);
+                    if let Some((flow, side)) = self.driver_slot(sid, info.from) {
+                        let dacts = self.compress[flow][side].on_data_received(&info, now);
                         self.apply_driver(sid, info.from, dacts, now);
                         self.drain_driver_health(sid, info.from, now);
                     }
@@ -2093,8 +2115,8 @@ impl World {
                     kind: _,
                     attached_blob,
                 } => {
-                    let key = (sid.0, to.0);
-                    if let Some(side) = self.compress.get_mut(&key) {
+                    if let Some((flow, side)) = self.driver_slot(sid, to) {
+                        let side = &mut self.compress[flow][side];
                         let dacts = side.on_response_sent(attached_blob, now);
                         // Opportunistic: withdraw native twins that rode.
                         if side.mode() == HackMode::Opportunistic && attached_blob {
@@ -2121,7 +2143,10 @@ impl World {
                     };
                     let had_blob = blob.is_some();
                     if let Some(blob) = blob {
-                        let before = self.decompress[sid.0 as usize].stats().clone();
+                        // The supervisor's post-mortem needs the counters
+                        // from before the decode.
+                        let before =
+                            sup_flow.map(|_| self.decompress[sid.0 as usize].stats().clone());
                         // Zero-copy decode: ACKs are scheduled as they
                         // decompress straight out of the blob bytes — no
                         // intermediate packet Vec.
@@ -2138,7 +2163,7 @@ impl World {
                                 },
                             );
                         });
-                        if let Some(flow) = sup_flow {
+                        if let (Some(flow), Some(before)) = (sup_flow, before) {
                             // Blob post-mortem for the supervisor: CRC
                             // hits, context damage, and clean decodes.
                             let after = self.decompress[sid.0 as usize].stats();
@@ -2165,12 +2190,12 @@ impl World {
                     }
                     // Delivered natives advance the compressor floor (and
                     // in Opportunistic mode cancel held twins).
-                    let key = (sid.0, from.0);
-                    if let Some(side) = self.compress.get_mut(&key) {
+                    if let Some((flow, side)) = self.driver_slot(sid, from) {
                         // The driver ignores non-ACK MSDUs itself, so the
                         // batch passes through without a filtered clone.
                         if acked_msdus.iter().any(|m| m.is_pure_tcp_ack()) {
-                            let dacts = side.on_natives_delivered(&acked_msdus);
+                            let dacts =
+                                self.compress[flow][side].on_natives_delivered(&acked_msdus);
                             self.apply_driver(sid, from, dacts, now);
                         }
                     }
@@ -2197,10 +2222,13 @@ impl World {
                 Action::BarExhausted { .. } => {}
             }
         }
+        self.stations[sid.0 as usize].recycle(actions);
     }
 
     fn start_tx(&mut self, sid: StationId, desc: TxDescriptor<NetPacket>, now: SimTime) {
-        let mpdu_lens: Vec<u32> = desc.frames.iter().map(Frame::wire_len).collect();
+        let mut mpdu_lens = std::mem::take(&mut self.lens_buf);
+        mpdu_lens.clear();
+        mpdu_lens.extend(desc.frames.iter().map(Frame::wire_len));
         let dst = desc.frames.first().map(Frame::dst);
         let control =
             desc.is_response || matches!(desc.frames.first(), Some(Frame::BlockAckReq { .. }));
@@ -2213,10 +2241,13 @@ impl World {
             duration: desc.duration,
         };
         let id = self.medium.begin_tx(meta, now);
-        self.tx_payloads
-            .insert(id, (desc.frames, desc.aggregated, sid));
+        let slot = sid.0 as usize;
+        if slot >= self.tx_payloads.len() {
+            self.tx_payloads.resize_with(slot + 1, || None);
+        }
+        self.tx_payloads[slot] = Some((desc.frames, desc.aggregated));
         self.sched
-            .schedule_at(now + desc.duration, Event::TxEnd(id));
+            .schedule_at(now + desc.duration, Event::TxEnd(id, sid));
         // Carrier sense: everyone in an interfering domain hears the
         // medium go busy (every station, on legacy single-domain worlds).
         let d = self.medium.domain_of(sid);
@@ -2229,14 +2260,25 @@ impl World {
         }
     }
 
+    /// Force both of `flow`'s compress sides — its client toward `ap`,
+    /// and `ap` toward the client — onto the native path, and carry out
+    /// what they ask for on the way.
+    fn force_flow_native(&mut self, flow: usize, ap: StationId, now: SimTime) {
+        let client = self.layout.client(flow);
+        for (side, (sid, peer)) in [(client, ap), (ap, client)].into_iter().enumerate() {
+            let dacts = self.compress[flow][side].force_native(now);
+            self.apply_driver(sid, peer, dacts, now);
+        }
+    }
+
     fn apply_driver(
         &mut self,
         sid: StationId,
         peer: StationId,
-        dacts: Vec<DriverAction>,
+        mut dacts: Vec<DriverAction>,
         now: SimTime,
     ) {
-        for d in dacts {
+        for d in dacts.drain(..) {
             match d {
                 DriverAction::SendNative(pkt) => {
                     let acts = self.stations[sid.0 as usize].enqueue(peer, NetPacket(pkt), now);
@@ -2256,8 +2298,8 @@ impl World {
                 DriverAction::ClearBlob => {
                     let removed = self.stations[sid.0 as usize].clear_hack_blob(peer);
                     if let Some(old) = removed {
-                        if let Some(side) = self.compress.get_mut(&(sid.0, peer.0)) {
-                            side.recycle_blob(old.bytes);
+                        if let Some((flow, side)) = self.driver_slot(sid, peer) {
+                            self.compress[flow][side].recycle_blob(old.bytes);
                         }
                     }
                 }
@@ -2272,6 +2314,9 @@ impl World {
                     self.flush_timers.cancel((sid.0, peer.0));
                 }
             }
+        }
+        if let Some((flow, side)) = self.driver_slot(sid, peer) {
+            self.compress[flow][side].recycle(dacts);
         }
     }
 
@@ -2306,10 +2351,10 @@ impl World {
         let Some(flow) = self.sup_flow(sid, peer) else {
             return;
         };
-        let Some(side) = self.compress.get_mut(&(sid.0, peer.0)) else {
+        let Some((f, side)) = self.driver_slot(sid, peer) else {
             return;
         };
-        let health = side.drain_health();
+        let health = self.compress[f][side].drain_health();
         for _ in 0..health.spills {
             self.sup_signal(flow, HealthSignal::HeldSpill, now);
         }
@@ -2326,22 +2371,10 @@ impl World {
         let ap = self.cur_ap_of_flow(flow);
         for act in actions {
             match act {
-                SupervisorAction::ForceNative => {
-                    for key in [(client.0, ap.0), (ap.0, client.0)] {
-                        let dacts = self
-                            .compress
-                            .get_mut(&key)
-                            .expect("driver exists")
-                            .force_native(now);
-                        self.apply_driver(StationId(key.0), StationId(key.1), dacts, now);
-                    }
-                }
+                SupervisorAction::ForceNative => self.force_flow_native(flow, ap, now),
                 SupervisorAction::ReenableHack => {
-                    for key in [(client.0, ap.0), (ap.0, client.0)] {
-                        self.compress
-                            .get_mut(&key)
-                            .expect("driver exists")
-                            .resume_hack();
+                    for side in &mut self.compress[flow] {
+                        side.resume_hack();
                     }
                 }
                 SupervisorAction::RefreshContexts => {
@@ -2351,11 +2384,9 @@ impl World {
                     // ACK re-seeds them from scratch.
                     for fwd in self.client_tuples(flow) {
                         let rev = fwd.reversed();
-                        for key in [(client.0, ap.0), (ap.0, client.0)] {
-                            if let Some(side) = self.compress.get_mut(&key) {
-                                side.drop_context(&fwd);
-                                side.drop_context(&rev);
-                            }
+                        for side in &mut self.compress[flow] {
+                            side.drop_context(&fwd);
+                            side.drop_context(&rev);
                         }
                         for sid in [client.0 as usize, ap.0 as usize] {
                             self.decompress[sid].drop_context(&fwd);
@@ -2423,10 +2454,10 @@ impl World {
 
     /// A packet surfaced at a wireless node's host stack.
     fn on_host_rx(&mut self, station: StationId, pkt: Ipv4Packet, native: bool, now: SimTime) {
-        let at_ap = self.layout.is_ap(station);
-        if at_ap && !self.endpoint_at(&pkt, station) {
-            // Bridge upstream: native pure ACKs refresh this AP's
-            // contexts.
+        let ep = self.ep_for(&pkt);
+        if self.layout.is_ap(station) {
+            // Native pure ACKs refresh this AP's contexts, whether it
+            // bridges them upstream or hosts the server itself.
             if native {
                 if let Transport::Tcp(t) = &pkt.transport {
                     if t.is_pure_ack() {
@@ -2434,43 +2465,46 @@ impl World {
                     }
                 }
             }
-            let cell = self.layout.cell(station);
-            let arrive = self.wired[cell].send(false, &pkt, now);
-            self.sched.schedule_at(
-                arrive,
-                Event::WiredDeliver {
-                    cell,
-                    to_ap: false,
-                    pkt,
-                },
-            );
-            return;
-        }
-        if at_ap && native {
-            // Server on the AP: contexts still need refreshing.
-            if let Transport::Tcp(t) = &pkt.transport {
-                if t.is_pure_ack() {
-                    self.decompress[station.0 as usize].on_native_ack(&pkt, now);
-                }
+            let local = ep.is_some_and(|e| self.endpoints[e].station == Some(station));
+            if !local {
+                // Bridge upstream.
+                let cell = self.layout.cell(station);
+                let arrive = self.wired[cell].send(false, &pkt, now);
+                self.sched.schedule_at(
+                    arrive,
+                    Event::WiredDeliver {
+                        cell,
+                        to_ap: false,
+                        pkt,
+                    },
+                );
+                return;
             }
         }
-        self.deliver_to_endpoint(pkt, now);
+        self.deliver_to_endpoint(pkt, ep, now);
     }
 
-    /// Is there a local endpoint at `station` for this packet?
-    fn endpoint_at(&self, pkt: &Ipv4Packet, station: StationId) -> bool {
-        match self.ep_for(pkt) {
-            Some(ep) => self.endpoints[ep].station == Some(station),
-            None => false,
-        }
-    }
-
+    /// The endpoint `pkt` is addressed to: the one of its flow's whose
+    /// local five-tuple mirrors the packet's.
     fn ep_for(&self, pkt: &Ipv4Packet) -> Option<usize> {
-        self.ep_by_tuple.get(&pkt.five_tuple().reversed()).copied()
+        if !matches!(pkt.transport, Transport::Tcp(_)) {
+            return None; // UDP-class flows have no endpoints
+        }
+        let client_ip = if pkt.src == SERVER_IP {
+            pkt.dst
+        } else {
+            pkt.src
+        };
+        let flow = self.flow_of_client_ip(client_ip)?;
+        let local = pkt.five_tuple().reversed();
+        self.flows[flow]
+            .ep_range()
+            .find(|&e| self.endpoints[e].tuple == local)
     }
 
-    /// Hand `pkt` to its destination endpoint (server or local stack).
-    fn deliver_to_endpoint(&mut self, pkt: Ipv4Packet, now: SimTime) {
+    /// Hand `pkt` to its destination endpoint `ep` (server or local
+    /// stack), as [`World::ep_for`] found it.
+    fn deliver_to_endpoint(&mut self, pkt: Ipv4Packet, ep: Option<usize>, now: SimTime) {
         if let Transport::Udp { payload_len, .. } = pkt.transport {
             // UDP sink: record goodput (and pacing latency) directly.
             if let Some(flow) = self.flow_of_client_ip(pkt.dst) {
@@ -2479,16 +2513,13 @@ impl World {
             }
             return;
         }
-        let Some(ep) = self.ep_for(&pkt) else {
+        let Some(ep) = ep else {
             return; // e.g. stray retransmission after teardown
         };
-        if self.endpoints[ep].conn.is_none() {
+        let Some(conn) = self.endpoints[ep].conn.as_mut() else {
             return; // packet for a flow that has not started
-        }
-        let outputs = {
-            let conn = self.endpoints[ep].conn.as_mut().expect("checked");
-            conn.on_packet(&pkt, now)
         };
+        let outputs = conn.on_packet(&pkt, now);
         self.route_out(ep, outputs, now);
         self.record_delivery(ep, now);
         self.check_estimator(ep, now);
@@ -2499,11 +2530,11 @@ impl World {
     }
 
     /// Send an endpoint's outbound packets toward the peer.
-    fn route_out(&mut self, ep: usize, pkts: Vec<Ipv4Packet>, now: SimTime) {
+    fn route_out(&mut self, ep: usize, mut pkts: Vec<Ipv4Packet>, now: SimTime) {
         let station = self.endpoints[ep].station;
         let flow = self.endpoints[ep].flow;
         let cell = self.cur_cell_of_flow(flow);
-        for pkt in pkts {
+        for pkt in pkts.drain(..) {
             match station {
                 None => {
                     // Wired server → the flow's AP, over that cell's
@@ -2535,19 +2566,22 @@ impl World {
                 }
             }
         }
+        if let Some(conn) = self.endpoints[ep].conn.as_mut() {
+            conn.recycle(pkts);
+        }
     }
 
     /// Transmit from a wireless node, routing pure TCP ACKs through the
     /// node's compress-side driver.
     fn wireless_out(&mut self, sid: StationId, peer: StationId, pkt: Ipv4Packet, now: SimTime) {
         let is_ack = matches!(&pkt.transport, Transport::Tcp(t) if t.is_pure_ack());
-        let key = (sid.0, peer.0);
-        if is_ack && self.compress.contains_key(&key) {
-            let dacts = self
-                .compress
-                .get_mut(&key)
-                .expect("checked")
-                .on_ack_out(pkt, now);
+        let driver = if is_ack {
+            self.driver_slot(sid, peer)
+        } else {
+            None
+        };
+        if let Some((flow, side)) = driver {
+            let dacts = self.compress[flow][side].on_ack_out(pkt, now);
             self.apply_driver(sid, peer, dacts, now);
             self.drain_driver_health(sid, peer, now);
         } else {
@@ -2586,6 +2620,20 @@ impl World {
 
     fn flow_of_client(&self, sid: StationId) -> Option<usize> {
         self.layout.flow_of_client(sid)
+    }
+
+    /// Where in `compress` the driver that `sid` runs toward `peer`
+    /// lives, as `(flow, side)`: a client toward the AP serving it right
+    /// now (side 0), or that AP toward the client (side 1). Any other
+    /// pair has no driver — in particular an association a handoff has
+    /// since left, which events scheduled before the roam still name.
+    fn driver_slot(&self, sid: StationId, peer: StationId) -> Option<(usize, usize)> {
+        if let Some(flow) = self.flow_of_client(sid) {
+            (self.cur_ap_of_flow(flow) == peer).then_some((flow, 0))
+        } else {
+            let flow = self.flow_of_client(peer)?;
+            (self.cur_ap_of_flow(flow) == sid).then_some((flow, 1))
+        }
     }
 
     fn flow_of_client_ip(&self, ip: Ipv4Addr) -> Option<usize> {
@@ -2756,6 +2804,18 @@ impl World {
     }
 
     fn collect(self) -> RunResult {
+        #[cfg(feature = "evprof")]
+        for (i, (n, ns)) in self.evprof.iter().enumerate() {
+            if *n > 0 {
+                eprintln!(
+                    "evprof {:<16} {:>9} events  {:>8.1} ns/event  {:>7.1} ms total",
+                    Event::KIND_NAMES[i],
+                    n,
+                    *ns as f64 / *n as f64,
+                    *ns as f64 / 1e6,
+                );
+            }
+        }
         let n = self.layout.n_flows();
         let last_start = self
             .flow_start_at
@@ -2796,14 +2856,12 @@ impl World {
         for i in 0..n {
             // Roam-aware: the flow's driver is keyed to whichever AP it
             // ended the run associated with.
-            let client = self.layout.client(i).0;
-            let ap = self.cur_ap_of_flow(i).0;
-            let side = &self.compress[&(client, ap)];
-            driver.push(side.stats().clone());
-            compressor.push(side.compressor_stats().clone());
+            let [client_side, ap_side] = &self.compress[i];
+            driver.push(client_side.stats().clone());
+            compressor.push(client_side.compressor_stats().clone());
             // The AP-side driver of the same association — the holder of
             // upload/bidirectional reverse-path ACKs.
-            driver_ap.push(self.compress[&(ap, client)].stats().clone());
+            driver_ap.push(ap_side.stats().clone());
         }
         let within: u64 = mac.iter().map(|m| m.blob_within_aifs.get()).sum();
         let beyond: u64 = mac.iter().map(|m| m.blob_beyond_aifs.get()).sum();

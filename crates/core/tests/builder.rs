@@ -108,3 +108,35 @@ fn untraced_builder_matches_untraced_new() {
     assert_eq!(a.aggregate_goodput_mbps, b.aggregate_goodput_mbps);
     assert_eq!(a.events_dispatched, b.events_dispatched);
 }
+
+/// `run()` is `run_until(end)` plus `finish()`: a world stepped in
+/// slices dispatches the same events and reports the same result as one
+/// run in one go — to the configured end, and when byte budgets end the
+/// run early.
+#[test]
+fn stepped_world_dispatches_what_run_does() {
+    let to_the_end = ScenarioBuilder::dot11n_download(150, 2, HackMode::MoreData)
+        .duration(SimDuration::from_millis(400))
+        .build();
+    let early_completion = ScenarioBuilder::dot11n_download(150, 1, HackMode::MoreData)
+        .duration(SimDuration::from_secs(2))
+        .transfer_bytes(500_000)
+        .build();
+    for cfg in [to_the_end, early_completion] {
+        let whole = World::builder(cfg.clone()).build().run();
+
+        let mut world = World::builder(cfg).build();
+        let slice = SimDuration::from_millis(7);
+        let mut until = hack_sim::SimTime::ZERO + slice;
+        while world.run_until(until) {
+            until += slice;
+        }
+        let dispatched = world.events_dispatched();
+        let stepped = world.finish();
+
+        assert_eq!(dispatched, whole.events_dispatched);
+        assert_eq!(stepped.events_dispatched, whole.events_dispatched);
+        assert_eq!(stepped.flow_goodput_mbps, whole.flow_goodput_mbps);
+        assert_eq!(stepped.flow_completion, whole.flow_completion);
+    }
+}

@@ -29,8 +29,7 @@ fn digest_of(cfg: ScenarioConfig) -> String {
 
 fn assert_pins(what: &str, got: &[String], pins: &[&str]) {
     assert_eq!(
-        got,
-        pins,
+        got, pins,
         "trace drifted: {what} no longer matches its pre-round-3 digests"
     );
 }

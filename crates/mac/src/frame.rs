@@ -224,6 +224,32 @@ pub enum Frame<M> {
     },
 }
 
+/// Which kind of frame a [`Frame`] is, without its contents — all a
+/// station needs to know about a frame addressed to someone else.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameKind {
+    /// A data MPDU.
+    Data,
+    /// A plain ACK.
+    Ack,
+    /// A Block ACK.
+    BlockAck,
+    /// A Block ACK Request.
+    BlockAckReq,
+}
+
+impl<M> Frame<M> {
+    /// The frame's kind.
+    pub fn kind(&self) -> FrameKind {
+        match self {
+            Frame::Data(_) => FrameKind::Data,
+            Frame::Ack { .. } => FrameKind::Ack,
+            Frame::BlockAck { .. } => FrameKind::BlockAck,
+            Frame::BlockAckReq { .. } => FrameKind::BlockAckReq,
+        }
+    }
+}
+
 impl<M: Msdu> Frame<M> {
     /// The transmitting station.
     pub fn src(&self) -> StationId {
@@ -262,10 +288,13 @@ impl<M: Msdu> Frame<M> {
 /// each subframe is a 4-byte delimiter plus the MPDU padded to a 4-byte
 /// boundary.
 pub fn ampdu_wire_len(mpdu_lens: &[u32]) -> u32 {
-    mpdu_lens
-        .iter()
-        .map(|&l| sizes::AMPDU_DELIMITER + l.div_ceil(4) * 4)
-        .sum()
+    mpdu_lens.iter().map(|&l| ampdu_subframe_len(l)).sum()
+}
+
+/// What one MPDU of `mpdu_len` bytes adds to an A-MPDU: the delimiter
+/// plus the MPDU padded to a 4-byte boundary.
+pub fn ampdu_subframe_len(mpdu_len: u32) -> u32 {
+    sizes::AMPDU_DELIMITER + mpdu_len.div_ceil(4) * 4
 }
 
 #[cfg(test)]

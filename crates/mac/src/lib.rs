@@ -34,8 +34,8 @@ pub use assoc::{AssocConfig, AssocMachine, AssocState, AssocStep};
 pub use backoff::Contention;
 pub use capability::{AssocRequest, AssocResponse, CapabilityInfo};
 pub use config::MacConfig;
-pub use frame::{ampdu_wire_len, AckBitmap, DataMpdu, Frame, HackBlob, Msdu, SeqNum};
+pub use frame::{ampdu_wire_len, AckBitmap, DataMpdu, Frame, FrameKind, HackBlob, Msdu, SeqNum};
 pub use queue::{BaResolution, DestQueue, Mpdu};
-pub use scoreboard::{RxAccept, RxReorder};
+pub use scoreboard::RxReorder;
 pub use station::Station;
 pub use stats::{MacStats, TrafficClass};

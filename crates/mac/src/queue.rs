@@ -4,11 +4,10 @@
 
 use std::collections::VecDeque;
 
-use hack_phy::{PhyRate, StationId};
-use hack_sim::SimDuration;
+use hack_phy::StationId;
 
 use crate::config::MacConfig;
-use crate::frame::{ampdu_wire_len, sizes, AckBitmap, DataMpdu, Msdu, SeqNum};
+use crate::frame::{ampdu_subframe_len, sizes, AckBitmap, DataMpdu, Msdu, SeqNum};
 
 /// An MPDU that has been assigned a sequence number.
 #[derive(Debug, Clone)]
@@ -158,14 +157,15 @@ impl<M: Msdu> DestQueue<M> {
             usize::MAX
         };
 
-        let mut batch: Vec<Mpdu<M>> = Vec::new();
-        let mut lens: Vec<u32> = Vec::new();
+        // Upper bound on the batch, for one allocation of the result.
+        let cap = max_frames.min(self.retx.len() + self.unsent.len().min(window_room));
+        let mut out: Vec<DataMpdu<M>> = Vec::with_capacity(cap);
+        // A-MPDU length so far, kept running: candidate `n` costs one
+        // addition to judge, not a re-sum of the `n - 1` before it.
+        let mut agg_len = 0u32;
         let mut new_assigned = 0usize;
 
-        loop {
-            if batch.len() >= max_frames {
-                break;
-            }
+        while out.len() < max_frames {
             // Candidate: retransmissions first (lowest seq), then new.
             let candidate_len = if let Some(m) = self.retx.front() {
                 m.msdu.wire_len() + sizes::DATA_OVERHEAD
@@ -178,21 +178,20 @@ impl<M: Msdu> DestQueue<M> {
                 break;
             };
 
-            // Check the byte and airtime limits with this MPDU included.
-            lens.push(candidate_len);
-            let fits = if cfg.aggregation {
-                let agg = ampdu_wire_len(&lens);
-                agg <= cfg.max_ampdu_bytes
-                    && within_txop(&lens, cfg.data_rate, cfg.timings.txop_limit)
-            } else {
-                true
-            };
-            if !fits && !batch.is_empty() {
-                lens.pop();
+            // Check the byte and airtime limits with this MPDU included
+            // (data PPDU airtime only — the SIFS+BA tail is small and
+            // the paper's 4 ms limit is applied to the transmission).
+            let with_candidate = agg_len + ampdu_subframe_len(candidate_len);
+            let fits = !cfg.aggregation
+                || (with_candidate <= cfg.max_ampdu_bytes
+                    && cfg.data_rate.ppdu_duration(u64::from(with_candidate))
+                        <= cfg.timings.txop_limit);
+            if !fits && !out.is_empty() {
                 break;
             }
+            agg_len = with_candidate;
             // A single MPDU always goes (it can't be split).
-            let mpdu = if let Some(m) = self.retx.pop_front() {
+            let mut mpdu = if let Some(m) = self.retx.pop_front() {
                 m
             } else {
                 let msdu = self.unsent.pop_front().expect("checked above");
@@ -205,38 +204,42 @@ impl<M: Msdu> DestQueue<M> {
                     msdu,
                 }
             };
-            batch.push(mpdu);
+            out.push(DataMpdu {
+                src,
+                dst: self.dst,
+                seq: mpdu.seq,
+                retry: mpdu.attempts > 0,
+                more_data: false,
+                sync: false,
+                payload: mpdu.msdu.clone(),
+            });
+            mpdu.attempts += 1;
+            self.awaiting.push(mpdu);
             if !fits {
                 break;
             }
         }
 
-        if batch.is_empty() {
-            return Vec::new();
+        if out.is_empty() {
+            return out;
         }
 
+        // Both bits describe the queue *after* the batch left it.
         let more_data = cfg.set_more_data && self.backlog() > 0;
         let sync = cfg.use_sync && self.sync_next;
         self.sync_next = false;
-
-        let out: Vec<DataMpdu<M>> = batch
-            .iter()
-            .map(|m| DataMpdu {
-                src,
-                dst: self.dst,
-                seq: m.seq,
-                retry: m.attempts > 0,
-                more_data,
-                sync,
-                payload: m.msdu.clone(),
-            })
-            .collect();
-
-        for mut m in batch {
-            m.attempts += 1;
-            self.awaiting.push(m);
+        for m in &mut out {
+            m.more_data = more_data;
+            m.sync = sync;
         }
-        self.awaiting.sort_by_key(|m| m.seq.dist_from(win_start));
+
+        // Almost always the batch went onto an empty `awaiting` already
+        // in window order. Sequence numbers are unique, so when a sort is
+        // needed the unstable (in-place) one is the stable one.
+        let window_order = |m: &Mpdu<M>| m.seq.dist_from(win_start);
+        if !self.awaiting.is_sorted_by_key(window_order) {
+            self.awaiting.sort_unstable_by_key(window_order);
+        }
         out
     }
 
@@ -246,8 +249,10 @@ impl<M: Msdu> DestQueue<M> {
     pub fn on_block_ack(&mut self, bitmap: &AckBitmap, retry_limit: u32) -> BaResolution<M> {
         self.bar_pending = false;
         let mut res = BaResolution::default();
-        let awaiting = std::mem::take(&mut self.awaiting);
-        for m in awaiting {
+        res.acked_msdus.reserve_exact(self.awaiting.len());
+        // Drained, not taken: `awaiting` keeps its allocation for the
+        // next batch.
+        for m in self.awaiting.drain(..) {
             let acked = bitmap.contains(m.seq) || bitmap.start.is_newer_than(m.seq);
             if acked {
                 res.acked += 1;
@@ -267,7 +272,9 @@ impl<M: Msdu> DestQueue<M> {
                 self.retx.push_back(m);
             }
         }
-        self.retx.make_contiguous().sort_by_key(|m| m.seq.value());
+        if self.retx.len() > 1 {
+            self.retx.make_contiguous().sort_by_key(|m| m.seq.value());
+        }
         res
     }
 
@@ -275,7 +282,8 @@ impl<M: Msdu> DestQueue<M> {
     /// awaiting MPDU is acknowledged.
     pub fn on_ack(&mut self) -> BaResolution<M> {
         let mut res = BaResolution::default();
-        for m in std::mem::take(&mut self.awaiting) {
+        res.acked_msdus.reserve_exact(self.awaiting.len());
+        for m in self.awaiting.drain(..) {
             res.acked += 1;
             if m.attempts == 1 {
                 res.acked_first_try += 1;
@@ -300,7 +308,7 @@ impl<M: Msdu> DestQueue<M> {
             Vec::new()
         } else {
             let mut dropped = Vec::new();
-            for m in std::mem::take(&mut self.awaiting) {
+            for m in self.awaiting.drain(..) {
                 if m.attempts > retry_limit {
                     self.queued_msdu_bytes = self
                         .queued_msdu_bytes
@@ -347,17 +355,76 @@ impl<M: Msdu> DestQueue<M> {
     }
 }
 
-/// Would an A-MPDU with these MPDU lengths fit in the TXOP (data PPDU
-/// airtime only — the SIFS+BA tail is small and the paper's 4 ms limit is
-/// applied to the transmission)?
-fn within_txop(mpdu_lens: &[u32], rate: PhyRate, txop: SimDuration) -> bool {
-    rate.ppdu_duration(u64::from(ampdu_wire_len(mpdu_lens))) <= txop
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::ampdu_wire_len;
     use hack_phy::PhyRate;
+    use hack_sim::SimDuration;
+    use proptest::prelude::*;
+
+    /// Would an A-MPDU with these MPDU lengths fit in the TXOP? Sums
+    /// the whole batch, as `build_batch` did per candidate before it
+    /// kept a running length.
+    fn within_txop(mpdu_lens: &[u32], rate: PhyRate, txop: SimDuration) -> bool {
+        rate.ppdu_duration(u64::from(ampdu_wire_len(mpdu_lens))) <= txop
+    }
+
+    /// How many of `msdu_lens` (in queue order, all new) the batch takes,
+    /// by the re-summing rule `build_batch` used to apply.
+    fn reference_cut(msdu_lens: &[u32], cfg: &MacConfig) -> usize {
+        let mut lens: Vec<u32> = Vec::new();
+        for &l in msdu_lens {
+            if lens.len() >= cfg.max_ampdu_frames {
+                break;
+            }
+            lens.push(l + sizes::DATA_OVERHEAD);
+            let fits = ampdu_wire_len(&lens) <= cfg.max_ampdu_bytes
+                && within_txop(&lens, cfg.data_rate, cfg.timings.txop_limit);
+            if !fits {
+                // A lone oversized MPDU still goes; otherwise it waits.
+                if lens.len() > 1 {
+                    lens.pop();
+                }
+                break;
+            }
+        }
+        lens.len()
+    }
+
+    proptest! {
+        /// The running A-MPDU length cuts the batch exactly where
+        /// re-summing it per candidate did, under whichever of the
+        /// frame, byte and TXOP limits binds.
+        #[test]
+        fn running_length_cuts_where_the_resum_did(
+            msdu_lens in proptest::collection::vec(1u32..2400, 1..90),
+            rate in prop_oneof![Just(15u64), Just(30), Just(60), Just(150), Just(300), Just(600)],
+            txop_us in 200u64..6_000,
+            max_bytes in 1_000u32..65_536,
+            max_frames in 1usize..65,
+        ) {
+            let mut cfg = MacConfig::dot11n(PhyRate::ht(rate));
+            cfg.timings.txop_limit = SimDuration::from_micros(txop_us);
+            cfg.max_ampdu_bytes = max_bytes;
+            cfg.max_ampdu_frames = max_frames;
+            let mut q = DestQueue::new(C1);
+            for &l in &msdu_lens {
+                q.enqueue(Pkt(l));
+            }
+            let batch = q.build_batch(AP, &cfg);
+            prop_assert_eq!(batch.len(), reference_cut(&msdu_lens, &cfg));
+            let lens: Vec<u32> = batch.iter().map(|m| m.wire_len()).collect();
+            let offered: Vec<u32> = msdu_lens.iter().map(|l| l + sizes::DATA_OVERHEAD).collect();
+            prop_assert_eq!(&lens[..], &offered[..lens.len()]);
+            if batch.len() > 1 {
+                prop_assert!(ampdu_wire_len(&lens) <= cfg.max_ampdu_bytes);
+                prop_assert!(within_txop(&lens, cfg.data_rate, cfg.timings.txop_limit));
+            }
+            prop_assert_eq!(q.awaiting(), batch.len());
+            prop_assert_eq!(q.backlog(), msdu_lens.len() - batch.len());
+        }
+    }
 
     #[derive(Debug, Clone, PartialEq, Eq)]
     struct Pkt(u32);

@@ -9,22 +9,15 @@
 //! immediately and only duplicates are suppressed, since the transmitter
 //! never reorders.
 
-use std::collections::BTreeMap;
-
 use hack_phy::StationId;
 
-use crate::frame::{AckBitmap, SeqNum};
+use crate::frame::{AckBitmap, SeqNum, SEQ_SPACE};
 
-/// Outcome of offering one received MPDU to the reorder machinery.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RxAccept<M> {
-    /// MSDUs released to the upper layer by this MPDU (possibly several,
-    /// when it fills a gap; possibly none, when it is buffered).
-    pub deliver: Vec<(StationId, M)>,
-    /// Whether the MPDU was new (false = duplicate of something already
-    /// received).
-    pub is_new: bool,
-}
+/// How many of the most recently received sequence numbers the
+/// duplicate filter remembers.
+const SEEN_CAP: usize = 128;
+/// Depth of the Block ACK window, and so of the reorder buffer.
+const WINDOW: u16 = 64;
 
 /// Per-transmitter receive state.
 #[derive(Debug)]
@@ -35,19 +28,24 @@ pub struct RxReorder<M> {
     ordered: bool,
     /// Next sequence number owed to the upper layer.
     win_start: SeqNum,
-    /// Out-of-order MPDUs held for delivery, keyed by distance from
-    /// `win_start` at insertion time is wrong under wrap, so key by raw
-    /// seq and consult distances on use.
-    held: BTreeMap<u16, M>,
-    /// Scoreboard of received-but-possibly-undelivered seqs for BA
-    /// bitmaps and duplicate detection, as distances are recomputed per
-    /// query: we keep the most recent 128 received seqs.
-    seen: Vec<SeqNum>,
+    /// Out-of-order MPDUs held for delivery: slot `seq % 64`. Every
+    /// held sequence number lies within 64 of `win_start`, so slots
+    /// never collide. Empty until the first out-of-order arrival.
+    held: Vec<Option<M>>,
+    /// Occupied slots in `held`.
+    held_len: usize,
+    /// The last [`SEEN_CAP`] distinct sequence numbers received, oldest
+    /// first from `seen_head` — the eviction order of the duplicate
+    /// filter.
+    seen_ring: [u16; SEEN_CAP],
+    seen_head: usize,
+    seen_len: usize,
+    /// Membership bitset over the 12-bit sequence space, mirroring
+    /// `seen_ring`: duplicate detection and Block ACK bitmaps read it.
+    seen_set: [u64; SEQ_SPACE as usize / 64],
     /// Highest (newest) sequence number ever received.
     highest: Option<SeqNum>,
 }
-
-const SEEN_CAP: usize = 128;
 
 impl<M> RxReorder<M> {
     /// New receive state for frames from `src`. The window starts at
@@ -60,8 +58,12 @@ impl<M> RxReorder<M> {
             src,
             ordered,
             win_start: SeqNum::new(0),
-            held: BTreeMap::new(),
-            seen: Vec::new(),
+            held: Vec::new(),
+            held_len: 0,
+            seen_ring: [0; SEEN_CAP],
+            seen_head: 0,
+            seen_len: 0,
+            seen_set: [0; SEQ_SPACE as usize / 64],
             highest: None,
         }
     }
@@ -81,16 +83,27 @@ impl<M> RxReorder<M> {
         self.highest
     }
 
-    /// Has `seq` been received before?
+    /// Has `seq` been received before (within the last 128 receptions)?
     pub fn is_duplicate(&self, seq: SeqNum) -> bool {
-        self.seen.contains(&seq)
+        let v = usize::from(seq.value());
+        (self.seen_set[v / 64] >> (v % 64)) & 1 == 1
     }
 
     fn note_seen(&mut self, seq: SeqNum) {
-        if self.seen.len() == SEEN_CAP {
-            self.seen.remove(0);
-        }
-        self.seen.push(seq);
+        let slot = if self.seen_len == SEEN_CAP {
+            // Full: the oldest entry makes room.
+            let oldest = usize::from(self.seen_ring[self.seen_head]);
+            self.seen_set[oldest / 64] &= !(1 << (oldest % 64));
+            let slot = self.seen_head;
+            self.seen_head = (self.seen_head + 1) % SEEN_CAP;
+            slot
+        } else {
+            self.seen_len += 1;
+            (self.seen_head + self.seen_len - 1) % SEEN_CAP
+        };
+        self.seen_ring[slot] = seq.value();
+        let v = usize::from(seq.value());
+        self.seen_set[v / 64] |= 1 << (v % 64);
         let newer = match self.highest {
             None => true,
             Some(h) => seq.is_newer_than(h),
@@ -100,15 +113,13 @@ impl<M> RxReorder<M> {
         }
     }
 
-    /// Offer one decoded MPDU. Returns what to deliver upward and whether
-    /// the MPDU was new. On the first ever reception the window aligns
-    /// itself to the received sequence number (implicit BA session setup).
-    pub fn on_mpdu(&mut self, seq: SeqNum, msdu: M) -> RxAccept<M> {
+    /// Offer one decoded MPDU. Every MSDU this releases to the upper
+    /// layer (several, when it fills a gap; none, when it is buffered)
+    /// is handed to `deliver` in sequence order. Returns whether the
+    /// MPDU was new (false = duplicate of something already received).
+    pub fn on_mpdu(&mut self, seq: SeqNum, msdu: M, mut deliver: impl FnMut(M)) -> bool {
         if self.is_duplicate(seq) {
-            return RxAccept {
-                deliver: Vec::new(),
-                is_new: false,
-            };
+            return false;
         }
         self.note_seen(seq);
 
@@ -117,76 +128,91 @@ impl<M> RxReorder<M> {
             if seq == self.win_start || seq.is_newer_than(self.win_start) {
                 self.win_start = seq.next();
             }
-            return RxAccept {
-                deliver: vec![(self.src, msdu)],
-                is_new: true,
-            };
+            deliver(msdu);
+            return true;
         }
 
         // Ordered (Block ACK) path.
-        let dist = seq.dist_from(self.win_start);
-        if dist >= 2048 {
-            // Behind the window: old duplicate that fell out of `seen`.
-            return RxAccept {
-                deliver: Vec::new(),
-                is_new: false,
-            };
+        if seq == self.win_start && self.held_len == 0 {
+            // The common case: the next frame owed, nothing waiting
+            // behind it.
+            self.win_start = seq.next();
+            deliver(msdu);
+            return true;
         }
-        if dist >= 64 {
+        let dist = seq.dist_from(self.win_start);
+        if dist >= SEQ_SPACE / 2 {
+            // Behind the window: old duplicate that fell out of `seen`.
+            return false;
+        }
+        if dist >= WINDOW {
             // Window overflow: slide forward to seq-63, releasing
             // everything that falls out (with gaps).
-            let new_start = seq.add(4096 - 63);
-            let mut out = self.release_before(new_start);
+            let new_start = seq.add(SEQ_SPACE - (WINDOW - 1));
+            self.release_before(new_start, &mut deliver);
             self.win_start = new_start;
-            self.held.insert(seq.value(), msdu);
-            out.extend(self.drain_in_order());
-            return RxAccept {
-                deliver: out,
-                is_new: true,
-            };
         }
-        self.held.insert(seq.value(), msdu);
-        let deliver = self.drain_in_order();
-        RxAccept {
-            deliver,
-            is_new: true,
-        }
+        self.hold(seq, msdu);
+        self.drain_in_order(&mut deliver);
+        true
     }
 
     /// A Block ACK Request names `start`: release everything held below
-    /// it and advance the window.
-    pub fn on_bar(&mut self, start: SeqNum) -> Vec<(StationId, M)> {
+    /// it (to `deliver`, in order) and advance the window.
+    pub fn on_bar(&mut self, start: SeqNum, mut deliver: impl FnMut(M)) {
         if !start.is_newer_than(self.win_start) {
-            return Vec::new();
+            return;
         }
-        let mut out = self.release_before(start);
+        self.release_before(start, &mut deliver);
         self.win_start = start;
-        out.extend(self.drain_in_order());
-        out
+        self.drain_in_order(&mut deliver);
+    }
+
+    fn hold(&mut self, seq: SeqNum, msdu: M) {
+        if self.held.is_empty() {
+            self.held.resize_with(usize::from(WINDOW), || None);
+        }
+        // A sequence number can come back after the duplicate filter
+        // forgot it while its first copy still waits: the new copy
+        // replaces the old one.
+        if self.held[usize::from(seq.value() % WINDOW)]
+            .replace(msdu)
+            .is_none()
+        {
+            self.held_len += 1;
+        }
+    }
+
+    fn take_held(&mut self, seq: SeqNum) -> Option<M> {
+        let msdu = self.held[usize::from(seq.value() % WINDOW)].take()?;
+        self.held_len -= 1;
+        Some(msdu)
     }
 
     /// Release held MSDUs with seq strictly before `bound` (in order).
-    fn release_before(&mut self, bound: SeqNum) -> Vec<(StationId, M)> {
-        let mut keys: Vec<u16> = self
-            .held
-            .keys()
-            .copied()
-            .filter(|&k| bound.is_newer_than(SeqNum::new(k)))
-            .collect();
-        keys.sort_by_key(|&k| SeqNum::new(k).dist_from(self.win_start));
-        keys.into_iter()
-            .map(|k| (self.src, self.held.remove(&k).expect("key present")))
-            .collect()
+    fn release_before(&mut self, bound: SeqNum, deliver: &mut impl FnMut(M)) {
+        for d in 0..WINDOW {
+            if self.held_len == 0 {
+                break;
+            }
+            let seq = self.win_start.add(d);
+            if bound.is_newer_than(seq) {
+                if let Some(msdu) = self.take_held(seq) {
+                    deliver(msdu);
+                }
+            }
+        }
     }
 
     /// Deliver consecutively from `win_start` while held.
-    fn drain_in_order(&mut self) -> Vec<(StationId, M)> {
-        let mut out = Vec::new();
-        while let Some(msdu) = self.held.remove(&self.win_start.value()) {
-            out.push((self.src, msdu));
+    fn drain_in_order(&mut self, deliver: &mut impl FnMut(M)) {
+        while self.held_len > 0 {
+            let Some(msdu) = self.take_held(self.win_start) else {
+                break;
+            };
+            deliver(msdu);
             self.win_start = self.win_start.next();
         }
-        out
     }
 
     /// Build the Block ACK bitmap describing the current window: starts
@@ -195,16 +221,132 @@ impl<M> RxReorder<M> {
     /// older seqs were delivered.
     pub fn ba_bitmap(&self) -> AckBitmap {
         let mut bm = AckBitmap::new(self.win_start);
-        for &s in &self.seen {
-            bm.set(s); // set() ignores seqs outside the 64 window
+        for d in 0..WINDOW {
+            let seq = self.win_start.add(d);
+            if self.is_duplicate(seq) {
+                bm.set(seq);
+            }
         }
         bm
     }
 }
 
+/// The scoreboard as it was before the ring and bitset: a `BTreeMap`
+/// reorder buffer and a linear-scan `Vec` duplicate filter. Kept as the
+/// model the equivalence proptest holds [`RxReorder`] to.
+#[cfg(test)]
+mod reference {
+    use std::collections::BTreeMap;
+
+    use super::{AckBitmap, SeqNum};
+
+    pub struct RefReorder<M> {
+        ordered: bool,
+        pub win_start: SeqNum,
+        held: BTreeMap<u16, M>,
+        seen: Vec<SeqNum>,
+        pub highest: Option<SeqNum>,
+    }
+
+    impl<M> RefReorder<M> {
+        pub fn new(ordered: bool) -> Self {
+            RefReorder {
+                ordered,
+                win_start: SeqNum::new(0),
+                held: BTreeMap::new(),
+                seen: Vec::new(),
+                highest: None,
+            }
+        }
+
+        fn note_seen(&mut self, seq: SeqNum) {
+            if self.seen.len() == 128 {
+                self.seen.remove(0);
+            }
+            self.seen.push(seq);
+            let newer = match self.highest {
+                None => true,
+                Some(h) => seq.is_newer_than(h),
+            };
+            if newer {
+                self.highest = Some(seq);
+            }
+        }
+
+        pub fn on_mpdu(&mut self, seq: SeqNum, msdu: M) -> (Vec<M>, bool) {
+            if self.seen.contains(&seq) {
+                return (Vec::new(), false);
+            }
+            self.note_seen(seq);
+            if !self.ordered {
+                if seq == self.win_start || seq.is_newer_than(self.win_start) {
+                    self.win_start = seq.next();
+                }
+                return (vec![msdu], true);
+            }
+            let dist = seq.dist_from(self.win_start);
+            if dist >= 2048 {
+                return (Vec::new(), false);
+            }
+            if dist >= 64 {
+                let new_start = seq.add(4096 - 63);
+                let mut out = self.release_before(new_start);
+                self.win_start = new_start;
+                self.held.insert(seq.value(), msdu);
+                out.extend(self.drain_in_order());
+                return (out, true);
+            }
+            self.held.insert(seq.value(), msdu);
+            (self.drain_in_order(), true)
+        }
+
+        pub fn on_bar(&mut self, start: SeqNum) -> Vec<M> {
+            if !start.is_newer_than(self.win_start) {
+                return Vec::new();
+            }
+            let mut out = self.release_before(start);
+            self.win_start = start;
+            out.extend(self.drain_in_order());
+            out
+        }
+
+        fn release_before(&mut self, bound: SeqNum) -> Vec<M> {
+            let mut keys: Vec<u16> = self
+                .held
+                .keys()
+                .copied()
+                .filter(|&k| bound.is_newer_than(SeqNum::new(k)))
+                .collect();
+            keys.sort_by_key(|&k| SeqNum::new(k).dist_from(self.win_start));
+            keys.into_iter()
+                .map(|k| self.held.remove(&k).expect("key present"))
+                .collect()
+        }
+
+        fn drain_in_order(&mut self) -> Vec<M> {
+            let mut out = Vec::new();
+            while let Some(msdu) = self.held.remove(&self.win_start.value()) {
+                out.push(msdu);
+                self.win_start = self.win_start.next();
+            }
+            out
+        }
+
+        pub fn ba_bitmap(&self) -> AckBitmap {
+            let mut bm = AckBitmap::new(self.win_start);
+            for &s in &self.seen {
+                bm.set(s);
+            }
+            bm
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::reference::RefReorder;
     use super::*;
+    use proptest::prelude::*;
 
     const AP: StationId = StationId(0);
 
@@ -212,13 +354,26 @@ mod tests {
         RxReorder::new(AP, ordered)
     }
 
+    /// Offer one MPDU; what it released and whether it was new.
+    fn offer(r: &mut RxReorder<u32>, seq: u16, v: u32) -> (Vec<u32>, bool) {
+        let mut out = Vec::new();
+        let is_new = r.on_mpdu(SeqNum::new(seq), v, |m| out.push(m));
+        (out, is_new)
+    }
+
+    fn bar(r: &mut RxReorder<u32>, start: u16) -> Vec<u32> {
+        let mut out = Vec::new();
+        r.on_bar(SeqNum::new(start), |m| out.push(m));
+        out
+    }
+
     #[test]
     fn in_order_delivery() {
         let mut r = sb(true);
         for i in 0..5u16 {
-            let acc = r.on_mpdu(SeqNum::new(i), u32::from(i));
-            assert!(acc.is_new);
-            assert_eq!(acc.deliver, vec![(AP, u32::from(i))]);
+            let (deliver, is_new) = offer(&mut r, i, u32::from(i));
+            assert!(is_new);
+            assert_eq!(deliver, vec![u32::from(i)]);
         }
         assert_eq!(r.window_start(), SeqNum::new(5));
     }
@@ -226,24 +381,24 @@ mod tests {
     #[test]
     fn gap_holds_until_filled() {
         let mut r = sb(true);
-        r.on_mpdu(SeqNum::new(0), 0);
+        offer(&mut r, 0, 0);
         // 2 arrives before 1: held.
-        let acc = r.on_mpdu(SeqNum::new(2), 2);
-        assert!(acc.is_new);
-        assert!(acc.deliver.is_empty());
+        let (deliver, is_new) = offer(&mut r, 2, 2);
+        assert!(is_new);
+        assert!(deliver.is_empty());
         // 1 fills the gap: both released in order.
-        let acc = r.on_mpdu(SeqNum::new(1), 1);
-        assert_eq!(acc.deliver, vec![(AP, 1), (AP, 2)]);
+        let (deliver, _) = offer(&mut r, 1, 1);
+        assert_eq!(deliver, vec![1, 2]);
         assert_eq!(r.window_start(), SeqNum::new(3));
     }
 
     #[test]
     fn duplicates_not_redelivered_but_reacked() {
         let mut r = sb(true);
-        r.on_mpdu(SeqNum::new(0), 0);
-        let acc = r.on_mpdu(SeqNum::new(0), 0);
-        assert!(!acc.is_new);
-        assert!(acc.deliver.is_empty());
+        offer(&mut r, 0, 0);
+        let (deliver, is_new) = offer(&mut r, 0, 0);
+        assert!(!is_new);
+        assert!(deliver.is_empty());
         // The bitmap still covers it via the advanced window start.
         let bm = r.ba_bitmap();
         assert_eq!(bm.start, SeqNum::new(1));
@@ -252,12 +407,11 @@ mod tests {
     #[test]
     fn bar_flushes_gap() {
         let mut r = sb(true);
-        r.on_mpdu(SeqNum::new(0), 0);
-        r.on_mpdu(SeqNum::new(2), 2);
-        r.on_mpdu(SeqNum::new(3), 3);
+        offer(&mut r, 0, 0);
+        offer(&mut r, 2, 2);
+        offer(&mut r, 3, 3);
         // Transmitter gave up on seq 1 and BARs at 2: held frames flush.
-        let out = r.on_bar(SeqNum::new(2));
-        assert_eq!(out, vec![(AP, 2), (AP, 3)]);
+        assert_eq!(bar(&mut r, 2), vec![2, 3]);
         assert_eq!(r.window_start(), SeqNum::new(4));
     }
 
@@ -265,28 +419,26 @@ mod tests {
     fn bar_behind_window_is_noop() {
         let mut r = sb(true);
         for i in 0..4u16 {
-            r.on_mpdu(SeqNum::new(i), u32::from(i));
+            offer(&mut r, i, u32::from(i));
         }
-        let out = r.on_bar(SeqNum::new(1));
-        assert!(out.is_empty());
+        assert!(bar(&mut r, 1).is_empty());
         assert_eq!(r.window_start(), SeqNum::new(4));
     }
 
     #[test]
     fn window_overflow_releases_stale_head() {
         let mut r = sb(true);
-        r.on_mpdu(SeqNum::new(0), 0);
+        offer(&mut r, 0, 0);
         // Lose seq 1; receive 2..=64 (window start stuck at 1, 63 held).
         for i in 2..=64u16 {
-            let acc = r.on_mpdu(SeqNum::new(i), u32::from(i));
-            assert!(acc.deliver.is_empty(), "seq {i} must be held");
+            let (deliver, _) = offer(&mut r, i, u32::from(i));
+            assert!(deliver.is_empty(), "seq {i} must be held");
         }
         // Seq 65 is 64 beyond win_start=1: slide to 65-63=2, release 2..,
         // then 65 itself joins in-order drain only after 64.
-        let acc = r.on_mpdu(SeqNum::new(65), 65);
-        assert!(acc.is_new);
-        let vals: Vec<u32> = acc.deliver.iter().map(|&(_, v)| v).collect();
-        assert_eq!(vals, (2..=65).collect::<Vec<u32>>());
+        let (deliver, is_new) = offer(&mut r, 65, 65);
+        assert!(is_new);
+        assert_eq!(deliver, (2..=65).collect::<Vec<u32>>());
         assert_eq!(r.window_start(), SeqNum::new(66));
     }
 
@@ -296,37 +448,37 @@ mod tests {
         // the Block ACK must NOT cover seq 0 — the transmitter needs to
         // retransmit it.
         let mut r = sb(true);
-        let acc = r.on_mpdu(SeqNum::new(1), 1);
-        assert!(acc.deliver.is_empty(), "held until seq 0 arrives");
+        let (deliver, _) = offer(&mut r, 1, 1);
+        assert!(deliver.is_empty(), "held until seq 0 arrives");
         let bm = r.ba_bitmap();
         assert_eq!(bm.start, SeqNum::new(0));
         assert!(!bm.contains(SeqNum::new(0)));
         assert!(bm.contains(SeqNum::new(1)));
         // The retransmission completes the pair in order.
-        let acc = r.on_mpdu(SeqNum::new(0), 0);
-        assert_eq!(acc.deliver, vec![(AP, 0), (AP, 1)]);
+        let (deliver, _) = offer(&mut r, 0, 0);
+        assert_eq!(deliver, vec![0, 1]);
     }
 
     #[test]
     fn unordered_mode_delivers_immediately_with_dedup() {
         let mut r = sb(false);
-        assert_eq!(r.on_mpdu(SeqNum::new(0), 0).deliver.len(), 1);
+        assert_eq!(offer(&mut r, 0, 0).0.len(), 1);
         // Gap: seq 2 delivered immediately despite missing 1.
-        assert_eq!(r.on_mpdu(SeqNum::new(2), 2).deliver.len(), 1);
+        assert_eq!(offer(&mut r, 2, 2).0.len(), 1);
         // Retransmitted dup suppressed.
-        let acc = r.on_mpdu(SeqNum::new(2), 2);
-        assert!(!acc.is_new);
-        assert!(acc.deliver.is_empty());
+        let (deliver, is_new) = offer(&mut r, 2, 2);
+        assert!(!is_new);
+        assert!(deliver.is_empty());
         // Late arrival of 1 still delivered (upper layer reorders).
-        assert_eq!(r.on_mpdu(SeqNum::new(1), 1).deliver.len(), 1);
+        assert_eq!(offer(&mut r, 1, 1).0.len(), 1);
     }
 
     #[test]
     fn ba_bitmap_reflects_window() {
         let mut r = sb(true);
-        r.on_mpdu(SeqNum::new(0), 0);
-        r.on_mpdu(SeqNum::new(2), 2);
-        r.on_mpdu(SeqNum::new(5), 5);
+        offer(&mut r, 0, 0);
+        offer(&mut r, 2, 2);
+        offer(&mut r, 5, 5);
         let bm = r.ba_bitmap();
         assert_eq!(bm.start, SeqNum::new(1));
         assert!(!bm.contains(SeqNum::new(1)));
@@ -342,15 +494,15 @@ mod tests {
         // the wrap boundary in-order.
         let mut r = sb(true);
         for i in 0..4096u32 {
-            let acc = r.on_mpdu(SeqNum::new(i as u16), i);
-            assert_eq!(acc.deliver.len(), 1, "i={i}");
+            let (deliver, _) = offer(&mut r, i as u16, i);
+            assert_eq!(deliver.len(), 1, "i={i}");
         }
         assert_eq!(r.window_start(), SeqNum::new(0));
         for i in 0..6u32 {
-            let acc = r.on_mpdu(SeqNum::new(i as u16), 5000 + i);
+            let (deliver, _) = offer(&mut r, i as u16, 5000 + i);
             // Seqs 0..6 were seen 4096 frames ago but have fallen out of
             // the dedup history: they deliver again as the new epoch.
-            assert_eq!(acc.deliver.len(), 1, "wrap i={i}");
+            assert_eq!(deliver.len(), 1, "wrap i={i}");
         }
         assert_eq!(r.window_start(), SeqNum::new(6));
         assert_eq!(r.highest(), Some(SeqNum::new(5)));
@@ -359,9 +511,95 @@ mod tests {
     #[test]
     fn highest_tracks_newest() {
         let mut r = sb(true);
-        r.on_mpdu(SeqNum::new(10), 10);
-        r.on_mpdu(SeqNum::new(12), 12);
-        r.on_mpdu(SeqNum::new(11), 11);
+        offer(&mut r, 10, 10);
+        offer(&mut r, 12, 12);
+        offer(&mut r, 11, 11);
         assert_eq!(r.highest(), Some(SeqNum::new(12)));
+    }
+
+    /// One step of an arbitrary receive stream, relative to a cursor
+    /// that walks the sequence space so wrap is reached in a few
+    /// hundred steps.
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// The next `n` sequence numbers in order.
+        Run(u16),
+        /// Skip `n` sequence numbers (loss), then receive one.
+        Skip(u16),
+        /// Receive the sequence number `back` behind the cursor again
+        /// (retransmission, duplicate, or a frame from behind the
+        /// window).
+        Back(u16),
+        /// A Block ACK Request `ahead - 8` from the cursor (negative =
+        /// behind).
+        Bar(u16),
+        /// Leap far ahead (window overflow and 12-bit wrap).
+        Leap(u16),
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            (1u16..70).prop_map(Step::Run),
+            (1u16..70).prop_map(Step::Skip),
+            (1u16..200).prop_map(Step::Back),
+            (0u16..80).prop_map(Step::Bar),
+            (64u16..2100).prop_map(Step::Leap),
+        ]
+    }
+
+    proptest! {
+        /// The ring-and-bitset scoreboard is the `BTreeMap` + `Vec`
+        /// scoreboard: same deliveries in the same order, same Block ACK
+        /// bitmap, window start and highest, after every step of any
+        /// stream — loss, duplicates, BARs, window overflow, wrap.
+        #[test]
+        fn ring_scoreboard_matches_btreemap_model(
+            ordered in any::<bool>(),
+            steps in proptest::collection::vec(step(), 1..120),
+        ) {
+            let mut new: RxReorder<u32> = RxReorder::new(AP, ordered);
+            let mut old: RefReorder<u32> = RefReorder::new(ordered);
+            let mut cursor = SeqNum::new(0);
+            let mut tag = 0u32;
+            let mut check = |new: &mut RxReorder<u32>,
+                             old: &mut RefReorder<u32>,
+                             seq: SeqNum|
+             -> Result<(), String> {
+                tag += 1;
+                let (got, is_new) = offer(new, seq.value(), tag);
+                let (want, was_new) = old.on_mpdu(seq, tag);
+                prop_assert_eq!(got, want, "deliveries for seq {}", seq.value());
+                prop_assert_eq!(is_new, was_new, "is_new for seq {}", seq.value());
+                Ok(())
+            };
+            for s in steps {
+                match s {
+                    Step::Run(n) => {
+                        for _ in 0..n {
+                            check(&mut new, &mut old, cursor)?;
+                            cursor = cursor.next();
+                        }
+                    }
+                    Step::Skip(n) => {
+                        cursor = cursor.add(n);
+                        check(&mut new, &mut old, cursor)?;
+                        cursor = cursor.next();
+                    }
+                    Step::Back(back) => {
+                        check(&mut new, &mut old, cursor.add(SEQ_SPACE - back))?;
+                    }
+                    Step::Bar(ahead) => {
+                        let start = cursor.add(SEQ_SPACE - 8).add(ahead);
+                        prop_assert_eq!(bar(&mut new, start.value()), old.on_bar(start));
+                    }
+                    Step::Leap(n) => {
+                        cursor = cursor.add(n);
+                    }
+                }
+                prop_assert_eq!(new.ba_bitmap(), old.ba_bitmap());
+                prop_assert_eq!(new.window_start(), old.win_start);
+                prop_assert_eq!(new.highest(), old.highest);
+            }
+        }
     }
 }

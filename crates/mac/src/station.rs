@@ -19,8 +19,6 @@
 //!   instant (the event loop guarantees this), so NAV is always set
 //!   before contention resumes.
 
-use std::collections::HashMap;
-
 use hack_phy::StationId;
 use hack_sim::{SimDuration, SimRng, SimTime};
 use hack_trace::{trace_ev, Event, TraceHandle};
@@ -28,7 +26,7 @@ use hack_trace::{trace_ev, Event, TraceHandle};
 use crate::actions::{Action, RespKind, RxDataInfo, TimerKind, TxDescriptor};
 use crate::backoff::Contention;
 use crate::config::MacConfig;
-use crate::frame::{ampdu_wire_len, Frame, HackBlob, Msdu, SeqNum};
+use crate::frame::{ampdu_subframe_len, Frame, FrameKind, HackBlob, Msdu, SeqNum};
 use crate::queue::DestQueue;
 use crate::scoreboard::RxReorder;
 use crate::stats::{MacStats, TrafficClass};
@@ -61,6 +59,40 @@ struct RespPlan {
     kind: RespKind,
 }
 
+/// Everything a station keeps about one peer. Station ids are small
+/// dense integers, so the table is indexed by the peer's id directly.
+#[derive(Debug)]
+struct Peer<M> {
+    /// Index of the transmit queue toward the peer in `queues`.
+    queue: Option<usize>,
+    /// Receive-side reorder/scoreboard state for frames from the peer.
+    reorder: Option<Box<RxReorder<M>>>,
+    /// The compressed-TCP-ACK frame the driver has made "ready" for the
+    /// peer (§3.3.1, Figure 3).
+    blob: Option<HackBlob>,
+    /// Association-time negotiation outcome: whether HACK engaged on
+    /// the link. `None` = never associated (pre-negotiation links behave
+    /// as HACK-capable for back-compat with direct driver wiring).
+    hack_negotiated: Option<bool>,
+}
+
+impl<M> Default for Peer<M> {
+    fn default() -> Self {
+        Peer {
+            queue: None,
+            reorder: None,
+            blob: None,
+            hack_negotiated: None,
+        }
+    }
+}
+
+/// Spare action lists a station keeps for reuse. The event loop applies
+/// actions re-entrantly (an applied action can call back into the same
+/// station), so more than one list can be out at a time; the nesting is
+/// shallow.
+const SPARE_ACTION_LISTS: usize = 4;
+
 /// A complete 802.11 station MAC.
 #[derive(Debug)]
 pub struct Station<M: Msdu> {
@@ -69,8 +101,9 @@ pub struct Station<M: Msdu> {
     rng: SimRng,
 
     // ---- transmit pipeline ----
+    /// Transmit queues in creation order (the round-robin order).
     queues: Vec<DestQueue<M>>,
-    by_dst: HashMap<StationId, usize>,
+    peers: Vec<Peer<M>>,
     rr_cursor: usize,
     contention: Contention,
     /// When the current head-of-line work became pending.
@@ -83,7 +116,6 @@ pub struct Station<M: Msdu> {
     wait_response: Option<Exchange>,
 
     // ---- receive / respond ----
-    reorder: HashMap<StationId, RxReorder<M>>,
     pending_response: Option<RespPlan>,
     response_in_flight: bool,
 
@@ -92,15 +124,8 @@ pub struct Station<M: Msdu> {
     idle_since: SimTime,
     nav_until: SimTime,
 
-    // ---- HACK NIC slots ----
-    /// The compressed-TCP-ACK frames the driver has made "ready", one
-    /// descriptor chain per destination address (§3.3.1, Figure 3).
-    hack_blobs: HashMap<StationId, HackBlob>,
-    /// Association-time negotiation outcome per peer: whether HACK
-    /// engaged on that link. Absent = never associated (pre-negotiation
-    /// links behave as HACK-capable for back-compat with direct driver
-    /// wiring).
-    peer_caps: HashMap<StationId, bool>,
+    /// Action lists handed back through [`Station::recycle`].
+    spare_actions: Vec<Vec<Action<M>>>,
 
     stats: MacStats,
     trace: TraceHandle,
@@ -117,20 +142,18 @@ impl<M: Msdu> Station<M> {
             cfg,
             rng,
             queues: Vec::new(),
-            by_dst: HashMap::new(),
+            peers: Vec::new(),
             rr_cursor: 0,
             work_since: None,
             tx_at: None,
             in_flight: None,
             wait_response: None,
-            reorder: HashMap::new(),
             pending_response: None,
             response_in_flight: false,
             phys_busy: false,
             idle_since: SimTime::ZERO,
             nav_until: SimTime::ZERO,
-            hack_blobs: HashMap::new(),
-            peer_caps: HashMap::new(),
+            spare_actions: Vec::new(),
             stats: MacStats::default(),
             trace: TraceHandle::off(),
         }
@@ -153,7 +176,7 @@ impl<M: Msdu> Station<M> {
         req: &crate::capability::AssocRequest,
     ) -> crate::capability::AssocResponse {
         let negotiated = self.cfg.hack_capable && req.caps.hack_capable();
-        self.peer_caps.insert(req.from, negotiated);
+        self.peer_mut(req.from).hack_negotiated = Some(negotiated);
         crate::capability::AssocResponse {
             from: self.id,
             caps: crate::capability::CapabilityInfo::hack(self.cfg.hack_capable),
@@ -163,14 +186,14 @@ impl<M: Msdu> Station<M> {
 
     /// Client side: record the AP's association response.
     pub fn on_assoc_response(&mut self, resp: &crate::capability::AssocResponse) {
-        self.peer_caps.insert(resp.from, resp.hack_negotiated);
+        self.peer_mut(resp.from).hack_negotiated = Some(resp.hack_negotiated);
     }
 
     /// The negotiated HACK outcome toward `peer`: `Some(true)` =
     /// negotiated, `Some(false)` = peer (or we) lacked the bit, `None` =
     /// no association has happened.
     pub fn hack_negotiated(&self, peer: StationId) -> Option<bool> {
-        self.peer_caps.get(&peer).copied()
+        self.peer(peer).and_then(|p| p.hack_negotiated)
     }
 
     /// The peer whose ACK / Block ACK this station is currently waiting
@@ -201,9 +224,8 @@ impl<M: Msdu> Station<M> {
 
     /// MSDUs queued toward `dst` (new + retransmit backlog).
     pub fn backlog(&self, dst: StationId) -> usize {
-        self.by_dst
-            .get(&dst)
-            .map_or(0, |&i| self.queues[i].backlog())
+        self.queue_index(dst)
+            .map_or(0, |i| self.queues[i].backlog())
     }
 
     /// Total backlog across destinations.
@@ -217,26 +239,69 @@ impl<M: Msdu> Station<M> {
     /// replaced or cleared. Returns the displaced blob, if any, so the
     /// driver can recycle its byte buffer.
     pub fn set_hack_blob(&mut self, peer: StationId, blob: HackBlob) -> Option<HackBlob> {
-        self.hack_blobs.insert(peer, blob)
+        self.peer_mut(peer).blob.replace(blob)
     }
 
     /// Clear `peer`'s HACK slot (driver confirmed delivery or gave up).
     /// Returns the removed blob, if any, for buffer recycling.
     pub fn clear_hack_blob(&mut self, peer: StationId) -> Option<HackBlob> {
-        self.hack_blobs.remove(&peer)
+        self.peers.get_mut(peer.0 as usize)?.blob.take()
     }
 
     /// The blob currently installed for `peer`, if any.
     pub fn hack_blob(&self, peer: StationId) -> Option<&HackBlob> {
-        self.hack_blobs.get(&peer)
+        self.peer(peer)?.blob.as_ref()
+    }
+
+    /// Hand back an action list this station returned, once applied, so
+    /// the next handler fills it instead of allocating. Optional: a
+    /// caller that never recycles gets a fresh list per call.
+    pub fn recycle(&mut self, mut actions: Vec<Action<M>>) {
+        if self.spare_actions.len() < SPARE_ACTION_LISTS && actions.capacity() > 0 {
+            actions.clear();
+            self.spare_actions.push(actions);
+        }
+    }
+
+    /// An empty action list, recycled when one is spare.
+    fn action_list(&mut self) -> Vec<Action<M>> {
+        self.spare_actions.pop().unwrap_or_default()
+    }
+
+    fn peer(&self, id: StationId) -> Option<&Peer<M>> {
+        self.peers.get(id.0 as usize)
+    }
+
+    fn peer_mut(&mut self, id: StationId) -> &mut Peer<M> {
+        let i = id.0 as usize;
+        if i >= self.peers.len() {
+            self.peers.resize_with(i + 1, Peer::default);
+        }
+        &mut self.peers[i]
+    }
+
+    fn queue_index(&self, dst: StationId) -> Option<usize> {
+        self.peer(dst)?.queue
     }
 
     fn queue_mut(&mut self, dst: StationId) -> &mut DestQueue<M> {
-        let idx = *self.by_dst.entry(dst).or_insert_with(|| {
-            self.queues.push(DestQueue::new(dst));
-            self.queues.len() - 1
-        });
+        let idx = match self.queue_index(dst) {
+            Some(idx) => idx,
+            None => {
+                self.queues.push(DestQueue::new(dst));
+                let idx = self.queues.len() - 1;
+                self.peer_mut(dst).queue = Some(idx);
+                idx
+            }
+        };
         &mut self.queues[idx]
+    }
+
+    fn reorder_mut(&mut self, src: StationId) -> &mut RxReorder<M> {
+        let ordered = self.cfg.aggregation;
+        self.peer_mut(src)
+            .reorder
+            .get_or_insert_with(|| Box::new(RxReorder::new(src, ordered)))
     }
 
     fn has_work(&self) -> bool {
@@ -246,8 +311,8 @@ impl<M: Msdu> Station<M> {
     /// Remove and return not-yet-transmitted MSDUs toward `dst` matching
     /// `pred` (Opportunistic HACK's queue grab, §3.2).
     pub fn withdraw_unsent<F: FnMut(&M) -> bool>(&mut self, dst: StationId, pred: F) -> Vec<M> {
-        match self.by_dst.get(&dst) {
-            Some(&i) => self.queues[i].withdraw_unsent(pred),
+        match self.queue_index(dst) {
+            Some(i) => self.queues[i].withdraw_unsent(pred),
             None => Vec::new(),
         }
     }
@@ -261,8 +326,10 @@ impl<M: Msdu> Station<M> {
     /// committed to the old path drain through it, they are not
     /// silently dropped.
     pub fn disassociate(&mut self, peer: StationId) -> Vec<M> {
-        self.peer_caps.remove(&peer);
-        self.hack_blobs.remove(&peer);
+        if let Some(p) = self.peers.get_mut(peer.0 as usize) {
+            p.hack_negotiated = None;
+            p.blob = None;
+        }
         self.withdraw_unsent(peer, |_| true)
     }
 
@@ -272,7 +339,9 @@ impl<M: Msdu> Station<M> {
         if self.work_since.is_none() {
             self.work_since = Some(now);
         }
-        self.maybe_contend(now)
+        let mut actions = self.action_list();
+        self.maybe_contend(now, &mut actions);
+        actions
     }
 
     // ------------------------------------------------------------------
@@ -283,7 +352,7 @@ impl<M: Msdu> Station<M> {
     /// includes our own transmissions).
     pub fn on_channel_busy(&mut self, now: SimTime) -> Vec<Action<M>> {
         self.phys_busy = true;
-        let mut actions = Vec::new();
+        let mut actions = self.action_list();
         if let Some(tx_at) = self.tx_at {
             if tx_at > now {
                 // Freeze the countdown; we lost this round.
@@ -317,7 +386,9 @@ impl<M: Msdu> Station<M> {
     pub fn on_channel_idle(&mut self, now: SimTime) -> Vec<Action<M>> {
         self.phys_busy = false;
         self.idle_since = now;
-        self.maybe_contend(now)
+        let mut actions = self.action_list();
+        self.maybe_contend(now, &mut actions);
+        actions
     }
 
     // ------------------------------------------------------------------
@@ -329,14 +400,11 @@ impl<M: Msdu> Station<M> {
     /// (expects a Block ACK) or a single MPDU (expects an ACK).
     pub fn on_rx_ppdu(
         &mut self,
-        frames: Vec<Frame<M>>,
+        mut frames: Vec<Frame<M>>,
         aggregated: bool,
         now: SimTime,
     ) -> Vec<Action<M>> {
         debug_assert!(!frames.is_empty());
-        self.contention.clear_eifs();
-        let mut actions = Vec::new();
-
         let src = frames[0].src();
         let for_me = frames[0].dst() == self.id;
         debug_assert!(
@@ -347,27 +415,86 @@ impl<M: Msdu> Station<M> {
         );
 
         if !for_me {
-            self.overheard(&frames, aggregated, now, &mut actions);
-            return actions;
+            return self.on_overheard(frames.iter().map(Frame::kind), aggregated, now);
         }
+        self.contention.clear_eifs();
+        let mut actions = self.action_list();
+        // One action per delivered MSDU plus the indication and timer.
+        actions.reserve(frames.len() + 2);
 
-        let mut data_frames = Vec::new();
-        for frame in frames {
+        // Control frames first, in order; then the data MPDUs as one
+        // batch.
+        let mut data_mpdus = 0usize;
+        for frame in &mut frames {
             match frame {
-                Frame::Data(d) => data_frames.push(d),
+                Frame::Data(_) => data_mpdus += 1,
                 Frame::Ack { hack, .. } => {
-                    self.on_response(src, None, hack, now, &mut actions);
+                    self.on_response(src, None, hack.take(), now, &mut actions);
                 }
                 Frame::BlockAck { bitmap, hack, .. } => {
-                    self.on_response(src, Some(bitmap), hack, now, &mut actions);
+                    self.on_response(src, Some(*bitmap), hack.take(), now, &mut actions);
                 }
                 Frame::BlockAckReq { start, .. } => {
-                    self.on_bar(src, start, now, &mut actions);
+                    self.on_bar(src, *start, now, &mut actions);
                 }
             }
         }
-        if !data_frames.is_empty() {
-            self.on_data(src, data_frames, aggregated, now, &mut actions);
+        if data_mpdus > 0 {
+            self.on_data(src, frames, data_mpdus, aggregated, now, &mut actions);
+        }
+        actions
+    }
+
+    /// A PPDU addressed to another station ended at `now` and this
+    /// station decoded frames of the given kinds from it (at least one,
+    /// in PPDU order). Only the kinds matter to a bystander — virtual
+    /// carrier sense — so the frames themselves stay with the event
+    /// loop. `aggregated` as for [`Station::on_rx_ppdu`].
+    pub fn on_overheard(
+        &mut self,
+        decoded: impl IntoIterator<Item = FrameKind>,
+        aggregated: bool,
+        now: SimTime,
+    ) -> Vec<Action<M>> {
+        self.contention.clear_eifs();
+        let mut actions = self.action_list();
+        let mut decoded = decoded.into_iter();
+        let Some(first) = decoded.next() else {
+            debug_assert!(false, "overheard PPDU with nothing decoded");
+            return actions;
+        };
+        // Virtual carrier sense: data and BAR frames reserve the medium
+        // for their SIFS + response tail.
+        let reserves = |k: FrameKind| matches!(k, FrameKind::Data | FrameKind::BlockAckReq);
+        if !(reserves(first) || decoded.any(reserves)) {
+            return actions;
+        }
+        let resp_bytes = if aggregated || first == FrameKind::BlockAckReq {
+            crate::frame::sizes::BLOCK_ACK
+        } else {
+            crate::frame::sizes::ACK
+        };
+        let resp_air = self
+            .cfg
+            .data_rate
+            .basic_response_rate()
+            .ppdu_duration(u64::from(resp_bytes));
+        let until = now + self.cfg.timings.sifs + resp_air + SimDuration::from_micros(8);
+        if until > self.nav_until {
+            self.nav_until = until;
+            actions.push(Action::SetTimer {
+                kind: TimerKind::NavExpire,
+                at: until,
+            });
+            if let Some(tx_at) = self.tx_at {
+                if tx_at > now {
+                    self.contention.pause(now);
+                    self.tx_at = None;
+                    actions.push(Action::CancelTimer {
+                        kind: TimerKind::TxStart,
+                    });
+                }
+            }
         }
         actions
     }
@@ -402,33 +529,27 @@ impl<M: Msdu> Station<M> {
     fn on_data(
         &mut self,
         src: StationId,
-        frames: Vec<crate::frame::DataMpdu<M>>,
+        frames: Vec<Frame<M>>,
+        mpdus_ok: usize,
         aggregated: bool,
         now: SimTime,
         actions: &mut Vec<Action<M>>,
     ) {
-        let ordered = self.cfg.aggregation;
-        let reorder = self
-            .reorder
-            .entry(src)
-            .or_insert_with(|| RxReorder::new(src, ordered));
+        let reorder = self.reorder_mut(src);
         let prev_highest = reorder.highest();
 
-        let more_data = frames.iter().any(|f| f.more_data);
-        let sync = frames.iter().any(|f| f.sync);
-        let mpdus_ok = frames.len();
-        let mut advances_seq = false;
-
+        let (mut more_data, mut sync, mut advances_seq) = (false, false, false);
         for f in frames {
-            let newer = match prev_highest {
+            let Frame::Data(f) = f else { continue };
+            more_data |= f.more_data;
+            sync |= f.sync;
+            advances_seq |= match prev_highest {
                 None => true,
                 Some(h) => f.seq.is_newer_than(h),
             };
-            advances_seq |= newer;
-            let accept = reorder.on_mpdu(f.seq, f.payload);
-            for (s, msdu) in accept.deliver {
-                actions.push(Action::Deliver { src: s, msdu });
-            }
+            reorder.on_mpdu(f.seq, f.payload, |msdu| {
+                actions.push(Action::Deliver { src, msdu });
+            });
         }
 
         actions.push(Action::DataReceived(RxDataInfo {
@@ -463,14 +584,9 @@ impl<M: Msdu> Station<M> {
         now: SimTime,
         actions: &mut Vec<Action<M>>,
     ) {
-        let ordered = self.cfg.aggregation;
-        let reorder = self
-            .reorder
-            .entry(src)
-            .or_insert_with(|| RxReorder::new(src, ordered));
-        for (s, msdu) in reorder.on_bar(start) {
-            actions.push(Action::Deliver { src: s, msdu });
-        }
+        self.reorder_mut(src).on_bar(start, |msdu| {
+            actions.push(Action::Deliver { src, msdu });
+        });
         actions.push(Action::BarReceived { from: src, start });
         self.pending_response = Some(RespPlan {
             to: src,
@@ -492,7 +608,6 @@ impl<M: Msdu> Station<M> {
     ) {
         let expected = self.wait_response.is_some_and(|ex| ex.dst == src);
         let retry_limit = self.cfg.timings.retry_limit;
-        let aggregation = self.cfg.aggregation;
 
         // Account LL ACK latency beyond SIFS for responses we awaited.
         if expected {
@@ -552,8 +667,6 @@ impl<M: Msdu> Station<M> {
             self.stats.mpdus_dropped.incr();
             actions.push(Action::MsduDropped { dst: src, msdu });
         }
-        let _ = aggregation;
-
         actions.push(Action::ResponseReceived {
             from: src,
             blob,
@@ -563,51 +676,7 @@ impl<M: Msdu> Station<M> {
 
         if expected {
             self.work_since = self.has_work().then_some(now);
-            actions.extend(self.maybe_contend(now));
-        }
-    }
-
-    fn overheard(
-        &mut self,
-        frames: &[Frame<M>],
-        aggregated: bool,
-        now: SimTime,
-        actions: &mut Vec<Action<M>>,
-    ) {
-        // Virtual carrier sense: data and BAR frames reserve the medium
-        // for their SIFS + response tail.
-        let resp_bytes = if aggregated || matches!(frames[0], Frame::BlockAckReq { .. }) {
-            crate::frame::sizes::BLOCK_ACK
-        } else {
-            crate::frame::sizes::ACK
-        };
-        let needs_nav = frames
-            .iter()
-            .any(|f| matches!(f, Frame::Data(_) | Frame::BlockAckReq { .. }));
-        if !needs_nav {
-            return;
-        }
-        let resp_air = self
-            .cfg
-            .data_rate
-            .basic_response_rate()
-            .ppdu_duration(u64::from(resp_bytes));
-        let until = now + self.cfg.timings.sifs + resp_air + SimDuration::from_micros(8);
-        if until > self.nav_until {
-            self.nav_until = until;
-            actions.push(Action::SetTimer {
-                kind: TimerKind::NavExpire,
-                at: until,
-            });
-            if let Some(tx_at) = self.tx_at {
-                if tx_at > now {
-                    self.contention.pause(now);
-                    self.tx_at = None;
-                    actions.push(Action::CancelTimer {
-                        kind: TimerKind::TxStart,
-                    });
-                }
-            }
+            self.maybe_contend(now, actions);
         }
     }
 
@@ -617,9 +686,11 @@ impl<M: Msdu> Station<M> {
 
     /// Our PPDU (data, BAR, or response) finished its airtime at `now`.
     pub fn on_tx_end(&mut self, now: SimTime) -> Vec<Action<M>> {
+        let mut actions = self.action_list();
         if self.response_in_flight {
             self.response_in_flight = false;
-            return self.maybe_contend(now);
+            self.maybe_contend(now, &mut actions);
+            return actions;
         }
         let mut ex = self
             .in_flight
@@ -627,23 +698,26 @@ impl<M: Msdu> Station<M> {
             .expect("on_tx_end with nothing in flight");
         ex.ended_at = Some(now);
         self.wait_response = Some(ex);
-        vec![Action::SetTimer {
+        actions.push(Action::SetTimer {
             kind: TimerKind::AckTimeout,
             at: now + self.cfg.ack_timeout(),
-        }]
+        });
+        actions
     }
 
     /// Timer dispatch.
     pub fn on_timer(&mut self, kind: TimerKind, now: SimTime) -> Vec<Action<M>> {
+        let mut actions = self.action_list();
         match kind {
-            TimerKind::TxStart => self.on_tx_start(now),
-            TimerKind::AckTimeout => self.on_ack_timeout(now),
-            TimerKind::SendResponse => self.on_send_response(now),
-            TimerKind::NavExpire => self.maybe_contend(now),
+            TimerKind::TxStart => self.on_tx_start(now, &mut actions),
+            TimerKind::AckTimeout => self.on_ack_timeout(now, &mut actions),
+            TimerKind::SendResponse => self.on_send_response(now, &mut actions),
+            TimerKind::NavExpire => self.maybe_contend(now, &mut actions),
         }
+        actions
     }
 
-    fn on_tx_start(&mut self, now: SimTime) -> Vec<Action<M>> {
+    fn on_tx_start(&mut self, now: SimTime, actions: &mut Vec<Action<M>>) {
         debug_assert_eq!(self.tx_at, Some(now), "stale TxStart must be filtered");
         self.tx_at = None;
         self.contention.consume();
@@ -661,7 +735,7 @@ impl<M: Msdu> Station<M> {
         }
         let Some(idx) = picked else {
             self.work_since = None;
-            return Vec::new();
+            return;
         };
 
         let wait = self
@@ -695,35 +769,38 @@ impl<M: Msdu> Station<M> {
                 self.id.0,
                 Event::MacBar { peer: dst.0 }
             );
-            return vec![Action::StartTx(TxDescriptor {
+            actions.push(Action::StartTx(TxDescriptor {
                 frames: vec![frame],
                 rate,
                 duration,
                 is_response: false,
                 aggregated: false,
-            })];
+            }));
+            return;
         }
 
-        let cfg = self.cfg.clone();
-        let batch = self.queues[idx].build_batch(self.id, &cfg);
+        let batch = self.queues[idx].build_batch(self.id, &self.cfg);
         if batch.is_empty() {
             self.work_since = self.has_work().then_some(now);
-            return self.maybe_contend(now);
+            self.maybe_contend(now, actions);
+            return;
         }
 
-        let aggregated = cfg.aggregation;
+        let aggregated = self.cfg.aggregation;
         let class = if batch.iter().all(|m| m.payload.is_transport_ack()) {
             TrafficClass::TransportAck
         } else {
             TrafficClass::Data
         };
-        let lens: Vec<u32> = batch.iter().map(|m| m.wire_len()).collect();
         let psdu_len = if aggregated {
-            u64::from(ampdu_wire_len(&lens))
+            batch
+                .iter()
+                .map(|m| u64::from(ampdu_subframe_len(m.wire_len())))
+                .sum()
         } else {
-            u64::from(lens[0])
+            u64::from(batch[0].wire_len())
         };
-        let duration = cfg.data_rate.ppdu_duration(psdu_len);
+        let duration = self.cfg.data_rate.ppdu_duration(psdu_len);
         let n_mpdus = batch.len();
         let frames: Vec<Frame<M>> = batch.into_iter().map(Frame::Data).collect();
 
@@ -756,21 +833,20 @@ impl<M: Msdu> Station<M> {
                 self.stats.airtime_ack.add(duration);
             }
         }
-        vec![Action::StartTx(TxDescriptor {
+        actions.push(Action::StartTx(TxDescriptor {
             frames,
-            rate: cfg.data_rate,
+            rate: self.cfg.data_rate,
             duration,
             is_response: false,
             aggregated,
-        })]
+        }));
     }
 
-    fn on_ack_timeout(&mut self, now: SimTime) -> Vec<Action<M>> {
+    fn on_ack_timeout(&mut self, now: SimTime, actions: &mut Vec<Action<M>>) {
         let Some(ex) = self.wait_response.take() else {
-            return Vec::new();
+            return;
         };
         self.stats.ack_timeouts.incr();
-        let mut actions = Vec::new();
         let within_budget = self.contention.on_failure();
         let aggregation = self.cfg.aggregation;
         let retry_limit = self.cfg.timings.retry_limit;
@@ -819,13 +895,12 @@ impl<M: Msdu> Station<M> {
         }
 
         self.work_since = self.has_work().then_some(now);
-        actions.extend(self.maybe_contend(now));
-        actions
+        self.maybe_contend(now, actions);
     }
 
-    fn on_send_response(&mut self, now: SimTime) -> Vec<Action<M>> {
+    fn on_send_response(&mut self, now: SimTime, actions: &mut Vec<Action<M>>) {
         let Some(plan) = self.pending_response.take() else {
-            return Vec::new();
+            return;
         };
         // Attach the HACK blob installed for this peer, if any. The blob
         // is *retained* (cloned): the driver clears it only on the §3.4
@@ -833,10 +908,10 @@ impl<M: Msdu> Station<M> {
         // negotiating HACK never gets a blob — its NIC cannot parse an
         // augmented LL ACK (a peer with no association record is treated
         // as capable, for direct driver wiring).
-        let blob = if self.peer_caps.get(&plan.to) == Some(&false) {
+        let blob = if self.hack_negotiated(plan.to) == Some(false) {
             None
         } else {
-            self.hack_blobs.get(&plan.to).cloned()
+            self.hack_blob(plan.to).cloned()
         };
         let attached = blob.is_some();
         let blob_wire = blob.as_ref().map_or(0, HackBlob::wire_len);
@@ -849,8 +924,8 @@ impl<M: Msdu> Station<M> {
             },
             RespKind::BlockAck => {
                 let bitmap = self
-                    .reorder
-                    .get(&plan.to)
+                    .peer(plan.to)
+                    .and_then(|p| p.reorder.as_ref())
                     .map(|r| r.ba_bitmap())
                     .unwrap_or_else(|| crate::frame::AckBitmap::new(SeqNum::new(0)));
                 Frame::BlockAck {
@@ -887,27 +962,25 @@ impl<M: Msdu> Station<M> {
             }
         }
         self.stats.airtime_response.add(duration);
-        vec![
-            Action::ResponseSent {
-                to: plan.to,
-                kind: plan.kind,
-                attached_blob: attached,
-            },
-            Action::StartTx(TxDescriptor {
-                frames: vec![frame],
-                rate,
-                duration,
-                is_response: true,
-                aggregated: false,
-            }),
-        ]
+        actions.push(Action::ResponseSent {
+            to: plan.to,
+            kind: plan.kind,
+            attached_blob: attached,
+        });
+        actions.push(Action::StartTx(TxDescriptor {
+            frames: vec![frame],
+            rate,
+            duration,
+            is_response: true,
+            aggregated: false,
+        }));
     }
 
     // ------------------------------------------------------------------
     // Contention driver
     // ------------------------------------------------------------------
 
-    fn maybe_contend(&mut self, now: SimTime) -> Vec<Action<M>> {
+    fn maybe_contend(&mut self, now: SimTime, actions: &mut Vec<Action<M>>) {
         if self.tx_at.is_some()
             || self.in_flight.is_some()
             || self.wait_response.is_some()
@@ -916,11 +989,11 @@ impl<M: Msdu> Station<M> {
             || self.phys_busy
             || now < self.nav_until
         {
-            return Vec::new();
+            return;
         }
         if !self.has_work() {
             self.work_since = None;
-            return Vec::new();
+            return;
         }
         let work_since = *self.work_since.get_or_insert(now);
         let idle_since = self.idle_since.max(self.nav_until);
@@ -940,9 +1013,9 @@ impl<M: Msdu> Station<M> {
         // long been idle; clamp to now.
         let tx_at = tx_at.max(now);
         self.tx_at = Some(tx_at);
-        vec![Action::SetTimer {
+        actions.push(Action::SetTimer {
             kind: TimerKind::TxStart,
             at: tx_at,
-        }]
+        });
     }
 }

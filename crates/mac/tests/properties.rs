@@ -101,18 +101,18 @@ proptest! {
         let mut r: RxReorder<u16> = RxReorder::new(AP, true);
         let mut delivered = Vec::new();
         for (k, &s) in order.iter().enumerate() {
-            let acc = r.on_mpdu(SeqNum::new(s), s);
-            delivered.extend(acc.deliver.into_iter().map(|(_, v)| v));
+            r.on_mpdu(SeqNum::new(s), s, |v| delivered.push(v));
             // Occasionally duplicate a frame (retention/retransmission).
             if k % dup_every == 0 {
-                let acc = r.on_mpdu(SeqNum::new(s), s);
-                prop_assert!(!acc.is_new);
-                prop_assert!(acc.deliver.is_empty());
+                let before = delivered.len();
+                let is_new = r.on_mpdu(SeqNum::new(s), s, |v| delivered.push(v));
+                prop_assert!(!is_new);
+                prop_assert_eq!(delivered.len(), before);
             }
         }
         // With n ≤ 100 and a 64-window, some tail may still be held; a
         // BAR at the end flushes it.
-        delivered.extend(r.on_bar(SeqNum::new(n as u16)).into_iter().map(|(_, v)| v));
+        r.on_bar(SeqNum::new(n as u16), |v| delivered.push(v));
         // Ordered mode may release with gaps only on window overflow; we
         // always delivered everything, so the output is the identity.
         prop_assert_eq!(delivered, (0..n as u16).collect::<Vec<_>>());
@@ -125,7 +125,7 @@ proptest! {
         let mut r: RxReorder<u16> = RxReorder::new(AP, true);
         for (i, &ok) in received.iter().enumerate() {
             if ok {
-                r.on_mpdu(SeqNum::new(i as u16), i as u16);
+                r.on_mpdu(SeqNum::new(i as u16), i as u16, drop);
             }
         }
         let bm = r.ba_bitmap();

@@ -8,7 +8,8 @@
 //! * a FIFO-tiebroken [`EventQueue`] and clock-advancing [`Scheduler`]
 //!   ([`queue`]),
 //! * lazily-cancellable timers ([`timer`]),
-//! * a seeded, forkable RNG ([`rng`]), and
+//! * a seeded, forkable RNG ([`rng`]),
+//! * a cheap hasher for simulator-generated keys ([`hash`]), and
 //! * measurement primitives for the paper's metrics ([`stats`]) plus a
 //!   zero-cost-when-off tracer ([`mod@trace`]).
 //!
@@ -22,6 +23,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod hash;
 pub mod queue;
 pub mod rng;
 pub mod stats;
@@ -29,6 +31,7 @@ pub mod time;
 pub mod timer;
 pub mod trace;
 
+pub use hash::{FastBuildHasher, FastHasher, FastMap};
 pub use queue::{CalendarQueue, EventQueue, HeapEventQueue, QueueKind, Scheduler};
 pub use rng::SimRng;
 pub use stats::{

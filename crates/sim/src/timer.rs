@@ -9,8 +9,9 @@
 //! are dropped silently. This is the same pattern used by most production
 //! discrete-event engines (including ns-3's `EventId::IsExpired`).
 
-use std::collections::HashMap;
 use std::hash::Hash;
+
+use crate::hash::FastMap;
 
 /// A handle embedded in a scheduled event identifying one arming of one
 /// logical timer.
@@ -30,7 +31,7 @@ impl<K: Copy> TimerToken<K> {
 /// Tracks the current generation of every logical timer key.
 #[derive(Debug)]
 pub struct TimerTable<K> {
-    generations: HashMap<K, u64>,
+    generations: FastMap<K, u64>,
     /// Number of stale tokens dropped at fire time (observability).
     stale_fired: u64,
 }
@@ -45,7 +46,7 @@ impl<K: Eq + Hash + Copy> TimerTable<K> {
     /// Create an empty table.
     pub fn new() -> Self {
         TimerTable {
-            generations: HashMap::new(),
+            generations: FastMap::default(),
             stale_fired: 0,
         }
     }

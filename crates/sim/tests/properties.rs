@@ -66,6 +66,50 @@ proptest! {
         }
     }
 
+    /// The bucket insert has an append fast path (the new entry sorts
+    /// at or after the bucket's back) and a binary-search slow path.
+    /// Drive both hard against the heap: bursts of equal timestamps
+    /// (every push after the first appends), and runs of strictly
+    /// decreasing times packed inside one initial bucket's 1.024 µs
+    /// day (every push after the first lands at the front), interleaved
+    /// with pops so scans, rewinds and resizes happen in between.
+    #[test]
+    fn calendar_matches_heap_bursts_and_descending(
+        groups in proptest::collection::vec(
+            (0u64..50_000, 1u64..60, any::<bool>(), 0usize..40),
+            1..40,
+        ),
+    ) {
+        let mut cal = CalendarQueue::new();
+        let mut heap = HeapEventQueue::new();
+        let mut now = 0u64;
+        let mut idx = 0usize;
+        for &(delay, n, descending, pops) in &groups {
+            let base = now + delay;
+            for i in 0..n {
+                let t = if descending { base + (n - 1 - i) } else { base };
+                cal.push(SimTime::from_nanos(t), idx);
+                heap.push(SimTime::from_nanos(t), idx);
+                idx += 1;
+            }
+            for _ in 0..pops {
+                prop_assert_eq!(cal.peek_time(), heap.peek_time());
+                let (a, b) = (cal.pop(), heap.pop());
+                prop_assert_eq!(a, b);
+                if let Some((t, _)) = a {
+                    now = t.as_nanos();
+                }
+            }
+        }
+        loop {
+            let (a, b) = (cal.pop(), heap.pop());
+            prop_assert_eq!(a, b);
+            if a.is_none() {
+                break;
+            }
+        }
+    }
+
     /// Events always pop in non-decreasing time order regardless of
     /// insertion order.
     #[test]

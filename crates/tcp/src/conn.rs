@@ -210,6 +210,11 @@ pub struct Connection {
     peer_ts: bool,
     peer_sack: bool,
 
+    /// An emptied output vector handed back through
+    /// [`Connection::recycle`]; the next entry point fills it instead of
+    /// allocating.
+    spare_out: Vec<Ipv4Packet>,
+
     stats: TcpStats,
     trace: hack_trace::TraceHandle,
     trace_node: u32,
@@ -282,6 +287,7 @@ impl Connection {
             ts_recent: 0,
             peer_ts: false,
             peer_sack: false,
+            spare_out: Vec::new(),
             stats: TcpStats::default(),
             trace: hack_trace::TraceHandle::off(),
             trace_node: u32::MAX,
@@ -446,6 +452,16 @@ impl Connection {
     /// Release the handoff RTO clamp; Karn backoff resumes normally.
     pub fn unclamp_rto_backoff(&mut self) {
         self.rto.unclamp_backoff();
+    }
+
+    /// Hand back a vector an entry point of this connection returned,
+    /// once its packets have been routed. Optional: without it every
+    /// call that emits packets allocates its own vector.
+    pub fn recycle(&mut self, mut out: Vec<Ipv4Packet>) {
+        if out.capacity() > self.spare_out.capacity() {
+            out.clear();
+            self.spare_out = out;
+        }
     }
 
     /// Earliest pending timer deadline, if any.
@@ -667,11 +683,17 @@ impl Connection {
     /// Emit as much data as cwnd, the peer window, and the app budget
     /// allow. Also used to (re)send after RTO go-back.
     pub fn poll_send(&mut self, now: SimTime) -> Vec<Ipv4Packet> {
+        let mut out = std::mem::take(&mut self.spare_out);
+        self.send_into(now, &mut out);
+        out
+    }
+
+    fn send_into(&mut self, now: SimTime, out: &mut Vec<Ipv4Packet>) {
         if self.state != TcpState::Established {
-            return Vec::new();
+            return;
         }
         self.pace_deadline = None;
-        let mut out = Vec::new();
+        let already = out.len();
         loop {
             let window = self.cc.cwnd().min(self.snd_wnd);
             let in_flight = u64::from(self.snd_nxt - self.snd_una);
@@ -718,10 +740,9 @@ impl Connection {
                 self.snd_max = self.snd_nxt;
             }
         }
-        if !out.is_empty() && self.rto_deadline.is_none() {
+        if out.len() > already && self.rto_deadline.is_none() {
             self.rto_deadline = Some(now + self.rto.rto());
         }
-        out
     }
 
     // ---- receiving -----------------------------------------------------
@@ -735,12 +756,14 @@ impl Connection {
         debug_assert_eq!(pkt.dst, self.tuple.src_ip);
         debug_assert_eq!(seg.dst_port, self.tuple.src_port);
 
+        let mut out = std::mem::take(&mut self.spare_out);
         match self.state {
-            TcpState::Listen => self.on_listen(seg, now),
-            TcpState::SynSent => self.on_syn_sent(seg, now),
-            TcpState::SynReceived => self.on_syn_received(seg, now),
-            TcpState::Established => self.on_established(seg, now),
+            TcpState::Listen => self.on_listen(seg, now, &mut out),
+            TcpState::SynSent => self.on_syn_sent(seg, now, &mut out),
+            TcpState::SynReceived => self.on_syn_received(seg, now, &mut out),
+            TcpState::Established => self.on_established(seg, now, &mut out),
         }
+        out
     }
 
     fn learn_peer_options(&mut self, seg: &TcpSegment) {
@@ -758,9 +781,9 @@ impl Connection {
         }
     }
 
-    fn on_listen(&mut self, seg: &TcpSegment, now: SimTime) -> Vec<Ipv4Packet> {
+    fn on_listen(&mut self, seg: &TcpSegment, now: SimTime, out: &mut Vec<Ipv4Packet>) {
         if seg.flags & flags::SYN == 0 {
-            return Vec::new();
+            return;
         }
         self.learn_peer_options(seg);
         self.rcv_nxt = seg.seq + 1;
@@ -769,15 +792,15 @@ impl Connection {
         self.snd_nxt = self.iss + 1;
         self.snd_max = self.snd_nxt;
         self.rto_deadline = Some(now + self.rto.rto());
-        vec![synack]
+        out.push(synack);
     }
 
-    fn on_syn_sent(&mut self, seg: &TcpSegment, now: SimTime) -> Vec<Ipv4Packet> {
+    fn on_syn_sent(&mut self, seg: &TcpSegment, now: SimTime, out: &mut Vec<Ipv4Packet>) {
         if seg.flags & (flags::SYN | flags::ACK) != (flags::SYN | flags::ACK) {
-            return Vec::new();
+            return;
         }
         if seg.ack != self.snd_nxt {
-            return Vec::new();
+            return;
         }
         self.learn_peer_options(seg);
         self.rcv_nxt = seg.seq + 1;
@@ -785,14 +808,14 @@ impl Connection {
         self.note_peer_wnd(u64::from(seg.window) << self.peer_wscale);
         self.state = TcpState::Established;
         self.rto_deadline = None;
-        let mut out = vec![self.make_ack(now)];
-        out.extend(self.poll_send(now));
-        out
+        let ack = self.make_ack(now);
+        out.push(ack);
+        self.send_into(now, out);
     }
 
-    fn on_syn_received(&mut self, seg: &TcpSegment, now: SimTime) -> Vec<Ipv4Packet> {
+    fn on_syn_received(&mut self, seg: &TcpSegment, now: SimTime, out: &mut Vec<Ipv4Packet>) {
         if seg.flags & flags::ACK == 0 || seg.ack != self.snd_nxt {
-            return Vec::new();
+            return;
         }
         self.snd_una = seg.ack;
         self.note_peer_wnd(u64::from(seg.window) << self.peer_wscale);
@@ -803,26 +826,22 @@ impl Connection {
         }
         // The handshake ACK may carry data (rare here); process it.
         if seg.payload_len > 0 {
-            self.on_established(seg, now)
+            self.on_established(seg, now, out);
         } else {
-            self.poll_send(now)
+            self.send_into(now, out);
         }
     }
 
-    fn on_established(&mut self, seg: &TcpSegment, now: SimTime) -> Vec<Ipv4Packet> {
-        let mut out = Vec::new();
-
+    fn on_established(&mut self, seg: &TcpSegment, now: SimTime, out: &mut Vec<Ipv4Packet>) {
         // ---- sender-side ACK processing ----
         if seg.flags & flags::ACK != 0 {
-            out.extend(self.process_ack(seg, now));
+            self.process_ack(seg, now, out);
         }
 
         // ---- receiver-side data processing ----
         if seg.payload_len > 0 {
-            out.extend(self.process_data(seg, now));
+            self.process_data(seg, now, out);
         }
-
-        out
     }
 
     /// Fold the segment's SACK blocks into the scoreboard (sorted,
@@ -923,8 +942,7 @@ impl Connection {
         }
     }
 
-    fn process_ack(&mut self, seg: &TcpSegment, now: SimTime) -> Vec<Ipv4Packet> {
-        let mut out = Vec::new();
+    fn process_ack(&mut self, seg: &TcpSegment, now: SimTime, out: &mut Vec<Ipv4Packet>) {
         let ack = seg.ack;
         let new_wnd = u64::from(seg.window) << self.peer_wscale;
         self.note_sack(seg);
@@ -976,10 +994,11 @@ impl Connection {
                         );
                         if len > 0 {
                             let seq = self.snd_una;
-                            out.push(self.make_data(seq, len, now));
+                            let pkt = self.make_data(seq, len, now);
+                            out.push(pkt);
                         }
                     } else {
-                        self.sack_retransmit(now, &mut out);
+                        self.sack_retransmit(now, out);
                     }
                 }
             } else {
@@ -1014,7 +1033,7 @@ impl Connection {
                 self.cc.on_recovery_dupack();
                 // SACK recovery: keep filling holes as the window
                 // inflates, one hole per duplicate ACK.
-                self.sack_retransmit(now, &mut out);
+                self.sack_retransmit(now, out);
             } else if self.dupacks == 3 {
                 self.recover = self.snd_max;
                 self.cc.on_triple_dupack(self.flight(), now);
@@ -1033,7 +1052,8 @@ impl Connection {
                         },
                     );
                 }
-                out.push(self.make_data(seq, len, now));
+                let pkt = self.make_data(seq, len, now);
+                out.push(pkt);
                 self.rtx_next = seq + len;
             }
             self.trace_cc(cc_prev, now);
@@ -1042,19 +1062,18 @@ impl Connection {
             self.note_peer_wnd(new_wnd);
         }
 
-        out.extend(self.poll_send(now));
-        out
+        self.send_into(now, out);
     }
 
-    fn process_data(&mut self, seg: &TcpSegment, now: SimTime) -> Vec<Ipv4Packet> {
+    fn process_data(&mut self, seg: &TcpSegment, now: SimTime, out: &mut Vec<Ipv4Packet>) {
         let start = seg.seq;
         let end = seg.seq + seg.payload_len;
-        let mut out = Vec::new();
 
         if end.le(self.rcv_nxt) {
             // Entirely old: re-ACK immediately (the peer is retransmitting).
-            out.push(self.make_ack(now));
-            return out;
+            let ack = self.make_ack(now);
+            out.push(ack);
+            return;
         }
 
         // Timestamp bookkeeping (simplified RFC 7323: track the newest
@@ -1077,23 +1096,26 @@ impl Connection {
             if !self.ooo.is_empty() {
                 // Still a hole above us: ACK immediately (dup-ack burst
                 // drives the peer's recovery).
-                out.push(self.make_ack(now));
+                let ack = self.make_ack(now);
+                out.push(ack);
             } else if self.cfg.delayed_ack {
                 self.delack_segments += 1;
                 if self.delack_segments >= 2 {
-                    out.push(self.make_ack(now));
+                    let ack = self.make_ack(now);
+                    out.push(ack);
                 } else {
                     self.delack_deadline = Some(now + self.cfg.delack_timeout);
                 }
             } else {
-                out.push(self.make_ack(now));
+                let ack = self.make_ack(now);
+                out.push(ack);
             }
         } else {
             // Out of order: store and ACK immediately (duplicate ACK).
             self.insert_ooo(start, end);
-            out.push(self.make_ack(now));
+            let ack = self.make_ack(now);
+            out.push(ack);
         }
-        out
     }
 
     fn insert_ooo(&mut self, start: TcpSeq, end: TcpSeq) {
@@ -1133,7 +1155,7 @@ impl Connection {
 
     /// Fire any timers whose deadline is ≤ `now`.
     pub fn on_timer(&mut self, now: SimTime) -> Vec<Ipv4Packet> {
-        let mut out = Vec::new();
+        let mut out = std::mem::take(&mut self.spare_out);
 
         if let Some(dl) = self.delack_deadline {
             if dl <= now && self.delack_segments > 0 {
@@ -1195,7 +1217,7 @@ impl Connection {
                             // Go-back: rewind snd_nxt and resend from una.
                             self.snd_nxt = self.snd_una;
                             self.rto_deadline = Some(now + self.rto.rto());
-                            out.extend(self.poll_send(now));
+                            self.send_into(now, &mut out);
                         } else {
                             self.rto_deadline = None;
                         }
@@ -1210,8 +1232,8 @@ impl Connection {
         if let Some(dl) = self.pace_deadline {
             if dl <= now {
                 // The pacer's slot arrived: release what it allows
-                // (poll_send clears and possibly re-arms the deadline).
-                out.extend(self.poll_send(now));
+                // (the send path clears and possibly re-arms the deadline).
+                self.send_into(now, &mut out);
             }
         }
 
@@ -1296,7 +1318,7 @@ mod tests {
         let mut now = t0;
         let mut pending = c.poll_send(now);
         while !pending.is_empty() {
-            now = now + SimDuration::from_millis(1);
+            now += SimDuration::from_millis(1);
             let acks = deliver(&mut s, &pending, now);
             pending = deliver(&mut c, &acks, now);
             pending.extend(c.poll_send(now));
