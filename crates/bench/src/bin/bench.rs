@@ -362,7 +362,6 @@ fn stage_dense_e2e(quick: bool) -> Stage {
         .build();
     let opts = DenseOptions {
         threads: 1,
-        epoch: SimDuration::from_millis(5),
         digests: false,
     };
     let a0 = allocs_now();

@@ -4,7 +4,7 @@
 //! subcommand list and flags. The sweep-shaped subcommands
 //! (`loss-sweep`, `fault-matrix`, `chaos-recovery`, `campaign-smoke`)
 //! run on the `hack-campaign` engine: declarative axes over
-//! [`ScenarioConfig`], a work-stealing worker pool, and an optional
+//! [`ScenarioConfig`], the shared worker pool, and an optional
 //! content-addressed result cache (`--cache <dir>`) — with
 //! byte-identical output at any thread count.
 
@@ -1163,12 +1163,7 @@ fn dense_sweep(opts: &Opts) {
         "bss", "cli/bss", "flows", "tcp Mbps", "hack Mbps", "ratio", "acq tcp", "acq hack", "saved"
     );
     let dense_opts = DenseOptions {
-        threads: if opts.threads == 0 {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        } else {
-            opts.threads
-        },
-        epoch: SimDuration::from_millis(10),
+        threads: opts.threads,
         digests: false,
     };
     let mut json_rows = Vec::new();
@@ -1209,10 +1204,33 @@ fn dense_sweep(opts: &Opts) {
     }
 }
 
+/// Run `cfg` sharded at 1 and at 4 worker threads and compare the two
+/// byte for byte: per-shard trace digests, per-shard event counts and
+/// merged goodputs. Returns the serial report and `"ok"` or the first
+/// divergence.
+fn serial_vs_parallel(cfg: &ScenarioConfig) -> (DenseReport, &'static str) {
+    let at = |threads: usize| DenseOptions {
+        threads,
+        digests: true,
+    };
+    let serial = run_dense(cfg, &at(1));
+    let parallel = run_dense(cfg, &at(4));
+    let shards = || serial.shards.iter().zip(&parallel.shards);
+    let verdict = if shards().any(|(s, p)| s.digest != p.digest) {
+        "FAIL: shard trace digests diverged"
+    } else if shards().any(|(s, p)| s.result.events_dispatched != p.result.events_dispatched) {
+        "FAIL: shard event counts diverged"
+    } else if serial.flow_goodput_mbps != parallel.flow_goodput_mbps {
+        "FAIL: merged goodputs diverged"
+    } else {
+        "ok"
+    };
+    (serial, verdict)
+}
+
 /// Dense smoke (CI gate): a multi-BSS floor and an apartment corridor
 /// each run sharded at 1 and 4 worker threads; fails the process on any
-/// digest divergence (shard traces or the epoch exchange ledger), on
-/// differing merged goodputs, or on zero aggregate goodput.
+/// divergence ([`serial_vs_parallel`]) or on zero aggregate goodput.
 fn dense_smoke(opts: &Opts) {
     banner("Dense smoke: sharded multi-BSS worlds — 1 vs 4 threads, byte for byte");
     let ms = if opts.quick { 150 } else { 400 };
@@ -1227,34 +1245,15 @@ fn dense_smoke(opts: &Opts) {
             c
         }),
     ];
-    let at = |threads: usize| DenseOptions {
-        threads,
-        epoch: SimDuration::from_millis(5),
-        digests: true,
-    };
     let mut failed = false;
     for (name, cfg) in &scenarios {
-        let serial = run_dense(cfg, &at(1));
-        let parallel = run_dense(cfg, &at(4));
-        let mut verdict = "ok";
-        if serial.exchange_digest != parallel.exchange_digest {
-            verdict = "FAIL: exchange ledger diverged";
-        } else if serial
-            .shards
-            .iter()
-            .zip(&parallel.shards)
-            .any(|(s, p)| s.digest != p.digest)
-        {
-            verdict = "FAIL: shard trace digests diverged";
-        } else if serial.flow_goodput_mbps != parallel.flow_goodput_mbps {
-            verdict = "FAIL: merged goodputs diverged";
-        } else if serial.aggregate_goodput_mbps <= 0.0 {
+        let (serial, mut verdict) = serial_vs_parallel(cfg);
+        if verdict == "ok" && serial.aggregate_goodput_mbps <= 0.0 {
             verdict = "FAIL: zero goodput";
         }
         println!(
-            "{name}: {} shards, {} epochs, {:.1} Mbps aggregate — {verdict}",
+            "{name}: {} shards, {:.1} Mbps aggregate — {verdict}",
             serial.shards.len(),
-            serial.epochs,
             serial.aggregate_goodput_mbps
         );
         failed |= verdict != "ok";
@@ -1418,26 +1417,7 @@ fn roam_chaos(opts: &Opts) {
     // couple all three cells into one roam-closure shard) must produce
     // byte-identical digests at 1 and 4 worker threads.
     let cfg = roam_world(seeds[0], ms, HackMode::MoreData, true);
-    let at = |threads: usize| DenseOptions {
-        threads,
-        epoch: SimDuration::from_millis(10),
-        digests: true,
-    };
-    let serial = run_dense(&cfg, &at(1));
-    let parallel = run_dense(&cfg, &at(4));
-    let mut verdict = "ok";
-    if serial.exchange_digest != parallel.exchange_digest {
-        verdict = "FAIL: exchange ledger diverged";
-    } else if serial
-        .shards
-        .iter()
-        .zip(&parallel.shards)
-        .any(|(s, p)| s.digest != p.digest)
-    {
-        verdict = "FAIL: shard trace digests diverged";
-    } else if serial.flow_goodput_mbps != parallel.flow_goodput_mbps {
-        verdict = "FAIL: merged goodputs diverged";
-    }
+    let (serial, verdict) = serial_vs_parallel(&cfg);
     println!(
         "sharded 1 vs 4 threads: {} shards, {:.1} Mbps aggregate — {verdict}",
         serial.shards.len(),

@@ -77,11 +77,11 @@ impl MultiRun {
 /// Run `cfg` under `n_seeds` consecutive seeds (base = `cfg.seed`),
 /// in parallel, preserving seed order.
 ///
-/// This is a thin campaign of one cell: the sweep engine's
-/// work-stealing pool (bounded by
-/// [`std::thread::available_parallelism`]) executes the seed bank, and
-/// its index-ordered reduction returns results in seed order regardless
-/// of which worker finishes first. Tracing rides in as a custom runner.
+/// This is a thin campaign of one cell: the shared worker pool
+/// (bounded by [`std::thread::available_parallelism`]) executes the
+/// seed bank, and its index-ordered reduction returns results in seed
+/// order regardless of which worker finishes first. Tracing rides in as
+/// a custom runner.
 pub fn run_seeds(cfg: &ScenarioConfig, n_seeds: u64) -> MultiRun {
     let trace_base = TRACE_BASE.get().cloned();
     let run_no = trace_base

@@ -1,18 +1,14 @@
-//! Campaign execution: work-stealing pool + deterministic reduction.
+//! Campaign execution: the shared pool + deterministic reduction.
 //!
-//! The engine expands a [`SweepSpec`] into its job list, executes jobs
-//! on up to [`std::thread::available_parallelism`] workers (each worker
-//! owns a deque and steals from the others when it drains), and then
-//! reduces results **by job index** — never by completion order. That
-//! single rule is the determinism argument: scheduling decides only
-//! *when* a result materializes, not *where* it lands, so one thread,
-//! sixteen threads, and an all-cache-hit re-run all produce
+//! The engine expands a [`SweepSpec`] into its job list, runs each job
+//! (cache load → runner → cache store) on [`hack_sim::pool`], and
+//! reduces the results **by job index** — never by completion order.
+//! That single rule is the determinism argument: scheduling decides
+//! only *when* a result materializes, not *where* it lands, so one
+//! thread, sixteen threads, and an all-cache-hit re-run all produce
 //! byte-identical reports.
 
-use std::collections::VecDeque;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
 
 use hack_core::RunResult;
 
@@ -29,9 +25,9 @@ pub struct CampaignOptions {
     /// Directory for the content-addressed result cache; `None`
     /// disables caching.
     pub cache_dir: Option<PathBuf>,
-    /// Stop after this many jobs complete (cache hits included). Used
-    /// to simulate an interrupted campaign; the report then has
-    /// `complete == false` and only fully-covered cells.
+    /// Run only the first this-many jobs in job order (cache hits
+    /// included). Used to simulate an interrupted campaign; the report
+    /// then has `complete == false` and only fully-covered cells.
     pub job_limit: Option<usize>,
 }
 
@@ -103,107 +99,39 @@ pub fn run_campaign_with(
         .cache_dir
         .as_ref()
         .map(|d| ResultCache::new(d).expect("campaign: cannot create cache dir"));
-    let threads = if opts.threads == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        opts.threads
-    }
-    .max(1);
-    let limit = opts.job_limit.unwrap_or(usize::MAX);
+    // "Kill after k jobs": the first k jobs in job order, at every
+    // thread count.
+    let n_jobs = opts.job_limit.map_or(jobs_total, |k| k.min(jobs_total));
 
-    // Deal jobs round-robin into per-worker deques.
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..threads)
-        .map(|w| {
-            Mutex::new(
-                (0..jobs_total)
-                    .filter(|i| i % threads == w)
-                    .collect::<VecDeque<_>>(),
-            )
-        })
-        .collect();
-    let budget = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, RunResult, bool)>();
-
-    let worker = |w: usize, tx: mpsc::Sender<(usize, RunResult, bool)>| {
-        loop {
-            // Own queue front first; steal from the back of the others
-            // when it drains.
-            let mut claimed = queues[w].lock().expect("queue poisoned").pop_front();
-            if claimed.is_none() {
-                for v in (0..threads).filter(|&v| v != w) {
-                    claimed = queues[v].lock().expect("queue poisoned").pop_back();
-                    if claimed.is_some() {
-                        break;
-                    }
-                }
-            }
-            let Some(idx) = claimed else { break };
-            // Atomically claim a slot of the job budget ("kill after k
-            // jobs"): once spent, workers wind down mid-campaign.
-            if budget.fetch_add(1, Ordering::SeqCst) >= limit {
-                break;
-            }
-            let job = &jobs[idx];
-            let (result, hit) = match cache.as_ref().and_then(|c| c.load(&job.key)) {
-                Some(r) => (r, true),
-                None => {
-                    let r = runner(job);
-                    if let Some(c) = &cache {
-                        if let Err(e) = c.store(&job.key, &r) {
-                            eprintln!("campaign: cache store failed for {}: {e}", job.key);
-                        }
-                    }
-                    (r, false)
-                }
-            };
-            if tx.send((idx, result, hit)).is_err() {
-                break;
+    let done = hack_sim::pool::run(n_jobs, opts.threads, |i| {
+        let job = &jobs[i];
+        if let Some(hit) = cache.as_ref().and_then(|c| c.load(&job.key)) {
+            return (hit, true);
+        }
+        let result = runner(job);
+        if let Some(c) = &cache {
+            if let Err(e) = c.store(&job.key, &result) {
+                eprintln!("campaign: cache store failed for {}: {e}", job.key);
             }
         }
-    };
+        (result, false)
+    });
 
-    if threads == 1 {
-        // Serial reference path: the caller's thread runs every job in
-        // job order. Parallel runs must match its output byte for byte.
-        worker(0, tx);
-    } else {
-        std::thread::scope(|s| {
-            for w in 0..threads {
-                let tx = tx.clone();
-                let worker = &worker;
-                s.spawn(move || worker(w, tx));
-            }
-            drop(tx);
-        });
-    }
-
-    // Deterministic reduction: results land in their job slot, then
-    // cells aggregate in seed-bank order.
-    let mut slots: Vec<Option<RunResult>> = (0..jobs_total).map(|_| None).collect();
-    let mut jobs_executed = 0;
-    let mut cache_hits = 0;
-    for (idx, result, hit) in rx {
-        slots[idx] = Some(result);
-        if hit {
-            cache_hits += 1;
-        } else {
-            jobs_executed += 1;
-        }
-    }
+    // Deterministic reduction: `done` is in job order, so cells
+    // aggregate in seed-bank order; a cell the limit cut short is
+    // omitted.
+    let cache_hits = done.iter().filter(|(_, hit)| *hit).count();
+    let jobs_executed = n_jobs - cache_hits;
+    let mut results = done.into_iter().map(|(result, _)| result);
 
     let n_seeds = spec.seed_list().len();
     let n_cells = spec.n_cells();
-    let complete = slots.iter().all(Option::is_some);
     let mut cells = Vec::new();
     for cell in 0..n_cells {
-        let range = cell * n_seeds..(cell + 1) * n_seeds;
-        if slots[range.clone()].iter().any(Option::is_none) {
-            continue;
+        if (cell + 1) * n_seeds > n_jobs {
+            break;
         }
-        let runs: Vec<RunResult> = slots[range]
-            .iter_mut()
-            .map(|s| s.take().expect("checked above"))
-            .collect();
+        let runs: Vec<RunResult> = results.by_ref().take(n_seeds).collect();
         let goodput: Vec<f64> = runs.iter().map(|r| r.aggregate_goodput_mbps).collect();
         let first_try: Vec<f64> = runs
             .iter()
@@ -227,6 +155,6 @@ pub fn run_campaign_with(
         jobs_total,
         jobs_executed,
         cache_hits,
-        complete,
+        complete: n_jobs == jobs_total,
     }
 }

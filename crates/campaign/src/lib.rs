@@ -5,9 +5,9 @@
 //! * [`spec`] — [`SweepSpec`]: a base [`hack_core::ScenarioConfig`]
 //!   crossed with named [`Axis`] dimensions and a seed bank, expanded
 //!   into a deterministic job list.
-//! * [`engine`] — work-stealing execution bounded by
-//!   `available_parallelism`, with results reduced in job order so
-//!   parallel and serial campaigns emit byte-identical reports.
+//! * [`engine`] — execution on [`hack_sim::pool`], with results reduced
+//!   in job order so parallel and serial campaigns emit byte-identical
+//!   reports.
 //! * [`cache`] — content-addressed on-disk result cache keyed by the
 //!   stable hash of each fully-resolved config; interrupted campaigns
 //!   resume from what they already computed.

@@ -172,6 +172,39 @@ fn interrupted_campaign_resumes_from_cache() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `job_limit: Some(k)` runs the first k jobs in job order — the same
+/// k at every thread count, not whichever k the workers got to first.
+#[test]
+fn job_limit_runs_the_first_k_jobs_at_every_thread_count() {
+    let jobs = spec().expand();
+    for threads in [1, 4] {
+        let dir = scratch(&format!("first-k-{threads}"));
+        let killed = run_campaign(
+            &spec(),
+            &CampaignOptions {
+                threads,
+                cache_dir: Some(dir.clone()),
+                job_limit: Some(3),
+            },
+        );
+        assert!(!killed.complete);
+        assert_eq!(killed.jobs_executed, 3);
+        // Jobs 0 and 1 are cell 0's whole seed bank; job 2 is half of
+        // cell 1, which is therefore omitted.
+        assert_eq!(killed.cells.len(), 1);
+        let cache = ResultCache::new(&dir).unwrap();
+        assert_eq!(cache.entries(), 3);
+        for (i, job) in jobs.iter().enumerate() {
+            assert_eq!(
+                cache.load(&job.key).is_some(),
+                i < 3,
+                "{threads} threads: job {i} cached?"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 #[test]
 fn second_full_run_is_all_cache_hits() {
     let dir = scratch("hits");

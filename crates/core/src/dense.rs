@@ -17,30 +17,20 @@
 //!    empty; each shard's trajectory depends only on its own config and
 //!    seed ([`shard_seed`], derived from the master seed and the
 //!    shard's smallest BSS index — stable under any thread schedule).
-//! 2. **Ordered reduction.** Every cross-shard observation — the
-//!    epoch-boundary exchange ledger, merged flow goodputs, shard trace
-//!    digests — is folded in shard index order *after* the epoch
-//!    barrier (`std::thread::scope` join), never in completion order.
+//! 2. **Ordered reduction, no barrier.** Each shard is one job on
+//!    [`hack_sim::pool`]: a worker assembles the shard's [`World`], runs
+//!    it to completion and hands back its [`ShardReport`]. Reports come
+//!    back by shard index, and merged flow goodputs fold in that order
+//!    — never in completion order.
 //!
 //! The same argument backs `hack-campaign`'s parallel==serial proof;
-//! [`run_dense`] reuses it one level down, inside a single scenario.
-//!
-//! ## Epoch boundaries
-//!
-//! Shards advance in lockstep epochs ([`DenseOptions::epoch`]): every
-//! shard runs all events `<= t`, the scope join forms a barrier, and
-//! the exchange ledger absorbs each shard's progress delta in shard
-//! order. Components exchange no simulation events (their edge set is
-//! empty), so the ledger payload is pure progress accounting — but its
-//! digest pins that serial and parallel executions dispatched the
-//! identical event schedule epoch by epoch, which is what the
-//! `dense-smoke` CI job compares across thread counts.
+//! [`run_dense`] reuses it — and the same pool — one level down, inside
+//! a single scenario.
 
 use std::collections::HashMap;
 
 use hack_phy::InterferenceGraph;
 use hack_rohc::DecompressStats;
-use hack_sim::{SimDuration, SimTime};
 use hack_trace::TraceHandle;
 
 use crate::scenario::{
@@ -51,27 +41,16 @@ use crate::sim::World;
 use crate::stable::StableHasher;
 
 /// How to drive a dense world.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DenseOptions {
-    /// Worker threads for shard execution. `1` runs shards serially on
-    /// the calling thread; either way the output is byte-identical.
+    /// Worker threads for shard execution; `0` means
+    /// [`std::thread::available_parallelism`], `1` runs the shards in
+    /// index order on the calling thread. The output is byte-identical
+    /// either way.
     pub threads: usize,
-    /// Epoch length: shards synchronize (and the exchange ledger folds
-    /// their progress) every this-much simulated time.
-    pub epoch: SimDuration,
     /// Attach a trace ring to every shard and report per-shard digests
     /// (the cross-thread-count comparison the CI smoke job runs).
     pub digests: bool,
-}
-
-impl Default for DenseOptions {
-    fn default() -> Self {
-        DenseOptions {
-            threads: 1,
-            epoch: SimDuration::from_millis(100),
-            digests: false,
-        }
-    }
 }
 
 /// One shard's outcome.
@@ -97,13 +76,6 @@ pub struct DenseReport {
     /// Per-shard outcomes, in shard index order (shards are ordered by
     /// their smallest BSS index).
     pub shards: Vec<ShardReport>,
-    /// Epoch barriers crossed.
-    pub epochs: u64,
-    /// Hex digest of the epoch-boundary exchange ledger: an FNV-1a/128
-    /// fold of `(epoch, shard, events-dispatched-delta)` in `(epoch,
-    /// shard)` order. Identical across thread counts iff every shard
-    /// dispatched the identical event schedule.
-    pub exchange_digest: String,
     /// Sum of shard aggregate steady-state goodputs (Mbps).
     pub aggregate_goodput_mbps: f64,
     /// Steady-state per-flow goodput in *global* flow order.
@@ -134,19 +106,15 @@ pub fn shard_seed(master: u64, shard_min_bss: usize) -> u64 {
 ///
 /// Running each returned config as its own [`World`] reproduces, byte
 /// for byte, what [`run_dense`] runs — that equivalence is the sharding
-/// oracle the test suite pins. (Roam quantization assumes the default
-/// epoch; [`run_dense`] itself uses its configured one.)
+/// oracle the test suite pins.
 ///
 /// # Panics
 /// Panics if `cfg.bss` is empty (legacy single-cell worlds have nothing
 /// to shard; run them directly).
 pub fn shard_configs(cfg: &ScenarioConfig) -> Vec<(ScenarioConfig, Vec<usize>)> {
-    components(cfg, DenseOptions::default().epoch)
+    components(cfg)
         .into_iter()
-        .map(|comp| {
-            let (sub, flows, _) = comp;
-            (sub, flows)
-        })
+        .map(|(sub, flows, _)| (sub, flows))
         .collect()
 }
 
@@ -156,17 +124,10 @@ pub fn shard_configs(cfg: &ScenarioConfig) -> Vec<(ScenarioConfig, Vec<usize>)> 
 ///
 /// Roam closure: a scheduled handoff couples the flow's current cell to
 /// its target, so the two cells' interference components are merged
-/// into one shard and the roam runs live inside it. When the handoff
-/// crosses what *were* two separate domains, its `at` is additionally
-/// quantized **up** to the next `epoch` boundary — a pure config
-/// transform applied before any shard exists, hence identical for every
-/// thread count (parallel == serial stays trivially true). An SNR roam
-/// trigger can send any client anywhere, so it collapses all components
-/// into a single shard.
-fn components(
-    cfg: &ScenarioConfig,
-    epoch: SimDuration,
-) -> Vec<(ScenarioConfig, Vec<usize>, Vec<usize>)> {
+/// into one shard and the roam runs live inside it, at its configured
+/// time. An SNR roam trigger can send any client anywhere, so it
+/// collapses all components into a single shard.
+fn components(cfg: &ScenarioConfig) -> Vec<(ScenarioConfig, Vec<usize>, Vec<usize>)> {
     assert!(
         !cfg.bss.is_empty(),
         "sharding needs a dense (multi-BSS) scenario"
@@ -214,7 +175,6 @@ fn components(
         }
         r
     }
-    let mut cfg = cfg.clone();
     if cfg.roam.trigger.is_some() {
         for c in 1..raw.len() {
             let (a, b) = (find(&mut parent, 0), find(&mut parent, c));
@@ -236,20 +196,13 @@ fn components(
                 continue;
             }
             let from = cur.get(&e.flow).copied().unwrap_or(cell_of_flow[e.flow]);
-            if comp_of[from] != comp_of[e.target_bss] {
-                // Cross-domain: land the handoff exactly on an epoch
-                // boundary and merge the two shards.
-                let en = epoch.as_nanos().max(1);
-                cfg.roam.schedule[i].at =
-                    SimDuration::from_nanos(e.at.as_nanos().div_ceil(en) * en);
-                let (a, b) = (
-                    find(&mut parent, comp_of[from]),
-                    find(&mut parent, comp_of[e.target_bss]),
-                );
-                if a != b {
-                    parent[b] = a;
-                }
-            }
+            // The handoff couples the cell it leaves to its target:
+            // merge their components (a no-op when they are the same).
+            let (a, b) = (
+                find(&mut parent, comp_of[from]),
+                find(&mut parent, comp_of[e.target_bss]),
+            );
+            parent[b] = a;
             cur.insert(e.flow, e.target_bss);
         }
     }
@@ -270,7 +223,7 @@ fn components(
     merged
         .into_iter()
         .map(|comp| {
-            let (sub, flows) = project(&cfg, &comp, &offsets);
+            let (sub, flows) = project(cfg, &comp, &offsets);
             (sub, flows, comp)
         })
         .collect()
@@ -373,110 +326,52 @@ fn project(
 /// component, on `opts.threads` worker threads.
 ///
 /// Output is byte-identical for every thread count (see the module
-/// docs' determinism argument); `opts.digests` + comparing
-/// [`DenseReport::exchange_digest`] and each shard's digest across two
-/// thread counts is the cheap way to check that in CI.
+/// docs' determinism argument); `opts.digests` + comparing each shard's
+/// digest across two thread counts is the cheap way to check that in CI.
 ///
 /// # Panics
 /// Panics if `cfg.bss` is empty.
 pub fn run_dense(cfg: &ScenarioConfig, opts: &DenseOptions) -> DenseReport {
-    let epoch = if opts.epoch > SimDuration::ZERO {
-        opts.epoch
-    } else {
-        SimDuration::from_millis(100)
-    };
-    let parts = components(cfg, epoch);
-    let n_flows_total: usize = parts.iter().map(|(_, f, _)| f.len()).sum();
-
-    // Assemble every shard world up front (serial: world construction
-    // draws from the shard RNG and is cheap next to the run).
-    let mut shards: Vec<Shard> = parts
-        .into_iter()
-        .map(|(sub, flows, bss)| {
-            let seed = sub.seed;
-            let (trace, ring) = if opts.digests {
-                let (handle, ring) = TraceHandle::ring(1 << 12);
-                (handle, Some(ring))
-            } else {
-                (TraceHandle::off(), None)
-            };
-            Shard {
-                bss,
-                flows,
-                seed,
-                world: Some(World::builder(sub).trace(trace).build()),
-                ring,
-                alive: true,
-                events: 0,
-            }
-        })
-        .collect();
-
-    let threads = opts.threads.max(1);
-    let mut ledger = StableHasher::new();
-    ledger.write(b"hack-dense-exchange");
-    ledger.usize(shards.len());
-    let mut epochs = 0u64;
-    let mut t = SimTime::ZERO;
-
-    while shards.iter().any(|s| s.alive) {
-        t += epoch;
-        epochs += 1;
-        if threads > 1 && shards.len() > 1 {
-            let chunk = shards.len().div_ceil(threads);
-            std::thread::scope(|scope| {
-                for slab in shards.chunks_mut(chunk) {
-                    scope.spawn(move || {
-                        for s in slab {
-                            s.step(t);
-                        }
-                    });
-                }
-            }); // join = epoch barrier: no shard enters epoch k+1 early
+    let parts = components(cfg);
+    // One job per shard. Assembling inside the job keeps one live world
+    // per worker; it draws only from the shard's own seed, so where it
+    // happens cannot change the trajectory.
+    let shards = hack_sim::pool::run(parts.len(), opts.threads, |i| {
+        let (sub, flows, bss) = &parts[i];
+        let (trace, ring) = if opts.digests {
+            let (handle, ring) = TraceHandle::ring(1 << 12);
+            (handle, Some(ring))
         } else {
-            for s in &mut shards {
-                s.step(t);
-            }
+            (TraceHandle::off(), None)
+        };
+        let result = World::builder(sub.clone()).trace(trace).run();
+        ShardReport {
+            bss: bss.clone(),
+            flows: flows.clone(),
+            seed: sub.seed,
+            result,
+            digest: ring.map(|r| {
+                r.digest()
+                    .to_bytes()
+                    .iter()
+                    .map(|b| format!("{b:02x}"))
+                    .collect()
+            }),
         }
-        // Exchange ledger, folded strictly in shard index order.
-        for (i, s) in shards.iter_mut().enumerate() {
-            let now = s.world.as_ref().map_or(s.events, World::events_dispatched);
-            ledger.u64(epochs);
-            ledger.usize(i);
-            ledger.u64(now - s.events);
-            s.events = now;
-        }
-    }
+    });
 
-    let mut reports = Vec::with_capacity(shards.len());
+    let n_flows_total: usize = shards.iter().map(|s| s.flows.len()).sum();
     let mut flow_goodput = vec![0.0; n_flows_total];
     let mut aggregate = 0.0;
-    for s in shards {
-        let result = s.world.expect("world present until finish").finish();
+    for s in &shards {
         for (j, &f) in s.flows.iter().enumerate() {
-            flow_goodput[f] = result.flow_goodput_mbps[j];
+            flow_goodput[f] = s.result.flow_goodput_mbps[j];
         }
-        aggregate += result.aggregate_goodput_mbps;
-        let digest = s.ring.map(|r| {
-            r.digest()
-                .to_bytes()
-                .iter()
-                .map(|b| format!("{b:02x}"))
-                .collect()
-        });
-        reports.push(ShardReport {
-            bss: s.bss,
-            flows: s.flows,
-            seed: s.seed,
-            result,
-            digest,
-        });
+        aggregate += s.result.aggregate_goodput_mbps;
     }
 
     DenseReport {
-        shards: reports,
-        epochs,
-        exchange_digest: ledger.finish_hex(),
+        shards,
         aggregate_goodput_mbps: aggregate,
         flow_goodput_mbps: flow_goodput,
     }
@@ -493,12 +388,7 @@ pub fn run_auto(cfg: ScenarioConfig) -> RunResult {
     if cfg.bss.is_empty() {
         return crate::sim::run(cfg);
     }
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let opts = DenseOptions {
-        threads,
-        ..DenseOptions::default()
-    };
-    merge_dense(run_dense(&cfg, &opts))
+    merge_dense(run_dense(&cfg, &DenseOptions::default()))
 }
 
 /// Scatter one per-flow stats vector from shard-local back to global
@@ -586,32 +476,13 @@ pub fn merge_dense(report: DenseReport) -> RunResult {
     }
 }
 
-/// One shard's in-flight state during the epoch loop.
-struct Shard {
-    bss: Vec<usize>,
-    flows: Vec<usize>,
-    seed: u64,
-    world: Option<World>,
-    ring: Option<std::sync::Arc<hack_trace::RingSink>>,
-    alive: bool,
-    events: u64,
-}
-
-impl Shard {
-    fn step(&mut self, until: SimTime) {
-        if self.alive {
-            let w = self.world.as_mut().expect("world present until finish");
-            self.alive = w.run_until(until);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::driver::HackMode;
     use crate::scenario::BssSpec;
     use crate::StandardKind;
+    use hack_sim::SimDuration;
 
     fn dense_cfg(bss: Vec<BssSpec>, seed: u64) -> ScenarioConfig {
         ScenarioConfig::builder()
@@ -705,7 +576,11 @@ mod tests {
     #[test]
     fn dense_run_merges_flows_in_global_order() {
         let cfg = dense_cfg(BssSpec::enterprise_floor(4, 1), 11);
-        let report = run_dense(&cfg, &DenseOptions::default());
+        let at = |threads| DenseOptions {
+            threads,
+            digests: true,
+        };
+        let report = run_dense(&cfg, &at(1));
         assert_eq!(report.flow_goodput_mbps.len(), 4);
         assert_eq!(report.shards.len(), 4);
         for s in &report.shards {
@@ -721,6 +596,13 @@ mod tests {
             .map(|s| s.result.aggregate_goodput_mbps)
             .sum();
         assert!((report.aggregate_goodput_mbps - sum).abs() < 1e-12);
-        assert!(report.epochs > 0);
+        // The same shards on four workers: same traces, same event
+        // counts, same merge.
+        let parallel = run_dense(&cfg, &at(4));
+        for (s, p) in report.shards.iter().zip(&parallel.shards) {
+            assert_eq!(s.digest, p.digest);
+            assert_eq!(s.result.events_dispatched, p.result.events_dispatched);
+        }
+        assert_eq!(report.flow_goodput_mbps, parallel.flow_goodput_mbps);
     }
 }

@@ -547,10 +547,8 @@ pub struct World {
 /// # let _ = result;
 /// ```
 ///
-/// The legacy entry points ([`World::new`], [`World::new_traced`], free
-/// [`run`] and [`run_traced`]) are thin delegations to this builder, so
-/// all five construct byte-identical worlds (equal seeds ⇒ equal trace
-/// digests).
+/// The legacy entry points ([`World::new`], free [`run`] and
+/// [`run_traced`]) are thin delegations to this builder.
 #[derive(Debug)]
 pub struct WorldBuilder {
     cfg: ScenarioConfig,
@@ -598,15 +596,6 @@ impl World {
     /// Thin shim over [`World::builder`] (use that in new code).
     pub fn new(cfg: ScenarioConfig) -> Self {
         World::builder(cfg).build()
-    }
-
-    /// Build the network described by `cfg`, wiring `trace` through every
-    /// layer (PHY medium, MAC stations, TCP endpoints, ROHC drivers).
-    ///
-    /// Thin shim over [`World::builder`]`(cfg).trace(trace).build()`
-    /// (use that in new code).
-    pub fn new_traced(cfg: ScenarioConfig, trace: TraceHandle) -> Self {
-        World::builder(cfg).trace(trace).build()
     }
 
     /// The one true construction path (every public entry point funnels
@@ -1080,8 +1069,7 @@ impl World {
     /// world has nothing left to do — queue drained past the end, or all
     /// byte-budgeted flows completed — and `true` while more work
     /// remains. The one dispatch loop: [`World::run`] is
-    /// `run_until(end)` and the sharded dense engine steps its worlds
-    /// through it epoch by epoch, then calls [`World::finish`].
+    /// `run_until(end)` followed by [`World::finish`].
     pub fn run_until(&mut self, until: SimTime) -> bool {
         let until = until.min(self.end);
         while let Some(at) = self.sched.peek_time() {

@@ -3,9 +3,12 @@
 //! channel-dynamics bugfixes (loss-override composition under burst
 //! media, Gilbert–Elliott state reset on station moves).
 
+mod common;
+
+use common::{assert_same_run, dense_roam_cfg, traced_at};
 use hack_core::{
-    run_dense, shard_configs, BssSpec, ChannelChange, ChannelEvent, DenseOptions, GeParams,
-    HackMode, LossConfig, ScenarioConfig, StandardKind, World,
+    merge_dense, run_auto, run_dense, shard_configs, BssSpec, ChannelChange, ChannelEvent,
+    DenseOptions, GeParams, HackMode, LossConfig, RunResult, ScenarioConfig, StandardKind, World,
 };
 use hack_sim::SimDuration;
 use hack_trace::TraceHandle;
@@ -20,11 +23,11 @@ fn digest_hex(ring: &hack_trace::RingSink) -> String {
 }
 
 /// Run one scenario standalone with a trace ring; returns (digest,
-/// per-flow goodput).
-fn run_pinned(cfg: ScenarioConfig) -> (String, Vec<f64>) {
+/// result).
+fn run_pinned(cfg: ScenarioConfig) -> (String, RunResult) {
     let (handle, ring) = TraceHandle::ring(1 << 12);
     let result = World::builder(cfg).trace(handle).run();
-    (digest_hex(&ring), result.flow_goodput_mbps)
+    (digest_hex(&ring), result)
 }
 
 fn dense_base(bss: Vec<BssSpec>, seed: u64, hack: HackMode) -> ScenarioConfig {
@@ -69,19 +72,22 @@ proptest! {
         let parts = shard_configs(&cfg);
         prop_assert_eq!(parts.len(), n_bss, "40 m pitch must shard fully");
 
-        let opts = DenseOptions { threads: 1, epoch: SimDuration::from_millis(10), digests: true };
-        let report = run_dense(&cfg, &opts);
+        let report = run_dense(&cfg, &traced_at(1));
 
         for (shard, (sub, flows)) in report.shards.iter().zip(parts) {
-            let (digest, goodput) = run_pinned(sub);
+            let (digest, standalone) = run_pinned(sub);
             prop_assert_eq!(
                 shard.digest.as_deref(),
                 Some(digest.as_str()),
                 "shard {:?} diverged from its standalone single-cell run",
                 shard.bss
             );
+            prop_assert_eq!(
+                shard.result.events_dispatched,
+                standalone.events_dispatched
+            );
             for (j, &f) in flows.iter().enumerate() {
-                prop_assert_eq!(report.flow_goodput_mbps[f], goodput[j]);
+                prop_assert_eq!(report.flow_goodput_mbps[f], standalone.flow_goodput_mbps[j]);
             }
         }
     }
@@ -89,8 +95,8 @@ proptest! {
 
 /// The scale + parallelism acceptance test: a 16-BSS, 512-station
 /// enterprise floor runs sharded on 4 threads with output byte-identical
-/// to the serial (1-thread) execution — shard trace digests, the epoch
-/// exchange ledger, and every merged flow goodput.
+/// to the serial (1-thread) execution — shard trace digests, shard event
+/// counts, and every merged flow goodput.
 #[test]
 fn parallel_equals_serial_at_16_bss_512_stations() {
     let cfg = {
@@ -102,47 +108,64 @@ fn parallel_equals_serial_at_16_bss_512_stations() {
     assert_eq!(cfg.n_clients, 512);
     // 16 APs + 512 clients = 528 stations on the floor.
 
-    let serial = run_dense(
-        &cfg,
-        &DenseOptions {
-            threads: 1,
-            epoch: SimDuration::from_millis(5),
-            digests: true,
-        },
-    );
-    let parallel = run_dense(
-        &cfg,
-        &DenseOptions {
-            threads: 4,
-            epoch: SimDuration::from_millis(5),
-            digests: true,
-        },
-    );
+    let serial = run_dense(&cfg, &traced_at(1));
+    let parallel = run_dense(&cfg, &traced_at(4));
 
     assert_eq!(serial.shards.len(), 16, "3-coloured floor shards fully");
-    assert_eq!(serial.epochs, parallel.epochs);
-    assert_eq!(
-        serial.exchange_digest, parallel.exchange_digest,
-        "epoch exchange ledgers diverged across thread counts"
-    );
-    for (s, p) in serial.shards.iter().zip(&parallel.shards) {
-        assert_eq!(s.bss, p.bss);
-        assert_eq!(s.digest, p.digest, "shard {:?} trace diverged", s.bss);
-        assert_eq!(
-            s.result.events_dispatched, p.result.events_dispatched,
-            "shard {:?} dispatched different event counts",
-            s.bss
-        );
-    }
-    assert_eq!(serial.flow_goodput_mbps, parallel.flow_goodput_mbps);
-    assert_eq!(
-        serial.aggregate_goodput_mbps,
-        parallel.aggregate_goodput_mbps
-    );
+    assert_same_run(&serial, &parallel);
     assert!(
         serial.aggregate_goodput_mbps > 0.0,
         "a 512-station floor must move bytes"
     );
+}
+
+/// A skewed floor — one 32-client cell beside seven 1-client cells, so
+/// one shard outlasts all the others — is still byte-identical at 4
+/// threads and serially.
+#[test]
+fn skewed_floor_parallel_equals_serial() {
+    let mut bss = BssSpec::enterprise_floor(8, 1);
+    bss[0].n_clients = 32;
+    let cfg = {
+        let mut c = dense_base(bss, 17, HackMode::MoreData);
+        c.stagger = SimDuration::from_micros(500);
+        c
+    };
+    let serial = run_dense(&cfg, &traced_at(1));
+    assert_eq!(serial.shards.len(), 8);
+    assert_eq!(serial.shards[0].flows.len(), 32);
+    assert_same_run(&serial, &run_dense(&cfg, &traced_at(4)));
+    assert!(serial.flow_goodput_mbps.iter().sum::<f64>() > 0.0);
+}
+
+/// The sharding oracle on a roaming world, cross-domain (one merged
+/// shard) and in-domain (two shards): every `shard_configs` entry run as
+/// its own traced `World` is the matching `run_dense` shard at 1 and at
+/// 4 threads, and `run_auto` is the merge of those shards.
+#[test]
+fn roam_coupled_world_equals_its_standalone_shards() {
+    let cross = dense_roam_cfg(5);
+    let mut within = cross.clone();
+    within.roam.schedule[0].target_bss = 1;
+    for (cfg, n_shards) in [(cross, 1), (within, 2)] {
+        let parts = shard_configs(&cfg);
+        assert_eq!(parts.len(), n_shards);
+        let serial = run_dense(&cfg, &traced_at(1));
+        assert_same_run(&serial, &run_dense(&cfg, &traced_at(4)));
+        for (shard, (sub, flows)) in serial.shards.iter().zip(parts) {
+            assert_eq!(shard.flows, flows);
+            let (digest, standalone) = run_pinned(sub);
+            assert_eq!(shard.digest.as_deref(), Some(digest.as_str()));
+            assert_eq!(shard.result.events_dispatched, standalone.events_dispatched);
+            assert_eq!(shard.result.flow_goodput_mbps, standalone.flow_goodput_mbps);
+        }
+        assert_eq!(serial.shards.iter().map(|s| s.result.roams).sum::<u64>(), 1);
+        let auto = run_auto(cfg);
+        let merged = merge_dense(serial);
+        assert_eq!(auto.flow_goodput_mbps, merged.flow_goodput_mbps);
+        assert_eq!(auto.events_dispatched, merged.events_dispatched);
+        assert_eq!(auto.roams, merged.roams);
+    }
 }
 
 /// World-level pin for the burst-medium loss-override fix: a mid-run

@@ -4,6 +4,9 @@
 //! quietness, dense roam-closure sharding, and the world-level roam
 //! liveness proptest.
 
+mod common;
+
+use common::{assert_same_run, dense_roam_cfg, traced_at};
 use hack_core::{
     run, run_auto, run_dense, run_traced, shard_configs, BssSpec, ChannelChange, ChannelEvent,
     CorruptModel, DenseOptions, GeParams, HackMode, LossConfig, RoamEvent, RoamTrigger, RunResult,
@@ -219,49 +222,9 @@ fn roam_free_world_counts_no_roams() {
     assert_eq!(r.roams, 0);
 }
 
-fn dense_roam_cfg(seed: u64) -> ScenarioConfig {
-    // Two interference components (cells 0+1 share channel 1 at 20 m;
-    // cell 2 sits alone on channel 6) with a cross-component roam: the
-    // closure must merge them and quantize the handoff to an epoch edge.
-    let mut c = ScenarioConfig::builder()
-        .standard(StandardKind::Dot11n)
-        .rate_mbps(150)
-        .hack(HackMode::MoreData)
-        .bss(vec![
-            BssSpec {
-                x: 0.0,
-                y: 0.0,
-                channel: 1,
-                n_clients: 1,
-            },
-            BssSpec {
-                x: 20.0,
-                y: 0.0,
-                channel: 1,
-                n_clients: 1,
-            },
-            BssSpec {
-                x: 100.0,
-                y: 0.0,
-                channel: 6,
-                n_clients: 1,
-            },
-        ])
-        .duration(SimDuration::from_millis(400))
-        .stagger(SimDuration::from_millis(2))
-        .warmup(SimDuration::from_millis(5))
-        .seed(seed)
-        .build();
-    c.roam.schedule = vec![RoamEvent {
-        flow: 0,
-        at: SimDuration::from_millis(155),
-        target_bss: 2,
-    }];
-    c
-}
-
 /// Roam closure: the cross-component handoff merges the two shards into
-/// one, and its `at` is quantized up to the next (default) epoch edge.
+/// one and runs at its configured time. (The name predates the removal
+/// of roam-time quantisation.)
 #[test]
 fn roam_closure_merges_shards_and_quantizes() {
     let cfg = dense_roam_cfg(1);
@@ -270,10 +233,12 @@ fn roam_closure_merges_shards_and_quantizes() {
     let (sub, flows) = &parts[0];
     assert_eq!(flows, &vec![0, 1, 2]);
     assert_eq!(sub.roam.schedule.len(), 1);
+    // Was 200 ms: a cross-domain `RoamEvent::at` is now honoured as
+    // written instead of rounded up to a 100 ms epoch edge.
     assert_eq!(
         sub.roam.schedule[0].at,
-        SimDuration::from_millis(200),
-        "cross-domain roam must land on the epoch boundary"
+        SimDuration::from_millis(155),
+        "cross-domain roam must keep its configured time"
     );
     // A within-component roam is untouched and shards stay split.
     let mut same = dense_roam_cfg(1);
@@ -288,35 +253,15 @@ fn roam_closure_merges_shards_and_quantizes() {
 }
 
 /// Parallel and serial dense execution of a roaming world stay
-/// byte-identical: same exchange ledger, same shard digests, same
+/// byte-identical: same shard digests, same event counts, same
 /// goodputs.
 #[test]
 fn dense_roam_parallel_equals_serial() {
     let cfg = dense_roam_cfg(21);
-    let serial = run_dense(
-        &cfg,
-        &DenseOptions {
-            threads: 1,
-            epoch: SimDuration::from_millis(100),
-            digests: true,
-        },
-    );
-    let parallel = run_dense(
-        &cfg,
-        &DenseOptions {
-            threads: 4,
-            epoch: SimDuration::from_millis(100),
-            digests: true,
-        },
-    );
-    assert_eq!(serial.exchange_digest, parallel.exchange_digest);
-    assert_eq!(serial.flow_goodput_mbps, parallel.flow_goodput_mbps);
-    for (a, b) in serial.shards.iter().zip(&parallel.shards) {
-        assert_eq!(a.digest, b.digest, "shard trace digests diverged");
-        assert_eq!(a.result.roams, b.result.roams);
-    }
+    let serial = run_dense(&cfg, &traced_at(1));
+    assert_same_run(&serial, &run_dense(&cfg, &traced_at(4)));
     let total: u64 = serial.shards.iter().map(|s| s.result.roams).sum();
-    assert_eq!(total, 1, "the quantized cross-domain roam must still run");
+    assert_eq!(total, 1, "the cross-domain roam must still run");
 }
 
 /// `run_auto` folds a dense report back into one `RunResult` with

@@ -9,7 +9,9 @@
 //!   ([`queue`]),
 //! * lazily-cancellable timers ([`timer`]),
 //! * a seeded, forkable RNG ([`rng`]),
-//! * a cheap hasher for simulator-generated keys ([`hash`]), and
+//! * a cheap hasher for simulator-generated keys ([`hash`]),
+//! * the index-claimed worker pool that dense shards and campaign jobs
+//!   share ([`pool`]), and
 //! * measurement primitives for the paper's metrics ([`stats`]) plus a
 //!   zero-cost-when-off tracer ([`mod@trace`]).
 //!
@@ -24,6 +26,7 @@
 #![warn(missing_docs)]
 
 pub mod hash;
+pub mod pool;
 pub mod queue;
 pub mod rng;
 pub mod stats;
