@@ -470,9 +470,7 @@ fn stage_short_flow_churn(quick: bool) -> Stage {
     let r = run(cfg);
     let wall = t0.elapsed();
     let allocs = allocs_now() - a0;
-    let transfers = r
-        .class(TrafficClass::Short)
-        .map_or(0, |c| c.transfers);
+    let transfers = r.class(TrafficClass::Short).map_or(0, |c| c.transfers);
     assert!(
         transfers >= 10,
         "short-flow churn bench world completed only {transfers} transfers"

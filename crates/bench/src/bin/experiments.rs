@@ -1036,7 +1036,11 @@ fn traffic_matrix(opts: &Opts) {
                 // TCP classes report FCT percentiles; paced UDP reports
                 // one-way delivery latency instead (a CBR stream never
                 // "completes", so FCT is meaningless there).
-                let (metric, sketch) = if paced { ("lat", &latency) } else { ("fct", &fct) };
+                let (metric, sketch) = if paced {
+                    ("lat", &latency)
+                } else {
+                    ("fct", &fct)
+                };
                 let mut verdict = String::new();
                 if cell.goodput.mean <= 0.0 {
                     verdict = "  <-- FAIL: zero goodput".into();
@@ -1074,9 +1078,8 @@ fn traffic_matrix(opts: &Opts) {
                     fmt_q(q_ms(sketch, 0.99)),
                     fmt_q(jit),
                 );
-                let jnum = |v: Option<f64>| {
-                    v.map_or_else(|| "null".into(), |ms| format!("{ms:.3}"))
-                };
+                let jnum =
+                    |v: Option<f64>| v.map_or_else(|| "null".into(), |ms| format!("{ms:.3}"));
                 json_rows.push(format!(
                     "{{\"model\":\"{model}\",\"chan\":\"{chan}\",\"mode\":\"{mode}\",\
                      \"goodput_mbps\":{:.3},\"transfers\":{transfers},\"metric\":\"{metric}\",\

@@ -8,7 +8,8 @@ use hack_campaign::{
     campaign_csv, campaign_json, run_campaign, Axis, CampaignOptions, ResultCache, SweepSpec,
 };
 use hack_core::{
-    encode_run_result, run, HackMode, LossConfig, ScenarioBuilder, ScenarioConfig, RESULT_SCHEMA_VERSION,
+    encode_run_result, run, HackMode, LossConfig, ScenarioBuilder, ScenarioConfig,
+    RESULT_SCHEMA_VERSION,
 };
 use hack_sim::SimDuration;
 

@@ -60,12 +60,12 @@ pub use scenario::{
     RoamEvent, RunResult, ScenarioBuilder, ScenarioConfig, Standard, StandardKind, TrafficKind,
 };
 pub use sim::{run, run_traced, World, WorldBuilder};
-pub use traffic::{
-    ArrivalDist, CbrConfig, OnOffConfig, ShortFlowConfig, SizeDist, TrafficClass, TrafficModel,
-};
 pub use stable::{StableHasher, CONFIG_ENCODING_VERSION};
 pub use supervisor::{
     FlowHealth, FlowSupervisor, HealthSignal, SupervisorAction, SupervisorConfig, SupervisorReport,
     SupervisorStats,
+};
+pub use traffic::{
+    ArrivalDist, CbrConfig, OnOffConfig, ShortFlowConfig, SizeDist, TrafficClass, TrafficModel,
 };
 pub use wired::WiredLink;

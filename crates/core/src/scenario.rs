@@ -210,7 +210,7 @@ pub struct RoamConfig {
     /// blackout's duration: at most this many doublings.
     pub rto_clamp_shift: u32,
     /// Per-flow bound on packets parked during a blackout; beyond it
-    /// the oldest parked packet is dropped (counted as an AP queue
+    /// a newly arriving packet is tail-dropped (counted as an AP queue
     /// drop).
     pub park_cap: usize,
 }
@@ -710,8 +710,7 @@ impl ScenarioConfig {
 
     /// Whether every flow's model is expressible as a legacy
     /// [`TrafficKind`] under one scenario-wide kind — exactly the
-    /// scenarios that existed before the traffic-model layer. These
-    /// keep their pre-model stable hashes (and cache keys).
+    /// scenarios that existed before the traffic-model layer.
     pub fn legacy_traffic(&self) -> Option<TrafficKind> {
         if !self.traffic_mix.is_empty() {
             return None;

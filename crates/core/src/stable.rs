@@ -23,7 +23,7 @@
 use hack_sim::SimDuration;
 
 use crate::driver::HackMode;
-use crate::scenario::{ChannelChange, LossConfig, ScenarioConfig, Standard, TrafficKind};
+use crate::scenario::{ChannelChange, LossConfig, ScenarioConfig, Standard};
 use crate::supervisor::SupervisorConfig;
 use crate::traffic::{ArrivalDist, SizeDist, TrafficModel};
 use hack_sim::QueueKind;
@@ -32,18 +32,9 @@ use hack_sim::QueueKind;
 /// the struct (or the meaning of a field) changes so stale cache
 /// entries can never alias a new configuration.
 ///
-/// Version 5 added the traffic-model layer. Configurations whose
-/// every flow is expressible as a legacy [`TrafficKind`] (the only
-/// configurations that could exist before v5) still encode under
-/// [`LEGACY_ENCODING_VERSION`] with the old one-byte traffic tag, so
-/// their hashes — and therefore the campaign cache keys and pinned
-/// digest names — are byte-identical to pre-model builds.
-pub const CONFIG_ENCODING_VERSION: u32 = 5;
-
-/// The pre-traffic-model encoding version still used for
-/// legacy-expressible configurations (see
-/// [`CONFIG_ENCODING_VERSION`]).
-pub const LEGACY_ENCODING_VERSION: u32 = 4;
+/// Version 6 is the one encoding for every configuration: the traffic
+/// model and the per-flow mix are always written in full.
+pub const CONFIG_ENCODING_VERSION: u32 = 6;
 
 /// Streaming FNV-1a over 128 bits — small, dependency-free, and stable
 /// by construction (the offset basis and prime are spelled out by the
@@ -312,16 +303,7 @@ impl ScenarioConfig {
 
     /// Feed the canonical field encoding into an existing hasher.
     pub fn stable_hash_into(&self, h: &mut StableHasher) {
-        // Legacy-expressible configs (every flow a TrafficKind, no
-        // mix) are exactly the configs that predate the traffic-model
-        // layer: they keep the v4 encoding byte-for-byte so cache
-        // keys and pinned digest names survive the API redesign.
-        let legacy = self.legacy_traffic();
-        h.u32(if legacy.is_some() {
-            LEGACY_ENCODING_VERSION
-        } else {
-            CONFIG_ENCODING_VERSION
-        });
+        h.u32(CONFIG_ENCODING_VERSION);
         match self.standard {
             Standard::Dot11a { rate_mbps } => {
                 h.u8(0);
@@ -342,19 +324,10 @@ impl ScenarioConfig {
                 h.duration(d);
             }
         }
-        match legacy {
-            Some(kind) => h.u8(match kind {
-                TrafficKind::TcpDownload => 0,
-                TrafficKind::TcpUpload => 1,
-                TrafficKind::UdpDownload => 2,
-            }),
-            None => {
-                hash_model(h, &self.traffic);
-                h.usize(self.traffic_mix.len());
-                for m in &self.traffic_mix {
-                    hash_model(h, m);
-                }
-            }
+        hash_model(h, &self.traffic);
+        h.usize(self.traffic_mix.len());
+        for m in &self.traffic_mix {
+            hash_model(h, m);
         }
         h.bool(self.delayed_ack);
         h.bool(self.server_at_ap);
@@ -441,7 +414,7 @@ impl ScenarioConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::ScenarioBuilder;
+    use crate::scenario::{ScenarioBuilder, TrafficKind};
     use crate::traffic::{CbrConfig, ShortFlowConfig};
 
     #[test]
@@ -519,36 +492,36 @@ mod tests {
         assert_ne!(a.stable_hash(), b.stable_hash(), "variant tags matter");
     }
 
-    /// Legacy-expressible configs must hash exactly as they did before
-    /// the traffic-model layer: these hex digests were captured on the
-    /// pre-model build. A mismatch means every campaign cache key (and
-    /// pinned digest name) silently changed.
+    /// Five pre-model configs, pinned so a change to the encoding cannot
+    /// slip by unversioned: a mismatch means every campaign cache key
+    /// changed.
+    /// Re-pinned at v6: the v4 one-byte traffic tag is gone (one encoding for all).
     #[test]
     fn legacy_hashes_pinned_to_pre_model_build() {
         let pins = [
             (
                 ScenarioBuilder::dot11n_download(150, 1, HackMode::MoreData).build(),
-                "343798e123392706d53a4b7634e6dc23",
+                "bace4b32e508e103a3e5a327c794c9b9",
             ),
             (
                 ScenarioBuilder::dot11n_download(300, 4, HackMode::Disabled).build(),
-                "0629496930e28ddd8ba5403f4346c911",
+                "690edb8db1f746d4ac53dece6fab7c77",
             ),
             (
                 ScenarioBuilder::sora_testbed(2, HackMode::Opportunistic).build(),
-                "82e82139413a4ba202a8dbb04d7e3392",
+                "b767b7fb7f17b766a6c820d998e41b08",
             ),
             (
                 ScenarioBuilder::dot11n_download(150, 2, HackMode::MoreData)
                     .traffic(TrafficKind::TcpUpload)
                     .build(),
-                "937f6d57102869d2f7078aad25cf8667",
+                "493ffbc442c0096c7962512f25c0ba29",
             ),
             (
                 ScenarioBuilder::dot11n_download(150, 2, HackMode::MoreData)
                     .traffic(TrafficKind::UdpDownload)
                     .build(),
-                "34f7f9765791aaff01aa82278152b038",
+                "5748ac0e1ea197898aa1d374e1176446",
             ),
         ];
         for (cfg, want) in pins {

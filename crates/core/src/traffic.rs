@@ -302,8 +302,7 @@ impl TrafficClass {
 
 impl TrafficModel {
     /// The legacy [`TrafficKind`] this model is exactly equivalent to,
-    /// if any. Scenarios whose every flow has a legacy kind encode
-    /// and hash exactly as they did before the model layer existed.
+    /// if any.
     pub fn legacy_kind(&self) -> Option<TrafficKind> {
         match self {
             TrafficModel::BulkDownload => Some(TrafficKind::TcpDownload),

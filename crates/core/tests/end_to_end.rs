@@ -11,7 +11,11 @@ fn short(mut cfg: ScenarioConfig) -> ScenarioConfig {
 
 #[test]
 fn udp_download_approaches_capacity_dot11a() {
-    let cfg = short(ScenarioBuilder::sora_testbed(1, HackMode::Disabled).build().with_udp());
+    let cfg = short(
+        ScenarioBuilder::sora_testbed(1, HackMode::Disabled)
+            .build()
+            .with_udp(),
+    );
     let mut cfg = cfg;
     cfg.sora_quirks = false;
     cfg.loss = LossConfig::Ideal;
@@ -144,16 +148,12 @@ fn lossy_environment_recovers() {
 
 #[test]
 fn opportunistic_mode_rides_some_acks_without_regressing() {
-    let stock = run(short(ScenarioBuilder::dot11n_download(
-        150,
-        1,
-        HackMode::Disabled,
-    ).build()));
-    let opp = run(short(ScenarioBuilder::dot11n_download(
-        150,
-        1,
-        HackMode::Opportunistic,
-    ).build()));
+    let stock = run(short(
+        ScenarioBuilder::dot11n_download(150, 1, HackMode::Disabled).build(),
+    ));
+    let opp = run(short(
+        ScenarioBuilder::dot11n_download(150, 1, HackMode::Opportunistic).build(),
+    ));
     // The paper's observation: Opportunistic HACK is NOT a big win, but
     // it must not be a loss either, and it does ride some ACKs.
     assert!(opp.aggregate_goodput_mbps > stock.aggregate_goodput_mbps * 0.97);
@@ -171,13 +171,12 @@ fn opportunistic_mode_rides_some_acks_without_regressing() {
 fn explicit_timer_mode_works_but_underperforms_more_data() {
     use hack_sim::SimDuration as D;
     let timer = run(short(
-        ScenarioBuilder::dot11n_download(150, 1, HackMode::ExplicitTimer(D::from_millis(5))).build(),
+        ScenarioBuilder::dot11n_download(150, 1, HackMode::ExplicitTimer(D::from_millis(5)))
+            .build(),
     ));
-    let more_data = run(short(ScenarioBuilder::dot11n_download(
-        150,
-        1,
-        HackMode::MoreData,
-    ).build()));
+    let more_data = run(short(
+        ScenarioBuilder::dot11n_download(150, 1, HackMode::MoreData).build(),
+    ));
     assert!(timer.aggregate_goodput_mbps > 50.0);
     assert!(timer.driver[0].hacked_acks > 100);
     assert!(timer.driver[0].timer_flushes > 0, "the timer must fire");

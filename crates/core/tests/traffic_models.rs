@@ -41,11 +41,9 @@ fn short_cfg(size: u64, think_ms: u64, reuse: bool) -> ShortFlowConfig {
 
 #[test]
 fn short_flows_complete_many_transfers() {
-    let r = run(
-        cell(1, HackMode::MoreData, 3_000)
-            .traffic(TrafficModel::ShortFlows(short_cfg(50_000, 5, true)))
-            .build(),
-    );
+    let r = run(cell(1, HackMode::MoreData, 3_000)
+        .traffic(TrafficModel::ShortFlows(short_cfg(50_000, 5, true)))
+        .build());
     let c = r.class(TrafficClass::Short).expect("short class report");
     assert_eq!(c.flows, 1);
     assert!(
@@ -72,16 +70,12 @@ fn short_flows_complete_many_transfers() {
 
 #[test]
 fn short_flows_without_reuse_rekey_and_still_hack() {
-    let reuse = run(
-        cell(1, HackMode::MoreData, 2_500)
-            .traffic(TrafficModel::ShortFlows(short_cfg(100_000, 5, true)))
-            .build(),
-    );
-    let fresh = run(
-        cell(1, HackMode::MoreData, 2_500)
-            .traffic(TrafficModel::ShortFlows(short_cfg(100_000, 5, false)))
-            .build(),
-    );
+    let reuse = run(cell(1, HackMode::MoreData, 2_500)
+        .traffic(TrafficModel::ShortFlows(short_cfg(100_000, 5, true)))
+        .build());
+    let fresh = run(cell(1, HackMode::MoreData, 2_500)
+        .traffic(TrafficModel::ShortFlows(short_cfg(100_000, 5, false)))
+        .build());
     for (label, r) in [("reuse", &reuse), ("fresh", &fresh)] {
         let c = r.class(TrafficClass::Short).expect("short class");
         assert!(c.transfers >= 10, "{label}: only {} transfers", c.transfers);
@@ -112,11 +106,9 @@ fn short_flows_without_reuse_rekey_and_still_hack() {
     // transfer is long enough to refill the AP queue past one
     // aggregation batch, the rebuilt five-tuple's context forms and
     // held ACKs flow again on the brand-new connection.
-    let fresh_big = run(
-        cell(1, HackMode::MoreData, 2_500)
-            .traffic(TrafficModel::ShortFlows(short_cfg(300_000, 5, false)))
-            .build(),
-    );
+    let fresh_big = run(cell(1, HackMode::MoreData, 2_500)
+        .traffic(TrafficModel::ShortFlows(short_cfg(300_000, 5, false)))
+        .build());
     assert!(
         fresh_big.driver[0].hacked_acks > 0,
         "re-keyed connections never re-engaged HACK even at 300 KB transfers"
@@ -127,11 +119,9 @@ fn short_flows_without_reuse_rekey_and_still_hack() {
 fn zero_and_one_byte_short_flows_never_stall() {
     for size in [0u64, 1] {
         for reuse in [true, false] {
-            let r = run(
-                cell(1, HackMode::MoreData, 1_500)
-                    .traffic(TrafficModel::ShortFlows(short_cfg(size, 2, reuse)))
-                    .build(),
-            );
+            let r = run(cell(1, HackMode::MoreData, 1_500)
+                .traffic(TrafficModel::ShortFlows(short_cfg(size, 2, reuse)))
+                .build());
             let c = r.class(TrafficClass::Short).expect("short class");
             assert!(
                 c.transfers >= 10,
@@ -149,11 +139,9 @@ fn zero_and_one_byte_short_flows_never_stall() {
 
 #[test]
 fn bidirectional_holds_acks_on_both_sides() {
-    let r = run(
-        cell(1, HackMode::MoreData, 2_500)
-            .traffic(TrafficModel::Bidirectional)
-            .build(),
-    );
+    let r = run(cell(1, HackMode::MoreData, 2_500)
+        .traffic(TrafficModel::Bidirectional)
+        .build());
     let c = r.class(TrafficClass::Bidir).expect("bidir class");
     assert_eq!(c.flows, 1);
     // Both data directions must move real bytes (the meter sums both
@@ -175,16 +163,12 @@ fn bidirectional_holds_acks_on_both_sides() {
 
 #[test]
 fn bidirectional_beats_its_own_stock_baseline() {
-    let stock = run(
-        cell(1, HackMode::Disabled, 2_500)
-            .traffic(TrafficModel::Bidirectional)
-            .build(),
-    );
-    let hack = run(
-        cell(1, HackMode::MoreData, 2_500)
-            .traffic(TrafficModel::Bidirectional)
-            .build(),
-    );
+    let stock = run(cell(1, HackMode::Disabled, 2_500)
+        .traffic(TrafficModel::Bidirectional)
+        .build());
+    let hack = run(cell(1, HackMode::MoreData, 2_500)
+        .traffic(TrafficModel::Bidirectional)
+        .build());
     // With ACKs of both directions off the air, HACK must not regress
     // the combined goodput (it wins on the contended reverse path).
     assert!(
@@ -201,15 +185,17 @@ fn bidirectional_beats_its_own_stock_baseline() {
 
 #[test]
 fn cbr_reports_latency_and_jitter_percentiles() {
-    let r = run(
-        cell(1, HackMode::Disabled, 3_000)
-            .traffic(TrafficModel::Cbr(CbrConfig::default()))
-            .build(),
-    );
+    let r = run(cell(1, HackMode::Disabled, 3_000)
+        .traffic(TrafficModel::Cbr(CbrConfig::default()))
+        .build());
     let c = r.class(TrafficClass::Cbr).expect("cbr class");
     // 64 kbit/s in 160-byte frames = one packet per 20 ms ⇒ ~150 over
     // 3 s; nearly all should arrive on an ideal channel.
-    assert!(c.latency.count() > 100, "latency samples {}", c.latency.count());
+    assert!(
+        c.latency.count() > 100,
+        "latency samples {}",
+        c.latency.count()
+    );
     assert!(c.jitter.count() > 90, "jitter samples {}", c.jitter.count());
     let p95_ms = c.latency.quantile(0.95).unwrap() as f64 / 1e6;
     assert!(
@@ -241,7 +227,11 @@ fn onoff_source_delivers_part_time() {
         "on/off goodput {} Mbps",
         c.goodput_mbps
     );
-    assert!(c.latency.count() > 50, "latency samples {}", c.latency.count());
+    assert!(
+        c.latency.count() > 50,
+        "latency samples {}",
+        c.latency.count()
+    );
 }
 
 // ----------------------------------------------------------------------
@@ -284,11 +274,9 @@ fn mixed_world_reports_every_class() {
 
 #[test]
 fn per_flow_completion_times_drive_the_aggregate() {
-    let r = run(
-        cell(2, HackMode::MoreData, 20_000)
-            .transfer_bytes(1_500_000)
-            .build(),
-    );
+    let r = run(cell(2, HackMode::MoreData, 20_000)
+        .transfer_bytes(1_500_000)
+        .build());
     assert_eq!(r.flow_completion.len(), 2);
     let times: Vec<_> = r
         .flow_completion

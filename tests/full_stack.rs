@@ -38,7 +38,9 @@ fn analysis_bounds_simulation() {
     let theor_tcp = m.goodput_dot11n(rate, Protocol::Tcp);
 
     let sim_udp = run(short(
-        ScenarioBuilder::dot11n_download(150, 1, HackMode::Disabled).build().with_udp(),
+        ScenarioBuilder::dot11n_download(150, 1, HackMode::Disabled)
+            .build()
+            .with_udp(),
         4,
     ));
     let sim_tcp = run(short(
@@ -78,7 +80,9 @@ fn conservation_of_acked_bytes() {
 #[test]
 fn sora_ordering() {
     let udp = run(short(
-        ScenarioBuilder::sora_testbed(1, HackMode::Disabled).build().with_udp(),
+        ScenarioBuilder::sora_testbed(1, HackMode::Disabled)
+            .build()
+            .with_udp(),
         4,
     ));
     let hack = run(short(
@@ -156,7 +160,10 @@ fn upload_completes() {
 /// Determinism across the entire stack: same seed, same world.
 #[test]
 fn whole_stack_determinism() {
-    let cfg = short(ScenarioBuilder::sora_testbed(2, HackMode::MoreData).build(), 3);
+    let cfg = short(
+        ScenarioBuilder::sora_testbed(2, HackMode::MoreData).build(),
+        3,
+    );
     let a = run(cfg.clone());
     let b = run(cfg);
     assert_eq!(a.aggregate_goodput_mbps, b.aggregate_goodput_mbps);
