@@ -8,29 +8,43 @@
 //! (recycled action buffers, overhear-by-reference, direct-indexed
 //! routing tables, in-order reorder fast path). A host-side speed-up
 //! may not move one simulated bit, so each must stay byte-identical.
+//!
+//! The second group was captured immediately before hot-path round 4
+//! (recycled reception records and frame vectors, direct-indexed medium
+//! tables, inline SACK blocks), for the paths that round rewrites and
+//! no earlier pin reaches: overlapping stock-TCP transmissions, mid-run
+//! loss overrides composed on the burst and SNR models and the
+//! Gilbert–Elliott reset of a move, and SACK-bearing ACKs through the
+//! ROHC compressor, the hold queue and the decompressor.
 
 use hack_core::{
-    run_dense, run_traced, ArrivalDist, BssSpec, CorruptModel, DenseOptions, GeParams, HackMode,
-    LossConfig, RoamEvent, ScenarioBuilder, ScenarioConfig, ShortFlowConfig, SizeDist,
-    StandardKind, SupervisorConfig, TrafficModel,
+    run_dense, ArrivalDist, BssSpec, ChannelChange, ChannelEvent, CorruptModel, DenseOptions,
+    GeParams, HackMode, LossConfig, RoamEvent, RunResult, ScenarioBuilder, ScenarioConfig,
+    ShortFlowConfig, SizeDist, StandardKind, SupervisorConfig, TrafficModel, World,
 };
 use hack_sim::SimDuration;
 use hack_trace::TraceHandle;
 
 fn digest_of(cfg: ScenarioConfig) -> String {
+    run_and_digest(cfg).1
+}
+
+fn run_and_digest(cfg: ScenarioConfig) -> (RunResult, String) {
     let (handle, ring) = TraceHandle::ring(1 << 20);
-    let _ = run_traced(cfg, handle);
-    ring.digest()
+    let result = World::builder(cfg).trace(handle).run();
+    let digest = ring
+        .digest()
         .to_bytes()
         .iter()
         .map(|b| format!("{b:02x}"))
-        .collect()
+        .collect();
+    (result, digest)
 }
 
 fn assert_pins(what: &str, got: &[String], pins: &[&str]) {
     assert_eq!(
         got, pins,
-        "trace drifted: {what} no longer matches its pre-round-3 digests"
+        "trace drifted: {what} no longer matches its pinned digests"
     );
 }
 
@@ -156,4 +170,115 @@ fn scheduled_roam() {
         })
         .collect();
     assert_pins("scheduled roam", &[digest_of(cfg)], &PINS);
+}
+
+// ---------------------------------------------------------------------
+// Captured before hot-path round 4.
+// ---------------------------------------------------------------------
+
+/// The SoRa testbed with two stock-TCP clients: every data frame, LL
+/// ACK and TCP ACK is its own PPDU, the clients' TCP ACKs collide with
+/// the AP's data, so transmissions overlap and plain ACKs resolve
+/// single-MPDU exchanges under collisions.
+#[test]
+fn sora_two_stock_clients() {
+    const PINS: [&str; 2] = [
+        "48545244010090e2000000000000ede0cd4bee5d4307c36f000000000000da6b000000000000ef0600000000000002000000000000000200000000000000",
+        "485452440100e7e3000000000000ea44b089bb36bd2cc670000000000000766d000000000000a70500000000000002000000000000000200000000000000",
+    ];
+    let got: Vec<String> = (1..=2)
+        .map(|seed| {
+            let cfg = ScenarioBuilder::sora_testbed(2, HackMode::Disabled)
+                .duration(SimDuration::from_millis(2500))
+                .seed(seed)
+                .build();
+            let (r, digest) = run_and_digest(cfg);
+            assert!(r.collisions > 0, "two clients must overlap on the air");
+            digest
+        })
+        .collect();
+    assert_pins("sora_testbed(2, Disabled)", &got, &PINS);
+}
+
+/// Client 0 gets a composed loss override, then has it cleared, then
+/// moves closer to the AP in four steps, then the whole cell fades a
+/// little — on a world whose baseline loss is `loss`.
+fn loss_step_then_move(loss: LossConfig, seed: u64) -> ScenarioConfig {
+    let at = |ms, change| ChannelEvent {
+        at: SimDuration::from_millis(ms),
+        change,
+    };
+    let (client, per) = (0, 0.3);
+    let step = |ms, x| at(ms, ChannelChange::MoveClient { client, x, y: 3.0 });
+    ScenarioBuilder::dot11n_download(150, 2, HackMode::MoreData)
+        .duration(SimDuration::from_millis(1600))
+        .warmup(SimDuration::from_millis(200))
+        .loss(loss)
+        .dynamics(vec![
+            at(400, ChannelChange::ClientLoss { client, per }),
+            at(800, ChannelChange::ClientLoss { client, per: 0.0 }),
+            step(1200, 13.0),
+            step(1250, 12.5),
+            step(1300, 12.0),
+            step(1350, 11.5),
+            at(1400, ChannelChange::SnrOffsetDb(-1.5)),
+        ])
+        .seed(seed)
+        .build()
+}
+
+/// `extra_loss` composed on the Gilbert–Elliott model (one extra draw
+/// per MPDU only while the override exists), its clearing, and the
+/// per-link burst-state reset of `place_station` (the fourth step finds
+/// two of the client's links in the bad state).
+#[test]
+fn loss_override_and_move_on_burst_medium() {
+    const PINS: [&str; 1] = [
+        "4854524401001b570000000000004b60931d31f8cdcbdb23000000000000a916000000000000980a000000000000f6110000000000000900000000000000",
+    ];
+    let cfg = loss_step_then_move(LossConfig::Burst(GeParams::bursty(0.2, 12.0)), 5);
+    assert_pins("burst + loss step + move", &[digest_of(cfg)], &PINS);
+}
+
+/// The same script on the SNR model with both clients 13.5 m out, where
+/// about 2 % of data MPDUs miss the 150 Mbps sensitivity cliff: the move
+/// and the fade both change the link SNR under a live loss process (so
+/// a cached SNR must follow them).
+#[test]
+fn loss_override_and_move_on_snr_medium() {
+    const PINS: [&str; 1] = [
+        "48545244010007470000000000002bcc3eb85a73c845e2160000000000000d12000000000000be0800000000000051150000000000000900000000000000",
+    ];
+    let cfg = loss_step_then_move(LossConfig::SnrDistance(13.5), 6);
+    assert_pins("snr + loss step + move", &[digest_of(cfg)], &PINS);
+}
+
+/// Four 802.11n clients under bursty loss, long enough for tail drops
+/// at the AP queue and exhausted MAC retries to open holes at the TCP
+/// receivers: their duplicate ACKs carry SACK blocks, are compressed,
+/// held, ride Block ACKs and are decoded at the AP (6,718 of them, with
+/// one to three blocks each, counted once on an instrumented build).
+#[test]
+fn sack_bearing_acks_through_rohc() {
+    const PINS: [&str; 1] = [
+        "485452440100dfbc00000000000077ef8be687a38c44d0170000000000002213000000000000612100000000000088700000000000000400000000000000",
+    ];
+    let cfg = ScenarioBuilder::dot11n_download(150, 4, HackMode::MoreData)
+        .duration(SimDuration::from_millis(2500))
+        .loss(LossConfig::Burst(GeParams::bursty(0.08, 6.0)))
+        .seed(11)
+        .build();
+    let (r, digest) = run_and_digest(cfg);
+    let dupacks: u64 = r.sender_tcp.iter().map(|t| t.dupacks_received).sum();
+    let retx: u64 = r.sender_tcp.iter().map(|t| t.fast_retransmits).sum();
+    assert!(
+        dupacks > 100 && retx > 0,
+        "receivers never saw a hole: {dupacks} dupacks, {retx} fast retransmits"
+    );
+    assert!(
+        r.decompressor.decompressed > 1000 && r.decompressor.duplicates > 0,
+        "{:?}",
+        r.decompressor
+    );
+    assert_pins("SACK-bearing ACKs through ROHC", &[digest], &PINS);
 }
