@@ -299,9 +299,10 @@ impl CompressSide {
             );
             // The payload is maintained incrementally (append on hold,
             // splice on spill/confirm): a rebuild is one memcpy out of
-            // the cache into a pooled buffer.
+            // the cache into a pooled buffer, sized like the cache so the
+            // pool's buffers do not each outgrow every blob size in turn.
             let mut bytes = self.pool.take();
-            bytes.reserve(1 + self.blob_cache.len());
+            bytes.reserve(1 + self.blob_cache.capacity());
             bytes.push(u8::try_from(self.held.len()).expect("≤255 held ACKs"));
             bytes.extend_from_slice(&self.blob_cache);
             DriverAction::InstallBlob {

@@ -186,9 +186,6 @@ pub struct World {
     /// Scratch for `on_tx_end`: what bystanders need to know of each
     /// frame of the ending PPDU, once its addressee owns the frames.
     overheard_buf: Vec<OverheardFrame>,
-    /// The MPDU-length vector of the last PPDU the medium finished,
-    /// reused for the next one to start.
-    lens_buf: Vec<u32>,
     /// Per-event-kind `(name, count, ns)` accumulated by `run_until`.
     #[cfg(feature = "evprof")]
     evprof: [(&'static str, u64, u64); 16],
@@ -346,7 +343,6 @@ impl World {
             roam,
             idle_buf: Vec::new(),
             overheard_buf: Vec::new(),
-            lens_buf: Vec::new(),
             #[cfg(feature = "evprof")]
             evprof: [("", 0, 0); 16],
             trace,
@@ -701,7 +697,10 @@ impl World {
             }
         }
         self.overheard_buf = overheard;
-        self.lens_buf = outcome.meta.mpdu_lens;
+        // The spent lists go back to where the next PPDU is built: the
+        // frame list, if no addressee took it, to the transmitter.
+        self.medium.recycle(outcome);
+        self.stations[src.0 as usize].recycle_frames(frames);
 
         // 2) Idle edges for everyone who heard this PPDU and whose own
         // domain is now quiet. The idle set is snapshotted before the
@@ -813,6 +812,8 @@ impl World {
                                 },
                             );
                         });
+                        // The sender's next blob is copied into this one.
+                        self.stations[from.0 as usize].recycle_blob(blob);
                         if let (Some(flow), Some(before)) = (sup_flow, before) {
                             let after = self.decompress[sid.0 as usize].stats();
                             for (sig, times) in health::signals(&before, after) {
@@ -839,6 +840,7 @@ impl World {
                             self.apply_driver(sid, from, dacts, now);
                         }
                     }
+                    self.stations[sid.0 as usize].recycle_msdus(acked_msdus);
                     self.refill_udp(sid, from, now);
                 }
                 Action::MsduDropped { dst, .. } => self.refill_udp(sid, dst, now),
@@ -849,8 +851,7 @@ impl World {
     }
 
     fn start_tx(&mut self, sid: StationId, desc: TxDescriptor<NetPacket>, now: SimTime) {
-        let mut mpdu_lens = std::mem::take(&mut self.lens_buf);
-        mpdu_lens.clear();
+        let mut mpdu_lens = self.medium.spare_lens();
         mpdu_lens.extend(desc.frames.iter().map(Frame::wire_len));
         let dst = desc.frames.first().map(Frame::dst);
         let control =

@@ -28,9 +28,9 @@ impl Default for BufPool {
 }
 
 impl BufPool {
-    /// Default retention: plenty for one driver's blob churn while
-    /// bounding worst-case memory if recycling outpaces reuse.
-    const DEFAULT_MAX_POOLED: usize = 32;
+    /// Default retention: one driver's worst blob churn (a 64-MPDU A-MPDU
+    /// acknowledged segment by segment leaves 64 rebuilds in flight).
+    const DEFAULT_MAX_POOLED: usize = 64;
 
     /// A pool retaining up to [`Self::DEFAULT_MAX_POOLED`] buffers.
     pub fn new() -> Self {

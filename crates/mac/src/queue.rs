@@ -7,7 +7,7 @@ use std::collections::VecDeque;
 use hack_phy::StationId;
 
 use crate::config::MacConfig;
-use crate::frame::{ampdu_subframe_len, sizes, AckBitmap, DataMpdu, Msdu, SeqNum};
+use crate::frame::{ampdu_subframe_len, sizes, AckBitmap, DataMpdu, Frame, Msdu, SeqNum};
 
 /// An MPDU that has been assigned a sequence number.
 #[derive(Debug, Clone)]
@@ -34,12 +34,14 @@ pub struct BaResolution<M> {
     pub dropped: Vec<M>,
 }
 
-impl<M> Default for BaResolution<M> {
-    fn default() -> Self {
+impl<M> BaResolution<M> {
+    /// Nothing resolved yet; `acked_msdus` is a spare list to fill.
+    fn into_list(mut acked_msdus: Vec<M>) -> Self {
+        acked_msdus.clear();
         BaResolution {
             acked: 0,
             acked_first_try: 0,
-            acked_msdus: Vec::new(),
+            acked_msdus,
             dropped: Vec::new(),
         }
     }
@@ -133,15 +135,16 @@ impl<M: Msdu> DestQueue<M> {
     }
 
     /// Build the next data batch (honouring the frame/byte/airtime limits
-    /// and the Block ACK window), marking its members as awaiting.
-    /// Returns an empty vec if there is nothing to send or a BAR is owed
-    /// (the BAR must resolve the outstanding window first).
+    /// and the Block ACK window) into the empty `out`, marking its
+    /// members as awaiting. `out` stays empty if there is nothing to send
+    /// or a BAR is owed (it must resolve the outstanding window first).
     ///
     /// `src` stamps the transmitter address; the MORE DATA and SYNC bits
     /// are set per `cfg` and queue state.
-    pub fn build_batch(&mut self, src: StationId, cfg: &MacConfig) -> Vec<DataMpdu<M>> {
+    pub fn build_batch(&mut self, src: StationId, cfg: &MacConfig, out: &mut Vec<Frame<M>>) {
+        debug_assert!(out.is_empty());
         if self.bar_pending {
-            return Vec::new();
+            return;
         }
         let max_frames = if cfg.aggregation {
             cfg.max_ampdu_frames
@@ -157,9 +160,8 @@ impl<M: Msdu> DestQueue<M> {
             usize::MAX
         };
 
-        // Upper bound on the batch, for one allocation of the result.
-        let cap = max_frames.min(self.retx.len() + self.unsent.len().min(window_room));
-        let mut out: Vec<DataMpdu<M>> = Vec::with_capacity(cap);
+        // Upper bound on the batch, for at most one growth of the list.
+        out.reserve(max_frames.min(self.retx.len() + self.unsent.len().min(window_room)));
         // A-MPDU length so far, kept running: candidate `n` costs one
         // addition to judge, not a re-sum of the `n - 1` before it.
         let mut agg_len = 0u32;
@@ -204,7 +206,7 @@ impl<M: Msdu> DestQueue<M> {
                     msdu,
                 }
             };
-            out.push(DataMpdu {
+            out.push(Frame::Data(DataMpdu {
                 src,
                 dst: self.dst,
                 seq: mpdu.seq,
@@ -212,7 +214,7 @@ impl<M: Msdu> DestQueue<M> {
                 more_data: false,
                 sync: false,
                 payload: mpdu.msdu.clone(),
-            });
+            }));
             mpdu.attempts += 1;
             self.awaiting.push(mpdu);
             if !fits {
@@ -221,16 +223,18 @@ impl<M: Msdu> DestQueue<M> {
         }
 
         if out.is_empty() {
-            return out;
+            return;
         }
 
         // Both bits describe the queue *after* the batch left it.
         let more_data = cfg.set_more_data && self.backlog() > 0;
         let sync = cfg.use_sync && self.sync_next;
         self.sync_next = false;
-        for m in &mut out {
-            m.more_data = more_data;
-            m.sync = sync;
+        for f in out.iter_mut() {
+            if let Frame::Data(m) = f {
+                m.more_data = more_data;
+                m.sync = sync;
+            }
         }
 
         // Almost always the batch went onto an empty `awaiting` already
@@ -240,16 +244,21 @@ impl<M: Msdu> DestQueue<M> {
         if !self.awaiting.is_sorted_by_key(window_order) {
             self.awaiting.sort_unstable_by_key(window_order);
         }
-        out
     }
 
     /// Resolve the awaiting set against a received Block ACK bitmap.
     /// Unacked MPDUs are requeued for retransmission or dropped once
-    /// their attempts exceed `retry_limit`.
-    pub fn on_block_ack(&mut self, bitmap: &AckBitmap, retry_limit: u32) -> BaResolution<M> {
+    /// their attempts exceed `retry_limit`. The acknowledged MSDUs are
+    /// returned in `acked_msdus` (emptied first; pass a spare list).
+    pub fn on_block_ack(
+        &mut self,
+        bitmap: &AckBitmap,
+        retry_limit: u32,
+        acked_msdus: Vec<M>,
+    ) -> BaResolution<M> {
         self.bar_pending = false;
-        let mut res = BaResolution::default();
-        res.acked_msdus.reserve_exact(self.awaiting.len());
+        let mut res = BaResolution::into_list(acked_msdus);
+        res.acked_msdus.reserve(self.awaiting.len());
         // Drained, not taken: `awaiting` keeps its allocation for the
         // next batch.
         for m in self.awaiting.drain(..) {
@@ -279,10 +288,11 @@ impl<M: Msdu> DestQueue<M> {
     }
 
     /// Resolve a single-MPDU exchange against a plain ACK: the one
-    /// awaiting MPDU is acknowledged.
-    pub fn on_ack(&mut self) -> BaResolution<M> {
-        let mut res = BaResolution::default();
-        res.acked_msdus.reserve_exact(self.awaiting.len());
+    /// awaiting MPDU is acknowledged, and returned in `acked_msdus` as
+    /// for [`DestQueue::on_block_ack`].
+    pub fn on_ack(&mut self, acked_msdus: Vec<M>) -> BaResolution<M> {
+        let mut res = BaResolution::into_list(acked_msdus);
+        res.acked_msdus.reserve(self.awaiting.len());
         for m in self.awaiting.drain(..) {
             res.acked += 1;
             if m.attempts == 1 {
@@ -327,19 +337,20 @@ impl<M: Msdu> DestQueue<M> {
     /// ride a Block ACK instead). MSDUs already assigned sequence numbers
     /// (in flight or queued for retransmission) are not touched.
     pub fn withdraw_unsent<F: FnMut(&M) -> bool>(&mut self, mut pred: F) -> Vec<M> {
-        let mut kept = VecDeque::with_capacity(self.unsent.len());
         let mut out = Vec::new();
-        for m in self.unsent.drain(..) {
+        // Partition in place, order kept on both sides, by rotating the
+        // queue once through itself: withdrawing nothing allocates nothing.
+        for _ in 0..self.unsent.len() {
+            let m = self.unsent.pop_front().expect("counted");
             if pred(&m) {
                 self.queued_msdu_bytes = self
                     .queued_msdu_bytes
                     .saturating_sub(u64::from(m.wire_len()));
                 out.push(m);
             } else {
-                kept.push_back(m);
+                self.unsent.push_back(m);
             }
         }
-        self.unsent = kept;
         out
     }
 
@@ -412,7 +423,7 @@ mod tests {
             for &l in &msdu_lens {
                 q.enqueue(Pkt(l));
             }
-            let batch = q.build_batch(AP, &cfg);
+            let batch = batch(&mut q, &cfg);
             prop_assert_eq!(batch.len(), reference_cut(&msdu_lens, &cfg));
             let lens: Vec<u32> = batch.iter().map(|m| m.wire_len()).collect();
             let offered: Vec<u32> = msdu_lens.iter().map(|l| l + sizes::DATA_OVERHEAD).collect();
@@ -437,6 +448,19 @@ mod tests {
     const AP: StationId = StationId(0);
     const C1: StationId = StationId(1);
 
+    /// The next data batch from the AP, as its data MPDUs.
+    fn batch(q: &mut DestQueue<Pkt>, cfg: &MacConfig) -> Vec<DataMpdu<Pkt>> {
+        let mut frames = Vec::new();
+        q.build_batch(AP, cfg, &mut frames);
+        frames
+            .into_iter()
+            .map(|f| match f {
+                Frame::Data(m) => m,
+                other => panic!("a data batch holds {other:?}"),
+            })
+            .collect()
+    }
+
     fn cfg_n() -> MacConfig {
         MacConfig::dot11n(PhyRate::ht(150))
     }
@@ -456,7 +480,7 @@ mod tests {
         // 64 KB is the binding limit at 150 Mbps (airtime ~3.5 ms < 4 ms).
         let mut q = DestQueue::new(C1);
         fill(&mut q, 100, 1500);
-        let batch = q.build_batch(AP, &cfg_n());
+        let batch = batch(&mut q, &cfg_n());
         assert_eq!(batch.len(), 42, "the paper's 42-packet batch");
         assert_eq!(q.awaiting(), 42);
         assert_eq!(q.backlog(), 58);
@@ -470,7 +494,7 @@ mod tests {
         cfg.data_rate = PhyRate::ht(15);
         let mut q = DestQueue::new(C1);
         fill(&mut q, 100, 1500);
-        let batch = q.build_batch(AP, &cfg);
+        let batch = batch(&mut q, &cfg);
         assert!(
             (3..=5).contains(&batch.len()),
             "TXOP-limited batch, got {}",
@@ -486,7 +510,7 @@ mod tests {
         // TCP ACKs (40-byte MSDUs): the 64-frame window binds first.
         let mut q = DestQueue::new(C1);
         fill(&mut q, 200, 40);
-        let batch = q.build_batch(AP, &cfg_n());
+        let batch = batch(&mut q, &cfg_n());
         assert_eq!(batch.len(), 64);
     }
 
@@ -494,7 +518,7 @@ mod tests {
     fn single_mode_sends_one() {
         let mut q = DestQueue::new(C1);
         fill(&mut q, 5, 1500);
-        let batch = q.build_batch(AP, &cfg_a());
+        let batch = batch(&mut q, &cfg_a());
         assert_eq!(batch.len(), 1);
         assert_eq!(batch[0].seq, SeqNum::new(0));
         assert!(!batch[0].retry);
@@ -505,16 +529,16 @@ mod tests {
         let mut q = DestQueue::new(C1);
         fill(&mut q, 100, 1500);
         let cfg = cfg_n();
-        let b1 = q.build_batch(AP, &cfg);
+        let b1 = batch(&mut q, &cfg);
         // Resolve all acked so the window advances.
         let mut bm = AckBitmap::new(b1[0].seq);
         for m in &b1 {
             bm.set(m.seq);
         }
-        let res = q.on_block_ack(&bm, cfg.timings.retry_limit);
+        let res = q.on_block_ack(&bm, cfg.timings.retry_limit, Vec::new());
         assert_eq!(res.acked, 42);
         assert_eq!(res.acked_first_try, 42);
-        let b2 = q.build_batch(AP, &cfg);
+        let b2 = batch(&mut q, &cfg);
         assert_eq!(b2[0].seq, SeqNum::new(42));
     }
 
@@ -523,7 +547,7 @@ mod tests {
         let mut q = DestQueue::new(C1);
         fill(&mut q, 10, 1500);
         let cfg = cfg_n();
-        let b1 = q.build_batch(AP, &cfg);
+        let b1 = batch(&mut q, &cfg);
         assert_eq!(b1.len(), 10);
         // ACK everything except seq 3 and 7.
         let mut bm = AckBitmap::new(SeqNum::new(0));
@@ -532,12 +556,12 @@ mod tests {
                 bm.set(m.seq);
             }
         }
-        let res = q.on_block_ack(&bm, cfg.timings.retry_limit);
+        let res = q.on_block_ack(&bm, cfg.timings.retry_limit, Vec::new());
         assert_eq!(res.acked, 8);
         assert!(res.dropped.is_empty());
         assert_eq!(q.backlog(), 2);
         // The retransmission batch leads with the missing seqs, retry set.
-        let b2 = q.build_batch(AP, &cfg);
+        let b2 = batch(&mut q, &cfg);
         assert_eq!(b2[0].seq, SeqNum::new(3));
         assert_eq!(b2[1].seq, SeqNum::new(7));
         assert!(b2[0].retry && b2[1].retry);
@@ -552,15 +576,15 @@ mod tests {
         // Transmit and fail retry_limit times (initial attempt + 6 more
         // stay within the budget of 7 retries).
         for _ in 0..cfg.timings.retry_limit {
-            let b = q.build_batch(AP, &cfg);
+            let b = batch(&mut q, &cfg);
             assert_eq!(b.len(), 1);
-            let res = q.on_block_ack(&empty_bm, cfg.timings.retry_limit);
+            let res = q.on_block_ack(&empty_bm, cfg.timings.retry_limit, Vec::new());
             assert_eq!(res.acked, 0);
             assert!(res.dropped.is_empty());
         }
-        let b = q.build_batch(AP, &cfg);
+        let b = batch(&mut q, &cfg);
         assert_eq!(b.len(), 1);
-        let res = q.on_block_ack(&empty_bm, cfg.timings.retry_limit);
+        let res = q.on_block_ack(&empty_bm, cfg.timings.retry_limit, Vec::new());
         assert_eq!(res.dropped, vec![Pkt(1500)]);
         assert_eq!(q.backlog(), 0);
         assert!(!q.has_work());
@@ -573,9 +597,9 @@ mod tests {
         let mut q = DestQueue::new(C1);
         q.enqueue(Pkt(1500));
         let cfg = cfg_n();
-        q.build_batch(AP, &cfg);
+        batch(&mut q, &cfg);
         let bm = AckBitmap::new(SeqNum::new(5));
-        let res = q.on_block_ack(&bm, cfg.timings.retry_limit);
+        let res = q.on_block_ack(&bm, cfg.timings.retry_limit, Vec::new());
         assert_eq!(res.acked, 1);
     }
 
@@ -584,12 +608,12 @@ mod tests {
         let mut q = DestQueue::new(C1);
         fill(&mut q, 3, 1500);
         let cfg = cfg_n();
-        q.build_batch(AP, &cfg);
+        batch(&mut q, &cfg);
         let dropped = q.on_no_response(true, cfg.timings.retry_limit);
         assert!(dropped.is_empty());
         assert!(q.bar_pending());
         // No data batch while BAR is owed.
-        assert!(q.build_batch(AP, &cfg).is_empty());
+        assert!(batch(&mut q, &cfg).is_empty());
         assert!(q.has_work());
     }
 
@@ -598,11 +622,11 @@ mod tests {
         let mut q = DestQueue::new(C1);
         q.enqueue(Pkt(1500));
         let cfg = cfg_a();
-        let b1 = q.build_batch(AP, &cfg);
+        let b1 = batch(&mut q, &cfg);
         let dropped = q.on_no_response(false, cfg.timings.retry_limit);
         assert!(dropped.is_empty());
         assert!(!q.bar_pending());
-        let b2 = q.build_batch(AP, &cfg);
+        let b2 = batch(&mut q, &cfg);
         assert_eq!(b2[0].seq, b1[0].seq);
         assert!(b2[0].retry);
     }
@@ -614,13 +638,13 @@ mod tests {
         let cfg = cfg_a();
         let lim = cfg.timings.retry_limit;
         for i in 0..lim {
-            let b = q.build_batch(AP, &cfg);
+            let b = batch(&mut q, &cfg);
             assert_eq!(b.len(), 1, "attempt {i}");
             let dropped = q.on_no_response(false, lim);
             assert!(dropped.is_empty(), "attempt {i}");
         }
         // One more failed attempt exceeds the budget.
-        q.build_batch(AP, &cfg);
+        batch(&mut q, &cfg);
         let dropped = q.on_no_response(false, lim);
         assert_eq!(dropped, vec![Pkt(1500)]);
     }
@@ -632,13 +656,13 @@ mod tests {
         let mut cfg = cfg_n();
         cfg.use_sync = true;
         cfg.set_more_data = true;
-        q.build_batch(AP, &cfg);
+        batch(&mut q, &cfg);
         q.on_no_response(true, cfg.timings.retry_limit);
         assert!(q.bar_pending());
         q.on_bar_exhausted();
         assert!(!q.bar_pending());
         assert!(q.sync_pending());
-        let b = q.build_batch(AP, &cfg);
+        let b = batch(&mut q, &cfg);
         assert_eq!(b.len(), 3);
         assert!(b[0].sync, "SYNC bit rides the next batch");
         assert!(b[0].retry);
@@ -647,9 +671,9 @@ mod tests {
         for m in &b {
             bm.set(m.seq);
         }
-        q.on_block_ack(&bm, cfg.timings.retry_limit);
+        q.on_block_ack(&bm, cfg.timings.retry_limit, Vec::new());
         fill(&mut q, 1, 1500);
-        let b2 = q.build_batch(AP, &cfg);
+        let b2 = batch(&mut q, &cfg);
         assert!(!b2[0].sync);
     }
 
@@ -659,14 +683,14 @@ mod tests {
         cfg.set_more_data = true;
         let mut q = DestQueue::new(C1);
         fill(&mut q, 43, 1500); // one more than a full batch
-        let b1 = q.build_batch(AP, &cfg);
+        let b1 = batch(&mut q, &cfg);
         assert!(b1.iter().all(|m| m.more_data), "58-frame backlog remains");
         let mut bm = AckBitmap::new(SeqNum::new(0));
         for m in &b1 {
             bm.set(m.seq);
         }
-        q.on_block_ack(&bm, cfg.timings.retry_limit);
-        let b2 = q.build_batch(AP, &cfg);
+        q.on_block_ack(&bm, cfg.timings.retry_limit, Vec::new());
+        let b2 = batch(&mut q, &cfg);
         assert_eq!(b2.len(), 1);
         assert!(!b2[0].more_data, "queue is now empty");
     }
@@ -676,7 +700,7 @@ mod tests {
         let cfg = cfg_n(); // set_more_data = false (stock AP)
         let mut q = DestQueue::new(C1);
         fill(&mut q, 100, 1500);
-        let b = q.build_batch(AP, &cfg);
+        let b = batch(&mut q, &cfg);
         assert!(b.iter().all(|m| !m.more_data));
     }
 
@@ -687,13 +711,13 @@ mod tests {
         q.enqueue(Pkt(500));
         assert_eq!(q.queued_bytes(), 1500);
         let cfg = cfg_n();
-        let b = q.build_batch(AP, &cfg);
+        let b = batch(&mut q, &cfg);
         assert_eq!(b.len(), 2);
         assert_eq!(q.queued_bytes(), 1500, "still unacknowledged");
         let mut bm = AckBitmap::new(SeqNum::new(0));
         bm.set(SeqNum::new(0));
         bm.set(SeqNum::new(1));
-        q.on_block_ack(&bm, cfg.timings.retry_limit);
+        q.on_block_ack(&bm, cfg.timings.retry_limit, Vec::new());
         assert_eq!(q.queued_bytes(), 0);
     }
 }

@@ -87,11 +87,18 @@ impl<M> Default for Peer<M> {
     }
 }
 
-/// Spare action lists a station keeps for reuse. The event loop applies
-/// actions re-entrantly (an applied action can call back into the same
-/// station), so more than one list can be out at a time; the nesting is
-/// shallow.
-const SPARE_ACTION_LISTS: usize = 4;
+/// Spare lists of each kind a station keeps for reuse. The event loop
+/// applies actions re-entrantly (an applied action can call back into the
+/// same station), so several can be out at a time; the nesting is shallow.
+const SPARE_LISTS: usize = 4;
+
+/// Keep the emptied `list` for reuse unless enough are spare already.
+fn keep_spare<T>(spares: &mut Vec<Vec<T>>, mut list: Vec<T>) {
+    if spares.len() < SPARE_LISTS && list.capacity() > 0 {
+        list.clear();
+        spares.push(list);
+    }
+}
 
 /// A complete 802.11 station MAC.
 #[derive(Debug)]
@@ -126,6 +133,13 @@ pub struct Station<M: Msdu> {
 
     /// Action lists handed back through [`Station::recycle`].
     spare_actions: Vec<Vec<Action<M>>>,
+    /// The emptied PPDUs this station received, and its own that nobody
+    /// decoded: its next data PPDU, BAR or response is built in one.
+    spare_frames: Vec<Vec<Frame<M>>>,
+    /// Acknowledged-MSDU lists of applied responses.
+    spare_msdus: Vec<Vec<M>>,
+    /// Buffers of blobs this station sent, for the next response's copy.
+    spare_blobs: Vec<Vec<u8>>,
 
     stats: MacStats,
     trace: TraceHandle,
@@ -154,6 +168,9 @@ impl<M: Msdu> Station<M> {
             idle_since: SimTime::ZERO,
             nav_until: SimTime::ZERO,
             spare_actions: Vec::new(),
+            spare_frames: Vec::new(),
+            spare_msdus: Vec::new(),
+            spare_blobs: Vec::new(),
             stats: MacStats::default(),
             trace: TraceHandle::off(),
         }
@@ -256,11 +273,24 @@ impl<M: Msdu> Station<M> {
     /// Hand back an action list this station returned, once applied, so
     /// the next handler fills it instead of allocating. Optional: a
     /// caller that never recycles gets a fresh list per call.
-    pub fn recycle(&mut self, mut actions: Vec<Action<M>>) {
-        if self.spare_actions.len() < SPARE_ACTION_LISTS && actions.capacity() > 0 {
-            actions.clear();
-            self.spare_actions.push(actions);
-        }
+    pub fn recycle(&mut self, actions: Vec<Action<M>>) {
+        keep_spare(&mut self.spare_actions, actions);
+    }
+
+    /// Hand back the frames of a PPDU of this station's that no addressee
+    /// took (collided, lost, only overheard). Optional, as `recycle`.
+    pub fn recycle_frames(&mut self, frames: Vec<Frame<M>>) {
+        keep_spare(&mut self.spare_frames, frames);
+    }
+
+    /// Hand back an applied [`Action::ResponseReceived`]'s `acked_msdus`.
+    pub fn recycle_msdus(&mut self, msdus: Vec<M>) {
+        keep_spare(&mut self.spare_msdus, msdus);
+    }
+
+    /// Hand back a blob this station sent, once its receiver decoded it.
+    pub fn recycle_blob(&mut self, blob: HackBlob) {
+        keep_spare(&mut self.spare_blobs, blob.bytes);
     }
 
     /// An empty action list, recycled when one is spare.
@@ -440,8 +470,9 @@ impl<M: Msdu> Station<M> {
             }
         }
         if data_mpdus > 0 {
-            self.on_data(src, frames, data_mpdus, aggregated, now, &mut actions);
+            self.on_data(src, &mut frames, data_mpdus, aggregated, now, &mut actions);
         }
+        keep_spare(&mut self.spare_frames, frames);
         actions
     }
 
@@ -529,7 +560,7 @@ impl<M: Msdu> Station<M> {
     fn on_data(
         &mut self,
         src: StationId,
-        frames: Vec<Frame<M>>,
+        frames: &mut Vec<Frame<M>>,
         mpdus_ok: usize,
         aggregated: bool,
         now: SimTime,
@@ -539,7 +570,7 @@ impl<M: Msdu> Station<M> {
         let prev_highest = reorder.highest();
 
         let (mut more_data, mut sync, mut advances_seq) = (false, false, false);
-        for f in frames {
+        for f in frames.drain(..) {
             let Frame::Data(f) = f else { continue };
             more_data |= f.more_data;
             sync |= f.sync;
@@ -641,10 +672,11 @@ impl<M: Msdu> Station<M> {
         // a late Block ACK is still valid feedback.
         let block = bitmap.is_some();
         let res = {
+            let acked_msdus = self.spare_msdus.pop().unwrap_or_default();
             let q = self.queue_mut(src);
             match bitmap {
-                Some(bm) => q.on_block_ack(&bm, retry_limit),
-                None => q.on_ack(),
+                Some(bm) => q.on_block_ack(&bm, retry_limit, acked_msdus),
+                None => q.on_ack(acked_msdus),
             }
         };
         trace_ev!(
@@ -769,8 +801,10 @@ impl<M: Msdu> Station<M> {
                 self.id.0,
                 Event::MacBar { peer: dst.0 }
             );
+            let mut frames = self.spare_frames.pop().unwrap_or_default();
+            frames.push(frame);
             actions.push(Action::StartTx(TxDescriptor {
-                frames: vec![frame],
+                frames,
                 rate,
                 duration,
                 is_response: false,
@@ -779,30 +813,32 @@ impl<M: Msdu> Station<M> {
             return;
         }
 
-        let batch = self.queues[idx].build_batch(self.id, &self.cfg);
-        if batch.is_empty() {
+        let mut frames = self.spare_frames.pop().unwrap_or_default();
+        self.queues[idx].build_batch(self.id, &self.cfg, &mut frames);
+        if frames.is_empty() {
+            keep_spare(&mut self.spare_frames, frames);
             self.work_since = self.has_work().then_some(now);
             self.maybe_contend(now, actions);
             return;
         }
 
         let aggregated = self.cfg.aggregation;
-        let class = if batch.iter().all(|m| m.payload.is_transport_ack()) {
+        let is_ack = |f: &Frame<M>| matches!(f, Frame::Data(m) if m.payload.is_transport_ack());
+        let class = if frames.iter().all(is_ack) {
             TrafficClass::TransportAck
         } else {
             TrafficClass::Data
         };
         let psdu_len = if aggregated {
-            batch
+            frames
                 .iter()
-                .map(|m| u64::from(ampdu_subframe_len(m.wire_len())))
+                .map(|f| u64::from(ampdu_subframe_len(f.wire_len())))
                 .sum()
         } else {
-            u64::from(batch[0].wire_len())
+            u64::from(frames[0].wire_len())
         };
         let duration = self.cfg.data_rate.ppdu_duration(psdu_len);
-        let n_mpdus = batch.len();
-        let frames: Vec<Frame<M>> = batch.into_iter().map(Frame::Data).collect();
+        let n_mpdus = frames.len();
 
         self.in_flight = Some(Exchange {
             dst,
@@ -903,16 +939,19 @@ impl<M: Msdu> Station<M> {
             return;
         };
         // Attach the HACK blob installed for this peer, if any. The blob
-        // is *retained* (cloned): the driver clears it only on the §3.4
+        // is *retained* (copied): the driver clears it only on the §3.4
         // confirmation signals. A peer that associated *without*
         // negotiating HACK never gets a blob — its NIC cannot parse an
         // augmented LL ACK (a peer with no association record is treated
         // as capable, for direct driver wiring).
-        let blob = if self.hack_negotiated(plan.to) == Some(false) {
-            None
-        } else {
-            self.hack_blob(plan.to).cloned()
-        };
+        let capable = self.hack_negotiated(plan.to) != Some(false);
+        let installed = self.peers.get(plan.to.0 as usize);
+        let installed = installed.and_then(|p| p.blob.as_ref());
+        let blob = installed.filter(|_| capable).map(|installed| {
+            let mut bytes = self.spare_blobs.pop().unwrap_or_default();
+            bytes.extend_from_slice(&installed.bytes);
+            HackBlob { bytes }
+        });
         let attached = blob.is_some();
         let blob_wire = blob.as_ref().map_or(0, HackBlob::wire_len);
 
@@ -967,8 +1006,10 @@ impl<M: Msdu> Station<M> {
             kind: plan.kind,
             attached_blob: attached,
         });
+        let mut frames = self.spare_frames.pop().unwrap_or_default();
+        frames.push(frame);
         actions.push(Action::StartTx(TxDescriptor {
-            frames: vec![frame],
+            frames,
             rate,
             duration,
             is_response: true,

@@ -1,7 +1,7 @@
 //! Property-based tests for MAC transmit-queue and scoreboard
 //! invariants under arbitrary loss patterns.
 
-use hack_mac::{AckBitmap, DestQueue, MacConfig, Msdu, RxReorder, SeqNum};
+use hack_mac::{AckBitmap, DestQueue, Frame, MacConfig, Msdu, RxReorder, SeqNum};
 use hack_phy::{PhyRate, StationId};
 use proptest::prelude::*;
 
@@ -37,15 +37,20 @@ proptest! {
         let mut rounds = 0;
         while q.has_work() && rounds < 10_000 {
             rounds += 1;
-            let batch = q.build_batch(AP, &cfg);
+            let mut batch = Vec::new();
+            q.build_batch(AP, &cfg, &mut batch);
             prop_assert!(!batch.is_empty(), "has_work implies a batch");
-            let mut bm = AckBitmap::new(batch[0].seq);
-            for m in &batch {
+            let seqs = batch.iter().map(|f| match f {
+                Frame::Data(m) => m.seq,
+                other => panic!("a data batch holds {other:?}"),
+            });
+            let mut bm = AckBitmap::new(seqs.clone().next().expect("non-empty"));
+            for seq in seqs {
                 if !rng.chance(loss_p) {
-                    bm.set(m.seq);
+                    bm.set(seq);
                 }
             }
-            let res = q.on_block_ack(&bm, cfg.timings.retry_limit);
+            let res = q.on_block_ack(&bm, cfg.timings.retry_limit, Vec::new());
             acked.extend(res.acked_msdus.iter().map(|m| m.0));
             dropped.extend(res.dropped.iter().map(|m| m.0));
         }

@@ -5,8 +5,6 @@
 //! client away from the AP (Figure 11). A log-distance path-loss model
 //! with an indoor exponent reproduces exactly that knob: distance ⇒ SNR.
 
-use std::collections::HashMap;
-
 use crate::StationId;
 
 /// Propagation model and station positions.
@@ -22,7 +20,8 @@ pub struct Channel {
     /// Receiver noise floor in dBm (thermal −101 dBm for 20 MHz plus a
     /// 7 dB noise figure ⇒ −94 dBm; 40 MHz is 3 dB worse).
     pub noise_floor_dbm: f64,
-    positions: HashMap<StationId, (f64, f64)>,
+    /// Each station's position, indexed by station id; `None` = unplaced.
+    positions: Vec<Option<(f64, f64)>>,
 }
 
 impl Channel {
@@ -33,18 +32,22 @@ impl Channel {
             path_loss_1m_db: 46.7,
             exponent: 3.0,
             noise_floor_dbm: -91.0,
-            positions: HashMap::new(),
+            positions: Vec::new(),
         }
     }
 
     /// Place (or move) a station at coordinates in metres.
     pub fn place(&mut self, station: StationId, x: f64, y: f64) {
-        self.positions.insert(station, (x, y));
+        let i = station.0 as usize;
+        if i >= self.positions.len() {
+            self.positions.resize(i + 1, None);
+        }
+        self.positions[i] = Some((x, y));
     }
 
     /// The position of a station, if placed.
     pub fn position(&self, station: StationId) -> Option<(f64, f64)> {
-        self.positions.get(&station).copied()
+        self.positions.get(station.0 as usize).copied().flatten()
     }
 
     /// Euclidean distance between two placed stations, clamped below by
@@ -53,8 +56,8 @@ impl Channel {
     /// # Panics
     /// Panics if either station has not been placed.
     pub fn distance(&self, a: StationId, b: StationId) -> f64 {
-        let pa = self.positions[&a];
-        let pb = self.positions[&b];
+        let pa = self.position(a).expect("station a not placed");
+        let pb = self.position(b).expect("station b not placed");
         let d = ((pa.0 - pb.0).powi(2) + (pa.1 - pb.1).powi(2)).sqrt();
         d.max(1.0)
     }

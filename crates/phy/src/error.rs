@@ -32,9 +32,7 @@
 //! length onto the two-state chain so sweeps can compare bursty and
 //! i.i.d. loss at identical average rates.
 
-use std::collections::HashMap;
-
-use hack_sim::SimRng;
+use hack_sim::{FastMap, SimRng};
 
 use crate::rates::PhyRate;
 use crate::StationId;
@@ -135,7 +133,7 @@ pub enum LossModel {
     /// (a station with a bad radio loses frames it sends and frames it
     /// receives), so the link rate is `1 − (1−a)(1−b)`. Stations absent
     /// from the map are lossless.
-    FixedPer(HashMap<StationId, f64>),
+    FixedPer(FastMap<StationId, f64>),
     /// Gilbert–Elliott bursty loss; the per-link chain state lives in
     /// the medium. [`LossModel::mpdu_loss_prob`] reports the stationary
     /// average (the i.i.d.-equivalent rate) for callers without state.

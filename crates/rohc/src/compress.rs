@@ -38,11 +38,11 @@ use crate::context::{compressible_ack, wlsb_k, CompContext, FieldRefs};
 use crate::crc::crc3;
 use crate::varint::{write_ivarint, write_uvarint};
 
-/// One compressed ACK segment. Inline capacity of 16 bytes covers every
+/// One compressed ACK segment. Inline capacity of 32 bytes covers every
 /// SACK-free encoding (worst case 4 fixed + 4 ACK + 2 window + 4
-/// timestamp LSBs = 14 bytes); only SACK-laden dup-ACKs spill to the
-/// heap.
-pub type RohcSegment = InlineVec<u8, 16>;
+/// timestamp LSBs = 14 bytes) and a timestamped dup-ACK with three SACK
+/// blocks (typically 4 + 2 + 2 + 1 + 3 × 5 = 24 bytes).
+pub type RohcSegment = InlineVec<u8, 32>;
 
 /// Flag bit layout of the FLAGS octet.
 pub(crate) mod flagbits {
@@ -501,8 +501,9 @@ mod tests {
         c.observe_native(&ack(1000, 1, 10));
         let mut p = ack(1000, 2, 11); // delta 0: duplicate ACK
         if let Transport::Tcp(t) = &mut p.transport {
-            t.options
-                .push(TcpOption::Sack(vec![(TcpSeq(2460), TcpSeq(3920))]));
+            t.options.push(TcpOption::Sack(
+                [(TcpSeq(2460), TcpSeq(3920))].into_iter().collect(),
+            ));
         }
         let s = c.compress(&p).expect("dup ACKs must be expressible");
         assert!(s[1] & flagbits::S != 0);

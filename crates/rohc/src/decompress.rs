@@ -783,10 +783,11 @@ mod tests {
         let (mut c, mut d) = pair();
         let mut p = ack(1000, 2, 11); // dup ACK
         if let Transport::Tcp(t) = &mut p.transport {
-            t.options.push(TcpOption::Sack(vec![
-                (TcpSeq(2460), TcpSeq(3920)),
-                (TcpSeq(6840), TcpSeq(8300)),
-            ]));
+            t.options.push(TcpOption::Sack(
+                [(TcpSeq(2460), TcpSeq(3920)), (TcpSeq(6840), TcpSeq(8300))]
+                    .into_iter()
+                    .collect(),
+            ));
         }
         let seg = c.compress(&p).unwrap();
         let res = d.decompress_blob(&build_blob(&[seg]));

@@ -58,6 +58,58 @@ proptest! {
         }
     }
 
+    /// Duplicate and advancing ACKs carrying 0–4 SACK blocks (starts
+    /// ahead of the ACK by anything up to a large window, wrap-around
+    /// included; a fourth block only on a flow without timestamps, as on
+    /// the wire) compress, ride a blob together and come out block for
+    /// block.
+    #[test]
+    fn sack_bearing_acks_roundtrip(
+        start in prop_oneof![any::<u32>(), (u32::MAX - 200_000)..=u32::MAX],
+        timestamps in any::<bool>(),
+        steps in proptest::collection::vec(
+            (
+                0u32..3_000,
+                proptest::collection::vec((1u32..4_000_000, 1u32..70_000), 0..5),
+            ),
+            1..30,
+        ),
+    ) {
+        let pkt = |ackno, i: usize, sacks: &[(u32, u32)]| {
+            let mut p = ack_pkt(ackno, 1 + i as u16, 100 + i as u32, 1024);
+            if let Transport::Tcp(t) = &mut p.transport {
+                if !timestamps {
+                    t.options.clear();
+                }
+                let room = if timestamps { 3 } else { 4 };
+                let blocks = sacks.iter().take(room).map(|&(ahead, len)| {
+                    let s = TcpSeq(ackno) + ahead;
+                    (s, s + len)
+                });
+                if !sacks.is_empty() {
+                    t.options.push(TcpOption::Sack(blocks.collect()));
+                }
+            }
+            p
+        };
+        let mut c = Compressor::new();
+        let mut d = Decompressor::new();
+        let seed = pkt(start, 0, &[]);
+        c.observe_native(&seed);
+        d.observe_native(&seed);
+
+        let (mut ackno, mut sent, mut segments) = (start, Vec::new(), Vec::new());
+        for (i, (da, sacks)) in steps.iter().enumerate() {
+            ackno = ackno.wrapping_add(*da);
+            let p = pkt(ackno, 1 + i, sacks);
+            segments.push(c.compress(&p).expect("in-profile packet"));
+            sent.push(p);
+        }
+        let res = d.decompress_blob(&build_blob(&segments));
+        prop_assert!(res.errors.is_empty(), "{:?}", res.errors);
+        prop_assert_eq!(res.packets, sent);
+    }
+
     /// Re-delivering any prefix of already-applied segments (blob
     /// retention) never duplicates packets upstream.
     #[test]

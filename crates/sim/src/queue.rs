@@ -20,7 +20,7 @@
 //! order being a pure function of insertion order.
 
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
@@ -128,32 +128,40 @@ const MIN_BUCKETS: usize = 8;
 /// far from overflow even for degenerate schedules.
 const MAX_WIDTH_SHIFT: u32 = 40;
 
-/// A bucket entry: the sort key plus a slab index. 24 bytes regardless
-/// of the payload type, so sorted inserts and resizes move small POD
-/// values — the payload itself sits still in the slab until popped.
-#[derive(Debug, Clone, Copy)]
-struct SlotRef {
+/// "No slot": the end of a bucket's list, or an empty bucket.
+const NIL: u32 = u32::MAX;
+
+/// One slab slot: an event's sort key, the slot after it in its bucket,
+/// and its payload (`None` while the slot is on the free list).
+#[derive(Debug)]
+struct Slot<E> {
     at: SimTime,
     seq: u64,
-    idx: u32,
+    next: u32,
+    payload: Option<E>,
 }
 
-impl SlotRef {
-    fn key(&self) -> (SimTime, u64) {
-        (self.at, self.seq)
-    }
+/// One day-bucket's sorted list; `tail` is stale while `head` is [`NIL`].
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    head: u32,
+    tail: u32,
 }
+
+const EMPTY: Bucket = Bucket {
+    head: NIL,
+    tail: NIL,
+};
 
 /// A Brown-style calendar queue: buckets of one "day" (`width`) each,
 /// the whole array spanning one "year". An event at time `t` lives in
 /// bucket `(t / width) % nbuckets`; buckets are kept sorted so pops
 /// stream off bucket fronts in (time, seq) order.
 ///
-/// Payloads are stored once in a slab with a LIFO free list; buckets
-/// hold 24-byte [`SlotRef`]s. Simulation event payloads are large (a
-/// full packet rides inside), and keeping them out of the sorted
-/// buckets makes inserts and re-bucketing cheap memmoves of small keys
-/// instead of whole-event copies.
+/// Events are stored once in a slab with a LIFO free list, and a
+/// bucket's order is threaded through the slab itself (`next` per slot,
+/// head and tail per bucket): a bucket owns no heap, so neither a burst
+/// landing in one day nor a resize allocates once the slab has grown.
 ///
 /// The structure is entirely deterministic — bucket geometry and slab
 /// slot reuse are pure functions of the queue's content (no sampling,
@@ -162,11 +170,13 @@ impl SlotRef {
 #[derive(Debug)]
 pub struct CalendarQueue<E> {
     /// `nbuckets` (power of two) sorted day-buckets.
-    buckets: Vec<VecDeque<SlotRef>>,
-    /// Payload storage; `SlotRef::idx` points here.
-    slab: Vec<Option<E>>,
+    buckets: Vec<Bucket>,
+    /// Event storage; bucket lists link its slots.
+    slab: Vec<Slot<E>>,
     /// Vacant slab indices, reused LIFO.
     free: Vec<u32>,
+    /// Scratch for `resize`: every pending `(at, seq, slot)`.
+    order: Vec<(SimTime, u64, u32)>,
     /// log2 of the bucket width in ns (width is a power of two so the
     /// index computation is a shift, not a division).
     width_shift: u32,
@@ -188,9 +198,10 @@ impl<E> CalendarQueue<E> {
     /// Create an empty queue.
     pub fn new() -> Self {
         CalendarQueue {
-            buckets: (0..MIN_BUCKETS).map(|_| VecDeque::new()).collect(),
+            buckets: vec![EMPTY; MIN_BUCKETS],
             slab: Vec::new(),
             free: Vec::new(),
+            order: Vec::new(),
             width_shift: 10, // 1.024 µs days until the first resize
             cur_bucket: 0,
             bucket_top_ns: 1 << 10,
@@ -223,8 +234,13 @@ impl<E> CalendarQueue<E> {
         self.bucket_top_ns = (at_ns >> self.width_shift << self.width_shift) + self.width_ns();
     }
 
-    /// Insert into the bucket keeping it sorted by (time, seq). The
-    /// strict-less predicate places equal-time entries after every
+    fn key(&self, slot: u32) -> (SimTime, u64) {
+        let s = &self.slab[slot as usize];
+        (s.at, s.seq)
+    }
+
+    /// Link `slot` into its bucket keeping the list sorted by (time,
+    /// seq); seqs are unique, so equal-time entries fall behind every
     /// already-present one with a smaller seq — the FIFO tiebreak.
     ///
     /// `seq` only grows and a simulation mostly schedules forward in
@@ -232,25 +248,47 @@ impl<E> CalendarQueue<E> {
     /// inserts in three on the aggregated 802.11n download, where bursts
     /// share an instant; one in ten on an 802.11a cell, where a bucket
     /// usually ends in some far-off timer). That case is an append; only
-    /// an earlier entry pays for the binary search and the shift.
-    fn insert_sorted(bucket: &mut VecDeque<SlotRef>, r: SlotRef) {
-        match bucket.back() {
-            Some(back) if back.key() > r.key() => {
-                let pos = bucket.partition_point(|x| x.key() < r.key());
-                bucket.insert(pos, r);
+    /// an earlier entry walks the list (a couple of slots, by the width).
+    fn link(&mut self, slot: u32) {
+        let key = self.key(slot);
+        let b = self.bucket_of(key.0.as_nanos());
+        let Bucket { head, tail } = self.buckets[b];
+        if head == NIL {
+            self.buckets[b] = Bucket {
+                head: slot,
+                tail: slot,
+            };
+        } else if self.key(tail) < key {
+            self.slab[tail as usize].next = slot;
+            self.buckets[b].tail = slot;
+        } else {
+            // The tail sorts after `slot`, so the walk ends before it.
+            let (mut prev, mut cur) = (NIL, head);
+            while self.key(cur) < key {
+                (prev, cur) = (cur, self.slab[cur as usize].next);
             }
-            _ => bucket.push_back(r),
+            self.slab[slot as usize].next = cur;
+            match prev {
+                NIL => self.buckets[b].head = slot,
+                _ => self.slab[prev as usize].next = slot,
+            }
         }
     }
 
-    fn slab_put(&mut self, payload: E) -> u32 {
+    fn slab_put(&mut self, at: SimTime, seq: u64, payload: E) -> u32 {
+        let slot = Slot {
+            at,
+            seq,
+            next: NIL,
+            payload: Some(payload),
+        };
         match self.free.pop() {
             Some(i) => {
-                self.slab[i as usize] = Some(payload);
+                self.slab[i as usize] = slot;
                 i
             }
             None => {
-                self.slab.push(Some(payload));
+                self.slab.push(slot);
                 u32::try_from(self.slab.len() - 1).expect("slab index fits u32")
             }
         }
@@ -266,9 +304,8 @@ impl<E> CalendarQueue<E> {
         if self.len == 0 || at_ns < self.bucket_top_ns - self.width_ns() {
             self.set_scan(at_ns);
         }
-        let idx = self.slab_put(payload);
-        let bucket = self.bucket_of(at_ns);
-        Self::insert_sorted(&mut self.buckets[bucket], SlotRef { at, seq, idx });
+        let slot = self.slab_put(at, seq, payload);
+        self.link(slot);
         self.len += 1;
         if self.len > 2 * self.buckets.len() {
             self.resize(self.buckets.len() * 2);
@@ -284,33 +321,26 @@ impl<E> CalendarQueue<E> {
             return None;
         }
         // Fast path: walk day-buckets within the current year. Each
-        // bucket front is that bucket's minimum; a front inside the
+        // bucket head is that bucket's minimum; a head inside the
         // scan's current day is the global minimum.
         for _ in 0..self.buckets.len() {
-            if let Some(front) = self.buckets[self.cur_bucket].front() {
-                if front.at.as_nanos() < self.bucket_top_ns {
-                    return Some(self.cur_bucket);
-                }
+            let head = self.buckets[self.cur_bucket].head;
+            if head != NIL && self.slab[head as usize].at.as_nanos() < self.bucket_top_ns {
+                return Some(self.cur_bucket);
             }
             self.cur_bucket = (self.cur_bucket + 1) & (self.buckets.len() - 1);
             self.bucket_top_ns += self.width_ns();
         }
         // Sparse year (a full lap found nothing): jump the scan straight
-        // to the earliest event. Direct search over bucket fronts.
-        let idx = self
+        // to the earliest event. Direct search over bucket heads.
+        let (at, _) = self
             .buckets
             .iter()
-            .enumerate()
-            .filter_map(|(i, b)| b.front().map(|r| (r.key(), i)))
+            .filter(|b| b.head != NIL)
+            .map(|b| self.key(b.head))
             .min()
-            .map(|(_, i)| i)
             .expect("len > 0 but all buckets empty");
-        let at_ns = self.buckets[idx]
-            .front()
-            .expect("chosen front")
-            .at
-            .as_nanos();
-        self.set_scan(at_ns);
+        self.set_scan(at.as_nanos());
         Some(self.cur_bucket)
     }
 
@@ -323,7 +353,7 @@ impl<E> CalendarQueue<E> {
     /// per event.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         let idx = self.find_min()?;
-        self.buckets[idx].front().map(|r| r.at)
+        Some(self.slab[self.buckets[idx].head as usize].at)
     }
 
     /// Remove and return the earliest pending event.
@@ -333,52 +363,55 @@ impl<E> CalendarQueue<E> {
     }
 
     fn take_front(&mut self, bucket: usize) -> (SimTime, E) {
-        let r = self.buckets[bucket]
-            .pop_front()
-            .expect("bucket front exists");
-        let payload = self.slab[r.idx as usize].take().expect("live slab slot");
-        self.free.push(r.idx);
+        let idx = self.buckets[bucket].head;
+        let slot = &mut self.slab[idx as usize];
+        let payload = slot.payload.take().expect("live slab slot");
+        let at = slot.at;
+        self.buckets[bucket].head = slot.next;
+        self.free.push(idx);
         self.len -= 1;
         if self.buckets.len() > MIN_BUCKETS && self.len < self.buckets.len() / 2 {
             self.resize(self.buckets.len() / 2);
         }
-        (r.at, payload)
+        (at, payload)
     }
 
     /// Drop all pending events.
     pub fn clear(&mut self) {
-        for b in &mut self.buckets {
-            b.clear();
-        }
+        self.buckets.fill(EMPTY);
         self.slab.clear();
         self.free.clear();
         self.len = 0;
     }
 
     /// Re-bucket every pending event into `nbuckets` buckets with a
-    /// width derived from the current time span per event. Only the
-    /// 24-byte refs move; payloads stay put in the slab. Fully
+    /// width derived from the current time span per event. Only list
+    /// links move, and `order` and `buckets` keep their memory. Fully
     /// deterministic: geometry depends only on queue content.
     fn resize(&mut self, nbuckets: usize) {
-        let mut refs: Vec<SlotRef> = Vec::with_capacity(self.len);
-        for b in &mut self.buckets {
-            refs.extend(b.drain(..));
-        }
-        let min_ns = refs.iter().map(|r| r.at.as_nanos()).min().unwrap_or(0);
-        let max_ns = refs.iter().map(|r| r.at.as_nanos()).max().unwrap_or(0);
-        let span_per_event = (max_ns - min_ns) / refs.len().max(1) as u64;
+        let mut order = std::mem::take(&mut self.order);
+        let live = self.slab.iter().zip(0u32..);
+        order.extend(
+            live.filter(|(s, _)| s.payload.is_some())
+                .map(|(s, i)| (s.at, s.seq, i)),
+        );
+        // In key order every re-link below is an append.
+        order.sort_unstable();
+        let min_ns = order.first().map_or(0, |r| r.0.as_nanos());
+        let max_ns = order.last().map_or(0, |r| r.0.as_nanos());
+        let span_per_event = (max_ns - min_ns) / order.len().max(1) as u64;
         self.width_shift = span_per_event
             .next_power_of_two()
             .trailing_zeros()
             .clamp(1, MAX_WIDTH_SHIFT);
-        if self.buckets.len() != nbuckets {
-            self.buckets = (0..nbuckets).map(|_| VecDeque::new()).collect();
-        }
+        self.buckets.clear();
+        self.buckets.resize(nbuckets, EMPTY);
         self.set_scan(min_ns);
-        for r in refs {
-            let idx = self.bucket_of(r.at.as_nanos());
-            Self::insert_sorted(&mut self.buckets[idx], r);
+        for (_, _, slot) in order.drain(..) {
+            self.slab[slot as usize].next = NIL;
+            self.link(slot);
         }
+        self.order = order;
     }
 }
 

@@ -627,8 +627,7 @@ impl Connection {
     fn make_ack(&mut self, now: SimTime) -> Ipv4Packet {
         let mut options = self.base_options(now);
         if self.cfg.use_sack && self.peer_sack && !self.ooo.is_empty() {
-            let blocks: Vec<(TcpSeq, TcpSeq)> = self.ooo.iter().take(3).copied().collect();
-            options.push(TcpOption::Sack(blocks));
+            options.push(TcpOption::Sack(self.ooo.iter().take(3).copied().collect()));
         }
         self.stats.acks_sent += 1;
         self.delack_segments = 0;
@@ -857,20 +856,7 @@ impl Connection {
             let s = if s.lt(self.snd_una) { self.snd_una } else { s };
             self.sacked.push((s, e));
         }
-        self.sacked.sort_by_key(|&(s, _)| s.dist_from(self.snd_una));
-        let mut merged: Vec<(TcpSeq, TcpSeq)> = Vec::with_capacity(self.sacked.len());
-        for &(s, e) in &self.sacked {
-            if let Some(last) = merged.last_mut() {
-                if s.le(last.1) {
-                    if e.gt(last.1) {
-                        last.1 = e;
-                    }
-                    continue;
-                }
-            }
-            merged.push((s, e));
-        }
-        self.sacked = merged;
+        merge_ranges(&mut self.sacked, self.snd_una);
     }
 
     /// Drop scoreboard state at or below the new cumulative ACK.
@@ -1120,35 +1106,24 @@ impl Connection {
 
     fn insert_ooo(&mut self, start: TcpSeq, end: TcpSeq) {
         self.ooo.push((start, end));
-        self.ooo.sort_by_key(|&(s, _)| s.dist_from(self.rcv_nxt));
-        // Merge overlapping/adjacent ranges.
-        let mut merged: Vec<(TcpSeq, TcpSeq)> = Vec::with_capacity(self.ooo.len());
-        for &(s, e) in &self.ooo {
-            if let Some(last) = merged.last_mut() {
-                if s.le(last.1) {
-                    if e.gt(last.1) {
-                        last.1 = e;
-                    }
-                    continue;
-                }
-            }
-            merged.push((s, e));
-        }
-        self.ooo = merged;
+        merge_ranges(&mut self.ooo, self.rcv_nxt);
     }
 
     fn drain_ooo(&mut self) {
-        while let Some(&(s, e)) = self.ooo.first() {
+        // The ranges `rcv_nxt` reaches are a prefix, each carrying it on.
+        let mut reached = 0;
+        while let Some(&(s, e)) = self.ooo.get(reached) {
             if s.gt(self.rcv_nxt) {
                 break;
             }
-            self.ooo.remove(0);
+            reached += 1;
             if e.gt(self.rcv_nxt) {
                 let delivered = u64::from(e - self.rcv_nxt);
                 self.rcv_nxt = e;
                 self.stats.bytes_delivered += delivered;
             }
         }
+        self.ooo.drain(..reached);
     }
 
     // ---- timers ----------------------------------------------------------
@@ -1241,10 +1216,80 @@ impl Connection {
     }
 }
 
+/// Sort `ranges` by distance of their start from `base` and merge the
+/// overlapping and adjacent ones, in place (a scoreboard is short and
+/// almost always sorted already, so the sort is an allocation-free scan).
+fn merge_ranges(ranges: &mut Vec<(TcpSeq, TcpSeq)>, base: TcpSeq) {
+    ranges.sort_by_key(|&(s, _)| s.dist_from(base));
+    let mut kept = 0;
+    for i in 0..ranges.len() {
+        let (s, e) = ranges[i];
+        if kept > 0 && s.le(ranges[kept - 1].1) {
+            if e.gt(ranges[kept - 1].1) {
+                ranges[kept - 1].1 = e;
+            }
+        } else {
+            ranges[kept] = (s, e);
+            kept += 1;
+        }
+    }
+    ranges.truncate(kept);
+}
+
+#[cfg(test)]
+/// `note_sack` and `insert_ooo` as they merged before they shared the
+/// in-place [`merge_ranges`]: sort, then rebuild into a fresh vector.
+/// Kept as the model the equivalence proptest holds the in-place merge to.
+mod reference {
+    use super::TcpSeq;
+
+    pub fn merge_ranges(mut ranges: Vec<(TcpSeq, TcpSeq)>, base: TcpSeq) -> Vec<(TcpSeq, TcpSeq)> {
+        ranges.sort_by_key(|&(s, _)| s.dist_from(base));
+        let mut merged: Vec<(TcpSeq, TcpSeq)> = Vec::with_capacity(ranges.len());
+        for &(s, e) in &ranges {
+            if let Some(last) = merged.last_mut() {
+                if s.le(last.1) {
+                    if e.gt(last.1) {
+                        last.1 = e;
+                    }
+                    continue;
+                }
+            }
+            merged.push((s, e));
+        }
+        merged
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::wire::Ipv4Addr;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The in-place merge is the sort-and-rebuild merge after every
+        /// block of any sequence — overlapping, adjacent, nested,
+        /// duplicate and out-of-order blocks, with `base` (the `snd_una`
+        /// or `rcv_nxt` the ranges are ordered from) anywhere in the
+        /// sequence space, including just short of the wrap.
+        #[test]
+        fn in_place_merge_matches_sort_and_rebuild(
+            base in prop_oneof![any::<u32>(), (u32::MAX - 60_000)..=u32::MAX],
+            blocks in proptest::collection::vec((0u32..50_000, 1u32..6_000), 1..40),
+        ) {
+            let base = TcpSeq(base);
+            let (mut new, mut old) = (Vec::new(), Vec::new());
+            for (off, len) in blocks {
+                let block = (base + off, base + off + len);
+                new.push(block);
+                merge_ranges(&mut new, base);
+                old.push(block);
+                old = reference::merge_ranges(old, base);
+                prop_assert_eq!(&new, &old, "after {:?}", block);
+            }
+        }
+    }
 
     fn tuple() -> FiveTuple {
         FiveTuple {
@@ -1748,10 +1793,11 @@ mod tests {
         };
         let fake = make_reply(
             base,
-            vec![TcpOption::Sack(vec![
-                (base + 1460, base + 2920),
-                (base + 2000, base + 4380),
-            ])],
+            vec![TcpOption::Sack(
+                [(base + 1460, base + 2920), (base + 2000, base + 4380)]
+                    .into_iter()
+                    .collect(),
+            )],
         );
         c.on_packet(&fake, t0);
         // Merged into one contiguous range.

@@ -31,6 +31,6 @@ pub use conn::{Connection, SendBudget, TcpConfig, TcpState, TcpStats};
 pub use rto::RtoEstimator;
 pub use seq::TcpSeq;
 pub use wire::{
-    flags, FiveTuple, Ipv4Addr, Ipv4Packet, ParseError, TcpOption, TcpOptions, TcpSegment,
-    Transport,
+    flags, FiveTuple, Ipv4Addr, Ipv4Packet, ParseError, SackBlocks, TcpOption, TcpOptions,
+    TcpSegment, Transport,
 };

@@ -13,11 +13,41 @@ use hack_inline::InlineVec;
 
 use crate::seq::TcpSeq;
 
-/// Option list of a segment. Four slots cover every real shape (a SYN
-/// carries MSS + window scale + SACK-permitted + timestamps; everything
-/// later carries at most timestamps + SACK), so option lists never
-/// touch the heap on the hot path.
-pub type TcpOptions = InlineVec<TcpOption, 4>;
+/// Option list of a segment. Two slots cover every segment after the
+/// handshake (timestamps, plus SACK blocks on a duplicate ACK); only a
+/// SYN's four spill. Packets are moved and cloned by value at every hop,
+/// so unused slots are paid for in every copy: two slots of 40 bytes keep
+/// a packet smaller than four of 24 did before SACK blocks went inline.
+pub type TcpOptions = InlineVec<TcpOption, 2>;
+
+/// The blocks of one SACK option, inline: the option space holds at most
+/// four (three beside timestamps), so neither building, cloning nor
+/// parsing a SACK-bearing ACK touches the heap.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SackBlocks {
+    len: u8,
+    /// Slots past `len` stay zeroed, which is what lets equality derive.
+    blocks: [(TcpSeq, TcpSeq); 4],
+}
+
+impl std::ops::Deref for SackBlocks {
+    type Target = [(TcpSeq, TcpSeq)];
+    fn deref(&self) -> &Self::Target {
+        &self.blocks[..usize::from(self.len)]
+    }
+}
+
+impl FromIterator<(TcpSeq, TcpSeq)> for SackBlocks {
+    /// Panics on a fifth block: no TCP header has room for one.
+    fn from_iter<I: IntoIterator<Item = (TcpSeq, TcpSeq)>>(iter: I) -> Self {
+        let mut out = SackBlocks::default();
+        for block in iter {
+            out.blocks[usize::from(out.len)] = block;
+            out.len += 1;
+        }
+        out
+    }
+}
 
 /// An IPv4 address (stored as a `u32` for arithmetic convenience).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -108,7 +138,7 @@ pub enum TcpOption {
         tsecr: u32,
     },
     /// Selective acknowledgment blocks (up to 3 with timestamps).
-    Sack(Vec<(TcpSeq, TcpSeq)>),
+    Sack(SackBlocks),
 }
 
 /// Vacant-slot filler for [`TcpOptions`] inline storage; never
@@ -156,7 +186,7 @@ impl TcpOption {
             TcpOption::Sack(blocks) => {
                 out.push(5);
                 out.push((2 + blocks.len() * 8) as u8);
-                for (l, r) in blocks {
+                for (l, r) in blocks.iter() {
                     out.extend_from_slice(&l.0.to_be_bytes());
                     out.extend_from_slice(&r.0.to_be_bytes());
                 }
@@ -216,7 +246,7 @@ impl TcpSegment {
     /// The SACK blocks, if present.
     pub fn sack_blocks(&self) -> Option<&[(TcpSeq, TcpSeq)]> {
         self.options.iter().find_map(|o| match o {
-            TcpOption::Sack(b) => Some(b.as_slice()),
+            TcpOption::Sack(b) => Some(&b[..]),
             _ => None,
         })
     }
@@ -635,10 +665,11 @@ mod tests {
                 window: 100,
                 options: vec![
                     TcpOption::Timestamps { tsval: 5, tsecr: 6 },
-                    TcpOption::Sack(vec![
-                        (TcpSeq(2000), TcpSeq(3460)),
-                        (TcpSeq(5000), TcpSeq(6460)),
-                    ]),
+                    TcpOption::Sack(
+                        [(TcpSeq(2000), TcpSeq(3460)), (TcpSeq(5000), TcpSeq(6460))]
+                            .into_iter()
+                            .collect(),
+                    ),
                 ]
                 .into(),
                 payload_len: 0,

@@ -88,6 +88,48 @@ proptest! {
         prop_assert_eq!(p, q);
     }
 
+    /// An ACK carrying 0–4 SACK blocks (timestamps beside up to three; a
+    /// fourth fills the option space) survives the wire block for block.
+    #[test]
+    fn sack_ack_roundtrip(
+        ack in any::<u32>(),
+        ts in proptest::option::of((any::<u32>(), any::<u32>())),
+        sacks in proptest::collection::vec((any::<u32>(), 1u32..100_000), 0..5),
+    ) {
+        let blocks: Vec<(TcpSeq, TcpSeq)> =
+            sacks.iter().map(|&(s, l)| (TcpSeq(s), TcpSeq(s) + l)).collect();
+        let mut options = Vec::new();
+        if let Some((tsval, tsecr)) = ts.filter(|_| blocks.len() < 4) {
+            options.push(TcpOption::Timestamps { tsval, tsecr });
+        }
+        if !blocks.is_empty() {
+            options.push(TcpOption::Sack(blocks.iter().copied().collect()));
+        }
+        let p = Ipv4Packet {
+            src: Ipv4Addr(0x0a00_0001),
+            dst: Ipv4Addr(0x0a00_0002),
+            ident: 7,
+            ttl: 64,
+            transport: Transport::Tcp(TcpSegment {
+                src_port: 40000,
+                dst_port: 5001,
+                seq: TcpSeq(1),
+                ack: TcpSeq(ack),
+                flags: flags::ACK,
+                window: 1024,
+                options: options.into(),
+                payload_len: 0,
+            }),
+        };
+        let q = Ipv4Packet::from_header_bytes(&p.header_bytes()).unwrap();
+        prop_assert_eq!(&p, &q);
+        let Transport::Tcp(seg) = &q.transport else { unreachable!() };
+        let want = (!blocks.is_empty()).then_some(&blocks[..]);
+        prop_assert_eq!(seg.sack_blocks(), want);
+        let cloned = seg.clone();
+        prop_assert_eq!(cloned.sack_blocks(), want);
+    }
+
     /// Any single-bit corruption of the header is caught by a checksum.
     #[test]
     fn bitflip_detected(p in arb_packet(), byte_frac in 0.0f64..1.0, bit in 0u8..8) {
