@@ -16,11 +16,18 @@
 //! loss overrides composed on the burst and SNR models and the
 //! Gilbert–Elliott reset of a move, and SACK-bearing ACKs through the
 //! ROHC compressor, the hold queue and the decompressor.
+//!
+//! The third group was captured immediately before the scheduler learned
+//! to remove events and to batch same-instant host deliveries, for the
+//! timer and delivery paths that change touches and no earlier pin
+//! reaches: explicit-timer flushes, opportunistic native twins, AP-side
+//! holds of a bidirectional flow, supervisor probes under a loss storm,
+//! and a byte-budgeted run that ends in the middle of a delivery burst.
 
 use hack_core::{
     run_dense, ArrivalDist, BssSpec, ChannelChange, ChannelEvent, CorruptModel, DenseOptions,
-    GeParams, HackMode, LossConfig, RoamEvent, RunResult, ScenarioBuilder, ScenarioConfig,
-    ShortFlowConfig, SizeDist, StandardKind, SupervisorConfig, TrafficModel, World,
+    FlowHealth, GeParams, HackMode, LossConfig, RoamEvent, RunResult, ScenarioBuilder,
+    ScenarioConfig, ShortFlowConfig, SizeDist, StandardKind, SupervisorConfig, TrafficModel, World,
 };
 use hack_sim::SimDuration;
 use hack_trace::TraceHandle;
@@ -281,4 +288,137 @@ fn sack_bearing_acks_through_rohc() {
         r.decompressor
     );
     assert_pins("SACK-bearing ACKs through ROHC", &[digest], &PINS);
+}
+
+// ---------------------------------------------------------------------
+// Captured before cancellable scheduler entries and host-delivery
+// batches.
+// ---------------------------------------------------------------------
+
+/// `HackMode::ExplicitTimer(2 ms)`: every hold arms the flush timer and
+/// every confirmation that drains the hold queue cancels it. On the
+/// SoRa testbed each hold is confirmed before the timer runs out; on
+/// 802.11n the timer also fires and flushes holds natively.
+#[test]
+fn explicit_timer_flushes_armed_and_cancelled() {
+    const PINS: [&str; 2] = [
+        "4854524401003a7d000000000000695d7a8e9e4975bfe134000000000000df340000000000007c06000000000000fd0c0000000000000100000000000000",
+        "4854524401000539000000000000737f404795341bd6ca0700000000000002080000000000000a100000000000002e190000000000000100000000000000",
+    ];
+    let mode = HackMode::ExplicitTimer(SimDuration::from_millis(2));
+    let worlds = [
+        ScenarioBuilder::sora_testbed(1, mode),
+        ScenarioBuilder::dot11n_download(150, 1, mode),
+    ];
+    let got: Vec<String> = worlds
+        .into_iter()
+        .map(|b| {
+            let cfg = b.duration(SimDuration::from_millis(1500)).seed(4).build();
+            let (r, digest) = run_and_digest(cfg);
+            let d = &r.driver[0];
+            assert!(d.hacked_acks > 0 && d.noop_flushes == 0, "{d:?}");
+            digest
+        })
+        .collect();
+    assert_pins("explicit-timer flushes", &got, &PINS);
+}
+
+/// `HackMode::Opportunistic`: every held ACK also goes out natively,
+/// and the native twins of ACKs whose blob rode a response are
+/// withdrawn from the MAC queue.
+#[test]
+fn opportunistic_native_twins_withdrawn() {
+    const PINS: [&str; 2] = [
+        "485452440100527d000000000000c9401ad2356929ddea34000000000000eb340000000000007c06000000000000ff0c0000000000000200000000000000",
+        "485452440100c84b000000000000bc590be0050a044c6e0c000000000000d00e0000000000002b060000000000005d2a0000000000000200000000000000",
+    ];
+    let worlds = [
+        ScenarioBuilder::sora_testbed(2, HackMode::Opportunistic),
+        ScenarioBuilder::dot11n_download(150, 2, HackMode::Opportunistic),
+    ];
+    let got: Vec<String> = worlds
+        .into_iter()
+        .map(|b| {
+            let cfg = b.duration(SimDuration::from_millis(1500)).seed(4).build();
+            let (r, digest) = run_and_digest(cfg);
+            assert!(r.driver.iter().all(|d| d.hacked_acks > 0), "{:?}", r.driver);
+            digest
+        })
+        .collect();
+    assert_pins("opportunistic twins", &got, &PINS);
+}
+
+/// `TrafficModel::Bidirectional` under MORE DATA: the AP holds the
+/// upload's ACKs and installs blobs toward the client, and the client
+/// decodes them in same-instant batches.
+#[test]
+fn bidirectional_ap_side_holds() {
+    const PINS: [&str; 1] = [
+        "485452440100b44800000000000057eee8ccee100cb143090000000000008e11000000000000ef04000000000000f3280000000000000100000000000000",
+    ];
+    let cfg = ScenarioBuilder::dot11n_download(150, 1, HackMode::MoreData)
+        .traffic(TrafficModel::Bidirectional)
+        .duration(SimDuration::from_millis(1500))
+        .seed(4)
+        .build();
+    let (r, digest) = run_and_digest(cfg);
+    assert!(
+        r.driver[0].hacked_acks > 0 && r.driver_ap[0].hacked_acks > 0,
+        "{:?} / {:?}",
+        r.driver,
+        r.driver_ap
+    );
+    assert_pins("bidirectional, MORE DATA", &[digest], &PINS);
+}
+
+/// A supervised SoRa flow under a 60 % loss storm that heals at 1.2 s:
+/// the supervisor falls back to native ACKs (force-native flushes on
+/// both sides), re-arms its probation probe, and recovers.
+#[test]
+fn supervised_storm_probes_and_recovers() {
+    const PINS: [&str; 1] = [
+        "48545244010002970000000000007ad71f15aaa33729e2460000000000006a46000000000000b200000000000000fa080000000000000a00000000000000",
+    ];
+    let cfg = ScenarioBuilder::sora_testbed(1, HackMode::MoreData)
+        .duration(SimDuration::from_millis(2500))
+        .loss(LossConfig::PerClient(vec![0.6]))
+        .dynamics(vec![ChannelEvent {
+            at: SimDuration::from_millis(1200),
+            change: ChannelChange::ClientLoss {
+                client: 0,
+                per: 0.02,
+            },
+        }])
+        .supervisor(SupervisorConfig::default())
+        .seed(5)
+        .build();
+    let (r, digest) = run_and_digest(cfg);
+    let report = r.supervisor[0];
+    assert!(
+        report.stats.fallbacks >= 1 && report.stats.probations >= 1,
+        "{report:?}"
+    );
+    assert_eq!(report.final_state, FlowHealth::Healthy);
+    assert_pins("supervised loss storm", &[digest], &PINS);
+}
+
+/// A byte-budgeted bidirectional flow whose last byte reaches the
+/// client in the middle of a same-instant delivery burst: two more
+/// packets for the client are due at that instant (counted once on an
+/// instrumented build), and the run must end before either is handled.
+#[test]
+fn transfer_completes_mid_delivery_burst() {
+    const PINS: [&str; 1] = [
+        "4854524401002102000000000000496859b4f3f6db46ab000000000000008f00000000000000b60000000000000030000000000000000100000000000000",
+    ];
+    let cfg = ScenarioBuilder::dot11n_download(150, 1, HackMode::MoreData)
+        .traffic(TrafficModel::Bidirectional)
+        .transfer_bytes(300_000)
+        .duration(SimDuration::from_millis(3000))
+        .warmup(SimDuration::from_millis(100))
+        .seed(4)
+        .build();
+    let (r, digest) = run_and_digest(cfg);
+    assert!(r.flow_completion[0].is_some(), "{:?}", r.flow_completion);
+    assert_pins("transfer completes mid-burst", &[digest], &PINS);
 }
