@@ -34,7 +34,10 @@ use crate::traffic::TrafficClass;
 /// v4: `completion` became per-flow `flow_completion`, plus the
 /// AP-side driver stats (`driver_ap`) and per-class traffic reports
 /// (`classes`, with sparse quantile sketches).
-pub const RESULT_SCHEMA_VERSION: u32 = 4;
+///
+/// v5: same layout, but `events_dispatched` no longer counts stale
+/// timer events or one event per same-instant host delivery.
+pub const RESULT_SCHEMA_VERSION: u32 = 5;
 
 /// File magic for encoded results.
 const MAGIC: &[u8; 4] = b"HKRR";

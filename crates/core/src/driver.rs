@@ -372,12 +372,6 @@ impl CompressSide {
         self.pool.put(bytes);
     }
 
-    /// Blob scratch-pool counters `(hits, misses)` — the bench harness's
-    /// recycling-efficiency proxy.
-    pub fn pool_stats(&self) -> (u64, u64) {
-        (self.pool.hits(), self.pool.misses())
-    }
-
     fn send_native(&mut self, pkt: Ipv4Packet, out: &mut Vec<DriverAction>) {
         self.compressor.observe_native(&pkt);
         self.stats.native_acks += 1;

@@ -777,8 +777,9 @@ pub struct RunResult {
     pub decompressor: DecompressStats,
     /// Completed PPDUs on the medium.
     pub ppdus: u64,
-    /// Total discrete events dispatched by the scheduler (the
-    /// denominator of the hot-path events/sec benchmark).
+    /// Total discrete events dispatched by the scheduler. Cancelled
+    /// events are not dispatched, and a batch of same-instant host
+    /// deliveries is one event.
     pub events_dispatched: u64,
     /// PPDUs corrupted by collisions.
     pub collisions: u64,

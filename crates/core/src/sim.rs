@@ -13,6 +13,15 @@
 //! * Host-stack traversals (MAC → TCP and TCP → MAC) cost
 //!   `stack_delay`; blob installs cost `dma_delay`. Both exceed SIFS,
 //!   which is why TCP ACKs must ride a *later* frame's LL ACK (§2.2).
+//! * No dispatched event is stale. Re-arming or cancelling a MAC, TCP,
+//!   flush or probe timer takes its pending event out of the queue, and
+//!   a blob rebuild or clear takes out the pending install for the same
+//!   (station, peer). Each removed event would only have found a stale
+//!   token or generation, so the events left keep their order.
+//! * Host deliveries pushed back to back, for one station at one
+//!   instant, travel as one `HostRx` batch ([`host_rx`]). Its packets
+//!   are handled in push order, and the run can end between two of
+//!   them, exactly where it would have ended between two events.
 //!
 //! ## Module map
 //!
@@ -20,11 +29,12 @@
 //! MAC/driver action application, packet routing — in one module (one
 //! codegen unit). Everything else lives with the state it mutates, in
 //! a private submodule that also holds that concern's `impl World`
-//! glue: `topology`, `flows`, `roam`, `health`, `collect`.
+//! glue: `topology`, `flows`, `roam`, `health`, `collect`, `host_rx`.
 
 mod collect;
 mod flows;
 mod health;
+mod host_rx;
 mod roam;
 mod topology;
 
@@ -35,6 +45,7 @@ use hack_tcp::{Connection, Ipv4Addr, Ipv4Packet, Transport};
 use hack_trace::TraceHandle;
 
 use self::flows::{ClassAcc, Endpoint, FlowRt};
+use self::host_rx::HostRxBatches;
 use self::roam::RoamRuntime;
 use self::topology::{Layout, SERVER_IP};
 use crate::driver::{CompressSide, DecompressSide, DriverAction, HackMode};
@@ -49,10 +60,10 @@ enum Event {
     MacTimer(StationId, TimerKind, TimerToken<(u32, TimerKind)>),
     /// The PPDU `TxId` that the given station put on the air ends.
     TxEnd(TxId, StationId),
+    /// Batch `batch` of `host_rx` surfaces at `station`'s host stack.
     HostRx {
         station: StationId,
-        pkt: Ipv4Packet,
-        native: bool,
+        batch: u32,
     },
     WiredDeliver {
         /// Which cell's backhaul delivered the packet.
@@ -146,6 +157,12 @@ pub struct World {
     tcp_timers: TimerTable<u32>,
     flush_timers: TimerTable<(u32, u32)>,
     sup_timers: TimerTable<u32>,
+    /// The pending blob install of each (station, peer) pair, so a
+    /// rebuild or clear can take the one it supersedes out of the queue
+    /// (the tokens go unused: the driver's generation guards installs).
+    installs: TimerTable<(u32, u32)>,
+    /// Packets on their way up a host stack, batched per instant.
+    host_rx: HostRxBatches,
     /// One supervisor per flow; empty when supervision is off.
     supervisors: Vec<FlowSupervisor>,
     medium: Medium,
@@ -318,6 +335,8 @@ impl World {
             tcp_timers: TimerTable::new(),
             flush_timers: TimerTable::new(),
             sup_timers: TimerTable::new(),
+            installs: TimerTable::new(),
+            host_rx: HostRxBatches::default(),
             supervisors,
             medium,
             stations,
@@ -450,7 +469,7 @@ impl World {
         match ev {
             Event::FlowStart(flow) => self.start_flow(flow, now),
             Event::MacTimer(sid, kind, token) => {
-                if self.mac_timers.fire(token) {
+                if current(self.mac_timers.fire(token)) {
                     // A live AckTimeout token means the response really
                     // never arrived (arrival cancels the timer) — the
                     // supervisor's LL-ACK-loss signal. Capture the peer
@@ -469,11 +488,18 @@ impl World {
                 }
             }
             Event::TxEnd(id, src) => self.on_tx_end(id, src, now),
-            Event::HostRx {
-                station,
-                pkt,
-                native,
-            } => self.on_host_rx(station, pkt, native, now),
+            Event::HostRx { station, batch } => {
+                let mut pkts = self.host_rx.take(batch);
+                for (pkt, native) in pkts.drain(..) {
+                    self.on_host_rx(station, pkt, native, now);
+                    // The packet that completes the run ends it, as it
+                    // would between two events.
+                    if self.completion.is_some() {
+                        break;
+                    }
+                }
+                self.host_rx.put_back(batch, pkts);
+            }
             Event::WiredDeliver { cell, to_ap, pkt } => {
                 if to_ap {
                     let ap = self.layout.cells[cell].ap;
@@ -484,7 +510,7 @@ impl World {
                 }
             }
             Event::TcpTimer(ep, token) => {
-                if self.tcp_timers.fire(token) {
+                if current(self.tcp_timers.fire(token)) {
                     self.endpoints[ep].timer_at = None;
                     let outputs = {
                         let conn = self.endpoints[ep]
@@ -512,7 +538,7 @@ impl World {
                     return;
                 };
                 let side = &mut self.compress[flow][side];
-                if side.generation() == generation {
+                if current(side.generation() == generation) {
                     hack_trace::trace_ev!(
                         self.trace,
                         now.as_nanos(),
@@ -528,14 +554,13 @@ impl World {
                         side.recycle_blob(old.bytes);
                     }
                 } else {
-                    // Stale install (a newer rebuild superseded it while
-                    // this one waited out the DMA delay): recycle the
-                    // bytes instead of dropping them.
+                    // Guard only: a rebuild or clear takes every install
+                    // it supersedes out of the queue.
                     side.recycle_blob(bytes);
                 }
             }
             Event::HackFlush(station, peer, token) => {
-                if self.flush_timers.fire(token) {
+                if current(self.flush_timers.fire(token)) {
                     // The flow may have moved to a new AP mid-roam; the
                     // force-native flush already emptied the hold queue.
                     if let Some((flow, side)) = self.driver_slot(station, peer) {
@@ -546,7 +571,7 @@ impl World {
             }
             Event::ChannelDynamics(index) => self.apply_dynamics(index, now),
             Event::SupProbe(flow, token) => {
-                if self.sup_timers.fire(token) {
+                if current(self.sup_timers.fire(token)) {
                     let acts = self.supervisors[flow].on_probe_timer(now);
                     self.apply_supervisor(flow, acts, now);
                 }
@@ -735,22 +760,18 @@ impl World {
             match act {
                 Action::StartTx(desc) => self.start_tx(sid, desc, now),
                 Action::SetTimer { kind, at } => {
-                    let token = self.mac_timers.arm((sid.0, kind));
-                    self.sched
-                        .schedule_at(at.max(now), Event::MacTimer(sid, kind, token));
+                    let key = (sid.0, kind);
+                    self.mac_timers
+                        .schedule(&mut self.sched, key, at.max(now), |token| {
+                            Event::MacTimer(sid, kind, token)
+                        });
                 }
                 Action::CancelTimer { kind } => {
-                    self.mac_timers.cancel((sid.0, kind));
+                    self.mac_timers.unschedule(&mut self.sched, (sid.0, kind));
                 }
                 Action::Deliver { src: _, msdu } => {
-                    self.sched.schedule_at(
-                        now + self.cfg.stack_delay,
-                        Event::HostRx {
-                            station: sid,
-                            pkt: msdu.0,
-                            native: true,
-                        },
-                    );
+                    let at = now + self.cfg.stack_delay;
+                    self.host_rx.push(&mut self.sched, sid, at, msdu.0, true);
                 }
                 Action::DataReceived(info) => {
                     if let Some((flow, side)) = self.driver_slot(sid, info.from) {
@@ -800,17 +821,10 @@ impl World {
                         // decompress straight out of the blob bytes — no
                         // intermediate packet Vec.
                         let side = &mut self.decompress[sid.0 as usize];
-                        let sched = &mut self.sched;
-                        let stack_delay = self.cfg.stack_delay;
+                        let (sched, host_rx) = (&mut self.sched, &mut self.host_rx);
+                        let at = now + self.cfg.stack_delay;
                         side.on_blob_with(&blob.bytes, now, |pkt| {
-                            sched.schedule_at(
-                                now + stack_delay,
-                                Event::HostRx {
-                                    station: sid,
-                                    pkt,
-                                    native: false,
-                                },
-                            );
+                            host_rx.push(sched, sid, at, pkt, false);
                         });
                         // The sender's next blob is copied into this one.
                         self.stations[from.0 as usize].recycle_blob(blob);
@@ -909,17 +923,19 @@ impl World {
                     self.apply(sid, acts, now);
                 }
                 DriverAction::InstallBlob { bytes, generation } => {
-                    self.sched.schedule_at(
-                        now + self.cfg.dma_delay,
-                        Event::InstallBlob {
+                    self.cancel_install(sid, peer);
+                    let at = now + self.cfg.dma_delay;
+                    let key = (sid.0, peer.0);
+                    self.installs
+                        .schedule(&mut self.sched, key, at, |_| Event::InstallBlob {
                             station: sid,
                             peer,
                             bytes,
                             generation,
-                        },
-                    );
+                        });
                 }
                 DriverAction::ClearBlob => {
+                    self.cancel_install(sid, peer);
                     let removed = self.stations[sid.0 as usize].clear_hack_blob(peer);
                     if let Some(old) = removed {
                         if let Some((flow, side)) = self.driver_slot(sid, peer) {
@@ -928,19 +944,34 @@ impl World {
                     }
                 }
                 DriverAction::SetFlushTimer(at) => {
-                    let token = self.flush_timers.arm((sid.0, peer.0));
-                    self.sched
-                        .schedule_at(at.max(now), Event::HackFlush(sid, peer, token));
+                    self.flush_timers.schedule(
+                        &mut self.sched,
+                        (sid.0, peer.0),
+                        at.max(now),
+                        |token| Event::HackFlush(sid, peer, token),
+                    );
                 }
                 DriverAction::CancelFlushTimer => {
-                    // The scheduled HackFlush event still fires but its
-                    // token is now stale and it is dropped silently.
-                    self.flush_timers.cancel((sid.0, peer.0));
+                    self.flush_timers
+                        .unschedule(&mut self.sched, (sid.0, peer.0));
                 }
             }
         }
         if let Some((flow, side)) = self.driver_slot(sid, peer) {
             self.compress[flow][side].recycle(dacts);
+        }
+    }
+
+    /// Take `sid`'s pending blob install toward `peer`, which a rebuild
+    /// or clear for the same pair supersedes, out of the queue. Its bytes
+    /// go back to the driver's pool now rather than when it would have
+    /// fired.
+    fn cancel_install(&mut self, sid: StationId, peer: StationId) {
+        let pending = self.installs.unschedule(&mut self.sched, (sid.0, peer.0));
+        if let Some(Event::InstallBlob { bytes, .. }) = pending {
+            if let Some((flow, side)) = self.driver_slot(sid, peer) {
+                self.compress[flow][side].recycle_blob(bytes);
+            }
         }
     }
 
@@ -1207,15 +1238,25 @@ impl World {
                     return;
                 }
                 self.endpoints[ep].timer_at = Some(at);
-                let token = self.tcp_timers.arm(ep as u32);
-                self.sched.schedule_at(at, Event::TcpTimer(ep, token));
+                self.tcp_timers
+                    .schedule(&mut self.sched, ep as u32, at, |token| {
+                        Event::TcpTimer(ep, token)
+                    });
             }
             None => {
                 self.endpoints[ep].timer_at = None;
-                self.tcp_timers.cancel(ep as u32);
+                self.tcp_timers.unschedule(&mut self.sched, ep as u32);
             }
         }
     }
+}
+
+/// The law "no dispatched event is stale": every event a cancel could
+/// have removed arrives with a current token or generation. Release
+/// builds keep the guard; debug builds (every test) also assert it.
+fn current(live: bool) -> bool {
+    debug_assert!(live, "a stale event reached the dispatcher");
+    live
 }
 
 /// Run one scenario to completion.

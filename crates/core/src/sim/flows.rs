@@ -31,8 +31,9 @@ pub(super) struct Endpoint {
     iss: u32,
     pub(super) delivered_recorded: u64,
     /// Deadline of the currently armed retransmit-timer event, so a
-    /// resched to the *same* instant skips the cancel-and-rearm (every
-    /// delivered segment reschedules; the deadline rarely moves).
+    /// resched to the *same* instant keeps that event instead of
+    /// removing it and pushing an equal one (every delivered segment
+    /// reschedules; the deadline rarely moves).
     pub(super) timer_at: Option<SimTime>,
     /// What the supervisor has already heard about this endpoint.
     pub(super) watch: EndpointWatch,
@@ -430,7 +431,7 @@ impl World {
         let cur_ap = self.cur_ap_of_flow(flow);
         for ep in [base, server] {
             self.endpoints[ep].timer_at = None;
-            self.tcp_timers.cancel(ep as u32);
+            self.tcp_timers.unschedule(&mut self.sched, ep as u32);
         }
         self.drop_flow_contexts(flow, &[self.layout.client(flow), cur_ap]);
         let tuple = self.layout.tuple(flow, 0, generation);

@@ -213,9 +213,10 @@ impl World {
                     continue;
                 }
                 SupervisorAction::ScheduleProbe(at) => {
-                    let token = self.sup_timers.arm(flow_id);
-                    self.sched
-                        .schedule_at(at.max(now), Event::SupProbe(flow, token));
+                    self.sup_timers
+                        .schedule(&mut self.sched, flow_id, at.max(now), |token| {
+                            Event::SupProbe(flow, token)
+                        });
                     continue;
                 }
                 SupervisorAction::NoteDegraded { score } => hack_trace::Event::SupFlowDegraded {

@@ -8,17 +8,13 @@
 //!
 //! The pool is deliberately dumb — a bounded LIFO stack of buffers, no
 //! sizing classes — because the blob path recycles buffers of one
-//! rough size. Hit/miss counters feed the bench harness's
-//! allocations-proxy so regressions in recycling show up in
-//! `BENCH_hotpath.json`.
+//! rough size.
 
 /// A bounded pool of reusable `Vec<u8>` scratch buffers.
 #[derive(Debug)]
 pub struct BufPool {
     free: Vec<Vec<u8>>,
     max_pooled: usize,
-    hits: u64,
-    misses: u64,
 }
 
 impl Default for BufPool {
@@ -43,25 +39,15 @@ impl BufPool {
         BufPool {
             free: Vec::new(),
             max_pooled,
-            hits: 0,
-            misses: 0,
         }
     }
 
-    /// An empty buffer: recycled (capacity retained, counted as a hit)
-    /// when one is pooled, freshly allocated otherwise.
+    /// An empty buffer: recycled (capacity retained) when one is
+    /// pooled, a new empty one otherwise.
     pub fn take(&mut self) -> Vec<u8> {
-        match self.free.pop() {
-            Some(buf) => {
-                self.hits += 1;
-                debug_assert!(buf.is_empty());
-                buf
-            }
-            None => {
-                self.misses += 1;
-                Vec::new()
-            }
-        }
+        let buf = self.free.pop().unwrap_or_default();
+        debug_assert!(buf.is_empty());
+        buf
     }
 
     /// Return a buffer for reuse. Cleared here so `take` is O(1).
@@ -76,16 +62,6 @@ impl BufPool {
     pub fn pooled(&self) -> usize {
         self.free.len()
     }
-
-    /// `take` calls served from the pool.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// `take` calls that had to allocate.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
 }
 
 #[cfg(test)]
@@ -96,12 +72,12 @@ mod tests {
     fn take_put_recycles_capacity() {
         let mut p = BufPool::new();
         let mut b = p.take();
-        assert_eq!(p.misses(), 1);
+        assert_eq!(b.capacity(), 0, "nothing pooled yet");
         b.extend_from_slice(&[1, 2, 3, 4]);
         let cap = b.capacity();
         p.put(b);
         let b2 = p.take();
-        assert_eq!(p.hits(), 1);
+        assert_eq!(p.pooled(), 0);
         assert!(b2.is_empty());
         assert_eq!(b2.capacity(), cap, "capacity survives the round trip");
     }

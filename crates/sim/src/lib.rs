@@ -5,9 +5,9 @@
 //! minimal. It provides
 //!
 //! * integer-nanosecond [`SimTime`] / [`SimDuration`] ([`time`]),
-//! * a FIFO-tiebroken [`EventQueue`] and clock-advancing [`Scheduler`]
-//!   ([`queue`]),
-//! * lazily-cancellable timers ([`timer`]),
+//! * a FIFO-tiebroken [`EventQueue`] with removable entries and a
+//!   clock-advancing [`Scheduler`] ([`queue`]),
+//! * cancellable timers ([`timer`]),
 //! * a seeded, forkable RNG ([`rng`]),
 //! * a cheap hasher for simulator-generated keys ([`hash`]),
 //! * the index-claimed worker pool that dense shards and campaign jobs
@@ -35,7 +35,7 @@ pub mod timer;
 pub mod trace;
 
 pub use hash::{FastBuildHasher, FastHasher, FastMap};
-pub use queue::{CalendarQueue, EventQueue, HeapEventQueue, QueueKind, Scheduler};
+pub use queue::{CalendarQueue, EventHandle, EventQueue, HeapEventQueue, QueueKind, Scheduler};
 pub use rng::SimRng;
 pub use stats::{
     Counter, Histogram, QuantileSketch, RunStats, RunningStats, ThroughputMeter, TimeAccumulator,

@@ -18,8 +18,14 @@
 //! several stations' backoff slot boundaries), and run-to-run
 //! reproducibility of the whole simulation depends on their dispatch
 //! order being a pure function of insertion order.
+//!
+//! A push returns an [`EventHandle`], and `cancel(handle)` removes that
+//! event: it is never popped and never counted. The calendar unlinks it
+//! from its bucket; the heap leaves a tombstone that pops skip. A
+//! removal changes no other entry's sequence number, so the remaining
+//! events pop in the order they would have had anyway.
 
-use std::cmp::{Ordering, Reverse};
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
@@ -34,27 +40,32 @@ pub enum QueueKind {
     Heap,
 }
 
-#[derive(Debug)]
-struct Entry<E> {
-    at: SimTime,
+/// Names one pushed event so it can be cancelled before it fires.
+///
+/// A handle outlives its event harmlessly: cancelling one whose event
+/// was already popped or cancelled does nothing, even after the event's
+/// storage slot went to a later push (the slot's sequence number no
+/// longer matches).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct EventHandle {
+    slot: u32,
     seq: u64,
-    payload: E,
 }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.at.cmp(&other.at).then(self.seq.cmp(&other.seq))
+/// "No slot": the end of a bucket's list, or an empty bucket.
+const NIL: u32 = u32::MAX;
+
+/// Where a push stores its payload: a vacant slot, or a new one.
+fn slot_for<T>(slab: &mut Vec<T>, free: &mut Vec<u32>, value: T) -> u32 {
+    match free.pop() {
+        Some(i) => {
+            slab[i as usize] = value;
+            i
+        }
+        None => {
+            slab.push(value);
+            u32::try_from(slab.len() - 1).expect("slab index fits u32")
+        }
     }
 }
 
@@ -63,10 +74,16 @@ impl<E> Ord for Entry<E> {
 // ---------------------------------------------------------------------
 
 /// The classic binary-min-heap event queue, ordered by firing time then
-/// insertion order.
+/// insertion order. Payloads sit in a slab beside the heap, so a cancel
+/// empties the slot and leaves the heap entry behind as a tombstone.
 #[derive(Debug)]
 pub struct HeapEventQueue<E> {
-    heap: BinaryHeap<Reverse<Entry<E>>>,
+    heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+    /// `(seq, payload)` per slot; the payload is `None` once popped or
+    /// cancelled.
+    slab: Vec<(u64, Option<E>)>,
+    free: Vec<u32>,
+    len: usize,
     next_seq: u64,
 }
 
@@ -81,40 +98,80 @@ impl<E> HeapEventQueue<E> {
     pub fn new() -> Self {
         HeapEventQueue {
             heap: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
+            len: 0,
             next_seq: 0,
         }
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len == 0
     }
 
     /// Schedule `payload` to fire at absolute time `at`.
-    pub fn push(&mut self, at: SimTime, payload: E) {
+    pub fn push(&mut self, at: SimTime, payload: E) -> EventHandle {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Reverse(Entry { at, seq, payload }));
+        let slot = slot_for(&mut self.slab, &mut self.free, (seq, Some(payload)));
+        self.heap.push(Reverse((at, seq, slot)));
+        self.len += 1;
+        EventHandle { slot, seq }
+    }
+
+    /// Remove the event `handle` names, returning its payload; `None`
+    /// if it already popped or was cancelled.
+    pub fn cancel(&mut self, handle: EventHandle) -> Option<E> {
+        let (seq, payload) = self.slab.get_mut(handle.slot as usize)?;
+        if *seq != handle.seq {
+            return None;
+        }
+        let payload = payload.take()?;
+        self.free.push(handle.slot);
+        self.len -= 1;
+        Some(payload)
+    }
+
+    /// Drop tombstones off the top; the top, if any, is then live.
+    fn skip_tombstones(&mut self) {
+        while let Some(&Reverse((_, seq, slot))) = self.heap.peek() {
+            match &self.slab[slot as usize] {
+                (s, Some(_)) if *s == seq => return,
+                _ => {
+                    self.heap.pop();
+                }
+            }
+        }
     }
 
     /// The firing time of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.at)
+    pub fn peek_time(&mut self) -> Option<SimTime> {
+        self.skip_tombstones();
+        self.heap.peek().map(|Reverse((at, ..))| *at)
     }
 
     /// Remove and return the earliest pending event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|Reverse(e)| (e.at, e.payload))
+        self.skip_tombstones();
+        let Reverse((at, _, slot)) = self.heap.pop()?;
+        let payload = self.slab[slot as usize].1.take().expect("live top");
+        self.free.push(slot);
+        self.len -= 1;
+        Some((at, payload))
     }
 
     /// Drop all pending events.
     pub fn clear(&mut self) {
         self.heap.clear();
+        self.slab.clear();
+        self.free.clear();
+        self.len = 0;
     }
 }
 
@@ -128,15 +185,13 @@ const MIN_BUCKETS: usize = 8;
 /// far from overflow even for degenerate schedules.
 const MAX_WIDTH_SHIFT: u32 = 40;
 
-/// "No slot": the end of a bucket's list, or an empty bucket.
-const NIL: u32 = u32::MAX;
-
-/// One slab slot: an event's sort key, the slot after it in its bucket,
+/// One slab slot: an event's sort key, its neighbours in its bucket,
 /// and its payload (`None` while the slot is on the free list).
 #[derive(Debug)]
 struct Slot<E> {
     at: SimTime,
     seq: u64,
+    prev: u32,
     next: u32,
     payload: Option<E>,
 }
@@ -159,9 +214,10 @@ const EMPTY: Bucket = Bucket {
 /// stream off bucket fronts in (time, seq) order.
 ///
 /// Events are stored once in a slab with a LIFO free list, and a
-/// bucket's order is threaded through the slab itself (`next` per slot,
-/// head and tail per bucket): a bucket owns no heap, so neither a burst
-/// landing in one day nor a resize allocates once the slab has grown.
+/// bucket's order is threaded through the slab itself (`prev` and
+/// `next` per slot, head and tail per bucket): a bucket owns no heap, so
+/// neither a burst landing in one day nor a resize allocates once the
+/// slab has grown, and a cancel unlinks its slot in O(1).
 ///
 /// The structure is entirely deterministic — bucket geometry and slab
 /// slot reuse are pure functions of the queue's content (no sampling,
@@ -253,49 +309,56 @@ impl<E> CalendarQueue<E> {
         let key = self.key(slot);
         let b = self.bucket_of(key.0.as_nanos());
         let Bucket { head, tail } = self.buckets[b];
-        if head == NIL {
-            self.buckets[b] = Bucket {
-                head: slot,
-                tail: slot,
-            };
+        let (prev, next) = if head == NIL {
+            self.buckets[b].head = slot;
+            self.buckets[b].tail = slot;
+            (NIL, NIL)
         } else if self.key(tail) < key {
             self.slab[tail as usize].next = slot;
             self.buckets[b].tail = slot;
+            (tail, NIL)
         } else {
             // The tail sorts after `slot`, so the walk ends before it.
-            let (mut prev, mut cur) = (NIL, head);
+            let mut cur = head;
             while self.key(cur) < key {
-                (prev, cur) = (cur, self.slab[cur as usize].next);
+                cur = self.slab[cur as usize].next;
             }
-            self.slab[slot as usize].next = cur;
+            let prev = std::mem::replace(&mut self.slab[cur as usize].prev, slot);
             match prev {
                 NIL => self.buckets[b].head = slot,
                 _ => self.slab[prev as usize].next = slot,
             }
-        }
+            (prev, cur)
+        };
+        let s = &mut self.slab[slot as usize];
+        (s.prev, s.next) = (prev, next);
     }
 
-    fn slab_put(&mut self, at: SimTime, seq: u64, payload: E) -> u32 {
-        let slot = Slot {
-            at,
-            seq,
-            next: NIL,
-            payload: Some(payload),
-        };
-        match self.free.pop() {
-            Some(i) => {
-                self.slab[i as usize] = slot;
-                i
-            }
-            None => {
-                self.slab.push(slot);
-                u32::try_from(self.slab.len() - 1).expect("slab index fits u32")
-            }
+    /// Take `slot` out of its bucket's list, free it and return its
+    /// event.
+    fn remove(&mut self, slot: u32) -> (SimTime, E) {
+        let s = &mut self.slab[slot as usize];
+        let payload = s.payload.take().expect("live slab slot");
+        let (at, prev, next) = (s.at, s.prev, s.next);
+        let b = self.bucket_of(at.as_nanos());
+        match prev {
+            NIL => self.buckets[b].head = next,
+            _ => self.slab[prev as usize].next = next,
         }
+        match next {
+            NIL => self.buckets[b].tail = prev,
+            _ => self.slab[next as usize].prev = prev,
+        }
+        self.free.push(slot);
+        self.len -= 1;
+        if self.buckets.len() > MIN_BUCKETS && self.len < self.buckets.len() / 2 {
+            self.resize(self.buckets.len() / 2);
+        }
+        (at, payload)
     }
 
     /// Schedule `payload` to fire at absolute time `at`.
-    pub fn push(&mut self, at: SimTime, payload: E) {
+    pub fn push(&mut self, at: SimTime, payload: E) -> EventHandle {
         let seq = self.next_seq;
         self.next_seq += 1;
         let at_ns = at.as_nanos();
@@ -304,12 +367,30 @@ impl<E> CalendarQueue<E> {
         if self.len == 0 || at_ns < self.bucket_top_ns - self.width_ns() {
             self.set_scan(at_ns);
         }
-        let slot = self.slab_put(at, seq, payload);
+        let slot = Slot {
+            at,
+            seq,
+            prev: NIL,
+            next: NIL,
+            payload: Some(payload),
+        };
+        let slot = slot_for(&mut self.slab, &mut self.free, slot);
         self.link(slot);
         self.len += 1;
         if self.len > 2 * self.buckets.len() {
             self.resize(self.buckets.len() * 2);
         }
+        EventHandle { slot, seq }
+    }
+
+    /// Remove the event `handle` names, returning its payload; `None`
+    /// if it already popped or was cancelled.
+    pub fn cancel(&mut self, handle: EventHandle) -> Option<E> {
+        let s = self.slab.get(handle.slot as usize)?;
+        if s.seq != handle.seq || s.payload.is_none() {
+            return None;
+        }
+        Some(self.remove(handle.slot).1)
     }
 
     /// Advance the year scan to the bucket holding the global minimum
@@ -359,21 +440,7 @@ impl<E> CalendarQueue<E> {
     /// Remove and return the earliest pending event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let idx = self.find_min()?;
-        Some(self.take_front(idx))
-    }
-
-    fn take_front(&mut self, bucket: usize) -> (SimTime, E) {
-        let idx = self.buckets[bucket].head;
-        let slot = &mut self.slab[idx as usize];
-        let payload = slot.payload.take().expect("live slab slot");
-        let at = slot.at;
-        self.buckets[bucket].head = slot.next;
-        self.free.push(idx);
-        self.len -= 1;
-        if self.buckets.len() > MIN_BUCKETS && self.len < self.buckets.len() / 2 {
-            self.resize(self.buckets.len() / 2);
-        }
-        (at, payload)
+        Some(self.remove(self.buckets[idx].head))
     }
 
     /// Drop all pending events.
@@ -408,7 +475,6 @@ impl<E> CalendarQueue<E> {
         self.buckets.resize(nbuckets, EMPTY);
         self.set_scan(min_ns);
         for (_, _, slot) in order.drain(..) {
-            self.slab[slot as usize].next = NIL;
             self.link(slot);
         }
         self.order = order;
@@ -478,10 +544,19 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedule `payload` to fire at absolute time `at`.
-    pub fn push(&mut self, at: SimTime, payload: E) {
+    pub fn push(&mut self, at: SimTime, payload: E) -> EventHandle {
         match &mut self.inner {
             Inner::Calendar(q) => q.push(at, payload),
             Inner::Heap(q) => q.push(at, payload),
+        }
+    }
+
+    /// Remove the event `handle` names, returning its payload; `None`
+    /// if it already popped or was cancelled.
+    pub fn cancel(&mut self, handle: EventHandle) -> Option<E> {
+        match &mut self.inner {
+            Inner::Calendar(q) => q.cancel(handle),
+            Inner::Heap(q) => q.cancel(handle),
         }
     }
 
@@ -518,12 +593,14 @@ impl<E> EventQueue<E> {
 /// [`Scheduler::pop`] advances the clock to each event's firing time, which
 /// guarantees the global event-ordering invariant: the clock never moves
 /// backwards, and every handler observes `now` equal to its event's
-/// scheduled time.
+/// scheduled time. A [cancelled](Scheduler::cancel) event is never
+/// popped, so it is not counted in [`Scheduler::dispatched`].
 #[derive(Debug)]
 pub struct Scheduler<E> {
     now: SimTime,
     queue: EventQueue<E>,
     dispatched: u64,
+    pushes: u64,
 }
 
 impl<E> Default for Scheduler<E> {
@@ -545,6 +622,7 @@ impl<E> Scheduler<E> {
             now: SimTime::ZERO,
             queue: EventQueue::with_kind(kind),
             dispatched: 0,
+            pushes: 0,
         }
     }
 
@@ -568,23 +646,37 @@ impl<E> Scheduler<E> {
         self.queue.len()
     }
 
+    /// Events scheduled so far, cancelled ones included. Two equal
+    /// readings mean nothing was pushed in between.
+    pub fn pushes(&self) -> u64 {
+        self.pushes
+    }
+
     /// Schedule an event at an absolute instant.
     ///
     /// # Panics
     /// Panics if `at` is in the past — scheduling into the past would break
     /// causality and silently reorder the run.
-    pub fn schedule_at(&mut self, at: SimTime, payload: E) {
+    pub fn schedule_at(&mut self, at: SimTime, payload: E) -> EventHandle {
         assert!(
             at >= self.now,
             "scheduling into the past: at={at}, now={}",
             self.now
         );
-        self.queue.push(at, payload);
+        self.pushes += 1;
+        self.queue.push(at, payload)
     }
 
     /// Schedule an event `delay` from now.
-    pub fn schedule_in(&mut self, delay: crate::time::SimDuration, payload: E) {
-        self.queue.push(self.now + delay, payload);
+    pub fn schedule_in(&mut self, delay: crate::time::SimDuration, payload: E) -> EventHandle {
+        self.schedule_at(self.now + delay, payload)
+    }
+
+    /// Remove a scheduled event before it fires, returning its payload;
+    /// `None` (and nothing happens) if it already fired or was
+    /// cancelled.
+    pub fn cancel(&mut self, handle: EventHandle) -> Option<E> {
+        self.queue.cancel(handle)
     }
 
     /// Firing time of the next event, if any.
@@ -650,6 +742,38 @@ mod tests {
             let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
             assert_eq!(order, vec![0, 1, 2]);
         }
+    }
+
+    #[test]
+    fn cancelled_events_never_pop() {
+        for mut q in both() {
+            let t = SimTime::from_micros(5);
+            let head = q.push(t, 1);
+            let second = q.push(t, 2);
+            q.push(t, 3);
+            assert_eq!(q.cancel(head), Some(1));
+            assert_eq!(q.cancel(head), None, "cancelled twice");
+            assert_eq!(q.len(), 2);
+            assert_eq!(q.pop(), Some((t, 2)));
+            assert_eq!(q.cancel(second), None, "already popped");
+            // The popped event's slot goes to this push; the old handle
+            // must not reach it.
+            q.push(t, 4);
+            assert_eq!(q.cancel(second), None, "slot reused");
+            let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+            assert_eq!(order, vec![3, 4]);
+        }
+    }
+
+    #[test]
+    fn scheduler_counts_pushes_and_not_cancelled_events() {
+        let mut s = Scheduler::new();
+        let gone = s.schedule_in(SimDuration::from_micros(1), 'a');
+        s.schedule_in(SimDuration::from_micros(2), 'b');
+        assert_eq!(s.cancel(gone), Some('a'));
+        assert_eq!((s.pushes(), s.pending()), (2, 1));
+        assert_eq!(s.pop(), Some((SimTime::from_micros(2), 'b')));
+        assert_eq!((s.pop(), s.dispatched()), (None, 1));
     }
 
     #[test]

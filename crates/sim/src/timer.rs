@@ -1,17 +1,25 @@
-//! Cancellable timers on top of the non-removable event queue.
+//! Cancellable timers on top of the event queue.
 //!
-//! A binary heap cannot cheaply remove an arbitrary entry, so cancellation
-//! is **lazy**: each logical timer key carries a generation counter. Arming
-//! a timer bumps the generation and embeds a [`TimerToken`] (key +
-//! generation) in the scheduled event; cancelling or re-arming bumps the
-//! generation again. When the event fires, the dispatcher asks
-//! [`TimerTable::fire`] whether the token is still current — stale tokens
-//! are dropped silently. This is the same pattern used by most production
-//! discrete-event engines (including ns-3's `EventId::IsExpired`).
+//! Each logical timer key carries a generation counter. Arming a timer
+//! bumps the generation and embeds a [`TimerToken`] (key + generation)
+//! in the scheduled event; cancelling or re-arming bumps the generation
+//! again. When the event fires, the dispatcher asks [`TimerTable::fire`]
+//! whether the token is still current.
+//!
+//! A timer armed through [`TimerTable::schedule`] also remembers its
+//! event's [`EventHandle`]: re-arming it or cancelling it through
+//! [`TimerTable::unschedule`] removes the superseded event from the
+//! queue, so it is never dispatched (ns-2's MAC timers are cancelled on
+//! its scheduler the same way). The generation check then only guards
+//! what the queue cannot see — a token fired twice, or a table used with
+//! [`TimerTable::arm`] alone, where cancellation stays lazy and stale
+//! tokens are dropped at fire time.
 
 use std::hash::Hash;
 
 use crate::hash::FastMap;
+use crate::queue::{EventHandle, Scheduler};
+use crate::time::SimTime;
 
 /// A handle embedded in a scheduled event identifying one arming of one
 /// logical timer.
@@ -28,10 +36,18 @@ impl<K: Copy> TimerToken<K> {
     }
 }
 
+/// One key's current generation and, if armed through
+/// [`TimerTable::schedule`], the event carrying that arming.
+#[derive(Debug, Default)]
+struct Armed {
+    generation: u64,
+    event: Option<EventHandle>,
+}
+
 /// Tracks the current generation of every logical timer key.
 #[derive(Debug)]
 pub struct TimerTable<K> {
-    generations: FastMap<K, u64>,
+    keys: FastMap<K, Armed>,
     /// Number of stale tokens dropped at fire time (observability).
     stale_fired: u64,
 }
@@ -46,7 +62,7 @@ impl<K: Eq + Hash + Copy> TimerTable<K> {
     /// Create an empty table.
     pub fn new() -> Self {
         TimerTable {
-            generations: FastMap::default(),
+            keys: FastMap::default(),
             stale_fired: 0,
         }
     }
@@ -54,30 +70,61 @@ impl<K: Eq + Hash + Copy> TimerTable<K> {
     /// Arm (or re-arm) the timer `key`, invalidating any previously armed
     /// instance, and return the token to embed in the scheduled event.
     pub fn arm(&mut self, key: K) -> TimerToken<K> {
-        let entry = self.generations.entry(key).or_insert(0);
-        *entry += 1;
+        let armed = self.keys.entry(key).or_default();
+        armed.generation += 1;
         TimerToken {
             key,
-            generation: *entry,
+            generation: armed.generation,
         }
     }
 
     /// Cancel the timer `key`. Any outstanding token becomes stale. Safe to
     /// call when the timer was never armed.
     pub fn cancel(&mut self, key: K) {
-        if let Some(generation) = self.generations.get_mut(&key) {
-            *generation += 1;
+        if let Some(armed) = self.keys.get_mut(&key) {
+            armed.generation += 1;
         }
+    }
+
+    /// Arm (or re-arm) `key` to fire `event(token)` at `at` on `sched`.
+    /// The event of the key's previous arming, if still pending, leaves
+    /// the queue unfired.
+    pub fn schedule<E>(
+        &mut self,
+        sched: &mut Scheduler<E>,
+        key: K,
+        at: SimTime,
+        event: impl FnOnce(TimerToken<K>) -> E,
+    ) {
+        let armed = self.keys.entry(key).or_default();
+        armed.generation += 1;
+        if let Some(previous) = armed.event.take() {
+            sched.cancel(previous);
+        }
+        let token = TimerToken {
+            key,
+            generation: armed.generation,
+        };
+        armed.event = Some(sched.schedule_at(at, event(token)));
+    }
+
+    /// Cancel `key` and take its pending event, if any, out of `sched`.
+    /// Returns that event's payload.
+    pub fn unschedule<E>(&mut self, sched: &mut Scheduler<E>, key: K) -> Option<E> {
+        let armed = self.keys.get_mut(&key)?;
+        armed.generation += 1;
+        sched.cancel(armed.event.take()?)
     }
 
     /// Report that the event carrying `token` fired. Returns `true` if the
     /// token is current (the handler should run) and consumes the arming so
     /// a second delivery of the same token is stale.
     pub fn fire(&mut self, token: TimerToken<K>) -> bool {
-        match self.generations.get_mut(&token.key) {
-            Some(generation) if *generation == token.generation => {
+        match self.keys.get_mut(&token.key) {
+            Some(armed) if armed.generation == token.generation => {
                 // Consume: a fired one-shot timer is no longer pending.
-                *generation += 1;
+                armed.generation += 1;
+                armed.event = None;
                 true
             }
             _ => {
@@ -89,7 +136,9 @@ impl<K: Eq + Hash + Copy> TimerTable<K> {
 
     /// Whether `token` would currently fire (without consuming it).
     pub fn is_current(&self, token: &TimerToken<K>) -> bool {
-        self.generations.get(&token.key) == Some(&token.generation)
+        self.keys
+            .get(&token.key)
+            .is_some_and(|armed| armed.generation == token.generation)
     }
 
     /// Number of stale tokens observed at fire time so far.
@@ -101,6 +150,7 @@ impl<K: Eq + Hash + Copy> TimerTable<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queue::Scheduler;
 
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
     enum Key {
@@ -145,6 +195,26 @@ mod tests {
         t.cancel(Key::AckTimeout);
         assert!(!t.fire(a));
         assert!(t.fire(s));
+    }
+
+    #[test]
+    fn scheduled_rearm_and_cancel_remove_the_superseded_event() {
+        let mut t = TimerTable::new();
+        let mut s = Scheduler::new();
+        let at = |us| SimTime::from_micros(us);
+        t.schedule(&mut s, Key::Slot, at(5), |tok| tok);
+        t.schedule(&mut s, Key::Slot, at(3), |tok| tok);
+        t.schedule(&mut s, Key::AckTimeout, at(4), |tok| tok);
+        assert_eq!(s.pending(), 2, "the re-arm took the first event out");
+        let ack = t.unschedule(&mut s, Key::AckTimeout).expect("pending");
+        assert!(!t.is_current(&ack));
+        assert_eq!(t.unschedule(&mut s, Key::AckTimeout), None);
+        let (when, tok) = s.pop().expect("the re-armed slot timer");
+        assert_eq!(when, at(3));
+        assert!(t.fire(tok));
+        assert_eq!((s.pop(), t.stale_fired()), (None, 0));
+        // Fired, so nothing is left to take out.
+        assert_eq!(t.unschedule(&mut s, Key::Slot), None);
     }
 
     #[test]

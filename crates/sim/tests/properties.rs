@@ -1,10 +1,57 @@
 //! Property-based tests for the simulation kernel's core invariants.
 
+use std::collections::BTreeMap;
+
 use hack_sim::{
     CalendarQueue, EventQueue, HeapEventQueue, QueueKind, Scheduler, SimDuration, SimRng, SimTime,
-    TimerTable,
+    TimerTable, TimerToken,
 };
 use proptest::prelude::*;
+
+/// A queue without removal, as the scheduler was before it could cancel:
+/// every event is pushed, a cancel only bumps the event's timer
+/// generation, and stale events are dropped when they reach the front.
+#[derive(Default)]
+struct LazyOracle {
+    queue: BTreeMap<(SimTime, u64), (usize, TimerToken<usize>)>,
+    timers: TimerTable<usize>,
+    tokens: Vec<TimerToken<usize>>,
+}
+
+impl LazyOracle {
+    /// Push event `id` (ids count up from 0 in push order).
+    fn push(&mut self, at: SimTime, id: usize) {
+        let token = self.timers.arm(id);
+        self.tokens.push(token);
+        self.queue.insert((at, id as u64), (id, token));
+    }
+
+    fn cancel(&mut self, id: usize) {
+        self.timers.cancel(id);
+    }
+
+    fn is_live(&self, id: usize) -> bool {
+        self.timers.is_current(&self.tokens[id])
+    }
+
+    /// The earliest live event, dropping the stale ones in front of it.
+    fn peek(&mut self) -> Option<(SimTime, usize)> {
+        loop {
+            let (&(at, _), &(id, token)) = self.queue.first_key_value()?;
+            if self.timers.is_current(&token) {
+                return Some((at, id));
+            }
+            self.queue.pop_first();
+        }
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, usize)> {
+        let head = self.peek()?;
+        let (_, (_, token)) = self.queue.pop_first().expect("peeked");
+        assert!(self.timers.fire(token));
+        Some(head)
+    }
+}
 
 proptest! {
     /// Differential test: the calendar queue and the binary heap pop the
@@ -108,6 +155,69 @@ proptest! {
                 break;
             }
         }
+    }
+
+    /// Removal under arbitrary interleavings of push (half of them onto
+    /// a handful of instants, so FIFO ties are common), cancel of any
+    /// handle ever issued (pending, the head, popped, cancelled, or one
+    /// whose slab slot a later push reused), peek and pop. Calendar and
+    /// heap agree on every answer and on `dispatched()`; a cancel
+    /// succeeds exactly when the event is still pending; and both pop
+    /// the `(time, payload)` sequence of a queue without removal whose
+    /// cancelled events are dropped at the front by generation tokens.
+    #[test]
+    fn cancel_agrees_with_heap_and_with_lazy_tokens(
+        ops in proptest::collection::vec((0u8..6, 0u64..40_000, any::<usize>()), 1..400),
+    ) {
+        let mut cal = Scheduler::with_kind(QueueKind::Calendar);
+        let mut heap = Scheduler::with_kind(QueueKind::Heap);
+        let mut oracle = LazyOracle::default();
+        let mut handles = Vec::new();
+        for &(op, x, pick) in &ops {
+            match op {
+                0 | 1 => {
+                    let delay = if op == 0 { x % 4 } else { x };
+                    let at = cal.now() + SimDuration::from_nanos(delay);
+                    let id = handles.len();
+                    handles.push((cal.schedule_at(at, id), heap.schedule_at(at, id)));
+                    oracle.push(at, id);
+                }
+                2 | 3 => {
+                    // Any handle, or the head's.
+                    let id = match (op, oracle.peek()) {
+                        (3, Some((_, head))) => head,
+                        _ if handles.is_empty() => continue,
+                        _ => pick % handles.len(),
+                    };
+                    let (hc, hh) = handles[id];
+                    let live = oracle.is_live(id);
+                    let got = cal.cancel(hc);
+                    prop_assert_eq!(got, heap.cancel(hh));
+                    prop_assert_eq!(got, live.then_some(id));
+                    oracle.cancel(id);
+                }
+                4 => {
+                    let t = cal.peek_time();
+                    prop_assert_eq!(t, heap.peek_time());
+                    prop_assert_eq!(t, oracle.peek().map(|(at, _)| at));
+                }
+                _ => {
+                    let got = cal.pop();
+                    prop_assert_eq!(got, heap.pop());
+                    prop_assert_eq!(got, oracle.pop());
+                }
+            }
+            prop_assert_eq!(cal.pending(), heap.pending());
+        }
+        loop {
+            let got = cal.pop();
+            prop_assert_eq!(got, heap.pop());
+            prop_assert_eq!(got, oracle.pop());
+            if got.is_none() {
+                break;
+            }
+        }
+        prop_assert_eq!(cal.dispatched(), heap.dispatched());
     }
 
     /// Events always pop in non-decreasing time order regardless of
