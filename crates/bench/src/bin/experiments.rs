@@ -177,7 +177,7 @@ fn sora_cfg(clients: &str, mode: HackMode, udp: bool, opts: &Opts) -> ScenarioCo
     };
     cfg.duration = SimDuration::from_secs(opts.secs);
     if udp {
-        cfg = cfg.with_udp();
+        cfg.traffic = TrafficModel::UdpDownload;
     }
     cfg
 }
@@ -1464,7 +1464,7 @@ fn fig10(opts: &Opts) {
             cfg.duration =
                 cfg.stagger * (n as u64) + cfg.warmup + SimDuration::from_secs(opts.secs);
             if udp {
-                cfg = cfg.with_udp();
+                cfg.traffic = TrafficModel::UdpDownload;
             }
             let mr = run_seeds(&cfg, opts.seeds);
             let w = if mode == HackMode::MoreData && !udp {

@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use hack_campaign::{run_campaign_with, Job, SweepSpec};
-use hack_core::{run, run_traced, RunResult, ScenarioConfig};
+use hack_core::{RunResult, ScenarioConfig, World};
 use hack_sim::RunStats;
 use hack_trace::{write_jsonl, TraceHandle};
 
@@ -91,7 +91,7 @@ pub fn run_seeds(cfg: &ScenarioConfig, n_seeds: u64) -> MultiRun {
     let spec = SweepSpec::new("run_seeds", cfg.clone()).seed_bank(base_seed, n_seeds);
     let runner = move |job: &Job| match (&trace_base, run_no) {
         (Some(base), Some(r)) => run_one_traced(job.cfg.clone(), base, r, job.seed - base_seed),
-        _ => run(job.cfg.clone()),
+        _ => World::builder(job.cfg.clone()).run(),
     };
     let mut report = run_campaign_with(&spec, &hack_campaign::CampaignOptions::default(), &runner);
     let runs = match report.cells.pop() {
@@ -109,7 +109,7 @@ fn run_one_traced(
     seed_no: u64,
 ) -> RunResult {
     let (handle, ring) = TraceHandle::ring(TRACE_RING_CAPACITY);
-    let result = run_traced(cfg, handle);
+    let result = World::builder(cfg).trace(handle).run();
     let stem = format!("{}.run{run_no}.seed{seed_no}", base.display());
     let records = ring.drain();
     let digest = ring.digest();
@@ -168,7 +168,7 @@ mod tests {
             c.seed = cfg.seed + i as u64;
             assert_eq!(
                 r.aggregate_goodput_mbps,
-                run(c).aggregate_goodput_mbps,
+                World::builder(c).run().aggregate_goodput_mbps,
                 "slot {i} must hold seed {}",
                 cfg.seed + i as u64
             );

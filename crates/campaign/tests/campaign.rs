@@ -8,7 +8,7 @@ use hack_campaign::{
     campaign_csv, campaign_json, run_campaign, Axis, CampaignOptions, ResultCache, SweepSpec,
 };
 use hack_core::{
-    encode_run_result, run, HackMode, LossConfig, ScenarioBuilder, ScenarioConfig,
+    encode_run_result, HackMode, LossConfig, ScenarioBuilder, ScenarioConfig, World,
     RESULT_SCHEMA_VERSION,
 };
 use hack_sim::SimDuration;
@@ -116,7 +116,7 @@ fn campaign_of_one_axis_matches_direct_runs() {
         c.seed = *seed;
         assert_eq!(
             report.cells[0].runs[i].aggregate_goodput_mbps,
-            run(c).aggregate_goodput_mbps,
+            World::builder(c).run().aggregate_goodput_mbps,
             "slot {i} must hold seed {seed}"
         );
     }
@@ -239,7 +239,7 @@ fn second_full_run_is_all_cache_hits() {
 fn cache_rejects_bumped_schema_version() {
     let dir = scratch("schema");
     let cache = ResultCache::new(&dir).unwrap();
-    let result = run(base_cfg());
+    let result = World::builder(base_cfg()).run();
     cache.store("somekey", &result).unwrap();
     assert!(cache.load("somekey").is_some(), "sanity: fresh entry hits");
 

@@ -521,14 +521,14 @@ mod tests {
     use super::*;
     use crate::driver::HackMode;
     use crate::scenario::ScenarioBuilder;
-    use crate::sim::run;
+    use crate::sim::World;
     use hack_sim::SimDuration;
 
     fn small_result() -> RunResult {
         let cfg = ScenarioBuilder::dot11n_download(150, 1, HackMode::MoreData)
             .duration(SimDuration::from_millis(400))
             .build();
-        run(cfg)
+        World::builder(cfg).run()
     }
 
     #[test]

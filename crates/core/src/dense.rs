@@ -34,8 +34,8 @@ use hack_rohc::DecompressStats;
 use hack_trace::TraceHandle;
 
 use crate::scenario::{
-    ChannelChange, ChannelEvent, ClassReport, ClientPath, LossConfig, RoamEvent, RunResult,
-    ScenarioConfig,
+    blob_within_aifs, ChannelChange, ChannelEvent, ClassReport, ClientPath, LossConfig, RoamEvent,
+    RunResult, ScenarioConfig,
 };
 use crate::sim::World;
 use crate::stable::StableHasher;
@@ -384,9 +384,13 @@ pub fn run_dense(cfg: &ScenarioConfig, opts: &DenseOptions) -> DenseReport {
 /// — sharded output is byte-identical for every thread count — which is
 /// what lets the campaign runner sweep, cache, and resume dense cells
 /// exactly like legacy ones.
+///
+/// A traced run stays on `World::builder(cfg).trace(h).run()`, which
+/// simulates even a multi-BSS config as one unsharded world: one trace
+/// handle cannot span shards running in parallel.
 pub fn run_auto(cfg: ScenarioConfig) -> RunResult {
     if cfg.bss.is_empty() {
-        return crate::sim::run(cfg);
+        return World::builder(cfg).run();
     }
     merge_dense(run_dense(&cfg, &DenseOptions::default()))
 }
@@ -422,13 +426,6 @@ pub fn merge_dense(report: DenseReport) -> RunResult {
         .iter()
         .flat_map(|s| s.result.mac.iter().cloned())
         .collect();
-    let within: u64 = mac.iter().map(|m| m.blob_within_aifs.get()).sum();
-    let beyond: u64 = mac.iter().map(|m| m.blob_beyond_aifs.get()).sum();
-    let blob_within_aifs = if within + beyond == 0 {
-        1.0
-    } else {
-        within as f64 / (within + beyond) as f64
-    };
     let mut decompressor = DecompressStats::default();
     for s in shards {
         decompressor.merge(&s.result.decompressor);
@@ -458,6 +455,7 @@ pub fn merge_dense(report: DenseReport) -> RunResult {
         flow_goodput_full_mbps: scatter(n, shards, |r| &r.flow_goodput_full_mbps),
         flow_completion: scatter(n, shards, |r| &r.flow_completion),
         classes,
+        blob_within_aifs: blob_within_aifs(&mac),
         mac,
         driver: scatter(n, shards, |r| &r.driver),
         driver_ap: scatter(n, shards, |r| &r.driver_ap),
@@ -469,7 +467,6 @@ pub fn merge_dense(report: DenseReport) -> RunResult {
         ap_queue_drops: shards.iter().map(|s| s.result.ap_queue_drops).sum(),
         sender_tcp: scatter(n, shards, |r| &r.sender_tcp),
         receiver_tcp: scatter(n, shards, |r| &r.receiver_tcp),
-        blob_within_aifs,
         supervisor: scatter(n, shards, |r| &r.supervisor),
         flow_goodput_final_mbps: scatter(n, shards, |r| &r.flow_goodput_final_mbps),
         roams: shards.iter().map(|s| s.result.roams).sum(),

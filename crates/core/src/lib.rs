@@ -17,10 +17,11 @@
 //! * [`scenario`] — experiment-facing configuration and results.
 //!
 //! ```no_run
-//! use hack_core::{run, HackMode, ScenarioBuilder};
+//! use hack_core::{HackMode, ScenarioBuilder, World};
 //!
-//! let stock = run(ScenarioBuilder::dot11n_download(150, 1, HackMode::Disabled).build());
-//! let hack = run(ScenarioBuilder::dot11n_download(150, 1, HackMode::MoreData).build());
+//! let download = |mode| ScenarioBuilder::dot11n_download(150, 1, mode).build();
+//! let stock = World::builder(download(HackMode::Disabled)).run();
+//! let hack = World::builder(download(HackMode::MoreData)).run();
 //! println!(
 //!     "TCP/802.11n: {:.1} Mbps, TCP/HACK: {:.1} Mbps",
 //!     stock.aggregate_goodput_mbps, hack.aggregate_goodput_mbps
@@ -57,9 +58,9 @@ pub use hack_tcp::CcKind;
 pub use packet::NetPacket;
 pub use scenario::{
     BssSpec, ChannelChange, ChannelEvent, ClassReport, ClientPath, LossConfig, RoamConfig,
-    RoamEvent, RunResult, ScenarioBuilder, ScenarioConfig, Standard, StandardKind, TrafficKind,
+    RoamEvent, RunResult, ScenarioBuilder, ScenarioConfig, Standard, StandardKind,
 };
-pub use sim::{run, run_traced, World, WorldBuilder};
+pub use sim::{World, WorldBuilder};
 pub use stable::{StableHasher, CONFIG_ENCODING_VERSION};
 pub use supervisor::{
     FlowHealth, FlowSupervisor, HealthSignal, SupervisorAction, SupervisorConfig, SupervisorReport,

@@ -3,7 +3,7 @@
 use hack_mac::{AssocConfig, MacStats};
 use hack_phy::{CorruptModel, GeParams, InterferenceConfig, RoamTrigger, Waypoint};
 use hack_rohc::{CompressStats, DecompressStats};
-use hack_sim::{QuantileSketch, QueueKind, SimDuration, SimTime};
+use hack_sim::{QuantileSketch, SimDuration, SimTime};
 use hack_tcp::{CcKind, TcpStats};
 
 use crate::driver::{CompressSideStats, HackMode, DEFAULT_HELD_CAP};
@@ -23,25 +23,6 @@ pub enum Standard {
         /// PHY rate in Mbps (HT40/SGI grid).
         rate_mbps: u64,
     },
-}
-
-/// The offered traffic — the closed pre-model enum.
-///
-/// **Deprecated** (documented, not attributed, so existing callers
-/// compile warning-free — attribute lands next cycle, see DESIGN.md
-/// §8): new code should use [`TrafficModel`], which every
-/// `TrafficKind` converts into losslessly via `From`. Scenarios built
-/// from a `TrafficKind` keep their stable hashes and trace digests
-/// byte-for-byte.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TrafficKind {
-    /// Bulk TCP download (server/AP → clients) — the paper's main case.
-    TcpDownload,
-    /// Bulk TCP upload (clients → server) — the "wireless backup"
-    /// scenario; HACK runs symmetrically at the AP.
-    TcpUpload,
-    /// Saturating unidirectional UDP download (the capacity baseline).
-    UdpDownload,
 }
 
 /// Stochastic loss environment.
@@ -302,10 +283,6 @@ pub struct ScenarioConfig {
     pub txop_limit: Option<SimDuration>,
     /// Override the MAC retry limit (ablation; `None` = the standard 7).
     pub retry_limit: Option<u32>,
-    /// Event-queue implementation for the run. Both kinds produce the
-    /// identical event order (same seed ⇒ byte-identical trace digest);
-    /// the calendar queue is the fast default, the heap the reference.
-    pub queue: QueueKind,
     /// Per-flow HACK supervisor (health monitoring + graceful fallback
     /// to native ACKs). `None` disables supervision entirely — the
     /// pre-supervisor behaviour, byte-identical traces included.
@@ -357,11 +334,7 @@ pub enum StandardKind {
 /// ```
 ///
 /// Every setter has the §4.3 802.11n download defaults, so only the
-/// fields a scenario cares about need spelling out. The legacy
-/// positional constructors
-/// ([`ScenarioConfig::dot11n_download`], [`ScenarioConfig::sora_testbed`])
-/// are thin shims over this builder and are kept only for source
-/// compatibility.
+/// fields a scenario cares about need spelling out.
 #[derive(Debug, Clone)]
 pub struct ScenarioBuilder {
     kind: StandardKind,
@@ -431,10 +404,9 @@ impl ScenarioBuilder {
     }
 
     /// Default traffic model for every flow (default: bulk TCP
-    /// download). Accepts a [`TrafficModel`] or, for source compat, a
-    /// legacy [`TrafficKind`].
-    pub fn traffic(mut self, traffic: impl Into<TrafficModel>) -> Self {
-        self.cfg.traffic = traffic.into();
+    /// download).
+    pub fn traffic(mut self, traffic: TrafficModel) -> Self {
+        self.cfg.traffic = traffic;
         self
     }
 
@@ -555,12 +527,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Event-queue implementation (default: calendar queue).
-    pub fn queue(mut self, kind: QueueKind) -> Self {
-        self.cfg.queue = kind;
-        self
-    }
-
     /// Enable the per-flow HACK supervisor (default: unsupervised).
     pub fn supervisor(mut self, cfg: SupervisorConfig) -> Self {
         self.cfg.supervisor = Some(cfg);
@@ -666,7 +632,6 @@ impl ScenarioConfig {
                 disable_sync: false,
                 txop_limit: None,
                 retry_limit: None,
-                queue: QueueKind::Calendar,
                 supervisor: None,
                 client_hack_capable: Vec::new(),
                 held_cap: DEFAULT_HELD_CAP,
@@ -678,44 +643,10 @@ impl ScenarioConfig {
         }
     }
 
-    /// The paper's §4.3 802.11n download setup.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use ScenarioBuilder::dot11n_download(...).build() — the builder is the only supported path (DESIGN.md §8 deprecation cycle)"
-    )]
-    pub fn dot11n_download(rate_mbps: u64, n_clients: usize, hack_mode: HackMode) -> Self {
-        ScenarioBuilder::dot11n_download(rate_mbps, n_clients, hack_mode).build()
-    }
-
-    /// The SoRa testbed setup (§4.1–4.2).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use ScenarioBuilder::sora_testbed(...).build() — the builder is the only supported path (DESIGN.md §8 deprecation cycle)"
-    )]
-    pub fn sora_testbed(n_clients: usize, hack_mode: HackMode) -> Self {
-        ScenarioBuilder::sora_testbed(n_clients, hack_mode).build()
-    }
-
-    /// Saturating UDP baseline over the same cell.
-    pub fn with_udp(mut self) -> Self {
-        self.traffic = TrafficModel::UdpDownload;
-        self
-    }
-
     /// The traffic model of flow `flow`: its `traffic_mix` override if
     /// one exists, else the scenario default.
     pub fn model_of(&self, flow: usize) -> TrafficModel {
         self.traffic_mix.get(flow).copied().unwrap_or(self.traffic)
-    }
-
-    /// Whether every flow's model is expressible as a legacy
-    /// [`TrafficKind`] under one scenario-wide kind — exactly the
-    /// scenarios that existed before the traffic-model layer.
-    pub fn legacy_traffic(&self) -> Option<TrafficKind> {
-        if !self.traffic_mix.is_empty() {
-            return None;
-        }
-        self.traffic.legacy_kind()
     }
 }
 
@@ -823,5 +754,18 @@ impl RunResult {
     /// The [`ClassReport`] for `class`, if the run had such flows.
     pub fn class(&self, class: TrafficClass) -> Option<&ClassReport> {
         self.classes.iter().find(|c| c.class == class)
+    }
+}
+
+/// [`RunResult::blob_within_aifs`] over a fleet of stations' MAC stats:
+/// the share of blob-carrying LL ACKs whose blob fits within AIFS (1
+/// when no blob rode at all).
+pub(crate) fn blob_within_aifs(mac: &[MacStats]) -> f64 {
+    let within: u64 = mac.iter().map(|m| m.blob_within_aifs.get()).sum();
+    let beyond: u64 = mac.iter().map(|m| m.blob_beyond_aifs.get()).sum();
+    if within + beyond == 0 {
+        1.0
+    } else {
+        within as f64 / (within + beyond) as f64
     }
 }

@@ -19,7 +19,7 @@
 //!   (station, peer). Each removed event would only have found a stale
 //!   token or generation, so the events left keep their order.
 //! * Host deliveries pushed back to back, for one station at one
-//!   instant, travel as one `HostRx` batch ([`host_rx`]). Its packets
+//!   instant, travel as one `HostRx` batch (`host_rx`). Its packets
 //!   are handled in push order, and the run can end between two of
 //!   them, exactly where it would have ended between two events.
 //!
@@ -209,8 +209,8 @@ pub struct World {
     trace: TraceHandle,
 }
 
-/// Step-by-step assembly of a [`World`] — the single construction path
-/// behind every entry point.
+/// Step-by-step assembly of a [`World`] — the one way to build and run
+/// a single world.
 ///
 /// ```no_run
 /// use hack_core::{HackMode, ScenarioBuilder, SupervisorConfig, World};
@@ -222,9 +222,6 @@ pub struct World {
 ///     .run();
 /// # let _ = result;
 /// ```
-///
-/// The legacy entry points ([`World::new`], free [`run`] and
-/// [`run_traced`]) are thin delegations to this builder.
 #[derive(Debug)]
 pub struct WorldBuilder {
     cfg: ScenarioConfig,
@@ -267,15 +264,7 @@ impl World {
         }
     }
 
-    /// Build the network described by `cfg` without tracing.
-    ///
-    /// Thin shim over [`World::builder`] (use that in new code).
-    pub fn new(cfg: ScenarioConfig) -> Self {
-        World::builder(cfg).build()
-    }
-
-    /// The one true construction path (every public entry point funnels
-    /// here through [`WorldBuilder::build`]).
+    /// The one construction path, behind [`WorldBuilder::build`].
     fn assemble(cfg: ScenarioConfig, trace: TraceHandle) -> Self {
         let layout = Layout::from_cfg(&cfg);
         let n = layout.n_flows();
@@ -330,7 +319,7 @@ impl World {
             RoamRuntime::new(&cfg.roam, home_cells, rng.fork(0x0A11))
         });
         let mut world = World {
-            sched: Scheduler::with_kind(cfg.queue),
+            sched: Scheduler::new(),
             mac_timers: TimerTable::new(),
             tcp_timers: TimerTable::new(),
             flush_timers: TimerTable::new(),
@@ -1257,21 +1246,4 @@ impl World {
 fn current(live: bool) -> bool {
     debug_assert!(live, "a stale event reached the dispatcher");
     live
-}
-
-/// Run one scenario to completion.
-///
-/// Thin shim over [`World::builder`]`(cfg).run()` (use that in new
-/// code).
-pub fn run(cfg: ScenarioConfig) -> RunResult {
-    World::builder(cfg).run()
-}
-
-/// Run one scenario to completion with a structured-event trace sink
-/// attached to every layer.
-///
-/// Thin shim over [`World::builder`]`(cfg).trace(trace).run()` (use
-/// that in new code).
-pub fn run_traced(cfg: ScenarioConfig, trace: TraceHandle) -> RunResult {
-    World::builder(cfg).trace(trace).run()
 }

@@ -6,7 +6,7 @@ use hack_sim::{SimDuration, SimTime};
 
 use super::flows::{ClassAcc, FlowRt};
 use super::World;
-use crate::scenario::{ClassReport, RunResult};
+use crate::scenario::{blob_within_aifs, ClassReport, RunResult};
 use crate::supervisor::FlowSupervisor;
 use crate::traffic::{TrafficClass, TrafficModel};
 
@@ -107,13 +107,6 @@ impl World {
         let flow_goodput_final_mbps = goodput_from(final_from);
 
         let mac: Vec<_> = self.stations.iter().map(|s| s.stats().clone()).collect();
-        let within: u64 = mac.iter().map(|m| m.blob_within_aifs.get()).sum();
-        let beyond: u64 = mac.iter().map(|m| m.blob_beyond_aifs.get()).sum();
-        let blob_within_aifs = if within + beyond == 0 {
-            1.0
-        } else {
-            within as f64 / (within + beyond) as f64
-        };
 
         // Per-flow primary-direction TCP stats: the first sender /
         // receiver endpoint of the flow's range (defaults for
@@ -166,8 +159,8 @@ impl World {
             ppdus: self.medium.completed(),
             collisions: self.medium.collisions(),
             ap_queue_drops: self.ap_queue_drops,
+            blob_within_aifs: blob_within_aifs(&mac),
             mac,
-            blob_within_aifs,
             supervisor: self
                 .supervisors
                 .iter()

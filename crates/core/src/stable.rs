@@ -26,15 +26,14 @@ use crate::driver::HackMode;
 use crate::scenario::{ChannelChange, LossConfig, ScenarioConfig, Standard};
 use crate::supervisor::SupervisorConfig;
 use crate::traffic::{ArrivalDist, SizeDist, TrafficModel};
-use hack_sim::QueueKind;
 
 /// Version of the canonical [`ScenarioConfig`] encoding. Bump whenever
 /// the struct (or the meaning of a field) changes so stale cache
 /// entries can never alias a new configuration.
 ///
-/// Version 6 is the one encoding for every configuration: the traffic
-/// model and the per-flow mix are always written in full.
-pub const CONFIG_ENCODING_VERSION: u32 = 6;
+/// The traffic model and the per-flow mix are always written in full.
+/// Version 7 dropped the event-queue byte along with the field.
+pub const CONFIG_ENCODING_VERSION: u32 = 7;
 
 /// Streaming FNV-1a over 128 bits — small, dependency-free, and stable
 /// by construction (the offset basis and prime are spelled out by the
@@ -373,13 +372,6 @@ impl ScenarioConfig {
                 h.u32(l);
             }
         }
-        // The queue kind does not change results (the cross-scheduler
-        // digest test pins that), but it *is* part of the resolved
-        // config; hashing it keeps the key an honest content address.
-        h.u8(match self.queue {
-            QueueKind::Calendar => 0,
-            QueueKind::Heap => 1,
-        });
         match &self.supervisor {
             None => h.u8(0),
             Some(s) => {
@@ -414,7 +406,7 @@ impl ScenarioConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{ScenarioBuilder, TrafficKind};
+    use crate::scenario::ScenarioBuilder;
     use crate::traffic::{CbrConfig, ShortFlowConfig};
 
     #[test]
@@ -495,33 +487,33 @@ mod tests {
     /// Five pre-model configs, pinned so a change to the encoding cannot
     /// slip by unversioned: a mismatch means every campaign cache key
     /// changed.
-    /// Re-pinned at v6: the v4 one-byte traffic tag is gone (one encoding for all).
+    /// Re-pinned for v7: the queue byte is gone.
     #[test]
     fn legacy_hashes_pinned_to_pre_model_build() {
         let pins = [
             (
                 ScenarioBuilder::dot11n_download(150, 1, HackMode::MoreData).build(),
-                "bace4b32e508e103a3e5a327c794c9b9",
+                "dced111942a7f6ffeb3d47b4eb819474",
             ),
             (
                 ScenarioBuilder::dot11n_download(300, 4, HackMode::Disabled).build(),
-                "690edb8db1f746d4ac53dece6fab7c77",
+                "d7c87c833840849040997f1c275b195a",
             ),
             (
                 ScenarioBuilder::sora_testbed(2, HackMode::Opportunistic).build(),
-                "b767b7fb7f17b766a6c820d998e41b08",
+                "7017815fe624df8683a67aa5363f0a3f",
             ),
             (
                 ScenarioBuilder::dot11n_download(150, 2, HackMode::MoreData)
-                    .traffic(TrafficKind::TcpUpload)
+                    .traffic(TrafficModel::BulkUpload)
                     .build(),
-                "493ffbc442c0096c7962512f25c0ba29",
+                "0795eab1445794a6466fa67425694424",
             ),
             (
                 ScenarioBuilder::dot11n_download(150, 2, HackMode::MoreData)
-                    .traffic(TrafficKind::UdpDownload)
+                    .traffic(TrafficModel::UdpDownload)
                     .build(),
-                "5748ac0e1ea197898aa1d374e1176446",
+                "d25664112f6004d4607074cdc34e8d69",
             ),
         ];
         for (cfg, want) in pins {
@@ -529,45 +521,13 @@ mod tests {
         }
     }
 
-    /// The `From<TrafficKind>` shim routes through the same encoding:
-    /// building with a kind or with its converted model is
-    /// hash-identical, and the deprecated positional constructors
-    /// still produce the same config as the builder presets.
-    #[test]
-    fn shimmed_kind_hashes_equal_model() {
-        for (kind, model) in [
-            (TrafficKind::TcpDownload, TrafficModel::BulkDownload),
-            (TrafficKind::TcpUpload, TrafficModel::BulkUpload),
-            (TrafficKind::UdpDownload, TrafficModel::UdpDownload),
-        ] {
-            let via_kind = ScenarioBuilder::dot11n_download(150, 2, HackMode::MoreData)
-                .traffic(kind)
-                .build();
-            let via_model = ScenarioBuilder::dot11n_download(150, 2, HackMode::MoreData)
-                .traffic(model)
-                .build();
-            assert_eq!(via_kind.stable_hash(), via_model.stable_hash());
-            assert_eq!(via_kind.legacy_traffic(), Some(kind));
-        }
-        #[allow(deprecated)]
-        let shim = ScenarioConfig::dot11n_download(150, 1, HackMode::MoreData);
-        let builder = ScenarioBuilder::dot11n_download(150, 1, HackMode::MoreData).build();
-        assert_eq!(shim.stable_hash(), builder.stable_hash());
-        #[allow(deprecated)]
-        let shim = ScenarioConfig::sora_testbed(2, HackMode::MoreData);
-        let builder = ScenarioBuilder::sora_testbed(2, HackMode::MoreData).build();
-        assert_eq!(shim.stable_hash(), builder.stable_hash());
-    }
-
-    /// Non-legacy models leave the legacy hash space entirely (version
-    /// tag differs) and are sensitive to their own parameters.
+    /// Traffic models key the cache by their own parameters, and a mix
+    /// keys it even when every flow runs the default.
     #[test]
     fn model_hashes_keyed_by_parameters() {
         let base = ScenarioBuilder::dot11n_download(150, 2, HackMode::MoreData)
             .traffic(TrafficModel::ShortFlows(ShortFlowConfig::default()))
             .build();
-        assert_eq!(base.legacy_traffic(), None);
-
         let mut tweaked = base.clone();
         tweaked.traffic = TrafficModel::ShortFlows(ShortFlowConfig {
             reuse: false,
@@ -585,10 +545,9 @@ mod tests {
         });
         assert_ne!(cbr.stable_hash(), cbr2.stable_hash());
 
-        // A mix keys the cache even when the default model is legacy.
+        // A mix keys the cache even when the default model is bulk.
         let mut mixed = ScenarioBuilder::dot11n_download(150, 2, HackMode::MoreData).build();
         mixed.traffic_mix = vec![TrafficModel::BulkDownload, TrafficModel::Bidirectional];
-        assert_eq!(mixed.legacy_traffic(), None);
         assert_ne!(
             mixed.stable_hash(),
             ScenarioBuilder::dot11n_download(150, 2, HackMode::MoreData)

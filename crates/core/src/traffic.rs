@@ -5,8 +5,8 @@
 //! workload a per-flow property of the scenario instead:
 //!
 //! * [`TrafficModel::BulkDownload`] / [`TrafficModel::BulkUpload`] /
-//!   [`TrafficModel::UdpDownload`] — the three legacy
-//!   [`TrafficKind`] workloads, unchanged (and digest-identical).
+//!   [`TrafficModel::UdpDownload`] — saturating bulk TCP in one
+//!   direction, and the saturating UDP capacity baseline.
 //! * [`TrafficModel::ShortFlows`] — web-like request/response flows:
 //!   sizes drawn per-flow from a deterministic [`SizeDist`]
 //!   (bounded Pareto or lognormal), separated by think times from an
@@ -28,8 +28,6 @@
 //! digest) and adding a model to one flow never perturbs another.
 
 use hack_sim::{SimDuration, SimRng};
-
-use crate::scenario::TrafficKind;
 
 /// A deterministic flow-size distribution, sampled per transfer from
 /// the flow's own RNG fork. All sizes are in bytes.
@@ -209,10 +207,7 @@ impl Default for OnOffConfig {
     }
 }
 
-/// The per-flow traffic model. Replaces the closed [`TrafficKind`]
-/// enum (which remains as a compat shim: every `TrafficKind` converts
-/// losslessly via `From`, and scenarios expressible as a `TrafficKind`
-/// keep their stable hashes and trace digests byte-for-byte).
+/// The per-flow traffic model.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TrafficModel {
     /// Bulk TCP download (server → client) — the paper's main case.
@@ -301,17 +296,6 @@ impl TrafficClass {
 }
 
 impl TrafficModel {
-    /// The legacy [`TrafficKind`] this model is exactly equivalent to,
-    /// if any.
-    pub fn legacy_kind(&self) -> Option<TrafficKind> {
-        match self {
-            TrafficModel::BulkDownload => Some(TrafficKind::TcpDownload),
-            TrafficModel::BulkUpload => Some(TrafficKind::TcpUpload),
-            TrafficModel::UdpDownload => Some(TrafficKind::UdpDownload),
-            _ => None,
-        }
-    }
-
     /// Coarse metrics class of the model.
     pub fn class(&self) -> TrafficClass {
         match self {
@@ -340,36 +324,9 @@ impl TrafficModel {
     }
 }
 
-impl From<TrafficKind> for TrafficModel {
-    fn from(kind: TrafficKind) -> Self {
-        match kind {
-            TrafficKind::TcpDownload => TrafficModel::BulkDownload,
-            TrafficKind::TcpUpload => TrafficModel::BulkUpload,
-            TrafficKind::UdpDownload => TrafficModel::UdpDownload,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kind_round_trips_through_model() {
-        for kind in [
-            TrafficKind::TcpDownload,
-            TrafficKind::TcpUpload,
-            TrafficKind::UdpDownload,
-        ] {
-            let model = TrafficModel::from(kind);
-            assert_eq!(model.legacy_kind(), Some(kind));
-        }
-        assert_eq!(
-            TrafficModel::ShortFlows(ShortFlowConfig::default()).legacy_kind(),
-            None
-        );
-        assert_eq!(TrafficModel::Bidirectional.legacy_kind(), None);
-    }
 
     #[test]
     fn class_codes_round_trip() {

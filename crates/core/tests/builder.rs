@@ -1,26 +1,11 @@
-//! Builder-API equivalence: the new `ScenarioConfig::builder()` /
-//! `World::builder()` paths must be indistinguishable — byte-identical
-//! trace digests included — from the legacy positional constructors
-//! they replace.
+//! Builder-API equivalence: the `ScenarioBuilder` presets resolve to
+//! the configs their explicit setter chains spell out, and the
+//! `World::builder()` knobs and stepping match the plain run.
 
 use hack_core::{
-    run_traced, HackMode, LossConfig, ScenarioBuilder, ScenarioConfig, StandardKind,
-    SupervisorConfig, World,
+    HackMode, LossConfig, ScenarioBuilder, ScenarioConfig, StandardKind, SupervisorConfig, World,
 };
 use hack_sim::SimDuration;
-use hack_trace::TraceHandle;
-
-fn traced_run(cfg: ScenarioConfig) -> (f64, [u8; 62]) {
-    let (handle, ring) = TraceHandle::ring(1 << 20);
-    let r = run_traced(cfg, handle);
-    (r.aggregate_goodput_mbps, ring.digest().to_bytes())
-}
-
-fn traced_builder(cfg: ScenarioConfig) -> (f64, [u8; 62]) {
-    let (handle, ring) = TraceHandle::ring(1 << 20);
-    let r = World::builder(cfg).trace(handle).build().run();
-    (r.aggregate_goodput_mbps, ring.digest().to_bytes())
-}
 
 fn short(mode: HackMode) -> ScenarioConfig {
     ScenarioBuilder::sora_testbed(1, mode)
@@ -30,10 +15,7 @@ fn short(mode: HackMode) -> ScenarioConfig {
 
 #[test]
 fn scenario_builder_reproduces_dot11n_download() {
-    // Deliberately exercises the deprecated shim: it must stay
-    // hash-identical to the builder for the rest of its cycle.
-    #[allow(deprecated)]
-    let shim = ScenarioConfig::dot11n_download(150, 4, HackMode::MoreData);
+    let preset = ScenarioBuilder::dot11n_download(150, 4, HackMode::MoreData).build();
     let built = ScenarioConfig::builder()
         .standard(StandardKind::Dot11n)
         .rate_mbps(150)
@@ -41,16 +23,15 @@ fn scenario_builder_reproduces_dot11n_download() {
         .hack(HackMode::MoreData)
         .build();
     assert_eq!(
-        shim.stable_hash(),
+        preset.stable_hash(),
         built.stable_hash(),
-        "builder and legacy constructor must resolve to the same config"
+        "the preset must resolve to its explicit setter chain"
     );
 }
 
 #[test]
 fn scenario_builder_reproduces_sora_testbed() {
-    #[allow(deprecated)]
-    let shim = ScenarioConfig::sora_testbed(2, HackMode::Disabled);
+    let preset = ScenarioBuilder::sora_testbed(2, HackMode::Disabled).build();
     let built = ScenarioConfig::builder()
         .standard(StandardKind::Dot11a)
         .rate_mbps(54)
@@ -63,19 +44,7 @@ fn scenario_builder_reproduces_sora_testbed() {
         .sora_quirks(true)
         .rcv_window(128 * 1024)
         .build();
-    assert_eq!(shim.stable_hash(), built.stable_hash());
-}
-
-#[test]
-fn world_builder_digest_matches_legacy_entry_points() {
-    let cfg = short(HackMode::MoreData);
-    let (g_legacy, d_legacy) = traced_run(cfg.clone());
-    let (g_builder, d_builder) = traced_builder(cfg);
-    assert_eq!(
-        d_legacy, d_builder,
-        "World::builder must construct the exact same world as run_traced"
-    );
-    assert_eq!(g_legacy, g_builder);
+    assert_eq!(preset.stable_hash(), built.stable_hash());
 }
 
 #[test]
@@ -86,7 +55,7 @@ fn world_builder_supervisor_matches_config_field() {
     let mut by_builder = by_field.clone();
     by_field.supervisor = Some(SupervisorConfig::default());
 
-    let a = hack_core::run(by_field);
+    let a = World::builder(by_field).run();
     let b = World::builder(by_builder.clone())
         .supervisor(SupervisorConfig::default())
         .run();
@@ -98,15 +67,6 @@ fn world_builder_supervisor_matches_config_field() {
     by_builder.supervisor = None;
     let c = World::builder(by_builder).run();
     assert!(c.supervisor.is_empty());
-}
-
-#[test]
-fn untraced_builder_matches_untraced_new() {
-    let cfg = short(HackMode::Disabled);
-    let a = World::new(cfg.clone()).run();
-    let b = World::builder(cfg).build().run();
-    assert_eq!(a.aggregate_goodput_mbps, b.aggregate_goodput_mbps);
-    assert_eq!(a.events_dispatched, b.events_dispatched);
 }
 
 /// `run()` is `run_until(end)` plus `finish()`: a world stepped in

@@ -13,7 +13,7 @@
 //! The companion test proves the knob is *live*: a non-Reno controller
 //! on the same cell must produce a different trace.
 
-use hack_core::{run_traced, CcKind, HackMode, ScenarioBuilder};
+use hack_core::{CcKind, HackMode, ScenarioBuilder, World};
 use hack_sim::SimDuration;
 use hack_trace::TraceHandle;
 
@@ -49,7 +49,7 @@ fn cell(scenario: &str, mode: &str, seed: u64, cc: CcKind) -> String {
     cfg.seed = seed;
     cfg.cc = cc;
     let (handle, ring) = TraceHandle::ring(1 << 20);
-    let _ = run_traced(cfg, handle);
+    let _ = World::builder(cfg).trace(handle).run();
     ring.digest()
         .to_bytes()
         .iter()

@@ -1,7 +1,7 @@
 //! End-to-end simulation tests: whole-network runs must produce sane,
 //! paper-shaped results.
 
-use hack_core::{run, HackMode, LossConfig, ScenarioBuilder, ScenarioConfig, TrafficModel};
+use hack_core::{HackMode, LossConfig, ScenarioBuilder, ScenarioConfig, TrafficModel, World};
 use hack_sim::SimDuration;
 
 fn short(mut cfg: ScenarioConfig) -> ScenarioConfig {
@@ -13,13 +13,13 @@ fn short(mut cfg: ScenarioConfig) -> ScenarioConfig {
 fn udp_download_approaches_capacity_dot11a() {
     let cfg = short(
         ScenarioBuilder::sora_testbed(1, HackMode::Disabled)
-            .build()
-            .with_udp(),
+            .traffic(TrafficModel::UdpDownload)
+            .build(),
     );
     let mut cfg = cfg;
     cfg.sora_quirks = false;
     cfg.loss = LossConfig::Ideal;
-    let res = run(cfg);
+    let res = World::builder(cfg).run();
     // Ideal 802.11a UDP at 54 Mbps ≈ 28–30 Mbps application goodput.
     assert!(
         res.aggregate_goodput_mbps > 25.0 && res.aggregate_goodput_mbps < 32.0,
@@ -37,13 +37,13 @@ fn tcp_download_dot11a_works_and_hack_beats_stock() {
     let mut hack = stock.clone();
     hack.hack_mode = HackMode::MoreData;
 
-    let rs = run(stock);
+    let rs = World::builder(stock).run();
     assert!(
         rs.aggregate_goodput_mbps > 15.0,
         "stock TCP/802.11a too slow: {:.2} Mbps",
         rs.aggregate_goodput_mbps
     );
-    let rh = run(hack);
+    let rh = World::builder(hack).run();
     assert!(
         rh.aggregate_goodput_mbps > rs.aggregate_goodput_mbps * 1.1,
         "HACK ({:.2}) must clearly beat stock ({:.2})",
@@ -63,7 +63,7 @@ fn tcp_download_dot11a_works_and_hack_beats_stock() {
 #[test]
 fn tcp_download_dot11n_aggregation() {
     let stock = short(ScenarioBuilder::dot11n_download(150, 1, HackMode::Disabled).build());
-    let res = run(stock);
+    let res = World::builder(stock).run();
     // Theoretical TCP/802.11n at 150 Mbps is ~110-125 Mbps; with
     // collisions and TCP dynamics, expect a healthy fraction.
     assert!(
@@ -82,8 +82,8 @@ fn tcp_download_dot11n_aggregation() {
 fn hack_more_data_beats_stock_dot11n() {
     let stock = short(ScenarioBuilder::dot11n_download(150, 1, HackMode::Disabled).build());
     let hack = short(ScenarioBuilder::dot11n_download(150, 1, HackMode::MoreData).build());
-    let rs = run(stock);
-    let rh = run(hack);
+    let rs = World::builder(stock).run();
+    let rh = World::builder(hack).run();
     assert!(
         rh.aggregate_goodput_mbps > rs.aggregate_goodput_mbps * 1.05,
         "HACK {:.2} vs stock {:.2}: expected ≥5% gain",
@@ -96,8 +96,8 @@ fn hack_more_data_beats_stock_dot11n() {
 #[test]
 fn determinism_same_seed_same_result() {
     let cfg = short(ScenarioBuilder::dot11n_download(150, 2, HackMode::MoreData).build());
-    let a = run(cfg.clone());
-    let b = run(cfg);
+    let a = World::builder(cfg.clone()).run();
+    let b = World::builder(cfg).run();
     assert_eq!(a.aggregate_goodput_mbps, b.aggregate_goodput_mbps);
     assert_eq!(a.ppdus, b.ppdus);
     assert_eq!(a.collisions, b.collisions);
@@ -107,7 +107,7 @@ fn determinism_same_seed_same_result() {
 fn upload_is_symmetric() {
     let mut cfg = short(ScenarioBuilder::dot11n_download(150, 1, HackMode::MoreData).build());
     cfg.traffic = TrafficModel::BulkUpload;
-    let res = run(cfg);
+    let res = World::builder(cfg).run();
     assert!(
         res.aggregate_goodput_mbps > 50.0,
         "upload goodput {:.2} Mbps too low",
@@ -120,7 +120,7 @@ fn byte_limited_transfer_completes() {
     let mut cfg = ScenarioBuilder::dot11n_download(150, 1, HackMode::Disabled).build();
     cfg.transfer_bytes = Some(2_000_000);
     cfg.duration = SimDuration::from_secs(20);
-    let res = run(cfg);
+    let res = World::builder(cfg).run();
     assert!(res.completion().is_some(), "2 MB transfer must complete");
     let t = res.completion().unwrap().as_secs_f64();
     assert!(
@@ -133,7 +133,7 @@ fn byte_limited_transfer_completes() {
 fn lossy_environment_recovers() {
     let mut cfg = short(ScenarioBuilder::dot11n_download(150, 1, HackMode::MoreData).build());
     cfg.loss = LossConfig::PerClient(vec![0.10]);
-    let res = run(cfg);
+    let res = World::builder(cfg).run();
     assert!(
         res.aggregate_goodput_mbps > 20.0,
         "flow must survive 10% loss, got {:.2} Mbps",
@@ -148,12 +148,14 @@ fn lossy_environment_recovers() {
 
 #[test]
 fn opportunistic_mode_rides_some_acks_without_regressing() {
-    let stock = run(short(
+    let stock = World::builder(short(
         ScenarioBuilder::dot11n_download(150, 1, HackMode::Disabled).build(),
-    ));
-    let opp = run(short(
+    ))
+    .run();
+    let opp = World::builder(short(
         ScenarioBuilder::dot11n_download(150, 1, HackMode::Opportunistic).build(),
-    ));
+    ))
+    .run();
     // The paper's observation: Opportunistic HACK is NOT a big win, but
     // it must not be a loss either, and it does ride some ACKs.
     assert!(opp.aggregate_goodput_mbps > stock.aggregate_goodput_mbps * 0.97);
@@ -170,13 +172,15 @@ fn opportunistic_mode_rides_some_acks_without_regressing() {
 #[test]
 fn explicit_timer_mode_works_but_underperforms_more_data() {
     use hack_sim::SimDuration as D;
-    let timer = run(short(
+    let timer = World::builder(short(
         ScenarioBuilder::dot11n_download(150, 1, HackMode::ExplicitTimer(D::from_millis(5)))
             .build(),
-    ));
-    let more_data = run(short(
+    ))
+    .run();
+    let more_data = World::builder(short(
         ScenarioBuilder::dot11n_download(150, 1, HackMode::MoreData).build(),
-    ));
+    ))
+    .run();
     assert!(timer.aggregate_goodput_mbps > 50.0);
     assert!(timer.driver[0].hacked_acks > 100);
     assert!(timer.driver[0].timer_flushes > 0, "the timer must fire");
@@ -210,11 +214,11 @@ fn long_explicit_timer_stalls_the_ack_clock() {
     // the window.)
     cfg.rcv_window = 32 * 1024;
     cfg.server_at_ap = true;
-    let r = run(cfg);
+    let r = World::builder(cfg).run();
     let mut baseline = short(ScenarioBuilder::dot11n_download(150, 1, HackMode::MoreData).build());
     baseline.rcv_window = 32 * 1024;
     baseline.server_at_ap = true;
-    let b = run(baseline);
+    let b = World::builder(baseline).run();
     // Every window's worth of ACKs waits out the 100 ms hold: goodput
     // collapses to roughly rwnd / hold ≈ 5 Mbps, far below MORE DATA
     // under the same window.
@@ -233,7 +237,7 @@ fn more_data_latch_tracks_queue_state() {
     let mut cfg = ScenarioBuilder::dot11n_download(150, 1, HackMode::MoreData).build();
     cfg.transfer_bytes = Some(3_000_000);
     cfg.duration = SimDuration::from_secs(20);
-    let r = run(cfg);
+    let r = World::builder(cfg).run();
     assert!(r.completion().is_some());
     // Everything the receiver generated was either ridden or sent
     // natively (held-and-confirmed or flushed).

@@ -8,9 +8,9 @@ mod common;
 
 use common::{assert_same_run, dense_roam_cfg, traced_at};
 use hack_core::{
-    run, run_auto, run_dense, run_traced, shard_configs, BssSpec, ChannelChange, ChannelEvent,
-    CorruptModel, DenseOptions, GeParams, HackMode, LossConfig, RoamEvent, RoamTrigger, RunResult,
-    ScenarioBuilder, ScenarioConfig, StandardKind, SupervisorConfig,
+    run_auto, run_dense, shard_configs, BssSpec, ChannelChange, ChannelEvent, CorruptModel,
+    DenseOptions, GeParams, HackMode, LossConfig, RoamEvent, RoamTrigger, RunResult,
+    ScenarioBuilder, ScenarioConfig, StandardKind, SupervisorConfig, World,
 };
 use hack_sim::SimDuration;
 use hack_trace::{Digest, TraceHandle};
@@ -18,7 +18,7 @@ use proptest::prelude::*;
 
 fn traced(c: ScenarioConfig) -> (RunResult, Digest) {
     let (handle, ring) = TraceHandle::ring(1 << 20);
-    let res = run_traced(c, handle);
+    let res = World::builder(c).trace(handle).run();
     (res, ring.digest())
 }
 
@@ -280,7 +280,7 @@ fn run_auto_merges_dense_results() {
     // Legacy configs pass through the direct engine untouched.
     let legacy = ScenarioBuilder::dot11n_download(150, 1, HackMode::MoreData).build();
     let a = run_auto(legacy.clone());
-    let b = run(legacy);
+    let b = World::builder(legacy).run();
     assert_eq!(a.aggregate_goodput_mbps, b.aggregate_goodput_mbps);
     assert_eq!(a.events_dispatched, b.events_dispatched);
 }

@@ -4,15 +4,15 @@
 //! heals.
 
 use hack_core::{
-    run_traced, ChannelChange, ChannelEvent, CorruptModel, FlowHealth, GeParams, HackMode,
-    LossConfig, RunResult, ScenarioBuilder, ScenarioConfig, SupervisorConfig,
+    ChannelChange, ChannelEvent, CorruptModel, FlowHealth, GeParams, HackMode, LossConfig,
+    RunResult, ScenarioBuilder, ScenarioConfig, SupervisorConfig, World,
 };
 use hack_sim::SimDuration;
 use hack_trace::{Digest, TraceHandle};
 
 fn traced(c: ScenarioConfig) -> (RunResult, Digest) {
     let (handle, ring) = TraceHandle::ring(1 << 20);
-    let res = run_traced(c, handle);
+    let res = World::builder(c).trace(handle).run();
     let digest = ring.digest();
     (res, digest)
 }

@@ -3,10 +3,10 @@
 //! (Figure 9 / Table 1 direction) measured through traced runs.
 
 use hack_core::{
-    run_traced, ChannelChange, ChannelEvent, CorruptModel, GeParams, HackMode, LossConfig,
-    RunResult, ScenarioBuilder, ScenarioConfig,
+    ChannelChange, ChannelEvent, CorruptModel, GeParams, HackMode, LossConfig, RunResult,
+    ScenarioBuilder, ScenarioConfig, World,
 };
-use hack_sim::{QueueKind, SimDuration};
+use hack_sim::SimDuration;
 use hack_trace::{Digest, Layer, TraceHandle};
 
 fn cfg(mode: HackMode, seed: u64) -> ScenarioConfig {
@@ -18,7 +18,7 @@ fn cfg(mode: HackMode, seed: u64) -> ScenarioConfig {
 
 fn traced(c: ScenarioConfig) -> (RunResult, Digest) {
     let (handle, ring) = TraceHandle::ring(1 << 20);
-    let res = run_traced(c, handle);
+    let res = World::builder(c).trace(handle).run();
     let digest = ring.digest();
     (res, digest)
 }
@@ -37,28 +37,6 @@ fn same_seed_gives_byte_identical_digest() {
         ra.aggregate_goodput_mbps, rb.aggregate_goodput_mbps,
         "digests match but results differ: the digest misses state"
     );
-}
-
-/// The scheduler swap must be invisible: a traced run produces a
-/// byte-identical digest whether events flow through the calendar
-/// queue (the default) or the reference binary heap.
-#[test]
-fn digest_identical_under_both_schedulers() {
-    let mut cal = cfg(HackMode::MoreData, 7);
-    cal.queue = QueueKind::Calendar;
-    let mut heap = cfg(HackMode::MoreData, 7);
-    heap.queue = QueueKind::Heap;
-
-    let (rc, dc) = traced(cal);
-    let (rh, dh) = traced(heap);
-    assert!(dc.events > 1000, "trace suspiciously small: {}", dc.events);
-    assert_eq!(
-        dc.to_bytes(),
-        dh.to_bytes(),
-        "calendar queue reordered events relative to the heap"
-    );
-    assert_eq!(rc.aggregate_goodput_mbps, rh.aggregate_goodput_mbps);
-    assert_eq!(rc.events_dispatched, rh.events_dispatched);
 }
 
 /// Scenario with every fault-injection feature on at once: bursty
@@ -139,7 +117,7 @@ fn different_seed_gives_different_digest() {
 
 #[test]
 fn tracing_does_not_perturb_the_simulation() {
-    let plain = hack_core::run(cfg(HackMode::MoreData, 11));
+    let plain = World::builder(cfg(HackMode::MoreData, 11)).run();
     let (traced_res, d) = traced(cfg(HackMode::MoreData, 11));
     assert!(d.events > 0);
     assert_eq!(

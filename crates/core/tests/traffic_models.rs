@@ -4,8 +4,8 @@
 //! re-runs byte-identically under its seed.
 
 use hack_core::{
-    run, run_traced, ArrivalDist, CbrConfig, HackMode, OnOffConfig, RunResult, ScenarioBuilder,
-    ScenarioConfig, ShortFlowConfig, SizeDist, TrafficClass, TrafficModel,
+    ArrivalDist, CbrConfig, HackMode, OnOffConfig, RunResult, ScenarioBuilder, ScenarioConfig,
+    ShortFlowConfig, SizeDist, TrafficClass, TrafficModel, World,
 };
 use hack_sim::SimDuration;
 use hack_trace::TraceHandle;
@@ -21,7 +21,7 @@ fn cell(n_clients: usize, mode: HackMode, ms: u64) -> ScenarioBuilder {
 
 fn traced(cfg: ScenarioConfig) -> (RunResult, Vec<u8>) {
     let (handle, ring) = TraceHandle::ring(1 << 20);
-    let r = run_traced(cfg, handle);
+    let r = World::builder(cfg).trace(handle).run();
     (r, ring.digest().to_bytes().to_vec())
 }
 
@@ -41,9 +41,12 @@ fn short_cfg(size: u64, think_ms: u64, reuse: bool) -> ShortFlowConfig {
 
 #[test]
 fn short_flows_complete_many_transfers() {
-    let r = run(cell(1, HackMode::MoreData, 3_000)
-        .traffic(TrafficModel::ShortFlows(short_cfg(50_000, 5, true)))
-        .build());
+    let r = World::builder(
+        cell(1, HackMode::MoreData, 3_000)
+            .traffic(TrafficModel::ShortFlows(short_cfg(50_000, 5, true)))
+            .build(),
+    )
+    .run();
     let c = r.class(TrafficClass::Short).expect("short class report");
     assert_eq!(c.flows, 1);
     assert!(
@@ -70,12 +73,18 @@ fn short_flows_complete_many_transfers() {
 
 #[test]
 fn short_flows_without_reuse_rekey_and_still_hack() {
-    let reuse = run(cell(1, HackMode::MoreData, 2_500)
-        .traffic(TrafficModel::ShortFlows(short_cfg(100_000, 5, true)))
-        .build());
-    let fresh = run(cell(1, HackMode::MoreData, 2_500)
-        .traffic(TrafficModel::ShortFlows(short_cfg(100_000, 5, false)))
-        .build());
+    let reuse = World::builder(
+        cell(1, HackMode::MoreData, 2_500)
+            .traffic(TrafficModel::ShortFlows(short_cfg(100_000, 5, true)))
+            .build(),
+    )
+    .run();
+    let fresh = World::builder(
+        cell(1, HackMode::MoreData, 2_500)
+            .traffic(TrafficModel::ShortFlows(short_cfg(100_000, 5, false)))
+            .build(),
+    )
+    .run();
     for (label, r) in [("reuse", &reuse), ("fresh", &fresh)] {
         let c = r.class(TrafficClass::Short).expect("short class");
         assert!(c.transfers >= 10, "{label}: only {} transfers", c.transfers);
@@ -106,9 +115,12 @@ fn short_flows_without_reuse_rekey_and_still_hack() {
     // transfer is long enough to refill the AP queue past one
     // aggregation batch, the rebuilt five-tuple's context forms and
     // held ACKs flow again on the brand-new connection.
-    let fresh_big = run(cell(1, HackMode::MoreData, 2_500)
-        .traffic(TrafficModel::ShortFlows(short_cfg(300_000, 5, false)))
-        .build());
+    let fresh_big = World::builder(
+        cell(1, HackMode::MoreData, 2_500)
+            .traffic(TrafficModel::ShortFlows(short_cfg(300_000, 5, false)))
+            .build(),
+    )
+    .run();
     assert!(
         fresh_big.driver[0].hacked_acks > 0,
         "re-keyed connections never re-engaged HACK even at 300 KB transfers"
@@ -119,9 +131,12 @@ fn short_flows_without_reuse_rekey_and_still_hack() {
 fn zero_and_one_byte_short_flows_never_stall() {
     for size in [0u64, 1] {
         for reuse in [true, false] {
-            let r = run(cell(1, HackMode::MoreData, 1_500)
-                .traffic(TrafficModel::ShortFlows(short_cfg(size, 2, reuse)))
-                .build());
+            let r = World::builder(
+                cell(1, HackMode::MoreData, 1_500)
+                    .traffic(TrafficModel::ShortFlows(short_cfg(size, 2, reuse)))
+                    .build(),
+            )
+            .run();
             let c = r.class(TrafficClass::Short).expect("short class");
             assert!(
                 c.transfers >= 10,
@@ -139,9 +154,12 @@ fn zero_and_one_byte_short_flows_never_stall() {
 
 #[test]
 fn bidirectional_holds_acks_on_both_sides() {
-    let r = run(cell(1, HackMode::MoreData, 2_500)
-        .traffic(TrafficModel::Bidirectional)
-        .build());
+    let r = World::builder(
+        cell(1, HackMode::MoreData, 2_500)
+            .traffic(TrafficModel::Bidirectional)
+            .build(),
+    )
+    .run();
     let c = r.class(TrafficClass::Bidir).expect("bidir class");
     assert_eq!(c.flows, 1);
     // Both data directions must move real bytes (the meter sums both
@@ -163,12 +181,18 @@ fn bidirectional_holds_acks_on_both_sides() {
 
 #[test]
 fn bidirectional_beats_its_own_stock_baseline() {
-    let stock = run(cell(1, HackMode::Disabled, 2_500)
-        .traffic(TrafficModel::Bidirectional)
-        .build());
-    let hack = run(cell(1, HackMode::MoreData, 2_500)
-        .traffic(TrafficModel::Bidirectional)
-        .build());
+    let stock = World::builder(
+        cell(1, HackMode::Disabled, 2_500)
+            .traffic(TrafficModel::Bidirectional)
+            .build(),
+    )
+    .run();
+    let hack = World::builder(
+        cell(1, HackMode::MoreData, 2_500)
+            .traffic(TrafficModel::Bidirectional)
+            .build(),
+    )
+    .run();
     // With ACKs of both directions off the air, HACK must not regress
     // the combined goodput (it wins on the contended reverse path).
     assert!(
@@ -185,9 +209,12 @@ fn bidirectional_beats_its_own_stock_baseline() {
 
 #[test]
 fn cbr_reports_latency_and_jitter_percentiles() {
-    let r = run(cell(1, HackMode::Disabled, 3_000)
-        .traffic(TrafficModel::Cbr(CbrConfig::default()))
-        .build());
+    let r = World::builder(
+        cell(1, HackMode::Disabled, 3_000)
+            .traffic(TrafficModel::Cbr(CbrConfig::default()))
+            .build(),
+    )
+    .run();
     let c = r.class(TrafficClass::Cbr).expect("cbr class");
     // 64 kbit/s in 160-byte frames = one packet per 20 ms ⇒ ~150 over
     // 3 s; nearly all should arrive on an ideal channel.
@@ -218,7 +245,7 @@ fn onoff_source_delivers_part_time() {
         rate_kbps: 2_000,
         payload_bytes: 1_200,
     });
-    let r = run(cell(1, HackMode::Disabled, 3_000).traffic(model).build());
+    let r = World::builder(cell(1, HackMode::Disabled, 3_000).traffic(model).build()).run();
     let c = r.class(TrafficClass::OnOff).expect("onoff class");
     // On half the time at 2 Mbps ⇒ ~1 Mbps long-run average; leave wide
     // margins for period phasing against the measurement window.
@@ -250,7 +277,7 @@ fn mixed_cfg(mode: HackMode) -> ScenarioConfig {
 
 #[test]
 fn mixed_world_reports_every_class() {
-    let r = run(mixed_cfg(HackMode::MoreData));
+    let r = World::builder(mixed_cfg(HackMode::MoreData)).run();
     assert_eq!(r.classes.len(), 3, "three classes, one report each");
     // Reports come out in wire-code order.
     let codes: Vec<u8> = r.classes.iter().map(|c| c.class.code()).collect();
@@ -274,9 +301,12 @@ fn mixed_world_reports_every_class() {
 
 #[test]
 fn per_flow_completion_times_drive_the_aggregate() {
-    let r = run(cell(2, HackMode::MoreData, 20_000)
-        .transfer_bytes(1_500_000)
-        .build());
+    let r = World::builder(
+        cell(2, HackMode::MoreData, 20_000)
+            .transfer_bytes(1_500_000)
+            .build(),
+    )
+    .run();
     assert_eq!(r.flow_completion.len(), 2);
     let times: Vec<_> = r
         .flow_completion

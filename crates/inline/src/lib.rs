@@ -9,7 +9,7 @@
 //! live *either* entirely in the inline buffer (`len <= N`, spill
 //! empty) *or* entirely in the spill (`len > N`).
 //!
-//! The hot users are [`hack-tcp`]'s `TcpSegment::options` (at most four
+//! The hot users are `hack-tcp`'s `TcpSegment::options` (at most four
 //! options on any real segment) and the ROHC compressor's output
 //! segments (≤ 12 bytes unless SACK blocks pile up) — both previously
 //! a guaranteed heap allocation per packet.

@@ -28,7 +28,7 @@ impl BufPool {
     /// acknowledged segment by segment leaves 64 rebuilds in flight).
     const DEFAULT_MAX_POOLED: usize = 64;
 
-    /// A pool retaining up to [`Self::DEFAULT_MAX_POOLED`] buffers.
+    /// A pool retaining up to `DEFAULT_MAX_POOLED` (64) buffers.
     pub fn new() -> Self {
         BufPool::with_max_pooled(Self::DEFAULT_MAX_POOLED)
     }

@@ -35,7 +35,7 @@ impl From<std::ops::RangeInclusive<usize>> for SizeRange {
     }
 }
 
-/// The strategy returned by [`vec`].
+/// The strategy returned by [`vec()`].
 #[derive(Debug, Clone)]
 pub struct VecStrategy<S> {
     elem: S,

@@ -12,8 +12,7 @@
 //! * a cheap hasher for simulator-generated keys ([`hash`]),
 //! * the index-claimed worker pool that dense shards and campaign jobs
 //!   share ([`pool`]), and
-//! * measurement primitives for the paper's metrics ([`stats`]) plus a
-//!   zero-cost-when-off tracer ([`mod@trace`]).
+//! * measurement primitives for the paper's metrics ([`stats`]).
 //!
 //! The protocol crates (`hack-mac`, `hack-tcp`, `hack-core`) are written
 //! sans-IO: they never talk to this engine directly, they merely return
@@ -32,18 +31,16 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 pub mod timer;
-pub mod trace;
 
 pub use hash::{FastBuildHasher, FastHasher, FastMap};
-pub use queue::{CalendarQueue, EventHandle, EventQueue, HeapEventQueue, QueueKind, Scheduler};
+pub use queue::{EventHandle, EventQueue, Scheduler};
 pub use rng::SimRng;
 pub use stats::{
-    Counter, Histogram, QuantileSketch, RunStats, RunningStats, ThroughputMeter, TimeAccumulator,
+    Counter, QuantileSketch, RunStats, RunningStats, ThroughputMeter, TimeAccumulator,
     SKETCH_BUCKETS,
 };
 pub use time::{SimDuration, SimTime};
 pub use timer::{TimerTable, TimerToken};
-pub use trace::{Level, Tracer};
 
 /// The structured cross-layer event-tracing layer (re-exported so
 /// simulation drivers need only depend on `hack-sim`).

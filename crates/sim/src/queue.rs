@@ -1,44 +1,28 @@
 //! The pending-event queue at the heart of the discrete-event engine.
 //!
-//! Two implementations live behind the [`EventQueue`] facade:
+//! [`EventQueue`] is a Brown-style calendar queue (the structure NS-2
+//! popularized for network simulation): events hash into time-indexed
+//! buckets of one "day" each, a "year" spanning all buckets, so push
+//! and pop are amortized O(1) in the steady state.
 //!
-//! * [`CalendarQueue`] — a Brown-style calendar queue (the structure
-//!   NS-2 popularized for network simulation): events hash into
-//!   time-indexed buckets of one "day" each, a "year" spanning all
-//!   buckets, so push and pop are amortized O(1) in the steady state.
-//!   This is the default.
-//! * [`HeapEventQueue`] — the classic binary min-heap, kept as the
-//!   reference implementation and for differential testing.
+//! Events are ordered by firing time with a monotonically increasing
+//! sequence number as a tiebreak, so events scheduled for the same
+//! instant fire in **FIFO order**. Deterministic tie-breaking matters:
+//! the 802.11 MAC schedules many same-instant events (e.g. several
+//! stations' backoff slot boundaries), and run-to-run reproducibility
+//! of the whole simulation depends on their dispatch order being a pure
+//! function of insertion order.
 //!
-//! Both order events by firing time with a monotonically increasing
-//! sequence number as a tiebreak so that events scheduled for the same
-//! instant fire in **FIFO order**, and both produce the *identical*
-//! total order for the same push sequence. Deterministic tie-breaking
-//! matters: the 802.11 MAC schedules many same-instant events (e.g.
-//! several stations' backoff slot boundaries), and run-to-run
-//! reproducibility of the whole simulation depends on their dispatch
-//! order being a pure function of insertion order.
-//!
-//! A push returns an [`EventHandle`], and `cancel(handle)` removes that
-//! event: it is never popped and never counted. The calendar unlinks it
-//! from its bucket; the heap leaves a tombstone that pops skip. A
+//! A push returns an [`EventHandle`], and `cancel(handle)` unlinks that
+//! event from its bucket: it is never popped and never counted. A
 //! removal changes no other entry's sequence number, so the remaining
 //! events pop in the order they would have had anyway.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//!
+//! A classic binary min-heap stays in this file's tests as the
+//! reference: the property tests hold the calendar to the heap's pop
+//! order, cancels included.
 
 use crate::time::SimTime;
-
-/// Which [`EventQueue`] implementation a scheduler runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueKind {
-    /// Calendar queue — amortized O(1) push/pop (the default).
-    #[default]
-    Calendar,
-    /// Binary min-heap — O(log n) reference implementation.
-    Heap,
-}
 
 /// Names one pushed event so it can be cancelled before it fires.
 ///
@@ -69,116 +53,6 @@ fn slot_for<T>(slab: &mut Vec<T>, free: &mut Vec<u32>, value: T) -> u32 {
     }
 }
 
-// ---------------------------------------------------------------------
-// Binary-heap implementation (the reference).
-// ---------------------------------------------------------------------
-
-/// The classic binary-min-heap event queue, ordered by firing time then
-/// insertion order. Payloads sit in a slab beside the heap, so a cancel
-/// empties the slot and leaves the heap entry behind as a tombstone.
-#[derive(Debug)]
-pub struct HeapEventQueue<E> {
-    heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
-    /// `(seq, payload)` per slot; the payload is `None` once popped or
-    /// cancelled.
-    slab: Vec<(u64, Option<E>)>,
-    free: Vec<u32>,
-    len: usize,
-    next_seq: u64,
-}
-
-impl<E> Default for HeapEventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> HeapEventQueue<E> {
-    /// Create an empty queue.
-    pub fn new() -> Self {
-        HeapEventQueue {
-            heap: BinaryHeap::new(),
-            slab: Vec::new(),
-            free: Vec::new(),
-            len: 0,
-            next_seq: 0,
-        }
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Schedule `payload` to fire at absolute time `at`.
-    pub fn push(&mut self, at: SimTime, payload: E) -> EventHandle {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let slot = slot_for(&mut self.slab, &mut self.free, (seq, Some(payload)));
-        self.heap.push(Reverse((at, seq, slot)));
-        self.len += 1;
-        EventHandle { slot, seq }
-    }
-
-    /// Remove the event `handle` names, returning its payload; `None`
-    /// if it already popped or was cancelled.
-    pub fn cancel(&mut self, handle: EventHandle) -> Option<E> {
-        let (seq, payload) = self.slab.get_mut(handle.slot as usize)?;
-        if *seq != handle.seq {
-            return None;
-        }
-        let payload = payload.take()?;
-        self.free.push(handle.slot);
-        self.len -= 1;
-        Some(payload)
-    }
-
-    /// Drop tombstones off the top; the top, if any, is then live.
-    fn skip_tombstones(&mut self) {
-        while let Some(&Reverse((_, seq, slot))) = self.heap.peek() {
-            match &self.slab[slot as usize] {
-                (s, Some(_)) if *s == seq => return,
-                _ => {
-                    self.heap.pop();
-                }
-            }
-        }
-    }
-
-    /// The firing time of the earliest pending event, if any.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.skip_tombstones();
-        self.heap.peek().map(|Reverse((at, ..))| *at)
-    }
-
-    /// Remove and return the earliest pending event.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.skip_tombstones();
-        let Reverse((at, _, slot)) = self.heap.pop()?;
-        let payload = self.slab[slot as usize].1.take().expect("live top");
-        self.free.push(slot);
-        self.len -= 1;
-        Some((at, payload))
-    }
-
-    /// Drop all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        self.slab.clear();
-        self.free.clear();
-        self.len = 0;
-    }
-}
-
-// ---------------------------------------------------------------------
-// Calendar-queue implementation (the default).
-// ---------------------------------------------------------------------
-
 /// Smallest bucket count the calendar shrinks to.
 const MIN_BUCKETS: usize = 8;
 /// Bucket-width ceiling (2^40 ns ≈ 18 min) — keeps the year arithmetic
@@ -208,6 +82,9 @@ const EMPTY: Bucket = Bucket {
     tail: NIL,
 };
 
+/// An event queue holding payloads of type `E`, ordered by firing time
+/// then insertion order.
+///
 /// A Brown-style calendar queue: buckets of one "day" (`width`) each,
 /// the whole array spanning one "year". An event at time `t` lives in
 /// bucket `(t / width) % nbuckets`; buckets are kept sorted so pops
@@ -224,7 +101,7 @@ const EMPTY: Bucket = Bucket {
 /// no randomness, no wall clock), so equal push sequences always
 /// produce equal pop sequences, bit for bit.
 #[derive(Debug)]
-pub struct CalendarQueue<E> {
+pub struct EventQueue<E> {
     /// `nbuckets` (power of two) sorted day-buckets.
     buckets: Vec<Bucket>,
     /// Event storage; bucket lists link its slots.
@@ -244,16 +121,16 @@ pub struct CalendarQueue<E> {
     next_seq: u64,
 }
 
-impl<E> Default for CalendarQueue<E> {
+impl<E> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E> CalendarQueue<E> {
+impl<E> EventQueue<E> {
     /// Create an empty queue.
     pub fn new() -> Self {
-        CalendarQueue {
+        EventQueue {
             buckets: vec![EMPTY; MIN_BUCKETS],
             slab: Vec::new(),
             free: Vec::new(),
@@ -481,113 +358,6 @@ impl<E> CalendarQueue<E> {
     }
 }
 
-// ---------------------------------------------------------------------
-// The facade.
-// ---------------------------------------------------------------------
-
-#[derive(Debug)]
-enum Inner<E> {
-    Calendar(CalendarQueue<E>),
-    Heap(HeapEventQueue<E>),
-}
-
-/// An event queue holding payloads of type `E`, ordered by firing time
-/// then insertion order. Backed by a [`CalendarQueue`] by default; a
-/// [`HeapEventQueue`] can be selected with [`EventQueue::with_kind`]
-/// (both yield the identical pop order).
-#[derive(Debug)]
-pub struct EventQueue<E> {
-    inner: Inner<E>,
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> EventQueue<E> {
-    /// Create an empty queue on the default (calendar) implementation.
-    pub fn new() -> Self {
-        Self::with_kind(QueueKind::Calendar)
-    }
-
-    /// Create an empty queue on the chosen implementation.
-    pub fn with_kind(kind: QueueKind) -> Self {
-        EventQueue {
-            inner: match kind {
-                QueueKind::Calendar => Inner::Calendar(CalendarQueue::new()),
-                QueueKind::Heap => Inner::Heap(HeapEventQueue::new()),
-            },
-        }
-    }
-
-    /// Which implementation this queue runs on.
-    pub fn kind(&self) -> QueueKind {
-        match &self.inner {
-            Inner::Calendar(_) => QueueKind::Calendar,
-            Inner::Heap(_) => QueueKind::Heap,
-        }
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        match &self.inner {
-            Inner::Calendar(q) => q.len(),
-            Inner::Heap(q) => q.len(),
-        }
-    }
-
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Schedule `payload` to fire at absolute time `at`.
-    pub fn push(&mut self, at: SimTime, payload: E) -> EventHandle {
-        match &mut self.inner {
-            Inner::Calendar(q) => q.push(at, payload),
-            Inner::Heap(q) => q.push(at, payload),
-        }
-    }
-
-    /// Remove the event `handle` names, returning its payload; `None`
-    /// if it already popped or was cancelled.
-    pub fn cancel(&mut self, handle: EventHandle) -> Option<E> {
-        match &mut self.inner {
-            Inner::Calendar(q) => q.cancel(handle),
-            Inner::Heap(q) => q.cancel(handle),
-        }
-    }
-
-    /// The firing time of the earliest pending event, if any.
-    ///
-    /// `&mut self` because the calendar implementation advances its
-    /// scan cursor while peeking (contents are untouched).
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        match &mut self.inner {
-            Inner::Calendar(q) => q.peek_time(),
-            Inner::Heap(q) => q.peek_time(),
-        }
-    }
-
-    /// Remove and return the earliest pending event.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        match &mut self.inner {
-            Inner::Calendar(q) => q.pop(),
-            Inner::Heap(q) => q.pop(),
-        }
-    }
-
-    /// Drop all pending events.
-    pub fn clear(&mut self) {
-        match &mut self.inner {
-            Inner::Calendar(q) => q.clear(),
-            Inner::Heap(q) => q.clear(),
-        }
-    }
-}
-
 /// A simulation clock plus event queue: the minimal driver loop.
 ///
 /// [`Scheduler::pop`] advances the clock to each event's firing time, which
@@ -610,25 +380,14 @@ impl<E> Default for Scheduler<E> {
 }
 
 impl<E> Scheduler<E> {
-    /// Create a scheduler with the clock at t=0 and an empty queue on the
-    /// default (calendar) implementation.
+    /// Create a scheduler with the clock at t=0 and an empty queue.
     pub fn new() -> Self {
-        Self::with_kind(QueueKind::Calendar)
-    }
-
-    /// Create a scheduler on the chosen queue implementation.
-    pub fn with_kind(kind: QueueKind) -> Self {
         Scheduler {
             now: SimTime::ZERO,
-            queue: EventQueue::with_kind(kind),
+            queue: EventQueue::new(),
             dispatched: 0,
             pushes: 0,
         }
-    }
-
-    /// Which queue implementation this scheduler runs on.
-    pub fn queue_kind(&self) -> QueueKind {
-        self.queue.kind()
     }
 
     /// Current simulation time.
@@ -694,75 +453,152 @@ impl<E> Scheduler<E> {
     }
 }
 
+/// The classic binary-min-heap event queue, ordered by firing time then
+/// insertion order: the queue the calendar replaced, kept as the model
+/// the property tests hold [`EventQueue`] to. Payloads sit in a slab
+/// beside the heap, so a cancel empties the slot and leaves the heap
+/// entry behind as a tombstone.
+#[cfg(test)]
+mod reference {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    use super::{slot_for, EventHandle};
+    use crate::time::SimTime;
+
+    pub struct HeapEventQueue<E> {
+        heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+        /// `(seq, payload)` per slot; the payload is `None` once popped
+        /// or cancelled.
+        slab: Vec<(u64, Option<E>)>,
+        free: Vec<u32>,
+        len: usize,
+        next_seq: u64,
+    }
+
+    impl<E> HeapEventQueue<E> {
+        pub fn new() -> Self {
+            HeapEventQueue {
+                heap: BinaryHeap::new(),
+                slab: Vec::new(),
+                free: Vec::new(),
+                len: 0,
+                next_seq: 0,
+            }
+        }
+
+        pub fn len(&self) -> usize {
+            self.len
+        }
+
+        pub fn push(&mut self, at: SimTime, payload: E) -> EventHandle {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            let slot = slot_for(&mut self.slab, &mut self.free, (seq, Some(payload)));
+            self.heap.push(Reverse((at, seq, slot)));
+            self.len += 1;
+            EventHandle { slot, seq }
+        }
+
+        pub fn cancel(&mut self, handle: EventHandle) -> Option<E> {
+            let (seq, payload) = self.slab.get_mut(handle.slot as usize)?;
+            if *seq != handle.seq {
+                return None;
+            }
+            let payload = payload.take()?;
+            self.free.push(handle.slot);
+            self.len -= 1;
+            Some(payload)
+        }
+
+        /// Drop tombstones off the top; the top, if any, is then live.
+        fn skip_tombstones(&mut self) {
+            while let Some(&Reverse((_, seq, slot))) = self.heap.peek() {
+                match &self.slab[slot as usize] {
+                    (s, Some(_)) if *s == seq => return,
+                    _ => {
+                        self.heap.pop();
+                    }
+                }
+            }
+        }
+
+        pub fn peek_time(&mut self) -> Option<SimTime> {
+            self.skip_tombstones();
+            self.heap.peek().map(|Reverse((at, ..))| *at)
+        }
+
+        pub fn pop(&mut self) -> Option<(SimTime, E)> {
+            self.skip_tombstones();
+            let Reverse((at, _, slot)) = self.heap.pop()?;
+            let payload = self.slab[slot as usize].1.take().expect("live top");
+            self.free.push(slot);
+            self.len -= 1;
+            Some((at, payload))
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
+    use super::reference::HeapEventQueue;
     use super::*;
     use crate::time::SimDuration;
-
-    fn both() -> [EventQueue<i32>; 2] {
-        [
-            EventQueue::with_kind(QueueKind::Calendar),
-            EventQueue::with_kind(QueueKind::Heap),
-        ]
-    }
+    use crate::timer::{TimerTable, TimerToken};
+    use proptest::prelude::*;
 
     #[test]
     fn pops_in_time_order() {
-        for mut q in [
-            EventQueue::with_kind(QueueKind::Calendar),
-            EventQueue::with_kind(QueueKind::Heap),
-        ] {
-            q.push(SimTime::from_micros(30), "c");
-            q.push(SimTime::from_micros(10), "a");
-            q.push(SimTime::from_micros(20), "b");
-            let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-            assert_eq!(order, vec!["a", "b", "c"]);
-        }
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_micros(30), "c");
+        q.push(SimTime::from_micros(10), "a");
+        q.push(SimTime::from_micros(20), "b");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, vec!["a", "b", "c"]);
     }
 
     #[test]
     fn same_time_is_fifo() {
-        for mut q in both() {
-            let t = SimTime::from_micros(5);
-            for i in 0..100 {
-                q.push(t, i);
-            }
-            let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-            assert_eq!(order, (0..100).collect::<Vec<_>>());
+        let mut q = EventQueue::new();
+        let t = SimTime::from_micros(5);
+        for i in 0..100 {
+            q.push(t, i);
         }
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn fifo_tiebreak_interleaved_with_earlier_events() {
-        for mut q in both() {
-            let t = SimTime::from_micros(5);
-            q.push(t, 1);
-            q.push(SimTime::from_micros(1), 0);
-            q.push(t, 2);
-            let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-            assert_eq!(order, vec![0, 1, 2]);
-        }
+        let mut q = EventQueue::new();
+        let t = SimTime::from_micros(5);
+        q.push(t, 1);
+        q.push(SimTime::from_micros(1), 0);
+        q.push(t, 2);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, vec![0, 1, 2]);
     }
 
     #[test]
     fn cancelled_events_never_pop() {
-        for mut q in both() {
-            let t = SimTime::from_micros(5);
-            let head = q.push(t, 1);
-            let second = q.push(t, 2);
-            q.push(t, 3);
-            assert_eq!(q.cancel(head), Some(1));
-            assert_eq!(q.cancel(head), None, "cancelled twice");
-            assert_eq!(q.len(), 2);
-            assert_eq!(q.pop(), Some((t, 2)));
-            assert_eq!(q.cancel(second), None, "already popped");
-            // The popped event's slot goes to this push; the old handle
-            // must not reach it.
-            q.push(t, 4);
-            assert_eq!(q.cancel(second), None, "slot reused");
-            let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-            assert_eq!(order, vec![3, 4]);
-        }
+        let mut q = EventQueue::new();
+        let t = SimTime::from_micros(5);
+        let head = q.push(t, 1);
+        let second = q.push(t, 2);
+        q.push(t, 3);
+        assert_eq!(q.cancel(head), Some(1));
+        assert_eq!(q.cancel(head), None, "cancelled twice");
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop(), Some((t, 2)));
+        assert_eq!(q.cancel(second), None, "already popped");
+        // The popped event's slot goes to this push; the old handle must
+        // not reach it.
+        q.push(t, 4);
+        assert_eq!(q.cancel(second), None, "slot reused");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, vec![3, 4]);
     }
 
     #[test]
@@ -778,7 +614,7 @@ mod tests {
 
     #[test]
     fn calendar_survives_resize_cycles() {
-        let mut q = CalendarQueue::new();
+        let mut q = EventQueue::new();
         // Grow far past the initial geometry, interleaving pops.
         for i in 0..5_000u64 {
             q.push(SimTime::from_nanos(i * 977 % 100_000), i);
@@ -799,7 +635,7 @@ mod tests {
 
     #[test]
     fn calendar_sparse_schedule_jumps_years() {
-        let mut q = CalendarQueue::new();
+        let mut q = EventQueue::new();
         // Events many "years" apart force the direct-search fallback.
         for i in (0..10u64).rev() {
             q.push(SimTime::from_secs(i * 37), i);
@@ -810,7 +646,7 @@ mod tests {
 
     #[test]
     fn calendar_peek_matches_pop() {
-        let mut q = CalendarQueue::new();
+        let mut q = EventQueue::new();
         for i in [5u64, 3, 9, 3, 7, 1, 1] {
             q.push(SimTime::from_micros(i), i);
         }
@@ -824,7 +660,7 @@ mod tests {
 
     #[test]
     fn calendar_slab_reuses_slots() {
-        let mut q = CalendarQueue::new();
+        let mut q = EventQueue::new();
         // Steady-state push/pop churn must not grow the slab without
         // bound: slots free on pop and are reused by later pushes.
         for round in 0..1_000u64 {
@@ -866,19 +702,234 @@ mod tests {
 
     #[test]
     fn clear_empties_queue() {
-        for mut q in both() {
-            q.push(SimTime::ZERO, 1);
-            q.push(SimTime::ZERO, 2);
-            assert_eq!(q.len(), 2);
-            q.clear();
-            assert!(q.is_empty());
-            assert_eq!(q.pop(), None);
+        let mut q = EventQueue::new();
+        q.push(SimTime::ZERO, 1);
+        q.push(SimTime::ZERO, 2);
+        assert_eq!(q.len(), 2);
+        q.clear();
+        assert!(q.is_empty());
+        assert_eq!(q.pop(), None);
+    }
+
+    /// A queue without removal, as the scheduler was before it could
+    /// cancel: every event is pushed, a cancel only bumps the event's
+    /// timer generation, and stale events are dropped when they reach
+    /// the front.
+    #[derive(Default)]
+    struct LazyOracle {
+        queue: BTreeMap<(SimTime, u64), (usize, TimerToken<usize>)>,
+        timers: TimerTable<usize>,
+        tokens: Vec<TimerToken<usize>>,
+    }
+
+    impl LazyOracle {
+        /// Push event `id` (ids count up from 0 in push order).
+        fn push(&mut self, at: SimTime, id: usize) {
+            let token = self.timers.arm(id);
+            self.tokens.push(token);
+            self.queue.insert((at, id as u64), (id, token));
+        }
+
+        fn cancel(&mut self, id: usize) {
+            self.timers.cancel(id);
+        }
+
+        fn is_live(&self, id: usize) -> bool {
+            self.timers.is_current(&self.tokens[id])
+        }
+
+        /// The earliest live event, dropping the stale ones in front of
+        /// it.
+        fn peek(&mut self) -> Option<(SimTime, usize)> {
+            loop {
+                let (&(at, _), &(id, token)) = self.queue.first_key_value()?;
+                if self.timers.is_current(&token) {
+                    return Some((at, id));
+                }
+                self.queue.pop_first();
+            }
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, usize)> {
+            let head = self.peek()?;
+            let (_, (_, token)) = self.queue.pop_first().expect("peeked");
+            assert!(self.timers.fire(token));
+            Some(head)
         }
     }
 
-    #[test]
-    fn default_kind_is_calendar() {
-        assert_eq!(EventQueue::<()>::new().kind(), QueueKind::Calendar);
-        assert_eq!(Scheduler::<()>::new().queue_kind(), QueueKind::Calendar);
+    proptest! {
+        /// Differential test: the calendar queue and the binary heap pop
+        /// the *identical* (time, payload) sequence for any push order —
+        /// including same-instant FIFO bursts (the `dup` factor repeats
+        /// times so ties are common).
+        #[test]
+        fn calendar_matches_heap_total_order(
+            times in proptest::collection::vec((0u64..200_000, 1usize..5), 1..150),
+        ) {
+            let mut cal = EventQueue::new();
+            let mut heap = HeapEventQueue::new();
+            let mut idx = 0usize;
+            for &(t, dup) in &times {
+                for _ in 0..dup {
+                    cal.push(SimTime::from_nanos(t), idx);
+                    heap.push(SimTime::from_nanos(t), idx);
+                    idx += 1;
+                }
+            }
+            loop {
+                prop_assert_eq!(cal.peek_time(), heap.peek_time());
+                let (a, b) = (cal.pop(), heap.pop());
+                prop_assert_eq!(a, b);
+                if a.is_none() {
+                    break;
+                }
+            }
+        }
+
+        /// Same differential test under a scheduler-like workload: pops
+        /// interleaved with pushes that are relative to the last popped
+        /// time (events never scheduled into the past), crossing many
+        /// resize and year boundaries.
+        #[test]
+        fn calendar_matches_heap_interleaved(
+            ops in proptest::collection::vec((0u64..3_000_000, 0u8..4), 1..300),
+        ) {
+            let mut cal = EventQueue::new();
+            let mut heap = HeapEventQueue::new();
+            let mut now = 0u64;
+            for (i, &(delay, pops)) in ops.iter().enumerate() {
+                cal.push(SimTime::from_nanos(now + delay), i);
+                heap.push(SimTime::from_nanos(now + delay), i);
+                for _ in 0..pops {
+                    let (a, b) = (cal.pop(), heap.pop());
+                    prop_assert_eq!(a, b);
+                    if let Some((t, _)) = a {
+                        now = t.as_nanos();
+                    }
+                }
+            }
+            loop {
+                let (a, b) = (cal.pop(), heap.pop());
+                prop_assert_eq!(a, b);
+                if a.is_none() {
+                    break;
+                }
+            }
+        }
+
+        /// The bucket insert has an append fast path (the new entry sorts
+        /// at or after the bucket's back) and a list-walk slow path. Drive
+        /// both hard against the heap: bursts of equal timestamps (every
+        /// push after the first appends), and runs of strictly decreasing
+        /// times packed inside one initial bucket's 1.024 µs day (every
+        /// push after the first lands at the front), interleaved with pops
+        /// so scans, rewinds and resizes happen in between.
+        #[test]
+        fn calendar_matches_heap_bursts_and_descending(
+            groups in proptest::collection::vec(
+                (0u64..50_000, 1u64..60, any::<bool>(), 0usize..40),
+                1..40,
+            ),
+        ) {
+            let mut cal = EventQueue::new();
+            let mut heap = HeapEventQueue::new();
+            let mut now = 0u64;
+            let mut idx = 0usize;
+            for &(delay, n, descending, pops) in &groups {
+                let base = now + delay;
+                for i in 0..n {
+                    let t = if descending { base + (n - 1 - i) } else { base };
+                    cal.push(SimTime::from_nanos(t), idx);
+                    heap.push(SimTime::from_nanos(t), idx);
+                    idx += 1;
+                }
+                for _ in 0..pops {
+                    prop_assert_eq!(cal.peek_time(), heap.peek_time());
+                    let (a, b) = (cal.pop(), heap.pop());
+                    prop_assert_eq!(a, b);
+                    if let Some((t, _)) = a {
+                        now = t.as_nanos();
+                    }
+                }
+            }
+            loop {
+                let (a, b) = (cal.pop(), heap.pop());
+                prop_assert_eq!(a, b);
+                if a.is_none() {
+                    break;
+                }
+            }
+        }
+
+        /// Removal under arbitrary interleavings of push (half of them
+        /// onto a handful of instants, so FIFO ties are common), cancel of
+        /// any handle ever issued (pending, the head, popped, cancelled,
+        /// or one whose slab slot a later push reused), peek and pop. The
+        /// scheduler and the heap agree on every answer, and the
+        /// scheduler's `dispatched()` counts exactly the heap's pops; a
+        /// cancel succeeds exactly when the event is still pending; and
+        /// both pop the `(time, payload)` sequence of a queue without
+        /// removal whose cancelled events are dropped at the front by
+        /// generation tokens.
+        #[test]
+        fn cancel_agrees_with_heap_and_with_lazy_tokens(
+            ops in proptest::collection::vec((0u8..6, 0u64..40_000, any::<usize>()), 1..400),
+        ) {
+            let mut cal = Scheduler::new();
+            let mut heap = HeapEventQueue::new();
+            let mut heap_pops = 0u64;
+            let mut oracle = LazyOracle::default();
+            let mut handles = Vec::new();
+            for &(op, x, pick) in &ops {
+                match op {
+                    0 | 1 => {
+                        let delay = if op == 0 { x % 4 } else { x };
+                        let at = cal.now() + SimDuration::from_nanos(delay);
+                        let id = handles.len();
+                        handles.push((cal.schedule_at(at, id), heap.push(at, id)));
+                        oracle.push(at, id);
+                    }
+                    2 | 3 => {
+                        // Any handle, or the head's.
+                        let id = match (op, oracle.peek()) {
+                            (3, Some((_, head))) => head,
+                            _ if handles.is_empty() => continue,
+                            _ => pick % handles.len(),
+                        };
+                        let (hc, hh) = handles[id];
+                        let live = oracle.is_live(id);
+                        let got = cal.cancel(hc);
+                        prop_assert_eq!(got, heap.cancel(hh));
+                        prop_assert_eq!(got, live.then_some(id));
+                        oracle.cancel(id);
+                    }
+                    4 => {
+                        let t = cal.peek_time();
+                        prop_assert_eq!(t, heap.peek_time());
+                        prop_assert_eq!(t, oracle.peek().map(|(at, _)| at));
+                    }
+                    _ => {
+                        let got = cal.pop();
+                        let want = heap.pop();
+                        heap_pops += u64::from(want.is_some());
+                        prop_assert_eq!(got, want);
+                        prop_assert_eq!(got, oracle.pop());
+                    }
+                }
+                prop_assert_eq!(cal.pending(), heap.len());
+            }
+            loop {
+                let got = cal.pop();
+                let want = heap.pop();
+                heap_pops += u64::from(want.is_some());
+                prop_assert_eq!(got, want);
+                prop_assert_eq!(got, oracle.pop());
+                if got.is_none() {
+                    break;
+                }
+            }
+            prop_assert_eq!(cal.dispatched(), heap_pops);
+        }
     }
 }

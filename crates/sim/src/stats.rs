@@ -287,72 +287,6 @@ impl TimeAccumulator {
     }
 }
 
-/// Fixed-boundary histogram for latency-style distributions.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    /// Upper bounds (exclusive) of each bucket; a final overflow bucket
-    /// catches everything else.
-    bounds: Vec<f64>,
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// Create a histogram with the given ascending bucket upper bounds.
-    ///
-    /// # Panics
-    /// Panics if `bounds` is empty or not strictly ascending.
-    pub fn new(bounds: Vec<f64>) -> Self {
-        assert!(!bounds.is_empty(), "histogram needs at least one bound");
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly ascending"
-        );
-        let n = bounds.len();
-        Histogram {
-            bounds,
-            counts: vec![0; n + 1],
-            total: 0,
-        }
-    }
-
-    /// Record one sample.
-    pub fn record(&mut self, x: f64) {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| x < b)
-            .unwrap_or(self.bounds.len());
-        self.counts[idx] += 1;
-        self.total += 1;
-    }
-
-    /// Total samples recorded.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Per-bucket counts; the last entry is the overflow bucket.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Fraction of samples strictly below `bound`, where `bound` must be
-    /// one of the constructed bucket bounds.
-    pub fn fraction_below(&self, bound: f64) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| b == bound)
-            .expect("bound must match a constructed bucket bound");
-        let below: u64 = self.counts[..=idx].iter().sum();
-        below as f64 / self.total as f64
-    }
-}
-
 /// Number of buckets in a [`QuantileSketch`]: 8 exact small-value
 /// buckets plus 61 octaves × 8 sub-bins of logarithmic buckets.
 pub const SKETCH_BUCKETS: usize = 496;
@@ -601,24 +535,6 @@ mod tests {
         assert_eq!(t.total(), SimDuration::from_micros(40));
         assert_eq!(t.mean(), SimDuration::from_micros(20));
         assert_eq!(t.events(), 2);
-    }
-
-    #[test]
-    fn histogram_buckets_and_fraction() {
-        let mut h = Histogram::new(vec![10.0, 20.0, 30.0]);
-        for x in [5.0, 15.0, 25.0, 35.0, 9.9, 29.9] {
-            h.record(x);
-        }
-        assert_eq!(h.counts(), &[2, 1, 2, 1]);
-        assert_eq!(h.total(), 6);
-        assert!((h.fraction_below(10.0) - 2.0 / 6.0).abs() < 1e-12);
-        assert!((h.fraction_below(30.0) - 5.0 / 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly ascending")]
-    fn histogram_rejects_unsorted_bounds() {
-        let _ = Histogram::new(vec![10.0, 5.0]);
     }
 
     #[test]

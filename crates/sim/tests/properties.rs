@@ -1,225 +1,9 @@
 //! Property-based tests for the simulation kernel's core invariants.
 
-use std::collections::BTreeMap;
-
-use hack_sim::{
-    CalendarQueue, EventQueue, HeapEventQueue, QueueKind, Scheduler, SimDuration, SimRng, SimTime,
-    TimerTable, TimerToken,
-};
+use hack_sim::{EventQueue, Scheduler, SimDuration, SimRng, SimTime, TimerTable};
 use proptest::prelude::*;
 
-/// A queue without removal, as the scheduler was before it could cancel:
-/// every event is pushed, a cancel only bumps the event's timer
-/// generation, and stale events are dropped when they reach the front.
-#[derive(Default)]
-struct LazyOracle {
-    queue: BTreeMap<(SimTime, u64), (usize, TimerToken<usize>)>,
-    timers: TimerTable<usize>,
-    tokens: Vec<TimerToken<usize>>,
-}
-
-impl LazyOracle {
-    /// Push event `id` (ids count up from 0 in push order).
-    fn push(&mut self, at: SimTime, id: usize) {
-        let token = self.timers.arm(id);
-        self.tokens.push(token);
-        self.queue.insert((at, id as u64), (id, token));
-    }
-
-    fn cancel(&mut self, id: usize) {
-        self.timers.cancel(id);
-    }
-
-    fn is_live(&self, id: usize) -> bool {
-        self.timers.is_current(&self.tokens[id])
-    }
-
-    /// The earliest live event, dropping the stale ones in front of it.
-    fn peek(&mut self) -> Option<(SimTime, usize)> {
-        loop {
-            let (&(at, _), &(id, token)) = self.queue.first_key_value()?;
-            if self.timers.is_current(&token) {
-                return Some((at, id));
-            }
-            self.queue.pop_first();
-        }
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, usize)> {
-        let head = self.peek()?;
-        let (_, (_, token)) = self.queue.pop_first().expect("peeked");
-        assert!(self.timers.fire(token));
-        Some(head)
-    }
-}
-
 proptest! {
-    /// Differential test: the calendar queue and the binary heap pop the
-    /// *identical* (time, payload) sequence for any push order —
-    /// including same-instant FIFO bursts (the `dup` factor repeats
-    /// times so ties are common).
-    #[test]
-    fn calendar_matches_heap_total_order(
-        times in proptest::collection::vec((0u64..200_000, 1usize..5), 1..150),
-    ) {
-        let mut cal = CalendarQueue::new();
-        let mut heap = HeapEventQueue::new();
-        let mut idx = 0usize;
-        for &(t, dup) in &times {
-            for _ in 0..dup {
-                cal.push(SimTime::from_nanos(t), idx);
-                heap.push(SimTime::from_nanos(t), idx);
-                idx += 1;
-            }
-        }
-        loop {
-            prop_assert_eq!(cal.peek_time(), heap.peek_time());
-            let (a, b) = (cal.pop(), heap.pop());
-            prop_assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-
-    /// Same differential test under a scheduler-like workload: pops
-    /// interleaved with pushes that are relative to the last popped
-    /// time (events never scheduled into the past), crossing many
-    /// resize and year boundaries.
-    #[test]
-    fn calendar_matches_heap_interleaved(
-        ops in proptest::collection::vec((0u64..3_000_000, 0u8..4), 1..300),
-    ) {
-        let mut cal = EventQueue::with_kind(QueueKind::Calendar);
-        let mut heap = EventQueue::with_kind(QueueKind::Heap);
-        let mut now = 0u64;
-        for (i, &(delay, pops)) in ops.iter().enumerate() {
-            cal.push(SimTime::from_nanos(now + delay), i);
-            heap.push(SimTime::from_nanos(now + delay), i);
-            for _ in 0..pops {
-                let (a, b) = (cal.pop(), heap.pop());
-                prop_assert_eq!(a, b);
-                if let Some((t, _)) = a {
-                    now = t.as_nanos();
-                }
-            }
-        }
-        loop {
-            let (a, b) = (cal.pop(), heap.pop());
-            prop_assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-
-    /// The bucket insert has an append fast path (the new entry sorts
-    /// at or after the bucket's back) and a binary-search slow path.
-    /// Drive both hard against the heap: bursts of equal timestamps
-    /// (every push after the first appends), and runs of strictly
-    /// decreasing times packed inside one initial bucket's 1.024 µs
-    /// day (every push after the first lands at the front), interleaved
-    /// with pops so scans, rewinds and resizes happen in between.
-    #[test]
-    fn calendar_matches_heap_bursts_and_descending(
-        groups in proptest::collection::vec(
-            (0u64..50_000, 1u64..60, any::<bool>(), 0usize..40),
-            1..40,
-        ),
-    ) {
-        let mut cal = CalendarQueue::new();
-        let mut heap = HeapEventQueue::new();
-        let mut now = 0u64;
-        let mut idx = 0usize;
-        for &(delay, n, descending, pops) in &groups {
-            let base = now + delay;
-            for i in 0..n {
-                let t = if descending { base + (n - 1 - i) } else { base };
-                cal.push(SimTime::from_nanos(t), idx);
-                heap.push(SimTime::from_nanos(t), idx);
-                idx += 1;
-            }
-            for _ in 0..pops {
-                prop_assert_eq!(cal.peek_time(), heap.peek_time());
-                let (a, b) = (cal.pop(), heap.pop());
-                prop_assert_eq!(a, b);
-                if let Some((t, _)) = a {
-                    now = t.as_nanos();
-                }
-            }
-        }
-        loop {
-            let (a, b) = (cal.pop(), heap.pop());
-            prop_assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-
-    /// Removal under arbitrary interleavings of push (half of them onto
-    /// a handful of instants, so FIFO ties are common), cancel of any
-    /// handle ever issued (pending, the head, popped, cancelled, or one
-    /// whose slab slot a later push reused), peek and pop. Calendar and
-    /// heap agree on every answer and on `dispatched()`; a cancel
-    /// succeeds exactly when the event is still pending; and both pop
-    /// the `(time, payload)` sequence of a queue without removal whose
-    /// cancelled events are dropped at the front by generation tokens.
-    #[test]
-    fn cancel_agrees_with_heap_and_with_lazy_tokens(
-        ops in proptest::collection::vec((0u8..6, 0u64..40_000, any::<usize>()), 1..400),
-    ) {
-        let mut cal = Scheduler::with_kind(QueueKind::Calendar);
-        let mut heap = Scheduler::with_kind(QueueKind::Heap);
-        let mut oracle = LazyOracle::default();
-        let mut handles = Vec::new();
-        for &(op, x, pick) in &ops {
-            match op {
-                0 | 1 => {
-                    let delay = if op == 0 { x % 4 } else { x };
-                    let at = cal.now() + SimDuration::from_nanos(delay);
-                    let id = handles.len();
-                    handles.push((cal.schedule_at(at, id), heap.schedule_at(at, id)));
-                    oracle.push(at, id);
-                }
-                2 | 3 => {
-                    // Any handle, or the head's.
-                    let id = match (op, oracle.peek()) {
-                        (3, Some((_, head))) => head,
-                        _ if handles.is_empty() => continue,
-                        _ => pick % handles.len(),
-                    };
-                    let (hc, hh) = handles[id];
-                    let live = oracle.is_live(id);
-                    let got = cal.cancel(hc);
-                    prop_assert_eq!(got, heap.cancel(hh));
-                    prop_assert_eq!(got, live.then_some(id));
-                    oracle.cancel(id);
-                }
-                4 => {
-                    let t = cal.peek_time();
-                    prop_assert_eq!(t, heap.peek_time());
-                    prop_assert_eq!(t, oracle.peek().map(|(at, _)| at));
-                }
-                _ => {
-                    let got = cal.pop();
-                    prop_assert_eq!(got, heap.pop());
-                    prop_assert_eq!(got, oracle.pop());
-                }
-            }
-            prop_assert_eq!(cal.pending(), heap.pending());
-        }
-        loop {
-            let got = cal.pop();
-            prop_assert_eq!(got, heap.pop());
-            prop_assert_eq!(got, oracle.pop());
-            if got.is_none() {
-                break;
-            }
-        }
-        prop_assert_eq!(cal.dispatched(), heap.dispatched());
-    }
-
     /// Events always pop in non-decreasing time order regardless of
     /// insertion order.
     #[test]

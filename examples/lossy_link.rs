@@ -6,7 +6,7 @@
 //! cargo run --release --example lossy_link [rate_mbps]
 //! ```
 
-use tcp_hack::core::{run, HackMode, LossConfig, ScenarioBuilder};
+use tcp_hack::core::{HackMode, LossConfig, ScenarioBuilder, World};
 use tcp_hack::phy::{Channel, PhyRate, StationId};
 use tcp_hack::sim::SimDuration;
 
@@ -36,7 +36,7 @@ fn main() {
                 .duration(SimDuration::from_secs(4))
                 .build();
             cfg.loss = LossConfig::SnrDistance(d);
-            let r = run(cfg);
+            let r = World::builder(cfg).run();
             goodputs.push(r.flow_goodput_full_mbps[0]);
             if mode == HackMode::MoreData {
                 crc = r.decompressor.crc_failures;

@@ -6,7 +6,7 @@
 //! cargo run --release --example multi_client_download [n_clients]
 //! ```
 
-use tcp_hack::core::{run, HackMode, ScenarioBuilder};
+use tcp_hack::core::{HackMode, ScenarioBuilder, TrafficModel, World};
 use tcp_hack::sim::SimDuration;
 
 fn main() {
@@ -30,9 +30,9 @@ fn main() {
         cfg.stagger = SimDuration::from_millis(200);
         cfg.duration = cfg.stagger * n as u64 + cfg.warmup + SimDuration::from_secs(5);
         if udp {
-            cfg = cfg.with_udp();
+            cfg.traffic = TrafficModel::UdpDownload;
         }
-        let r = run(cfg);
+        let r = World::builder(cfg).run();
         let flows: Vec<String> = r
             .flow_goodput_mbps
             .iter()

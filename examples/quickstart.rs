@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use tcp_hack::core::{run, HackMode, ScenarioBuilder};
+use tcp_hack::core::{HackMode, ScenarioBuilder, World};
 use tcp_hack::sim::SimDuration;
 
 fn main() {
@@ -19,7 +19,7 @@ fn main() {
         let cfg = ScenarioBuilder::dot11n_download(150, 1, mode)
             .duration(SimDuration::from_secs(5))
             .build();
-        let r = run(cfg);
+        let r = World::builder(cfg).run();
         println!(
             "{label:<28} {:6.1} Mbps   (collisions: {:4}, TCP ACKs riding LL ACKs: {})",
             r.aggregate_goodput_mbps, r.collisions, r.driver[0].hacked_acks,

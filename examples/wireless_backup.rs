@@ -8,7 +8,7 @@
 //! cargo run --release --example wireless_backup [megabytes]
 //! ```
 
-use tcp_hack::core::{run, HackMode, ScenarioBuilder, TrafficModel};
+use tcp_hack::core::{HackMode, ScenarioBuilder, TrafficModel, World};
 use tcp_hack::sim::SimDuration;
 
 fn main() {
@@ -27,7 +27,7 @@ fn main() {
             .transfer_bytes(mb * 1_000_000)
             .duration(SimDuration::from_secs(600))
             .build();
-        let r = run(cfg);
+        let r = World::builder(cfg).run();
         match r.completion() {
             Some(t) => {
                 let secs = t.as_secs_f64();

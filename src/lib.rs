@@ -26,10 +26,11 @@
 //! ## Quickstart
 //!
 //! ```no_run
-//! use tcp_hack::core::{run, HackMode, ScenarioBuilder, ScenarioConfig};
+//! use tcp_hack::core::{HackMode, ScenarioBuilder, World};
 //!
-//! let stock = run(ScenarioBuilder::dot11n_download(150, 1, HackMode::Disabled).build());
-//! let hack = run(ScenarioBuilder::dot11n_download(150, 1, HackMode::MoreData).build());
+//! let download = |mode| ScenarioBuilder::dot11n_download(150, 1, mode).build();
+//! let stock = World::builder(download(HackMode::Disabled)).run();
+//! let hack = World::builder(download(HackMode::MoreData)).run();
 //! println!(
 //!     "TCP/802.11n {:.1} Mbps → TCP/HACK {:.1} Mbps ({:+.1}%)",
 //!     stock.aggregate_goodput_mbps,

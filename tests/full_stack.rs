@@ -1,7 +1,7 @@
 //! Whole-repository integration tests: exercise the public facade the
 //! way a downstream user would, spanning every crate at once.
 
-use tcp_hack::core::{run, HackMode, LossConfig, ScenarioBuilder, ScenarioConfig, TrafficModel};
+use tcp_hack::core::{HackMode, LossConfig, ScenarioBuilder, ScenarioConfig, TrafficModel, World};
 use tcp_hack::phy::{Channel, PhyRate, StationId};
 use tcp_hack::sim::SimDuration;
 
@@ -14,14 +14,16 @@ fn short(mut cfg: ScenarioConfig, secs: u64) -> ScenarioConfig {
 /// 802.11n, and the win comes with fewer collisions.
 #[test]
 fn headline_hack_beats_stock_with_fewer_collisions() {
-    let stock = run(short(
+    let stock = World::builder(short(
         ScenarioBuilder::dot11n_download(150, 1, HackMode::Disabled).build(),
         4,
-    ));
-    let hack = run(short(
+    ))
+    .run();
+    let hack = World::builder(short(
         ScenarioBuilder::dot11n_download(150, 1, HackMode::MoreData).build(),
         4,
-    ));
+    ))
+    .run();
     assert!(hack.aggregate_goodput_mbps > stock.aggregate_goodput_mbps * 1.08);
     assert!(hack.collisions < stock.collisions);
     assert!(hack.driver[0].hacked_acks > 1000);
@@ -37,16 +39,18 @@ fn analysis_bounds_simulation() {
     let theor_udp = m.goodput_dot11n(rate, Protocol::Udp);
     let theor_tcp = m.goodput_dot11n(rate, Protocol::Tcp);
 
-    let sim_udp = run(short(
+    let sim_udp = World::builder(short(
         ScenarioBuilder::dot11n_download(150, 1, HackMode::Disabled)
-            .build()
-            .with_udp(),
+            .traffic(TrafficModel::UdpDownload)
+            .build(),
         4,
-    ));
-    let sim_tcp = run(short(
+    ))
+    .run();
+    let sim_tcp = World::builder(short(
         ScenarioBuilder::dot11n_download(150, 1, HackMode::Disabled).build(),
         4,
-    ));
+    ))
+    .run();
     // Theory is an upper bound (no collisions, no TCP dynamics), within
     // a small tolerance for measurement-window burstiness.
     assert!(sim_udp.aggregate_goodput_mbps <= theor_udp * 1.02);
@@ -60,10 +64,11 @@ fn analysis_bounds_simulation() {
 /// takes: the byte counters of sender and receiver must reconcile.
 #[test]
 fn conservation_of_acked_bytes() {
-    let r = run(short(
+    let r = World::builder(short(
         ScenarioBuilder::dot11n_download(150, 2, HackMode::MoreData).build(),
         4,
-    ));
+    ))
+    .run();
     for flow in 0..2 {
         let sent = r.sender_tcp[flow].bytes_acked;
         let delivered = r.receiver_tcp[flow].bytes_delivered;
@@ -79,20 +84,23 @@ fn conservation_of_acked_bytes() {
 /// (Figure 9's shape).
 #[test]
 fn sora_ordering() {
-    let udp = run(short(
+    let udp = World::builder(short(
         ScenarioBuilder::sora_testbed(1, HackMode::Disabled)
-            .build()
-            .with_udp(),
+            .traffic(TrafficModel::UdpDownload)
+            .build(),
         4,
-    ));
-    let hack = run(short(
+    ))
+    .run();
+    let hack = World::builder(short(
         ScenarioBuilder::sora_testbed(1, HackMode::MoreData).build(),
         4,
-    ));
-    let tcp = run(short(
+    ))
+    .run();
+    let tcp = World::builder(short(
         ScenarioBuilder::sora_testbed(1, HackMode::Disabled).build(),
         4,
-    ));
+    ))
+    .run();
     assert!(udp.aggregate_goodput_mbps > hack.aggregate_goodput_mbps);
     assert!(hack.aggregate_goodput_mbps > tcp.aggregate_goodput_mbps * 1.15);
     // HACK within ~5% of the UDP ceiling, per the paper.
@@ -103,14 +111,16 @@ fn sora_ordering() {
 /// HACK and UDP avoid.
 #[test]
 fn retry_breakdown_shape() {
-    let tcp = run(short(
+    let tcp = World::builder(short(
         ScenarioBuilder::sora_testbed(2, HackMode::Disabled).build(),
         4,
-    ));
-    let hack = run(short(
+    ))
+    .run();
+    let hack = World::builder(short(
         ScenarioBuilder::sora_testbed(2, HackMode::MoreData).build(),
         4,
-    ));
+    ))
+    .run();
     let f_tcp = tcp.ap_first_try_fraction().unwrap();
     let f_hack = hack.ap_first_try_fraction().unwrap();
     assert!(
@@ -130,7 +140,7 @@ fn snr_loss_full_stack() {
     let d = ch.distance_for_snr(PhyRate::ht(rate).min_snr_db() + 2.0);
     let mut cfg = ScenarioBuilder::dot11n_download(rate, 1, HackMode::MoreData).build();
     cfg.loss = LossConfig::SnrDistance(d);
-    let r = run(short(cfg, 4));
+    let r = World::builder(short(cfg, 4)).run();
     assert!(
         r.flow_goodput_full_mbps[0] > 10.0,
         "goodput collapsed: {:.2}",
@@ -152,7 +162,7 @@ fn upload_completes() {
         .transfer_bytes(5_000_000)
         .duration(SimDuration::from_secs(60))
         .build();
-    let r = run(cfg);
+    let r = World::builder(cfg).run();
     let t = r.completion().expect("upload must finish").as_secs_f64();
     assert!(t < 3.0, "5 MB upload took {t:.2} s");
 }
@@ -164,8 +174,8 @@ fn whole_stack_determinism() {
         ScenarioBuilder::sora_testbed(2, HackMode::MoreData).build(),
         3,
     );
-    let a = run(cfg.clone());
-    let b = run(cfg);
+    let a = World::builder(cfg.clone()).run();
+    let b = World::builder(cfg).run();
     assert_eq!(a.aggregate_goodput_mbps, b.aggregate_goodput_mbps);
     assert_eq!(a.ppdus, b.ppdus);
     assert_eq!(a.decompressor.decompressed, b.decompressor.decompressed);
@@ -184,10 +194,11 @@ fn whole_stack_determinism() {
 /// these no-hidden-terminal cells. EXPERIMENTS.md discusses the gap.
 #[test]
 fn blobs_fit_within_aifs_on_dot11a() {
-    let r = run(short(
+    let r = World::builder(short(
         ScenarioBuilder::sora_testbed(1, HackMode::MoreData).build(),
         4,
-    ));
+    ))
+    .run();
     assert!(
         r.blob_within_aifs > 0.95,
         "only {:.1}% of 802.11a blobs fit within AIFS",
@@ -195,9 +206,10 @@ fn blobs_fit_within_aifs_on_dot11a() {
     );
     // The 802.11n measurement is reported, not asserted: record that the
     // metric is being computed at all.
-    let rn = run(short(
+    let rn = World::builder(short(
         ScenarioBuilder::dot11n_download(150, 1, HackMode::MoreData).build(),
         3,
-    ));
+    ))
+    .run();
     assert!((0.0..=1.0).contains(&rn.blob_within_aifs));
 }
