@@ -23,11 +23,19 @@
 //! reaches: explicit-timer flushes, opportunistic native twins, AP-side
 //! holds of a bidirectional flow, supervisor probes under a loss storm,
 //! and a byte-budgeted run that ends in the middle of a delivery burst.
+//!
+//! The fourth group was captured immediately before wired packets bound
+//! for a busy AP started waiting in the backhaul instead of the event
+//! queue, for the paths that change reaches and no earlier pin covers:
+//! tail drops at a capped AP queue, paced datagrams arriving at an idle
+//! AP and at a busy one, and ten staggered clients whose packets share
+//! one backhaul while the AP creates their queues one by one.
 
 use hack_core::{
-    run_dense, ArrivalDist, BssSpec, ChannelChange, ChannelEvent, CorruptModel, DenseOptions,
-    FlowHealth, GeParams, HackMode, LossConfig, RoamEvent, RunResult, ScenarioBuilder,
-    ScenarioConfig, ShortFlowConfig, SizeDist, StandardKind, SupervisorConfig, TrafficModel, World,
+    run_dense, ArrivalDist, BssSpec, CbrConfig, ChannelChange, ChannelEvent, CorruptModel,
+    DenseOptions, FlowHealth, GeParams, HackMode, LossConfig, OnOffConfig, RoamEvent, RunResult,
+    ScenarioBuilder, ScenarioConfig, ShortFlowConfig, SizeDist, StandardKind, SupervisorConfig,
+    TrafficModel, World,
 };
 use hack_sim::SimDuration;
 use hack_trace::TraceHandle;
@@ -421,4 +429,89 @@ fn transfer_completes_mid_delivery_burst() {
     let (r, digest) = run_and_digest(cfg);
     assert!(r.flow_completion[0].is_some(), "{:?}", r.flow_completion);
     assert_pins("transfer completes mid-burst", &[digest], &PINS);
+}
+
+// ---------------------------------------------------------------------
+// Captured before toward-AP backhaul arrivals waited in the link.
+// ---------------------------------------------------------------------
+
+/// An 802.11n HACK download behind a 16-packet AP queue: slow start
+/// overruns it, so wired arrivals meet the tail-drop check while the AP
+/// is busy, and the drop count is pinned with the digest.
+#[test]
+fn capped_ap_queue_tail_drops() {
+    const PINS: [&str; 1] = [
+        "4854524401003645000000000000a2a5ea6099e4c8b58223000000000000ac1d000000000000040400000000000003000000000000000100000000000000",
+    ];
+    const DROPS: u64 = 86;
+    let cfg = ScenarioBuilder::dot11n_download(150, 1, HackMode::MoreData)
+        .ap_queue_cap(16)
+        .duration(SimDuration::from_millis(1500))
+        .warmup(SimDuration::from_millis(200))
+        .seed(8)
+        .build();
+    let (r, digest) = run_and_digest(cfg);
+    assert!(r.ap_queue_drops > 0, "the capped queue never overflowed");
+    assert_eq!(r.ap_queue_drops, DROPS);
+    assert_pins("ap_queue_cap(16)", &[digest], &PINS);
+}
+
+/// Paced datagrams over the backhaul. CBR alone leaves the AP idle at
+/// every arrival, so each one starts contention at its own instant. Beside
+/// a bulk download and an on/off source, CBR datagrams are appended to
+/// an AP that is already contending or transmitting.
+#[test]
+fn paced_datagrams_over_the_backhaul() {
+    const PINS: [&str; 2] = [
+        "485452440100a501000000000000cc9658d2d59b3793f000000000000000b400000000000000000000000000000000000000000000000100000000000000",
+        "4854524401001845000000000000fc9e246be1afc3188609000000000000700a0000000000001c04000000000000032d0000000000000300000000000000",
+    ];
+    let cbr = TrafficModel::Cbr(CbrConfig::default());
+    let on_off = TrafficModel::OnOff(OnOffConfig {
+        on: ArrivalDist::Fixed(SimDuration::from_millis(150)),
+        off: ArrivalDist::Fixed(SimDuration::from_millis(100)),
+        ..OnOffConfig::default()
+    });
+    let worlds = [
+        ScenarioBuilder::dot11n_download(150, 1, HackMode::MoreData).traffic(cbr),
+        ScenarioBuilder::dot11n_download(150, 3, HackMode::MoreData).traffic_mix(vec![
+            cbr,
+            on_off,
+            TrafficModel::BulkDownload,
+        ]),
+    ];
+    let got: Vec<String> = worlds
+        .into_iter()
+        .map(|b| {
+            let cfg = b
+                .duration(SimDuration::from_millis(1200))
+                .warmup(SimDuration::from_millis(100))
+                .stagger(SimDuration::from_millis(2))
+                .seed(9)
+                .build();
+            let (r, digest) = run_and_digest(cfg);
+            assert!(r.flow_goodput_mbps.iter().all(|&g| g > 0.0), "{r:?}");
+            digest
+        })
+        .collect();
+    assert_pins("paced datagrams over the backhaul", &got, &PINS);
+}
+
+/// Figure 10's shape: ten MORE DATA clients starting 200 ms apart, so
+/// ten flows' segments share one backhaul while the AP creates their
+/// queues one at a time.
+#[test]
+fn ten_staggered_clients_share_one_backhaul() {
+    const PINS: [&str; 1] = [
+        "485452440100b190000000000000c447e1706dee8f25270d0000000000001910000000000000ca190000000000009d590000000000000a00000000000000",
+    ];
+    let cfg = ScenarioBuilder::dot11n_download(150, 10, HackMode::MoreData)
+        .stagger(SimDuration::from_millis(200))
+        .duration(SimDuration::from_millis(2100))
+        .warmup(SimDuration::from_millis(100))
+        .seed(10)
+        .build();
+    let (r, digest) = run_and_digest(cfg);
+    assert!(r.flow_goodput_full_mbps.iter().all(|&g| g > 0.0), "{r:?}");
+    assert_pins("ten staggered clients", &[digest], &PINS);
 }
