@@ -22,6 +22,12 @@
 //!   instant, travel as one `HostRx` batch (`host_rx`). Its packets
 //!   are handled in push order, and the run can end between two of
 //!   them, exactly where it would have ended between two events.
+//! * A wired packet bound for an AP takes its place in the order when
+//!   it is sent, but is dispatched as an event only if it can act at
+//!   its own instant (`backhaul`). Otherwise it is applied at its own
+//!   arrival time, in order, when the loop next reaches that AP through
+//!   `World::station` or a run stops: the AP is silent until then, so
+//!   the packet only joins a queue nobody has read in between.
 //!
 //! ## Module map
 //!
@@ -29,8 +35,10 @@
 //! MAC/driver action application, packet routing — in one module (one
 //! codegen unit). Everything else lives with the state it mutates, in
 //! a private submodule that also holds that concern's `impl World`
-//! glue: `topology`, `flows`, `roam`, `health`, `collect`, `host_rx`.
+//! glue: `topology`, `flows`, `roam`, `health`, `collect`, `host_rx`,
+//! `backhaul`.
 
+mod backhaul;
 mod collect;
 mod flows;
 mod health;
@@ -40,10 +48,13 @@ mod topology;
 
 use hack_mac::{Action, Frame, FrameKind, HackBlob, Station, TimerKind, TxDescriptor};
 use hack_phy::{Medium, MpduStatus, PpduMeta, StationId, TxId};
-use hack_sim::{FastMap, Scheduler, SimRng, SimTime, ThroughputMeter, TimerTable, TimerToken};
+use hack_sim::{
+    FastMap, Scheduler, SimRng, SimTime, ThroughputMeter, Ticket, TimerTable, TimerToken,
+};
 use hack_tcp::{Connection, Ipv4Addr, Ipv4Packet, Transport};
 use hack_trace::TraceHandle;
 
+use self::backhaul::Backhaul;
 use self::flows::{ClassAcc, Endpoint, FlowRt};
 use self::host_rx::HostRxBatches;
 use self::roam::RoamRuntime;
@@ -65,12 +76,11 @@ enum Event {
         station: StationId,
         batch: u32,
     },
-    WiredDeliver {
-        /// Which cell's backhaul delivered the packet.
-        cell: usize,
-        to_ap: bool,
-        pkt: Ipv4Packet,
-    },
+    /// A packet reaches the AP of this cell over its backhaul; the
+    /// packet waits in `backhaul`.
+    WiredToAp(usize),
+    /// A packet reaches the server over a backhaul.
+    WiredToServer(Ipv4Packet),
     TcpTimer(usize, TimerToken<u32>),
     InstallBlob {
         station: StationId,
@@ -163,6 +173,8 @@ pub struct World {
     installs: TimerTable<(u32, u32)>,
     /// Packets on their way up a host stack, batched per instant.
     host_rx: HostRxBatches,
+    /// Packets on their way to an AP over its backhaul.
+    backhaul: Backhaul,
     /// One supervisor per flow; empty when supervision is off.
     supervisors: Vec<FlowSupervisor>,
     medium: Medium,
@@ -177,7 +189,7 @@ pub struct World {
     /// a time): its frames and whether it is an A-MPDU. Indexed by
     /// station id, grown on first use.
     tx_payloads: Vec<Option<(Vec<Frame<NetPacket>>, bool)>>,
-    /// One backhaul per cell (legacy worlds: exactly one).
+    /// One backhaul serializer per cell (legacy worlds: exactly one).
     wired: Vec<WiredLink>,
     endpoints: Vec<Endpoint>,
     /// Client IP → flow index. A packet's endpoint is then one of the
@@ -205,7 +217,7 @@ pub struct World {
     overheard_buf: Vec<OverheardFrame>,
     /// Per-event-kind `(name, count, ns)` accumulated by `run_until`.
     #[cfg(feature = "evprof")]
-    evprof: [(&'static str, u64, u64); 16],
+    evprof: [(&'static str, u64, u64); collect::EVENT_KINDS],
     trace: TraceHandle,
 }
 
@@ -326,6 +338,7 @@ impl World {
             sup_timers: TimerTable::new(),
             installs: TimerTable::new(),
             host_rx: HostRxBatches::default(),
+            backhaul: Backhaul::default(),
             supervisors,
             medium,
             stations,
@@ -352,7 +365,7 @@ impl World {
             idle_buf: Vec::new(),
             overheard_buf: Vec::new(),
             #[cfg(feature = "evprof")]
-            evprof: [("", 0, 0); 16],
+            evprof: [("", 0, 0); collect::EVENT_KINDS],
             trace,
             layout,
             cfg,
@@ -387,7 +400,7 @@ impl World {
         for i in 0..n {
             let ap = world.layout.ap_of_flow(i);
             let client = world.layout.client(i);
-            if roam::negotiate_hack(&mut world.stations, client, ap) == Some(false) {
+            if world.negotiate_hack(client, ap) == Some(false) {
                 // Permanent clean fallback on this link: the MAC already
                 // gates blobs, but force the drivers native too so ACKs
                 // are never held against a peer that cannot decode them.
@@ -410,33 +423,35 @@ impl World {
 
     /// Advance the world through every event scheduled at or before
     /// `until` (clamped to the configured end). Returns `false` once the
-    /// world has nothing left to do — queue drained past the end, or all
+    /// world has nothing left to do — nothing due by the end, or all
     /// byte-budgeted flows completed — and `true` while more work
     /// remains. The one dispatch loop: [`World::run`] is
     /// `run_until(end)` followed by [`World::finish`].
     pub fn run_until(&mut self, until: SimTime) -> bool {
         let until = until.min(self.end);
         while let Some(at) = self.sched.peek_time() {
-            if at > self.end {
-                return false;
-            }
             if at > until {
-                return true;
+                break;
             }
             let (now, ev) = self.sched.pop().expect("peeked");
             #[cfg(feature = "evprof")]
             let ((kind, name), t0) = (ev.kind(), std::time::Instant::now());
             self.handle(ev, now);
+            self.rearm_backhaul();
             #[cfg(feature = "evprof")]
             {
                 let (_, n, ns) = self.evprof[kind];
                 self.evprof[kind] = (name, n + 1, ns + t0.elapsed().as_nanos() as u64);
             }
             if self.completion.is_some() {
+                // What reached an AP before the completing event.
+                self.drain_backhaul(self.sched.current());
                 return false;
             }
         }
-        false
+        self.drain_backhaul(Ticket::end_of(until));
+        let next = [self.sched.peek_time(), self.backhaul.next_at()];
+        next.into_iter().flatten().any(|at| at <= self.end)
     }
 
     /// The configured end of the run.
@@ -465,9 +480,9 @@ impl World {
                     // before on_timer clears the exchange.
                     let timed_out_peer = (!self.supervisors.is_empty()
                         && kind == TimerKind::AckTimeout)
-                        .then(|| self.stations[sid.0 as usize].awaiting_response_from())
+                        .then(|| self.station(sid).awaiting_response_from())
                         .flatten();
-                    let acts = self.stations[sid.0 as usize].on_timer(kind, now);
+                    let acts = self.station(sid).on_timer(kind, now);
                     self.apply(sid, acts, now);
                     if let Some(peer) = timed_out_peer {
                         if let Some(flow) = self.sup_flow(sid, peer) {
@@ -489,14 +504,10 @@ impl World {
                 }
                 self.host_rx.put_back(batch, pkts);
             }
-            Event::WiredDeliver { cell, to_ap, pkt } => {
-                if to_ap {
-                    let ap = self.layout.cells[cell].ap;
-                    self.ap_downstream(ap, pkt, now);
-                } else {
-                    let ep = self.ep_for(&pkt);
-                    self.deliver_to_endpoint(pkt, ep, now);
-                }
+            Event::WiredToAp(cell) => self.on_wired_to_ap(cell, now),
+            Event::WiredToServer(pkt) => {
+                let ep = self.ep_for(&pkt);
+                self.deliver_to_endpoint(pkt, ep, now);
             }
             Event::TcpTimer(ep, token) => {
                 if current(self.tcp_timers.fire(token)) {
@@ -526,8 +537,7 @@ impl World {
                 let Some((flow, side)) = self.driver_slot(station, peer) else {
                     return;
                 };
-                let side = &mut self.compress[flow][side];
-                if current(side.generation() == generation) {
+                if current(self.compress[flow][side].generation() == generation) {
                     hack_trace::trace_ev!(
                         self.trace,
                         now.as_nanos(),
@@ -537,15 +547,16 @@ impl World {
                             bytes: bytes.len() as u32
                         }
                     );
-                    let displaced =
-                        self.stations[station.0 as usize].set_hack_blob(peer, HackBlob { bytes });
+                    let displaced = self
+                        .station(station)
+                        .set_hack_blob(peer, HackBlob { bytes });
                     if let Some(old) = displaced {
-                        side.recycle_blob(old.bytes);
+                        self.compress[flow][side].recycle_blob(old.bytes);
                     }
                 } else {
                     // Guard only: a rebuild or clear takes every install
                     // it supersedes out of the queue.
-                    side.recycle_blob(bytes);
+                    self.compress[flow][side].recycle_blob(bytes);
                 }
             }
             Event::HackFlush(station, peer, token) => {
@@ -629,7 +640,7 @@ impl World {
         for rec in &outcome.receptions {
             let sid = rec.station;
             if !rec.detected {
-                let acts = self.stations[sid.0 as usize].on_rx_garbage(now);
+                let acts = self.station(sid).on_rx_garbage(now);
                 self.apply(sid, acts, now);
                 continue;
             }
@@ -679,7 +690,7 @@ impl World {
                 }
             }
             if fcs_bad > 0 {
-                let acts = self.stations[sid.0 as usize].on_rx_corrupt(src, fcs_bad, now);
+                let acts = self.station(sid).on_rx_corrupt(src, fcs_bad, now);
                 self.apply(sid, acts, now);
                 if !self.supervisors.is_empty() {
                     if let Some(flow) = self.sup_flow(sid, src) {
@@ -688,7 +699,7 @@ impl World {
                 }
             }
             if decoded > 0 {
-                let station = &mut self.stations[sid.0 as usize];
+                let station = self.station(sid);
                 let acts = if for_me {
                     station.on_rx_ppdu(std::mem::take(&mut frames), aggregated, now)
                 } else {
@@ -706,7 +717,7 @@ impl World {
                 };
                 self.apply(sid, acts, now);
             } else if fcs_bad == 0 {
-                let acts = self.stations[sid.0 as usize].on_rx_garbage(now);
+                let acts = self.station(sid).on_rx_garbage(now);
                 self.apply(sid, acts, now);
             }
         }
@@ -714,7 +725,7 @@ impl World {
         // The spent lists go back to where the next PPDU is built: the
         // frame list, if no addressee took it, to the transmitter.
         self.medium.recycle(outcome);
-        self.stations[src.0 as usize].recycle_frames(frames);
+        self.station(src).recycle_frames(frames);
 
         // 2) Idle edges for everyone who heard this PPDU and whose own
         // domain is now quiet. The idle set is snapshotted before the
@@ -733,13 +744,13 @@ impl World {
                 .filter(|&s| !self.medium.busy_for(s)),
         );
         for &sid in &idle {
-            let acts = self.stations[sid.0 as usize].on_channel_idle(now);
+            let acts = self.station(sid).on_channel_idle(now);
             self.apply(sid, acts, now);
         }
         self.idle_buf = idle;
 
         // 3) Transmitter bookkeeping.
-        let acts = self.stations[src.0 as usize].on_tx_end(now);
+        let acts = self.station(src).on_tx_end(now);
         self.apply(src, acts, now);
     }
 
@@ -781,7 +792,7 @@ impl World {
                         if side.mode() == HackMode::Opportunistic && attached_blob {
                             let idents = side.ridden_idents();
                             if !idents.is_empty() {
-                                self.stations[sid.0 as usize].withdraw_unsent(to, |m| {
+                                self.station(sid).withdraw_unsent(to, |m| {
                                     m.is_pure_tcp_ack() && idents.contains(&m.ip().ident)
                                 });
                             }
@@ -816,7 +827,7 @@ impl World {
                             host_rx.push(sched, sid, at, pkt, false);
                         });
                         // The sender's next blob is copied into this one.
-                        self.stations[from.0 as usize].recycle_blob(blob);
+                        self.station(from).recycle_blob(blob);
                         if let (Some(flow), Some(before)) = (sup_flow, before) {
                             let after = self.decompress[sid.0 as usize].stats();
                             for (sig, times) in health::signals(&before, after) {
@@ -843,14 +854,14 @@ impl World {
                             self.apply_driver(sid, from, dacts, now);
                         }
                     }
-                    self.stations[sid.0 as usize].recycle_msdus(acked_msdus);
+                    self.station(sid).recycle_msdus(acked_msdus);
                     self.refill_udp(sid, from, now);
                 }
                 Action::MsduDropped { dst, .. } => self.refill_udp(sid, dst, now),
                 Action::BarReceived { .. } | Action::BarExhausted { .. } => {}
             }
         }
-        self.stations[sid.0 as usize].recycle(actions);
+        self.station(sid).recycle(actions);
     }
 
     fn start_tx(&mut self, sid: StationId, desc: TxDescriptor<NetPacket>, now: SimTime) {
@@ -881,7 +892,7 @@ impl World {
         for i in 0..self.medium.listeners(d).len() {
             let other = self.medium.listeners(d)[i];
             if other != sid {
-                let acts = self.stations[other.0 as usize].on_channel_busy(now);
+                let acts = self.station(other).on_channel_busy(now);
                 self.apply(other, acts, now);
             }
         }
@@ -908,7 +919,7 @@ impl World {
         for d in dacts.drain(..) {
             match d {
                 DriverAction::SendNative(pkt) => {
-                    let acts = self.stations[sid.0 as usize].enqueue(peer, NetPacket(pkt), now);
+                    let acts = self.station(sid).enqueue(peer, NetPacket(pkt), now);
                     self.apply(sid, acts, now);
                 }
                 DriverAction::InstallBlob { bytes, generation } => {
@@ -925,7 +936,7 @@ impl World {
                 }
                 DriverAction::ClearBlob => {
                     self.cancel_install(sid, peer);
-                    let removed = self.stations[sid.0 as usize].clear_hack_blob(peer);
+                    let removed = self.station(sid).clear_hack_blob(peer);
                     if let Some(old) = removed {
                         if let Some((flow, side)) = self.driver_slot(sid, peer) {
                             self.compress[flow][side].recycle_blob(old.bytes);
@@ -1084,7 +1095,7 @@ impl World {
             self.apply_driver(sid, peer, dacts, now);
             self.drain_driver_health(sid, peer, now);
         } else {
-            let acts = self.stations[sid.0 as usize].enqueue(peer, NetPacket(pkt), now);
+            let acts = self.station(sid).enqueue(peer, NetPacket(pkt), now);
             self.apply(sid, acts, now);
         }
     }
@@ -1105,11 +1116,15 @@ impl World {
             self.wireless_out(ap, client, pkt, now);
             return;
         }
-        if self.stations[ap.0 as usize].backlog(client) >= self.cfg.ap_queue_cap {
+        if self.station(ap).backlog(client) >= self.cfg.ap_queue_cap {
             self.ap_queue_drops += 1;
             return;
         }
-        let acts = self.stations[ap.0 as usize].enqueue(client, NetPacket(pkt), now);
+        let acts = self.station(ap).enqueue(client, NetPacket(pkt), now);
+        debug_assert!(
+            acts.is_empty() || !self.backhaul.draining(),
+            "an arrival applied late acted: its AP was not silent"
+        );
         self.apply(ap, acts, now);
     }
 
@@ -1117,8 +1132,11 @@ impl World {
     /// from it.
     fn wire(&mut self, cell: usize, to_ap: bool, pkt: Ipv4Packet, now: SimTime) {
         let arrive = self.wired[cell].send(to_ap, &pkt, now);
-        self.sched
-            .schedule_at(arrive, Event::WiredDeliver { cell, to_ap, pkt });
+        if to_ap {
+            self.send_to_ap(cell, pkt, arrive);
+        } else {
+            self.sched.schedule_at(arrive, Event::WiredToServer(pkt));
+        }
     }
 
     // ------------------------------------------------------------------

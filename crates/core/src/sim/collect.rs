@@ -54,6 +54,10 @@ fn class_reports(
     classes
 }
 
+/// Slots in `World::evprof`: one per event kind.
+#[cfg(feature = "evprof")]
+pub(super) const EVENT_KINDS: usize = 17;
+
 #[cfg(feature = "evprof")]
 impl super::Event {
     /// Slot and name of this event's kind in `World::evprof`.
@@ -64,18 +68,19 @@ impl super::Event {
             Event::MacTimer(..) => (1, "MacTimer"),
             Event::TxEnd(..) => (2, "TxEnd"),
             Event::HostRx { .. } => (3, "HostRx"),
-            Event::WiredDeliver { .. } => (4, "WiredDeliver"),
-            Event::TcpTimer(..) => (5, "TcpTimer"),
-            Event::InstallBlob { .. } => (6, "InstallBlob"),
-            Event::HackFlush(..) => (7, "HackFlush"),
-            Event::ChannelDynamics(_) => (8, "ChannelDynamics"),
-            Event::SupProbe(..) => (9, "SupProbe"),
-            Event::MobilityTick => (10, "MobilityTick"),
-            Event::RoamCmd(_) => (11, "RoamCmd"),
-            Event::RoamStep { .. } => (12, "RoamStep"),
-            Event::FlowRestart(_) => (13, "FlowRestart"),
-            Event::PaceTick { .. } => (14, "PaceTick"),
-            Event::PaceToggle(_) => (15, "PaceToggle"),
+            Event::WiredToAp(_) => (4, "WiredToAp"),
+            Event::WiredToServer(_) => (5, "WiredToServer"),
+            Event::TcpTimer(..) => (6, "TcpTimer"),
+            Event::InstallBlob { .. } => (7, "InstallBlob"),
+            Event::HackFlush(..) => (8, "HackFlush"),
+            Event::ChannelDynamics(_) => (9, "ChannelDynamics"),
+            Event::SupProbe(..) => (10, "SupProbe"),
+            Event::MobilityTick => (11, "MobilityTick"),
+            Event::RoamCmd(_) => (12, "RoamCmd"),
+            Event::RoamStep { .. } => (13, "RoamStep"),
+            Event::FlowRestart(_) => (14, "FlowRestart"),
+            Event::PaceTick { .. } => (15, "PaceTick"),
+            Event::PaceToggle(_) => (16, "PaceToggle"),
         }
     }
 }

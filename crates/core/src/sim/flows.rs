@@ -531,10 +531,10 @@ impl World {
     pub(super) fn top_up_udp(&mut self, flow: usize, now: SimTime) {
         let client = self.layout.client(flow);
         let ap = self.cur_ap_of_flow(flow);
-        while self.stations[ap.0 as usize].backlog(client) < self.cfg.ap_queue_cap {
+        while self.station(ap).backlog(client) < self.cfg.ap_queue_cap {
             self.udp_ident = self.udp_ident.wrapping_add(1);
             let pkt = self.layout.udp_datagram(flow, false, self.udp_ident, 1472);
-            let acts = self.stations[ap.0 as usize].enqueue(client, NetPacket(pkt), now);
+            let acts = self.station(ap).enqueue(client, NetPacket(pkt), now);
             self.apply(ap, acts, now);
         }
     }

@@ -2,13 +2,12 @@
 //! machines and their step-token guard, the blackout parking lot, client
 //! mobility — and the `World` orchestration of a handoff around them.
 
-use hack_mac::{AssocMachine, AssocState, AssocStep, Station};
+use hack_mac::{AssocMachine, AssocState, AssocStep};
 use hack_phy::{RoamMonitor, StationId, Trajectory};
 use hack_sim::{SimDuration, SimRng, SimTime};
 use hack_tcp::Ipv4Packet;
 
 use super::{Event, World};
-use crate::packet::NetPacket;
 use crate::scenario::RoamConfig;
 
 /// Per-world roaming state. Present only when `cfg.roam.is_active()`, so
@@ -173,20 +172,18 @@ impl RoamRuntime {
     }
 }
 
-/// The association-time capability handshake between `client` and `ap`:
-/// whether the pair may use HACK, as the client's MAC sees it afterwards.
-pub(super) fn negotiate_hack(
-    stations: &mut [Station<NetPacket>],
-    client: StationId,
-    ap: StationId,
-) -> Option<bool> {
-    let req = stations[client.0 as usize].assoc_request();
-    let resp = stations[ap.0 as usize].on_assoc_request(&req);
-    stations[client.0 as usize].on_assoc_response(&resp);
-    stations[client.0 as usize].hack_negotiated(ap)
-}
-
 impl World {
+    /// The association-time capability handshake between `client` and
+    /// `ap`: whether the pair may use HACK, as the client's MAC sees it
+    /// afterwards.
+    pub(super) fn negotiate_hack(&mut self, client: StationId, ap: StationId) -> Option<bool> {
+        let req = self.station(client).assoc_request();
+        let resp = self.station(ap).on_assoc_request(&req);
+        let client = self.station(client);
+        client.on_assoc_response(&resp);
+        client.hack_negotiated(ap)
+    }
+
     /// Park a packet of a flow in blackout; a full lot counts as an AP
     /// queue drop.
     pub(super) fn park(&mut self, flow: usize, upstream: bool, pkt: Ipv4Packet) {
@@ -284,8 +281,8 @@ impl World {
         //    the old peer go away; unsent MSDUs are parked for the new
         //    association. Frames already committed to the air finish
         //    through the old path.
-        let up = self.stations[client.0 as usize].disassociate(old_ap);
-        let down = self.stations[old_ap.0 as usize].disassociate(client);
+        let up = self.station(client).disassociate(old_ap);
+        let down = self.station(old_ap).disassociate(client);
         for m in up {
             self.park(flow, true, m.0);
         }
@@ -383,7 +380,7 @@ impl World {
         self.medium.retune_station(client, cell as u32);
         // Fresh capability handshake, in band with the re-association:
         // HACK may legally flip off (incapable AP) and back on here.
-        let negotiated = negotiate_hack(&mut self.stations, client, new_ap) == Some(true);
+        let negotiated = self.negotiate_hack(client, new_ap) == Some(true);
         let Some(r) = self.roam.as_mut() else { return };
         let parked = r.complete(flow, cell, now);
         hack_trace::trace_ev!(

@@ -3,7 +3,9 @@
 //! The paper's §4.3 setup: *"The wired link between the server and the
 //! AP has a latency of one millisecond and a bit-rate of 500 Mbps."*
 //! Modelled as two independent FIFO serializers (one per direction) with
-//! a fixed propagation delay and no loss.
+//! a fixed propagation delay and no loss. A [`WiredLink`] only computes
+//! when a packet arrives; the event loop carries the packets in flight
+//! (toward an AP, they wait in the link until their AP can act on them).
 
 use hack_sim::{SimDuration, SimTime};
 use hack_tcp::Ipv4Packet;
@@ -22,10 +24,6 @@ pub struct WiredLink {
     prop_delay: SimDuration,
     to_ap: Direction,
     to_server: Direction,
-    /// Total packets carried (both directions).
-    pub packets: u64,
-    /// Total bytes carried.
-    pub bytes: u64,
 }
 
 impl WiredLink {
@@ -41,8 +39,6 @@ impl WiredLink {
             to_server: Direction {
                 busy_until: SimTime::ZERO,
             },
-            packets: 0,
-            bytes: 0,
         }
     }
 
@@ -62,8 +58,6 @@ impl WiredLink {
         let start = now.max(dir.busy_until);
         let ser = SimDuration::for_bits(u64::from(pkt.wire_len()) * 8, self.rate_bps);
         dir.busy_until = start + ser;
-        self.packets += 1;
-        self.bytes += u64::from(pkt.wire_len());
         dir.busy_until + self.prop_delay
     }
 }
@@ -128,6 +122,5 @@ mod tests {
             a,
             later + SimDuration::from_micros(24) + SimDuration::from_millis(1)
         );
-        assert_eq!(l.packets, 2);
     }
 }

@@ -363,6 +363,21 @@ impl<M: Msdu> Station<M> {
         self.withdraw_unsent(peer, |_| true)
     }
 
+    /// Whether [`Station::enqueue`] would only append: the station holds
+    /// an armed `TxStart`, a PPDU on the air, an awaited or pending
+    /// response, a response on the air, or a busy medium. These are the
+    /// guards under which contention does not start, read without the
+    /// clock, so an enqueue then returns no action and changes nothing
+    /// but the queue (and `work_since`, if unset).
+    pub fn enqueue_is_silent(&self) -> bool {
+        self.tx_at.is_some()
+            || self.in_flight.is_some()
+            || self.wait_response.is_some()
+            || self.pending_response.is_some()
+            || self.response_in_flight
+            || self.phys_busy
+    }
+
     /// Enqueue an MSDU for transmission to `dst`.
     pub fn enqueue(&mut self, dst: StationId, msdu: M, now: SimTime) -> Vec<Action<M>> {
         self.queue_mut(dst).enqueue(msdu);
@@ -1022,14 +1037,7 @@ impl<M: Msdu> Station<M> {
     // ------------------------------------------------------------------
 
     fn maybe_contend(&mut self, now: SimTime, actions: &mut Vec<Action<M>>) {
-        if self.tx_at.is_some()
-            || self.in_flight.is_some()
-            || self.wait_response.is_some()
-            || self.pending_response.is_some()
-            || self.response_in_flight
-            || self.phys_busy
-            || now < self.nav_until
-        {
+        if self.enqueue_is_silent() || now < self.nav_until {
             return;
         }
         if !self.has_work() {
@@ -1058,5 +1066,108 @@ impl<M: Msdu> Station<M> {
             kind: TimerKind::TxStart,
             at: tx_at,
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hack_phy::PhyRate;
+
+    const PEER: StationId = StationId(1);
+
+    #[derive(Debug, Clone)]
+    struct Pkt;
+
+    impl Msdu for Pkt {
+        fn wire_len(&self) -> u32 {
+            1500
+        }
+        fn is_transport_ack(&self) -> bool {
+            false
+        }
+    }
+
+    fn station() -> Station<Pkt> {
+        let cfg = MacConfig::dot11n(PhyRate::ht(150));
+        Station::new(StationId(0), cfg, SimRng::new(3))
+    }
+
+    /// Every field of `s` but the transmit queues, the peer table (which
+    /// indexes them) and `work_since`.
+    fn rest(s: &Station<Pkt>) -> String {
+        format!(
+            "{:?}",
+            (
+                (s.rr_cursor, &s.contention, s.tx_at, s.in_flight),
+                (s.wait_response, s.pending_response, s.response_in_flight),
+                (s.phys_busy, s.idle_since, s.nav_until, &s.rng, &s.stats),
+                (s.spare_actions.len(), s.spare_frames.len()),
+                (s.spare_msdus.len(), s.spare_blobs.len()),
+            )
+        )
+    }
+
+    /// In each of the six states `enqueue_is_silent` names, an enqueue
+    /// returns no action and changes only the queue, plus `work_since`
+    /// when it was unset: onto a new queue and onto one that already
+    /// holds packets. An idle station arms `TxStart` instead.
+    #[test]
+    fn enqueue_into_a_holding_station_only_appends() {
+        let ex = Exchange {
+            dst: PEER,
+            kind: TxKind::Bar,
+            ended_at: None,
+        };
+        type Hold = fn(&mut Station<Pkt>, Exchange);
+        let holds: [(&str, Hold); 6] = [
+            ("armed TxStart", |s, _| {
+                s.tx_at = Some(SimTime::from_millis(9))
+            }),
+            ("PPDU on the air", |s, ex| s.in_flight = Some(ex)),
+            ("awaited response", |s, ex| s.wait_response = Some(ex)),
+            ("pending response", |s, _| {
+                s.pending_response = Some(RespPlan {
+                    to: PEER,
+                    kind: RespKind::Ack,
+                });
+            }),
+            ("response on the air", |s, _| s.response_in_flight = true),
+            ("busy medium", |s, _| s.phys_busy = true),
+        ];
+        let (t0, t1) = (SimTime::from_millis(1), SimTime::from_millis(2));
+        for (name, hold) in holds {
+            for queued in [0, 3] {
+                let mut s = station();
+                hold(&mut s, ex);
+                assert!(s.enqueue_is_silent(), "{name}");
+                for _ in 0..queued {
+                    let acts = s.enqueue(PEER, Pkt, t0);
+                    assert!(acts.is_empty(), "{name}");
+                }
+                let (before, since) = (rest(&s), s.work_since);
+                let acts = s.enqueue(PEER, Pkt, t1);
+                assert!(acts.is_empty(), "{name}: {acts:?}");
+                s.recycle(acts);
+                assert_eq!(s.backlog(PEER), queued + 1, "{name}");
+                assert_eq!(s.work_since, since.or(Some(t1)), "{name}");
+                assert_eq!(rest(&s), before, "{name}: more than the queue changed");
+            }
+        }
+
+        let mut s = station();
+        assert!(!s.enqueue_is_silent());
+        let acts = s.enqueue(PEER, Pkt, t1);
+        assert!(
+            matches!(
+                acts[..],
+                [Action::SetTimer {
+                    kind: TimerKind::TxStart,
+                    ..
+                }]
+            ),
+            "{acts:?}"
+        );
+        assert!(s.enqueue_is_silent(), "an armed TxStart holds");
     }
 }

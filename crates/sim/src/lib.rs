@@ -33,7 +33,7 @@ pub mod time;
 pub mod timer;
 
 pub use hash::{FastBuildHasher, FastHasher, FastMap};
-pub use queue::{EventHandle, EventQueue, Scheduler};
+pub use queue::{EventHandle, EventQueue, Scheduler, Ticket};
 pub use rng::SimRng;
 pub use stats::{
     Counter, QuantileSketch, RunStats, RunningStats, ThroughputMeter, TimeAccumulator,

@@ -18,6 +18,13 @@
 //! removal changes no other entry's sequence number, so the remaining
 //! events pop in the order they would have had anyway.
 //!
+//! An event's place in that order can be taken before its payload is
+//! linked: [`Scheduler::reserve`] issues a [`Ticket`] (the time and the
+//! next sequence number), and [`Scheduler::schedule_reserved`] links a
+//! payload at it later, or never. An event linked late pops exactly
+//! where it would have popped had it been pushed when its ticket was
+//! issued.
+//!
 //! A classic binary min-heap stays in this file's tests as the
 //! reference: the property tests hold the calendar to the heap's pop
 //! order, cancels included.
@@ -34,6 +41,26 @@ use crate::time::SimTime;
 pub struct EventHandle {
     slot: u32,
     seq: u64,
+}
+
+/// A place in the dispatch order: a firing time and a sequence number
+/// that breaks ties in issue order. Tickets compare in dispatch order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Ticket {
+    at: SimTime,
+    seq: u64,
+}
+
+impl Ticket {
+    /// The ticket that sorts after every ticket due at or before `at`.
+    pub fn end_of(at: SimTime) -> Ticket {
+        Ticket { at, seq: u64::MAX }
+    }
+
+    /// The firing time.
+    pub fn at(&self) -> SimTime {
+        self.at
+    }
 }
 
 /// "No slot": the end of a bucket's list, or an empty bucket.
@@ -139,7 +166,9 @@ impl<E> EventQueue<E> {
             cur_bucket: 0,
             bucket_top_ns: 1 << 10,
             len: 0,
-            next_seq: 0,
+            // Sequence 0 stays unissued: it is the scheduler's place
+            // before the first event.
+            next_seq: 1,
         }
     }
 
@@ -213,10 +242,10 @@ impl<E> EventQueue<E> {
 
     /// Take `slot` out of its bucket's list, free it and return its
     /// event.
-    fn remove(&mut self, slot: u32) -> (SimTime, E) {
+    fn remove(&mut self, slot: u32) -> (Ticket, E) {
         let s = &mut self.slab[slot as usize];
         let payload = s.payload.take().expect("live slab slot");
-        let (at, prev, next) = (s.at, s.prev, s.next);
+        let (at, seq, prev, next) = (s.at, s.seq, s.prev, s.next);
         let b = self.bucket_of(at.as_nanos());
         match prev {
             NIL => self.buckets[b].head = next,
@@ -231,13 +260,26 @@ impl<E> EventQueue<E> {
         if self.buckets.len() > MIN_BUCKETS && self.len < self.buckets.len() / 2 {
             self.resize(self.buckets.len() / 2);
         }
-        (at, payload)
+        (Ticket { at, seq }, payload)
     }
 
     /// Schedule `payload` to fire at absolute time `at`.
     pub fn push(&mut self, at: SimTime, payload: E) -> EventHandle {
+        let ticket = self.issue(at);
+        self.insert(ticket, payload)
+    }
+
+    /// Take the next place in the order at time `at`, linking nothing.
+    fn issue(&mut self, at: SimTime) -> Ticket {
         let seq = self.next_seq;
         self.next_seq += 1;
+        Ticket { at, seq }
+    }
+
+    /// Link `payload` at `ticket`, which [`EventQueue::issue`] returned
+    /// and no live event holds.
+    fn insert(&mut self, ticket: Ticket, payload: E) -> EventHandle {
+        let Ticket { at, seq } = ticket;
         let at_ns = at.as_nanos();
         // If the event lands before the day the scan is parked on,
         // rewind the scan so the next pop cannot miss it.
@@ -316,6 +358,11 @@ impl<E> EventQueue<E> {
 
     /// Remove and return the earliest pending event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.pop_ticket().map(|(t, e)| (t.at, e))
+    }
+
+    /// Remove the earliest pending event and return it with its ticket.
+    fn pop_ticket(&mut self) -> Option<(Ticket, E)> {
         let idx = self.find_min()?;
         Some(self.remove(self.buckets[idx].head))
     }
@@ -368,6 +415,8 @@ impl<E> EventQueue<E> {
 #[derive(Debug)]
 pub struct Scheduler<E> {
     now: SimTime,
+    /// The ticket of the event popped last: the one being dispatched.
+    current: Ticket,
     queue: EventQueue<E>,
     dispatched: u64,
     pushes: u64,
@@ -384,6 +433,10 @@ impl<E> Scheduler<E> {
     pub fn new() -> Self {
         Scheduler {
             now: SimTime::ZERO,
+            current: Ticket {
+                at: SimTime::ZERO,
+                seq: 0,
+            },
             queue: EventQueue::new(),
             dispatched: 0,
             pushes: 0,
@@ -405,10 +458,49 @@ impl<E> Scheduler<E> {
         self.queue.len()
     }
 
-    /// Events scheduled so far, cancelled ones included. Two equal
-    /// readings mean nothing was pushed in between.
+    /// Tickets issued so far: every event scheduled, cancelled ones
+    /// included, and every [reserved](Scheduler::reserve) place. Two
+    /// equal readings mean nothing was pushed in between.
     pub fn pushes(&self) -> u64 {
         self.pushes
+    }
+
+    /// The ticket of the event being dispatched (the one popped last);
+    /// before the first pop, a ticket that sorts before every issued one.
+    pub fn current(&self) -> Ticket {
+        self.current
+    }
+
+    /// Take the next place in the order at `at` without scheduling
+    /// anything; it counts as a push.
+    ///
+    /// # Panics
+    /// Panics if `at` is in the past — scheduling into the past would break
+    /// causality and silently reorder the run.
+    pub fn reserve(&mut self, at: SimTime) -> Ticket {
+        assert!(
+            at >= self.now,
+            "scheduling into the past: at={at}, now={}",
+            self.now
+        );
+        self.pushes += 1;
+        self.queue.issue(at)
+    }
+
+    /// Schedule `payload` at a place [`Scheduler::reserve`] took. It
+    /// pops where an event pushed when the ticket was issued would
+    /// have. A ticket may be scheduled again after its event was
+    /// cancelled.
+    ///
+    /// # Panics
+    /// Panics if the ticket sorts before the event being dispatched.
+    pub fn schedule_reserved(&mut self, ticket: Ticket, payload: E) -> EventHandle {
+        assert!(
+            ticket > self.current,
+            "scheduling into the past: {ticket:?} before {:?}",
+            self.current
+        );
+        self.queue.insert(ticket, payload)
     }
 
     /// Schedule an event at an absolute instant.
@@ -417,13 +509,8 @@ impl<E> Scheduler<E> {
     /// Panics if `at` is in the past — scheduling into the past would break
     /// causality and silently reorder the run.
     pub fn schedule_at(&mut self, at: SimTime, payload: E) -> EventHandle {
-        assert!(
-            at >= self.now,
-            "scheduling into the past: at={at}, now={}",
-            self.now
-        );
-        self.pushes += 1;
-        self.queue.push(at, payload)
+        let ticket = self.reserve(at);
+        self.schedule_reserved(ticket, payload)
     }
 
     /// Schedule an event `delay` from now.
@@ -445,11 +532,12 @@ impl<E> Scheduler<E> {
 
     /// Pop the next event, advancing the clock to its firing time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (at, payload) = self.queue.pop()?;
-        debug_assert!(at >= self.now, "event queue returned a past event");
-        self.now = at;
+        let (ticket, payload) = self.queue.pop_ticket()?;
+        debug_assert!(ticket > self.current, "event queue returned a past event");
+        self.current = ticket;
+        self.now = ticket.at;
         self.dispatched += 1;
-        Some((at, payload))
+        Some((ticket.at, payload))
     }
 }
 
@@ -492,8 +580,18 @@ mod reference {
         }
 
         pub fn push(&mut self, at: SimTime, payload: E) -> EventHandle {
-            let seq = self.next_seq;
+            let key = self.issue(at);
+            self.insert(key, payload)
+        }
+
+        /// The next `(time, seq)` key, linking nothing.
+        pub fn issue(&mut self, at: SimTime) -> (SimTime, u64) {
             self.next_seq += 1;
+            (at, self.next_seq - 1)
+        }
+
+        /// Link `payload` at a key [`HeapEventQueue::issue`] returned.
+        pub fn insert(&mut self, (at, seq): (SimTime, u64), payload: E) -> EventHandle {
             let slot = slot_for(&mut self.slab, &mut self.free, (seq, Some(payload)));
             self.heap.push(Reverse((at, seq, slot)));
             self.len += 1;
@@ -931,5 +1029,99 @@ mod tests {
             }
             prop_assert_eq!(cal.dispatched(), heap_pops);
         }
+
+        /// Places taken ahead of their payloads: some events are pushed
+        /// at once, others are reserved and linked later (or never), and
+        /// a linked reservation may be cancelled and linked again with
+        /// the same ticket. The scheduler pops what the heap pops, in
+        /// the same order, `dispatched()` counts the heap's pops, and
+        /// `pushes()` counts every ticket, linked or not.
+        #[test]
+        fn reserved_tickets_pop_where_they_were_issued(
+            ops in proptest::collection::vec((0u8..8, 0u64..40_000, any::<usize>()), 1..400),
+        ) {
+            #[derive(Clone, Copy)]
+            enum Reserved {
+                Unlinked,
+                Linked(EventHandle, EventHandle),
+                Done,
+            }
+            let mut cal = Scheduler::new();
+            let mut heap = HeapEventQueue::new();
+            let (mut heap_pops, mut tickets) = (0u64, 0u64);
+            // Per event id: `Some` for a reservation (with both queues'
+            // tickets), `None` for a plain push.
+            let mut ids: Vec<Option<(Ticket, (SimTime, u64))>> = Vec::new();
+            let mut state: Vec<Reserved> = Vec::new();
+            let mut pop = |cal: &mut Scheduler<usize>,
+                           heap: &mut HeapEventQueue<usize>,
+                           state: &mut Vec<Reserved>|
+             -> Result<bool, String> {
+                let got = cal.pop();
+                let want = heap.pop();
+                heap_pops += u64::from(want.is_some());
+                prop_assert_eq!(got, want);
+                if let Some((_, id)) = got {
+                    state[id] = Reserved::Done;
+                }
+                Ok(got.is_some())
+            };
+            for &(op, x, pick) in &ops {
+                let at = cal.now() + SimDuration::from_nanos(if x % 2 == 0 { x % 4 } else { x });
+                match op {
+                    0 => {
+                        let id = ids.len();
+                        cal.schedule_at(at, id);
+                        heap.push(at, id);
+                        ids.push(None);
+                        state.push(Reserved::Done);
+                        tickets += 1;
+                    }
+                    1 | 2 => {
+                        ids.push(Some((cal.reserve(at), heap.issue(at))));
+                        state.push(Reserved::Unlinked);
+                        tickets += 1;
+                    }
+                    3 | 4 if !ids.is_empty() => {
+                        // Link (or re-link) a reservation still ahead.
+                        let id = pick % ids.len();
+                        if let (Some((t, k)), Reserved::Unlinked) = (ids[id], state[id]) {
+                            if t > cal.current() {
+                                let hc = cal.schedule_reserved(t, id);
+                                state[id] = Reserved::Linked(hc, heap.insert(k, id));
+                            }
+                        }
+                    }
+                    5 if !ids.is_empty() => {
+                        let id = pick % ids.len();
+                        if let Reserved::Linked(hc, hh) = state[id] {
+                            let got = cal.cancel(hc);
+                            prop_assert_eq!(got, heap.cancel(hh));
+                            prop_assert_eq!(got, Some(id));
+                            state[id] = Reserved::Unlinked;
+                        }
+                    }
+                    6 => prop_assert_eq!(cal.peek_time(), heap.peek_time()),
+                    _ => {
+                        pop(&mut cal, &mut heap, &mut state)?;
+                    }
+                }
+                prop_assert_eq!(cal.pending(), heap.len());
+                prop_assert_eq!(cal.pushes(), tickets);
+            }
+            while pop(&mut cal, &mut heap, &mut state)? {}
+            prop_assert_eq!(cal.dispatched(), heap_pops);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduling into the past")]
+    fn a_ticket_behind_the_dispatched_event_is_refused() {
+        let mut s = Scheduler::new();
+        let t = SimTime::from_micros(5);
+        let early = s.reserve(t);
+        s.schedule_at(t, 'b');
+        s.pop();
+        s.schedule_reserved(early, 'a');
     }
 }
