@@ -1121,7 +1121,10 @@ impl World {
             return;
         }
         let acts = self.station(ap).enqueue(client, NetPacket(pkt), now);
-        debug_assert!(
+        // Applying a held arrival late is exact only because its AP is
+        // silent: kept in release builds, where the results would
+        // otherwise drift without a word.
+        assert!(
             acts.is_empty() || !self.backhaul.draining(),
             "an arrival applied late acted: its AP was not silent"
         );

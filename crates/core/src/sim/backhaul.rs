@@ -42,11 +42,6 @@ struct Arrival {
     pkt: Ipv4Packet,
 }
 
-/// Packets a lane makes room for when its first one is sent: about what
-/// a busy 802.11n AP collects from a 500 Mbps backhaul between two of
-/// its own events, so the lane rarely grows again.
-const LANE_CAPACITY: usize = 64;
-
 /// One cell's toward-AP packets, in ticket order.
 #[derive(Default)]
 struct Lane {
@@ -72,6 +67,7 @@ pub(super) struct Backhaul {
     draining: bool,
     /// Every arrival gets its own event, as before packets waited in
     /// the link: the reference the unit tests hold the lazy lanes to.
+    #[cfg(test)]
     all_eager: bool,
 }
 
@@ -168,9 +164,11 @@ impl World {
     /// Whether an AP applying this arrival at once must be able to act:
     /// see the module doc.
     fn must_act(&self, pkt: &Ipv4Packet) -> bool {
-        self.backhaul.all_eager
-            || self.roam.is_some()
-            || matches!(&pkt.transport, Transport::Tcp(t) if t.is_pure_ack())
+        #[cfg(test)]
+        if self.backhaul.all_eager {
+            return true;
+        }
+        self.roam.is_some() || matches!(&pkt.transport, Transport::Tcp(t) if t.is_pure_ack())
     }
 
     /// Send `pkt` over `cell`'s backhaul toward its AP, to arrive at `at`.
@@ -184,11 +182,7 @@ impl World {
         if b.lanes.is_empty() {
             b.lanes.resize_with(self.layout.cells.len(), Lane::default);
         }
-        let fifo = &mut b.lanes[cell].fifo;
-        if fifo.capacity() == 0 {
-            fifo.reserve_exact(LANE_CAPACITY);
-        }
-        fifo.push_back(Arrival { ticket, eager, pkt });
+        b.lanes[cell].fifo.push_back(Arrival { ticket, eager, pkt });
         b.pending += 1;
         b.mark(cell);
     }
@@ -255,7 +249,7 @@ mod tests {
 
     use super::*;
     use crate::codec::encode_run_result;
-    use crate::scenario::{BssSpec, ScenarioBuilder, ScenarioConfig};
+    use crate::scenario::{BssSpec, LossConfig, ScenarioBuilder, ScenarioConfig};
     use crate::traffic::{CbrConfig, TrafficModel};
     use crate::HackMode;
 
@@ -272,13 +266,16 @@ mod tests {
                 let mut until = SimTime::ZERO;
                 loop {
                     until += SimDuration::from_millis(ms);
-                    if !world.run_until(until) {
+                    let more = world.run_until(until);
+                    assert!(settled(&world, until), "a slice ended before {until:?}");
+                    if !more {
                         break;
                     }
                 }
             }
             None => {
                 world.run_until(world.end_time());
+                assert!(settled(&world, world.end_time()), "the run ended");
             }
         }
         let mut result = world.finish();
@@ -290,11 +287,23 @@ mod tests {
         )
     }
 
+    /// Whether `world`, stopped by `run_until(until)`, holds only the
+    /// arrivals eager dispatch would not have reached: none keyed before
+    /// the event that completed the run or, if none did, due by `until`.
+    fn settled(world: &World, until: SimTime) -> bool {
+        let reached = match world.completion {
+            Some(_) => world.sched.current(),
+            None => Ticket::end_of(until.min(world.end_time())),
+        };
+        let mut heads = world.backhaul.lanes.iter().filter_map(|l| l.fifo.front());
+        heads.all(|a| a.ticket >= reached)
+    }
+
     /// The law that makes holding packets in the link exact: against a
     /// world that dispatches every toward-AP packet as its own event,
     /// the trace and every result field but `events_dispatched` are
-    /// bit-identical, whole and sliced, through tail drops, an early
-    /// completion, paced datagrams, several cells and staggered clients.
+    /// bit-identical, whole and sliced, through tail drops, early
+    /// completions, paced datagrams, several cells and staggered clients.
     #[test]
     fn held_arrivals_change_nothing_but_the_event_count() {
         let ms = SimDuration::from_millis;
@@ -331,8 +340,21 @@ mod tests {
             .stagger(ms(150))
             .seed(24)
             .build();
+        // Completes with a stock TCP retransmission held at a full AP
+        // queue: the one arrival only the completion drain applies.
+        let lossy_both_ways = ScenarioBuilder::dot11n_download(150, 1, HackMode::Disabled)
+            .traffic(TrafficModel::Bidirectional)
+            .loss(LossConfig::PerClient(vec![0.3]))
+            .ap_queue_cap(5)
+            .transfer_bytes(411_000)
+            .duration(ms(3000))
+            .warmup(ms(50))
+            .stagger(ms(1))
+            .seed(53)
+            .build();
         for (name, cfg) in [
             ("capped queue, byte budget", capped_budget),
+            ("lossy bidirectional, byte budget", lossy_both_ways),
             ("CBR beside bulk", paced_mix),
             ("two cells", two_cells),
             ("stock TCP, staggered", stock_staggered),
