@@ -522,7 +522,174 @@ mod tests {
     use crate::driver::HackMode;
     use crate::scenario::ScenarioBuilder;
     use crate::sim::World;
+    use crate::stable::StableHasher;
     use hack_sim::SimDuration;
+
+    /// Hands out distinct values, so every counter in a built result
+    /// differs from every other.
+    struct Distinct(u64);
+
+    impl Distinct {
+        fn next(&mut self) -> u64 {
+            self.0 += 1;
+            self.0 * 1_000_003 + 7
+        }
+        fn counter(&mut self) -> Counter {
+            Counter::from_value(self.next())
+        }
+        fn accum(&mut self) -> TimeAccumulator {
+            TimeAccumulator::from_parts(SimDuration::from_nanos(self.next()), self.next())
+        }
+        fn f64(&mut self) -> f64 {
+            self.next() as f64 / 8.0
+        }
+        fn f64s(&mut self, n: usize) -> Vec<f64> {
+            (0..n).map(|_| self.f64()).collect()
+        }
+        fn sketch(&mut self, samples: usize) -> QuantileSketch {
+            let mut s = QuantileSketch::new();
+            for _ in 0..samples {
+                s.record(self.next());
+            }
+            s
+        }
+        fn mac(&mut self) -> MacStats {
+            MacStats {
+                mpdus_first_try: self.counter(),
+                mpdus_retried: self.counter(),
+                mpdus_dropped: self.counter(),
+                tx_attempts: self.counter(),
+                responses_sent: self.counter(),
+                responses_with_blob: self.counter(),
+                ack_timeouts: self.counter(),
+                bars_sent: self.counter(),
+                bars_exhausted: self.counter(),
+                rx_garbage: self.counter(),
+                rx_fcs_bad: self.counter(),
+                acquire_wait_data: self.accum(),
+                acquire_wait_ack: self.accum(),
+                airtime_data: self.accum(),
+                airtime_ack: self.accum(),
+                airtime_response: self.accum(),
+                airtime_blob: self.accum(),
+                blob_within_aifs: self.counter(),
+                blob_beyond_aifs: self.counter(),
+                ll_ack_overhead: self.accum(),
+            }
+        }
+        fn driver(&mut self) -> CompressSideStats {
+            CompressSideStats {
+                native_acks: self.next(),
+                native_ack_bytes: self.next(),
+                hacked_acks: self.next(),
+                hacked_ack_bytes: self.next(),
+                reenqueued: self.next(),
+                dropped_on_flush: self.next(),
+                timer_flushes: self.next(),
+                spilled: self.next(),
+                noop_flushes: self.next(),
+                forced_native: self.next(),
+            }
+        }
+        fn tcp(&mut self) -> TcpStats {
+            TcpStats {
+                data_segments_sent: self.next(),
+                retransmits: self.next(),
+                fast_retransmits: self.next(),
+                timeouts: self.next(),
+                acks_sent: self.next(),
+                dupacks_received: self.next(),
+                bytes_delivered: self.next(),
+                bytes_acked: self.next(),
+                rtt_samples: self.next(),
+                rtt_sum_us: self.next(),
+            }
+        }
+        fn supervisor(&mut self, final_state: FlowHealth) -> SupervisorReport {
+            SupervisorReport {
+                final_state,
+                stats: SupervisorStats {
+                    degraded: self.next(),
+                    fallbacks: self.next(),
+                    probations: self.next(),
+                    recoveries: self.next(),
+                    refreshes: self.next(),
+                    handoffs: self.next(),
+                    est_divergence: self.next(),
+                },
+            }
+        }
+        fn class(&mut self, class: TrafficClass) -> ClassReport {
+            ClassReport {
+                class,
+                flows: self.next() as usize,
+                transfers: self.next(),
+                goodput_mbps: self.f64(),
+                fct: self.sketch(3),
+                latency: self.sketch(4),
+                jitter: self.sketch(5),
+            }
+        }
+    }
+
+    /// A result built field by field rather than simulated, so only a
+    /// format change can move [`encoded_run_result_bytes_are_pinned`]:
+    /// every vector is non-empty, both `Option` arms and two codes of
+    /// each wire enum appear, every sketch holds distinct samples and
+    /// every counter a distinct value.
+    fn pinned_result() -> RunResult {
+        let mut d = Distinct(0);
+        RunResult {
+            flow_goodput_mbps: d.f64s(2),
+            aggregate_goodput_mbps: d.f64(),
+            flow_goodput_full_mbps: d.f64s(2),
+            flow_completion: vec![Some(SimTime::from_nanos(d.next())), None],
+            mac: vec![d.mac(), d.mac()],
+            driver: vec![d.driver(), d.driver()],
+            driver_ap: vec![d.driver(), d.driver()],
+            compressor: vec![CompressStats {
+                compressed: d.next(),
+                compressed_bytes: d.next(),
+                original_bytes: d.next(),
+                declined: d.next(),
+            }],
+            decompressor: DecompressStats {
+                decompressed: d.next(),
+                duplicates: d.next(),
+                crc_failures: d.next(),
+                no_context: d.next(),
+                malformed: d.next(),
+            },
+            ppdus: d.next(),
+            events_dispatched: d.next(),
+            collisions: d.next(),
+            ap_queue_drops: d.next(),
+            sender_tcp: vec![d.tcp(), d.tcp()],
+            receiver_tcp: vec![d.tcp(), d.tcp()],
+            blob_within_aifs: d.f64(),
+            supervisor: vec![
+                d.supervisor(FlowHealth::Degraded),
+                d.supervisor(FlowHealth::PeerIncapable),
+            ],
+            flow_goodput_final_mbps: d.f64s(2),
+            roams: d.next(),
+            classes: vec![d.class(TrafficClass::Udp), d.class(TrafficClass::OnOff)],
+        }
+    }
+
+    /// The encoding of [`pinned_result`] is frozen: a change here is a
+    /// format change, which must bump [`RESULT_SCHEMA_VERSION`] and
+    /// re-pin with a one-line reason.
+    #[test]
+    fn encoded_run_result_bytes_are_pinned() {
+        let bytes = encode_run_result(&pinned_result());
+        let mut h = StableHasher::new();
+        h.write(&bytes);
+        assert_eq!(
+            (bytes.len(), h.finish_hex().as_str()),
+            (1778, "9c67b674d3bb646a9cded03a514479ab")
+        );
+    }
 
     fn small_result() -> RunResult {
         let cfg = ScenarioBuilder::dot11n_download(150, 1, HackMode::MoreData)
