@@ -11,11 +11,12 @@
 use hack_analysis::{CapacityModel, Protocol};
 use hack_bench::{run_seeds, set_trace_base, CommonOpts, USAGE};
 use hack_campaign::{campaign_csv, campaign_json, run_campaign, Axis, CellReport, SweepSpec};
+use hack_core::codec::to_json;
 use hack_core::{
-    run_auto, run_dense, BssSpec, CbrConfig, CcKind, ChannelChange, ChannelEvent,
-    CompressSideStats, CorruptModel, DenseOptions, DenseReport, FlowHealth, GeParams, HackMode,
-    LossConfig, OnOffConfig, RoamEvent, RunResult, ScenarioBuilder, ScenarioConfig,
-    ShortFlowConfig, SupervisorConfig, SupervisorReport, TrafficClass, TrafficModel,
+    run_auto, run_dense, BssSpec, CbrConfig, CcKind, ChannelChange, ChannelEvent, CorruptModel,
+    DenseOptions, DenseReport, FlowHealth, GeParams, HackMode, LossConfig, OnOffConfig, RoamEvent,
+    RunResult, ScenarioBuilder, ScenarioConfig, ShortFlowConfig, SupervisorConfig,
+    SupervisorReport, TrafficClass, TrafficModel,
 };
 use hack_phy::{Channel, PhyRate, StationId, DOT11A_RATES_MBPS, DOT11N_HT40_SGI_MBPS};
 use hack_sim::{QuantileSketch, RunStats, SimDuration};
@@ -402,37 +403,6 @@ fn loss_sweep(opts: &Opts) {
     }
 }
 
-/// Hand-rolled JSON for one compress side's driver counters.
-fn driver_json(d: &CompressSideStats) -> String {
-    format!(
-        "{{\"native_acks\":{},\"hacked_acks\":{},\"timer_flushes\":{},\
-         \"noop_flushes\":{},\"dropped_on_flush\":{},\"spilled\":{},\
-         \"reenqueued\":{},\"forced_native\":{}}}",
-        d.native_acks,
-        d.hacked_acks,
-        d.timer_flushes,
-        d.noop_flushes,
-        d.dropped_on_flush,
-        d.spilled,
-        d.reenqueued,
-        d.forced_native,
-    )
-}
-
-/// Hand-rolled JSON for one flow's supervisor outcome.
-fn supervisor_json(rep: &SupervisorReport) -> String {
-    format!(
-        "{{\"final_state\":\"{}\",\"degraded\":{},\"fallbacks\":{},\
-         \"probations\":{},\"recoveries\":{},\"refreshes\":{}}}",
-        rep.final_state.name(),
-        rep.stats.degraded,
-        rep.stats.fallbacks,
-        rep.stats.probations,
-        rep.stats.recoveries,
-        rep.stats.refreshes,
-    )
-}
-
 /// One human-readable supervisor summary line (per flow).
 fn supervisor_line(rep: &SupervisorReport) -> String {
     format!(
@@ -522,15 +492,12 @@ fn fault_matrix(opts: &Opts) {
                 println!("             supervisor: {}", supervisor_line(rep));
             }
         }
-        let sup = r
-            .supervisor
-            .first()
-            .map_or_else(|| "null".into(), supervisor_json);
+        let sup = r.supervisor.first().map_or_else(|| "null".into(), to_json);
         json_rows.push(format!(
             "{{\"model\":\"{label}\",\"goodput_mbps\":{goodput:.3},\
              \"rx_fcs_bad\":{fcs_bad},\"crc_failures\":{crc},\
              \"driver\":{},\"supervisor\":{sup}}}",
-            driver_json(d)
+            to_json(d)
         ));
     }
     if opts.json {
@@ -655,8 +622,8 @@ fn chaos_recovery(opts: &Opts) {
              \"driver\":{},\"supervisor\":{}}}",
             tcp.aggregate_goodput_mbps,
             sup.aggregate_goodput_mbps,
-            driver_json(&sup.driver[0]),
-            supervisor_json(&sup.supervisor[0]),
+            to_json(&sup.driver[0]),
+            to_json(&sup.supervisor[0]),
         ));
     }
     println!(
@@ -697,8 +664,8 @@ fn chaos_recovery(opts: &Opts) {
              \"sup_goodput_mbps\":{:.3},\"final_window_mbps\":{final_win:.3},\
              \"driver\":{},\"supervisor\":{}}}",
             r.aggregate_goodput_mbps,
-            driver_json(&r.driver[0]),
-            supervisor_json(rep),
+            to_json(&r.driver[0]),
+            to_json(rep),
         ));
     }
     if opts.json {
@@ -1404,7 +1371,7 @@ fn roam_chaos(opts: &Opts) {
             tcp.aggregate_goodput_mbps,
             sup.aggregate_goodput_mbps,
             sup.roams,
-            supervisor_json(&sup.supervisor[0]),
+            to_json(&sup.supervisor[0]),
         ));
     }
     println!(

@@ -1,5 +1,5 @@
 //! Versioned binary serialization of [`RunResult`] — the campaign
-//! cache's on-disk format.
+//! cache's on-disk format — and its JSON view.
 //!
 //! The campaign engine caches each job's full [`RunResult`] keyed by
 //! the content hash of its resolved configuration
@@ -13,9 +13,23 @@
 //! [`RESULT_SCHEMA_VERSION`]. Decoding a result with a different
 //! version fails with [`CodecError::SchemaMismatch`], which the cache
 //! treats as a miss — stale results from before a result-shape change
-//! are silently recomputed instead of silently mixed in. **Bump the
-//! version whenever [`RunResult`] or any struct reachable from it
-//! changes shape or meaning.**
+//! are silently recomputed instead of silently mixed in.
+//!
+//! # One walk per type
+//!
+//! Every type reachable from [`RunResult`] lists its fields once, in
+//! wire order, in the `walk!` table below. That one list generates both
+//! directions: [`Walk::walk`] feeds the fields of a `&T` to a [`Sink`]
+//! (the binary encoder behind [`encode_run_result`] and the JSON writer
+//! behind [`to_json`]), and the validating decoder behind
+//! [`decode_run_result`] builds a `T` back in the same order. The walk
+//! destructures the struct without `..` and the decoder builds it with
+//! a struct literal, so a field missing from the list is a compile
+//! error. **Changing the list — a field, its order or its width — is a
+//! format change: bump [`RESULT_SCHEMA_VERSION`] and re-pin
+//! `encoded_run_result_bytes_are_pinned` with a one-line reason.**
+
+use std::fmt::Write as _;
 
 use hack_mac::MacStats;
 use hack_rohc::{CompressStats, DecompressStats};
@@ -41,6 +55,10 @@ pub const RESULT_SCHEMA_VERSION: u32 = 5;
 
 /// File magic for encoded results.
 const MAGIC: &[u8; 4] = b"HKRR";
+
+/// Byte offset of the schema version field inside an encoded result —
+/// exposed so tests (and only tests) can forge a bumped version.
+pub const SCHEMA_VERSION_OFFSET: usize = MAGIC.len();
 
 /// Why a byte string failed to decode as a [`RunResult`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,320 +95,276 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-// ---------------------------------------------------------------------
-// Writer
-// ---------------------------------------------------------------------
-
-struct Writer {
-    out: Vec<u8>,
+/// What a [`Walk`] feeds: a value's leaves in wire order, with the
+/// record and sequence structure a self-describing format needs to name
+/// them. A binary sink ignores the structure it does not store.
+pub trait Sink {
+    /// An unsigned integer (`usize` counts arrive widened).
+    fn u64(&mut self, v: u64);
+    /// A 32-bit unsigned integer (a sketch bucket index).
+    fn u32(&mut self, v: u32);
+    /// A float.
+    fn f64(&mut self, v: f64);
+    /// A wire-enum variant: its one-byte code and its report name.
+    fn variant(&mut self, code: u8, name: &'static str);
+    /// An `Option`'s tag; the value follows when `some`.
+    fn option(&mut self, some: bool);
+    /// A sequence of `len` values follows, then [`Sink::end_seq`].
+    fn seq(&mut self, len: usize);
+    /// Closes the innermost sequence.
+    fn end_seq(&mut self) {}
+    /// Opens a record of [`Sink::field`]-named values.
+    fn record(&mut self) {}
+    /// The next value is the open record's field `name`.
+    fn field(&mut self, _name: &'static str) {}
+    /// Closes the innermost record.
+    fn end_record(&mut self) {}
 }
 
-impl Writer {
-    fn u8(&mut self, v: u8) {
-        self.out.push(v);
+/// A type the codec walks: [`RunResult`] and every type inside it.
+pub trait Walk {
+    /// Feed this value to `s`, field by field in wire order.
+    fn walk<S: Sink>(&self, s: &mut S);
+}
+
+/// The validating inverse of [`Walk`] over the binary encoding.
+trait Decode: Sized {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError>;
+}
+
+/// Implements [`Walk`] and [`Decode`] for each struct from one list of
+/// its fields in wire order.
+macro_rules! walk {
+    ($($ty:ident { $($f:ident),* $(,)? })*) => {$(
+        impl Walk for $ty {
+            fn walk<S: Sink>(&self, s: &mut S) {
+                let $ty { $($f),* } = self;
+                s.record();
+                $(s.field(stringify!($f)); $f.walk(s);)*
+                s.end_record();
+            }
+        }
+        impl Decode for $ty {
+            fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+                Ok($ty { $($f: Decode::decode(r)?),* })
+            }
+        }
+    )*};
+}
+
+walk! {
+    RunResult {
+        flow_goodput_mbps, aggregate_goodput_mbps, flow_goodput_full_mbps, flow_completion,
+        mac, driver, driver_ap, compressor, decompressor,
+        ppdus, events_dispatched, collisions, ap_queue_drops, sender_tcp, receiver_tcp,
+        blob_within_aifs, supervisor, flow_goodput_final_mbps, roams, classes,
+    }
+    MacStats {
+        mpdus_first_try, mpdus_retried, mpdus_dropped, tx_attempts, responses_sent,
+        responses_with_blob, ack_timeouts, bars_sent, bars_exhausted, rx_garbage, rx_fcs_bad,
+        acquire_wait_data, acquire_wait_ack, airtime_data, airtime_ack, airtime_response,
+        airtime_blob, blob_within_aifs, blob_beyond_aifs, ll_ack_overhead,
+    }
+    CompressSideStats {
+        native_acks, native_ack_bytes, hacked_acks, hacked_ack_bytes, reenqueued,
+        dropped_on_flush, timer_flushes, spilled, noop_flushes, forced_native,
+    }
+    CompressStats { compressed, compressed_bytes, original_bytes, declined }
+    DecompressStats { decompressed, duplicates, crc_failures, no_context, malformed }
+    TcpStats {
+        data_segments_sent, retransmits, fast_retransmits, timeouts, acks_sent,
+        dupacks_received, bytes_delivered, bytes_acked, rtt_samples, rtt_sum_us,
+    }
+    SupervisorReport { final_state, stats }
+    SupervisorStats {
+        degraded, fallbacks, probations, recoveries, refreshes, handoffs, est_divergence,
+    }
+    ClassReport { class, flows, transfers, goodput_mbps, fct, latency, jitter }
+    SparseSketch { count, sum, min, max, buckets }
+}
+
+/// The sparse form of a [`QuantileSketch`]: what the codec stores.
+struct SparseSketch {
+    count: u64,
+    sum: u64,
+    min: u64,
+    max: u64,
+    buckets: Vec<(u16, u64)>,
+}
+
+/// Implements [`Walk`] and [`Decode`] for a leaf type: how `v` feeds
+/// `s`, and how `r` rebuilds (or rejects) it, side by side.
+macro_rules! leaf {
+    ($($ty:ty: |$v:ident, $s:ident| $walk:expr, |$r:ident| $decode:expr;)*) => {$(
+        impl Walk for $ty {
+            fn walk<S: Sink>(&self, $s: &mut S) {
+                let $v = self;
+                $walk;
+            }
+        }
+        impl Decode for $ty {
+            fn decode($r: &mut Reader<'_>) -> Result<Self, CodecError> {
+                $decode
+            }
+        }
+    )*};
+}
+
+leaf! {
+    u64: |v, s| s.u64(*v), |r| r.u64();
+    usize: |v, s| s.u64(*v as u64), |r| usize::try_from(r.u64()?).or(Err(CodecError::BadValue));
+    f64: |v, s| s.f64(*v), |r| r.u64().map(f64::from_bits);
+    Counter: |v, s| s.u64(v.get()), |r| r.u64().map(Counter::from_value);
+    SimTime: |v, s| s.u64(v.as_nanos()), |r| r.u64().map(SimTime::from_nanos);
+    FlowHealth: |v, s| s.variant(v.code(), v.name()),
+        |r| FlowHealth::from_code(r.u8()?).ok_or(CodecError::BadValue);
+    TrafficClass: |v, s| s.variant(v.code(), v.name()),
+        |r| TrafficClass::from_code(r.u8()?).ok_or(CodecError::BadValue);
+    TimeAccumulator: |v, s| {
+        s.record();
+        s.field("total_ns");
+        s.u64(v.total().as_nanos());
+        s.field("events");
+        s.u64(v.events());
+        s.end_record();
+    }, |r| {
+        let total = SimDuration::from_nanos(r.u64()?);
+        Ok(TimeAccumulator::from_parts(total, r.u64()?))
+    };
+    // One sparse sketch bucket: a `u32` index and its count.
+    (u16, u64): |v, s| {
+        s.record();
+        s.field("bucket");
+        s.u32(v.0.into());
+        s.field("count");
+        s.u64(v.1);
+        s.end_record();
+    }, |r| {
+        let bucket = u16::try_from(r.u32()?).or(Err(CodecError::BadValue))?;
+        Ok((bucket, r.u64()?))
+    };
+    QuantileSketch: |v, s| {
+        let (count, sum, min, max, buckets) = v.to_sparse();
+        SparseSketch { count, sum, min, max, buckets }.walk(s);
+    }, |r| {
+        let SparseSketch { count, sum, min, max, buckets } = SparseSketch::decode(r)?;
+        QuantileSketch::from_sparse(count, sum, min, max, &buckets).ok_or(CodecError::BadValue)
+    };
+}
+
+impl<T: Walk> Walk for Option<T> {
+    fn walk<S: Sink>(&self, s: &mut S) {
+        s.option(self.is_some());
+        if let Some(v) = self {
+            v.walk(s);
+        }
+    }
+}
+
+impl<T: Decode> Decode for Option<T> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        match r.u8()? {
+            0 => Ok(None),
+            1 => T::decode(r).map(Some),
+            _ => Err(CodecError::BadValue),
+        }
+    }
+}
+
+impl<T: Walk> Walk for Vec<T> {
+    fn walk<S: Sink>(&self, s: &mut S) {
+        s.seq(self.len());
+        for v in self {
+            v.walk(s);
+        }
+        s.end_seq();
+    }
+}
+
+impl<T: Decode> Decode for Vec<T> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let n = r.len()?;
+        (0..n).map(|_| T::decode(r)).collect()
+    }
+}
+
+// ---------------------------------------------------------------------
+// Binary sink and reader
+// ---------------------------------------------------------------------
+
+/// The binary sink: little-endian integers, floats as IEEE-754 bits,
+/// `u32` sequence lengths, one-byte enum codes and `Option` tags.
+struct Encoder(Vec<u8>);
+
+impl Sink for Encoder {
+    fn u64(&mut self, v: u64) {
+        self.0.extend_from_slice(&v.to_le_bytes());
     }
     fn u32(&mut self, v: u32) {
-        self.out.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.out.extend_from_slice(&v.to_le_bytes());
+        self.0.extend_from_slice(&v.to_le_bytes());
     }
     fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
-    fn len(&mut self, n: usize) {
-        self.u32(u32::try_from(n).expect("result vector fits u32"));
+    fn variant(&mut self, code: u8, _name: &'static str) {
+        self.0.push(code);
     }
-    fn vec_f64(&mut self, v: &[f64]) {
-        self.len(v.len());
-        for &x in v {
-            self.f64(x);
-        }
+    fn option(&mut self, some: bool) {
+        self.0.push(u8::from(some));
     }
-    fn counter(&mut self, c: Counter) {
-        self.u64(c.get());
+    fn seq(&mut self, len: usize) {
+        self.u32(u32::try_from(len).expect("result vector fits u32"));
     }
-    fn accum(&mut self, t: &TimeAccumulator) {
-        self.u64(t.total().as_nanos());
-        self.u64(t.events());
-    }
-}
-
-fn write_mac(w: &mut Writer, m: &MacStats) {
-    w.counter(m.mpdus_first_try);
-    w.counter(m.mpdus_retried);
-    w.counter(m.mpdus_dropped);
-    w.counter(m.tx_attempts);
-    w.counter(m.responses_sent);
-    w.counter(m.responses_with_blob);
-    w.counter(m.ack_timeouts);
-    w.counter(m.bars_sent);
-    w.counter(m.bars_exhausted);
-    w.counter(m.rx_garbage);
-    w.counter(m.rx_fcs_bad);
-    w.accum(&m.acquire_wait_data);
-    w.accum(&m.acquire_wait_ack);
-    w.accum(&m.airtime_data);
-    w.accum(&m.airtime_ack);
-    w.accum(&m.airtime_response);
-    w.accum(&m.airtime_blob);
-    w.counter(m.blob_within_aifs);
-    w.counter(m.blob_beyond_aifs);
-    w.accum(&m.ll_ack_overhead);
-}
-
-fn write_driver(w: &mut Writer, d: &CompressSideStats) {
-    w.u64(d.native_acks);
-    w.u64(d.native_ack_bytes);
-    w.u64(d.hacked_acks);
-    w.u64(d.hacked_ack_bytes);
-    w.u64(d.reenqueued);
-    w.u64(d.dropped_on_flush);
-    w.u64(d.timer_flushes);
-    w.u64(d.spilled);
-    w.u64(d.noop_flushes);
-    w.u64(d.forced_native);
-}
-
-fn write_sketch(w: &mut Writer, s: &QuantileSketch) {
-    let (count, sum, min, max, entries) = s.to_sparse();
-    w.u64(count);
-    w.u64(sum);
-    w.u64(min);
-    w.u64(max);
-    w.len(entries.len());
-    for (i, c) in entries {
-        w.u32(u32::from(i));
-        w.u64(c);
-    }
-}
-
-fn write_tcp(w: &mut Writer, t: &TcpStats) {
-    w.u64(t.data_segments_sent);
-    w.u64(t.retransmits);
-    w.u64(t.fast_retransmits);
-    w.u64(t.timeouts);
-    w.u64(t.acks_sent);
-    w.u64(t.dupacks_received);
-    w.u64(t.bytes_delivered);
-    w.u64(t.bytes_acked);
-    w.u64(t.rtt_samples);
-    w.u64(t.rtt_sum_us);
 }
 
 /// Serialize a [`RunResult`] under [`RESULT_SCHEMA_VERSION`].
 pub fn encode_run_result(r: &RunResult) -> Vec<u8> {
-    let mut w = Writer {
-        out: Vec::with_capacity(1024),
-    };
-    w.out.extend_from_slice(MAGIC);
-    w.u32(RESULT_SCHEMA_VERSION);
-    w.vec_f64(&r.flow_goodput_mbps);
-    w.f64(r.aggregate_goodput_mbps);
-    w.vec_f64(&r.flow_goodput_full_mbps);
-    w.len(r.flow_completion.len());
-    for c in &r.flow_completion {
-        match c {
-            None => w.u8(0),
-            Some(t) => {
-                w.u8(1);
-                w.u64(t.as_nanos());
-            }
-        }
-    }
-    w.len(r.mac.len());
-    for m in &r.mac {
-        write_mac(&mut w, m);
-    }
-    w.len(r.driver.len());
-    for d in &r.driver {
-        write_driver(&mut w, d);
-    }
-    w.len(r.driver_ap.len());
-    for d in &r.driver_ap {
-        write_driver(&mut w, d);
-    }
-    w.len(r.compressor.len());
-    for c in &r.compressor {
-        w.u64(c.compressed);
-        w.u64(c.compressed_bytes);
-        w.u64(c.original_bytes);
-        w.u64(c.declined);
-    }
-    w.u64(r.decompressor.decompressed);
-    w.u64(r.decompressor.duplicates);
-    w.u64(r.decompressor.crc_failures);
-    w.u64(r.decompressor.no_context);
-    w.u64(r.decompressor.malformed);
-    w.u64(r.ppdus);
-    w.u64(r.events_dispatched);
-    w.u64(r.collisions);
-    w.u64(r.ap_queue_drops);
-    w.len(r.sender_tcp.len());
-    for t in &r.sender_tcp {
-        write_tcp(&mut w, t);
-    }
-    w.len(r.receiver_tcp.len());
-    for t in &r.receiver_tcp {
-        write_tcp(&mut w, t);
-    }
-    w.f64(r.blob_within_aifs);
-    w.len(r.supervisor.len());
-    for s in &r.supervisor {
-        w.u8(s.final_state.code());
-        w.u64(s.stats.degraded);
-        w.u64(s.stats.fallbacks);
-        w.u64(s.stats.probations);
-        w.u64(s.stats.recoveries);
-        w.u64(s.stats.refreshes);
-        w.u64(s.stats.handoffs);
-        w.u64(s.stats.est_divergence);
-    }
-    w.vec_f64(&r.flow_goodput_final_mbps);
-    w.u64(r.roams);
-    w.len(r.classes.len());
-    for c in &r.classes {
-        w.u8(c.class.code());
-        w.u64(c.flows as u64);
-        w.u64(c.transfers);
-        w.f64(c.goodput_mbps);
-        write_sketch(&mut w, &c.fct);
-        write_sketch(&mut w, &c.latency);
-        write_sketch(&mut w, &c.jitter);
-    }
-    w.out
+    let mut e = Encoder(Vec::with_capacity(1024));
+    e.0.extend_from_slice(MAGIC);
+    e.u32(RESULT_SCHEMA_VERSION);
+    r.walk(&mut e);
+    e.0
 }
 
-// ---------------------------------------------------------------------
-// Reader
-// ---------------------------------------------------------------------
+/// The bytes not yet decoded.
+struct Reader<'a>(&'a [u8]);
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        let end = self.pos.checked_add(n).ok_or(CodecError::Truncated)?;
-        if end > self.buf.len() {
+impl Reader<'_> {
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        // An explicit check: `split_at_checked` made decoding 2x slower (rustc 1.95, x86-64).
+        if self.0.len() < N {
             return Err(CodecError::Truncated);
         }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
+        let (head, rest) = self.0.split_at(N);
+        self.0 = rest;
+        Ok(head.try_into().expect("N bytes"))
     }
     fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
+        self.take().map(u8::from_le_bytes)
     }
     fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
+        self.take().map(u32::from_le_bytes)
     }
     fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-    fn f64(&mut self) -> Result<f64, CodecError> {
-        Ok(f64::from_bits(self.u64()?))
+        self.take().map(u64::from_le_bytes)
     }
     fn len(&mut self) -> Result<usize, CodecError> {
         let n = self.u32()? as usize;
         // A length that could not possibly fit the remaining bytes is
         // corruption, not a huge allocation request.
-        if n > self.buf.len().saturating_sub(self.pos) {
+        if n > self.0.len() {
             return Err(CodecError::Truncated);
         }
         Ok(n)
     }
-    fn vec_f64(&mut self) -> Result<Vec<f64>, CodecError> {
-        let n = self.len()?;
-        (0..n).map(|_| self.f64()).collect()
-    }
-    fn counter(&mut self) -> Result<Counter, CodecError> {
-        Ok(Counter::from_value(self.u64()?))
-    }
-    fn accum(&mut self) -> Result<TimeAccumulator, CodecError> {
-        let total = SimDuration::from_nanos(self.u64()?);
-        let events = self.u64()?;
-        Ok(TimeAccumulator::from_parts(total, events))
-    }
-}
-
-fn read_mac(r: &mut Reader) -> Result<MacStats, CodecError> {
-    Ok(MacStats {
-        mpdus_first_try: r.counter()?,
-        mpdus_retried: r.counter()?,
-        mpdus_dropped: r.counter()?,
-        tx_attempts: r.counter()?,
-        responses_sent: r.counter()?,
-        responses_with_blob: r.counter()?,
-        ack_timeouts: r.counter()?,
-        bars_sent: r.counter()?,
-        bars_exhausted: r.counter()?,
-        rx_garbage: r.counter()?,
-        rx_fcs_bad: r.counter()?,
-        acquire_wait_data: r.accum()?,
-        acquire_wait_ack: r.accum()?,
-        airtime_data: r.accum()?,
-        airtime_ack: r.accum()?,
-        airtime_response: r.accum()?,
-        airtime_blob: r.accum()?,
-        blob_within_aifs: r.counter()?,
-        blob_beyond_aifs: r.counter()?,
-        ll_ack_overhead: r.accum()?,
-    })
-}
-
-fn read_driver(r: &mut Reader) -> Result<CompressSideStats, CodecError> {
-    Ok(CompressSideStats {
-        native_acks: r.u64()?,
-        native_ack_bytes: r.u64()?,
-        hacked_acks: r.u64()?,
-        hacked_ack_bytes: r.u64()?,
-        reenqueued: r.u64()?,
-        dropped_on_flush: r.u64()?,
-        timer_flushes: r.u64()?,
-        spilled: r.u64()?,
-        noop_flushes: r.u64()?,
-        forced_native: r.u64()?,
-    })
-}
-
-fn read_sketch(r: &mut Reader) -> Result<QuantileSketch, CodecError> {
-    let count = r.u64()?;
-    let sum = r.u64()?;
-    let min = r.u64()?;
-    let max = r.u64()?;
-    let n = r.len()?;
-    let entries = (0..n)
-        .map(|_| {
-            let i = u16::try_from(r.u32()?).map_err(|_| CodecError::BadValue)?;
-            Ok((i, r.u64()?))
-        })
-        .collect::<Result<Vec<_>, CodecError>>()?;
-    QuantileSketch::from_sparse(count, sum, min, max, &entries).ok_or(CodecError::BadValue)
-}
-
-fn read_tcp(r: &mut Reader) -> Result<TcpStats, CodecError> {
-    Ok(TcpStats {
-        data_segments_sent: r.u64()?,
-        retransmits: r.u64()?,
-        fast_retransmits: r.u64()?,
-        timeouts: r.u64()?,
-        acks_sent: r.u64()?,
-        dupacks_received: r.u64()?,
-        bytes_delivered: r.u64()?,
-        bytes_acked: r.u64()?,
-        rtt_samples: r.u64()?,
-        rtt_sum_us: r.u64()?,
-    })
 }
 
 /// Deserialize a [`RunResult`] previously produced by
 /// [`encode_run_result`]. Fails with [`CodecError::SchemaMismatch`]
 /// when the stored schema version differs from this build's.
 pub fn decode_run_result(bytes: &[u8]) -> Result<RunResult, CodecError> {
-    let mut r = Reader { buf: bytes, pos: 0 };
-    if r.take(4)? != MAGIC {
+    let mut r = Reader(bytes);
+    if &r.take()? != MAGIC {
         return Err(CodecError::BadMagic);
     }
     let version = r.u32()?;
@@ -400,121 +374,98 @@ pub fn decode_run_result(bytes: &[u8]) -> Result<RunResult, CodecError> {
             expected: RESULT_SCHEMA_VERSION,
         });
     }
-    let flow_goodput_mbps = r.vec_f64()?;
-    let aggregate_goodput_mbps = r.f64()?;
-    let flow_goodput_full_mbps = r.vec_f64()?;
-    let n = r.len()?;
-    let flow_completion = (0..n)
-        .map(|_| match r.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(SimTime::from_nanos(r.u64()?))),
-            _ => Err(CodecError::BadValue),
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let n = r.len()?;
-    let mac = (0..n).map(|_| read_mac(&mut r)).collect::<Result<_, _>>()?;
-    let n = r.len()?;
-    let driver = (0..n)
-        .map(|_| read_driver(&mut r))
-        .collect::<Result<_, _>>()?;
-    let n = r.len()?;
-    let driver_ap = (0..n)
-        .map(|_| read_driver(&mut r))
-        .collect::<Result<_, _>>()?;
-    let n = r.len()?;
-    let compressor = (0..n)
-        .map(|_| {
-            Ok(CompressStats {
-                compressed: r.u64()?,
-                compressed_bytes: r.u64()?,
-                original_bytes: r.u64()?,
-                declined: r.u64()?,
-            })
-        })
-        .collect::<Result<_, CodecError>>()?;
-    let decompressor = DecompressStats {
-        decompressed: r.u64()?,
-        duplicates: r.u64()?,
-        crc_failures: r.u64()?,
-        no_context: r.u64()?,
-        malformed: r.u64()?,
-    };
-    let ppdus = r.u64()?;
-    let events_dispatched = r.u64()?;
-    let collisions = r.u64()?;
-    let ap_queue_drops = r.u64()?;
-    let n = r.len()?;
-    let sender_tcp = (0..n).map(|_| read_tcp(&mut r)).collect::<Result<_, _>>()?;
-    let n = r.len()?;
-    let receiver_tcp = (0..n).map(|_| read_tcp(&mut r)).collect::<Result<_, _>>()?;
-    let blob_within_aifs = r.f64()?;
-    let n = r.len()?;
-    let supervisor = (0..n)
-        .map(|_| {
-            let final_state = FlowHealth::from_code(r.u8()?).ok_or(CodecError::BadValue)?;
-            Ok(SupervisorReport {
-                final_state,
-                stats: SupervisorStats {
-                    degraded: r.u64()?,
-                    fallbacks: r.u64()?,
-                    probations: r.u64()?,
-                    recoveries: r.u64()?,
-                    refreshes: r.u64()?,
-                    handoffs: r.u64()?,
-                    est_divergence: r.u64()?,
-                },
-            })
-        })
-        .collect::<Result<_, CodecError>>()?;
-    let flow_goodput_final_mbps = r.vec_f64()?;
-    let roams = r.u64()?;
-    let n = r.len()?;
-    let classes = (0..n)
-        .map(|_| {
-            let class = TrafficClass::from_code(r.u8()?).ok_or(CodecError::BadValue)?;
-            Ok(ClassReport {
-                class,
-                flows: usize::try_from(r.u64()?).map_err(|_| CodecError::BadValue)?,
-                transfers: r.u64()?,
-                goodput_mbps: r.f64()?,
-                fct: read_sketch(&mut r)?,
-                latency: read_sketch(&mut r)?,
-                jitter: read_sketch(&mut r)?,
-            })
-        })
-        .collect::<Result<Vec<_>, CodecError>>()?;
-    if r.pos != bytes.len() {
+    let result = RunResult::decode(&mut r)?;
+    if !r.0.is_empty() {
         // Trailing bytes mean the shapes disagree even though the
         // version matched — treat as corruption.
         return Err(CodecError::BadValue);
     }
-    Ok(RunResult {
-        flow_goodput_mbps,
-        aggregate_goodput_mbps,
-        flow_goodput_full_mbps,
-        flow_completion,
-        classes,
-        mac,
-        driver,
-        driver_ap,
-        compressor,
-        decompressor,
-        ppdus,
-        events_dispatched,
-        collisions,
-        ap_queue_drops,
-        sender_tcp,
-        receiver_tcp,
-        blob_within_aifs,
-        supervisor,
-        flow_goodput_final_mbps,
-        roams,
-    })
+    Ok(result)
 }
 
-/// Byte offset of the schema version field inside an encoded result —
-/// exposed so tests (and only tests) can forge a bumped version.
-pub const SCHEMA_VERSION_OFFSET: usize = MAGIC.len();
+// ---------------------------------------------------------------------
+// JSON sink
+// ---------------------------------------------------------------------
+
+/// The JSON sink: records become objects keyed by field name, sequences
+/// arrays, enum variants their names; `None` and non-finite floats are
+/// `null`.
+struct Json {
+    out: String,
+    /// The open container already holds a value, so the next one needs
+    /// a comma.
+    comma: bool,
+}
+
+impl Json {
+    fn value(&mut self, v: impl std::fmt::Display) {
+        if self.comma {
+            self.out.push(',');
+        }
+        let _ = write!(self.out, "{v}");
+        self.comma = true;
+    }
+    /// Write an opening bracket or a key: the value after it takes no
+    /// comma.
+    fn open(&mut self, v: impl std::fmt::Display) {
+        self.value(v);
+        self.comma = false;
+    }
+    fn close(&mut self, bracket: char) {
+        self.out.push(bracket);
+        self.comma = true;
+    }
+}
+
+impl Sink for Json {
+    fn u64(&mut self, v: u64) {
+        self.value(v);
+    }
+    fn u32(&mut self, v: u32) {
+        self.value(v);
+    }
+    fn f64(&mut self, v: f64) {
+        if v.is_finite() {
+            self.value(v);
+        } else {
+            self.value("null");
+        }
+    }
+    fn variant(&mut self, _code: u8, name: &'static str) {
+        self.value(format_args!("\"{name}\""));
+    }
+    fn option(&mut self, some: bool) {
+        if !some {
+            self.value("null");
+        }
+    }
+    fn seq(&mut self, _len: usize) {
+        self.open('[');
+    }
+    fn end_seq(&mut self) {
+        self.close(']');
+    }
+    fn record(&mut self) {
+        self.open('{');
+    }
+    fn field(&mut self, name: &'static str) {
+        self.open(format_args!("\"{name}\":"));
+    }
+    fn end_record(&mut self) {
+        self.close('}');
+    }
+}
+
+/// `v` as JSON, every field it walks named as in its struct — the
+/// experiments' `--json` output.
+pub fn to_json<T: Walk>(v: &T) -> String {
+    let mut j = Json {
+        out: String::new(),
+        comma: false,
+    };
+    v.walk(&mut j);
+    j.out
+}
 
 #[cfg(test)]
 mod tests {
@@ -745,5 +696,193 @@ mod tests {
         let mut bad = bytes.clone();
         bad[0] = b'X';
         assert!(matches!(decode_run_result(&bad), Err(CodecError::BadMagic)));
+    }
+
+    /// Encodes like [`Encoder`] and records the offset of every enum
+    /// code and `Option` tag it writes, with the first code above the
+    /// known ones.
+    struct TagSpy {
+        enc: Encoder,
+        tags: Vec<(usize, u8)>,
+    }
+
+    impl Sink for TagSpy {
+        fn u64(&mut self, v: u64) {
+            self.enc.u64(v);
+        }
+        fn u32(&mut self, v: u32) {
+            self.enc.u32(v);
+        }
+        fn f64(&mut self, v: f64) {
+            self.enc.f64(v);
+        }
+        fn variant(&mut self, code: u8, name: &'static str) {
+            let health = FlowHealth::from_code(code).is_some_and(|h| h.name() == name);
+            let unknown = if health { 5 } else { 6 };
+            self.tags.push((self.enc.0.len(), unknown));
+            self.enc.variant(code, name);
+        }
+        fn option(&mut self, some: bool) {
+            self.tags.push((self.enc.0.len(), 2));
+            self.enc.option(some);
+        }
+        fn seq(&mut self, len: usize) {
+            self.enc.seq(len);
+        }
+    }
+
+    #[test]
+    fn decoder_rejects_prefixes_unknown_codes_and_trailing_bytes() {
+        let r = pinned_result();
+        let bytes = encode_run_result(&r);
+        for n in 0..bytes.len() {
+            assert!(
+                matches!(
+                    decode_run_result(&bytes[..n]),
+                    Err(CodecError::Truncated | CodecError::BadValue)
+                ),
+                "prefix of {n} bytes"
+            );
+        }
+
+        let mut spy = TagSpy {
+            enc: Encoder(bytes[..SCHEMA_VERSION_OFFSET + 4].to_vec()),
+            tags: Vec::new(),
+        };
+        r.walk(&mut spy);
+        assert_eq!(spy.enc.0, bytes);
+        // Two completion tags, two supervisor states, two classes.
+        assert_eq!(spy.tags.len(), 6);
+        for &(at, unknown) in &spy.tags {
+            for code in unknown..=u8::MAX {
+                let mut bad = bytes.clone();
+                bad[at] = code;
+                assert_eq!(
+                    decode_run_result(&bad).err(),
+                    Some(CodecError::BadValue),
+                    "code {code} at byte {at}"
+                );
+            }
+        }
+
+        let mut long = bytes.clone();
+        long.push(0);
+        assert_eq!(decode_run_result(&long).err(), Some(CodecError::BadValue));
+    }
+
+    impl Distinct {
+        fn compressor(&mut self) -> CompressStats {
+            CompressStats {
+                compressed: self.next(),
+                compressed_bytes: self.next(),
+                original_bytes: self.next(),
+                declined: self.next(),
+            }
+        }
+        fn decompressor(&mut self) -> DecompressStats {
+            DecompressStats {
+                decompressed: self.next(),
+                duplicates: self.next(),
+                crc_failures: self.next(),
+                no_context: self.next(),
+                malformed: self.next(),
+            }
+        }
+        fn class_sampled(&mut self, code: u8, samples: (usize, usize, usize)) -> ClassReport {
+            ClassReport {
+                class: TrafficClass::from_code(code).expect("known class"),
+                flows: self.next() as usize,
+                transfers: self.next(),
+                goodput_mbps: self.f64(),
+                fct: self.sketch(samples.0),
+                latency: self.sketch(samples.1),
+                jitter: self.sketch(samples.2),
+            }
+        }
+    }
+
+    mod shapes {
+        use super::*;
+        use proptest::collection::vec;
+        use proptest::option;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// Every vector length 0–4, every `FlowHealth` and
+            /// `TrafficClass` code, both `Option` arms and empty to
+            /// five-sample sketches survive a decode: arms no simulated
+            /// world reaches.
+            #[test]
+            fn round_trip_holds_for_arbitrary_shapes(
+                start in 0u64..1 << 20,
+                lens in vec(0usize..5, 9),
+                floats in vec(any::<f64>(), 2),
+                completion in vec(option::of(any::<u64>()), 0..5),
+                health in vec(0u8..5, 0..5),
+                classes in vec((0u8..6, (0usize..6, 0usize..6, 0usize..6)), 0..5),
+            ) {
+                let mut d = Distinct(start);
+                let r = RunResult {
+                    flow_goodput_mbps: d.f64s(lens[0]),
+                    aggregate_goodput_mbps: floats[0],
+                    flow_goodput_full_mbps: d.f64s(lens[1]),
+                    flow_completion: completion
+                        .into_iter()
+                        .map(|c| c.map(SimTime::from_nanos))
+                        .collect(),
+                    mac: (0..lens[2]).map(|_| d.mac()).collect(),
+                    driver: (0..lens[3]).map(|_| d.driver()).collect(),
+                    driver_ap: (0..lens[4]).map(|_| d.driver()).collect(),
+                    compressor: (0..lens[5]).map(|_| d.compressor()).collect(),
+                    decompressor: d.decompressor(),
+                    ppdus: d.next(),
+                    events_dispatched: d.next(),
+                    collisions: d.next(),
+                    ap_queue_drops: d.next(),
+                    sender_tcp: (0..lens[6]).map(|_| d.tcp()).collect(),
+                    receiver_tcp: (0..lens[7]).map(|_| d.tcp()).collect(),
+                    blob_within_aifs: floats[1],
+                    supervisor: health
+                        .iter()
+                        .map(|&c| d.supervisor(FlowHealth::from_code(c).expect("known state")))
+                        .collect(),
+                    flow_goodput_final_mbps: d.f64s(lens[8]),
+                    roams: d.next(),
+                    classes: classes
+                        .iter()
+                        .map(|&(code, samples)| d.class_sampled(code, samples))
+                        .collect(),
+                };
+                let bytes = encode_run_result(&r);
+                let decoded = decode_run_result(&bytes).map_err(|e| e.to_string())?;
+                prop_assert_eq!(encode_run_result(&decoded), bytes);
+            }
+        }
+    }
+
+    #[test]
+    fn json_names_every_field() {
+        let rep = SupervisorReport {
+            final_state: FlowHealth::Probation,
+            stats: SupervisorStats {
+                degraded: 1,
+                est_divergence: 7,
+                ..SupervisorStats::default()
+            },
+        };
+        assert_eq!(
+            to_json(&rep),
+            "{\"final_state\":\"probation\",\"stats\":{\"degraded\":1,\"fallbacks\":0,\
+             \"probations\":0,\"recoveries\":0,\"refreshes\":0,\"handoffs\":0,\
+             \"est_divergence\":7}}"
+        );
+        let completions = vec![None, Some(SimTime::from_nanos(5))];
+        assert_eq!(to_json(&completions), "[null,5]");
+        assert_eq!(to_json(&vec![1.5, f64::NAN]), "[1.5,null]");
+        assert_eq!(to_json(&vec![vec![], vec![2u64]]), "[[],[2]]");
+        let json = to_json(&pinned_result());
+        assert!(json.starts_with("{\"flow_goodput_mbps\":["));
+        assert!(json.contains("\"classes\":[{\"class\":\"udp\",\"flows\":"));
+        assert!(json.contains("\"buckets\":[{\"bucket\":"));
     }
 }

@@ -64,38 +64,29 @@ pub enum FlowHealth {
 }
 
 impl FlowHealth {
+    /// Every state with its report name, in wire-code order: a state's
+    /// code is its index here, which is also its declaration order.
+    const TABLE: [(FlowHealth, &'static str); 5] = [
+        (FlowHealth::Healthy, "healthy"),
+        (FlowHealth::Degraded, "degraded"),
+        (FlowHealth::NativeFallback, "native_fallback"),
+        (FlowHealth::Probation, "probation"),
+        (FlowHealth::PeerIncapable, "peer_incapable"),
+    ];
+
     /// Short lowercase name for reports and JSON output.
     pub fn name(self) -> &'static str {
-        match self {
-            FlowHealth::Healthy => "healthy",
-            FlowHealth::Degraded => "degraded",
-            FlowHealth::NativeFallback => "native_fallback",
-            FlowHealth::Probation => "probation",
-            FlowHealth::PeerIncapable => "peer_incapable",
-        }
+        Self::TABLE[usize::from(self.code())].1
     }
 
     /// Stable wire code for result serialization (the campaign cache).
     pub fn code(self) -> u8 {
-        match self {
-            FlowHealth::Healthy => 0,
-            FlowHealth::Degraded => 1,
-            FlowHealth::NativeFallback => 2,
-            FlowHealth::Probation => 3,
-            FlowHealth::PeerIncapable => 4,
-        }
+        self as u8
     }
 
     /// Inverse of [`FlowHealth::code`]; `None` for unknown codes.
     pub fn from_code(code: u8) -> Option<Self> {
-        Some(match code {
-            0 => FlowHealth::Healthy,
-            1 => FlowHealth::Degraded,
-            2 => FlowHealth::NativeFallback,
-            3 => FlowHealth::Probation,
-            4 => FlowHealth::PeerIncapable,
-            _ => return None,
-        })
+        Self::TABLE.get(usize::from(code)).map(|&(state, _)| state)
     }
 }
 
@@ -537,6 +528,16 @@ mod tests {
 
     fn cfg() -> SupervisorConfig {
         SupervisorConfig::default()
+    }
+
+    #[test]
+    fn health_codes_are_table_indices() {
+        for code in 0..5 {
+            let state = FlowHealth::from_code(code).expect("known code");
+            assert_eq!(state.code(), code);
+        }
+        assert_eq!(FlowHealth::from_code(5), None);
+        assert_eq!(FlowHealth::NativeFallback.name(), "native_fallback");
     }
 
     #[test]

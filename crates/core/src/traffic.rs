@@ -247,52 +247,42 @@ pub enum TrafficClass {
 }
 
 impl TrafficClass {
+    /// Every class with its report name, in wire-code order: a class's
+    /// code is its index here, which is also its declaration order.
+    const TABLE: [(TrafficClass, &'static str); 6] = [
+        (TrafficClass::Bulk, "bulk"),
+        (TrafficClass::Udp, "udp"),
+        (TrafficClass::Short, "short"),
+        (TrafficClass::Bidir, "bidir"),
+        (TrafficClass::Cbr, "cbr"),
+        (TrafficClass::OnOff, "onoff"),
+    ];
+
+    /// All classes in wire-code order (the first column of the table).
+    pub const ALL: [TrafficClass; 6] = {
+        let mut all = [TrafficClass::Bulk; 6];
+        let mut i = 0;
+        while i < all.len() {
+            all[i] = Self::TABLE[i].0;
+            i += 1;
+        }
+        all
+    };
+
     /// Stable wire code of the class.
     pub fn code(self) -> u8 {
-        match self {
-            TrafficClass::Bulk => 0,
-            TrafficClass::Udp => 1,
-            TrafficClass::Short => 2,
-            TrafficClass::Bidir => 3,
-            TrafficClass::Cbr => 4,
-            TrafficClass::OnOff => 5,
-        }
+        self as u8
     }
 
     /// Class from its stable wire code.
     pub fn from_code(code: u8) -> Option<Self> {
-        Some(match code {
-            0 => TrafficClass::Bulk,
-            1 => TrafficClass::Udp,
-            2 => TrafficClass::Short,
-            3 => TrafficClass::Bidir,
-            4 => TrafficClass::Cbr,
-            5 => TrafficClass::OnOff,
-            _ => return None,
-        })
+        Self::TABLE.get(usize::from(code)).map(|&(class, _)| class)
     }
 
     /// Human-readable class name (report tables).
     pub fn name(self) -> &'static str {
-        match self {
-            TrafficClass::Bulk => "bulk",
-            TrafficClass::Udp => "udp",
-            TrafficClass::Short => "short",
-            TrafficClass::Bidir => "bidir",
-            TrafficClass::Cbr => "cbr",
-            TrafficClass::OnOff => "onoff",
-        }
+        Self::TABLE[usize::from(self.code())].1
     }
-
-    /// All classes in wire-code order.
-    pub const ALL: [TrafficClass; 6] = [
-        TrafficClass::Bulk,
-        TrafficClass::Udp,
-        TrafficClass::Short,
-        TrafficClass::Bidir,
-        TrafficClass::Cbr,
-        TrafficClass::OnOff,
-    ];
 }
 
 impl TrafficModel {
