@@ -521,6 +521,151 @@ mod tests {
         }
     }
 
+    /// Four configs that between them reach every variant of every enum
+    /// in a [`ScenarioConfig`], the `Some` arm of every `Option` and a
+    /// non-empty instance of every vector, pinned like the legacy five:
+    /// a mismatch means the encoding of a payload the legacy pins never
+    /// reach has changed.
+    #[test]
+    fn every_variant_hashes_pinned() {
+        use crate::scenario::{BssSpec, ChannelEvent, ClientPath, RoamEvent};
+        use crate::traffic::OnOffConfig;
+        use hack_phy::{CorruptModel, GeParams, RoamTrigger, Waypoint};
+        use hack_tcp::CcKind;
+
+        let ms = SimDuration::from_millis;
+        let mut a = ScenarioBuilder::sora_testbed(3, HackMode::Disabled)
+            .traffic_mix(vec![
+                TrafficModel::BulkUpload,
+                TrafficModel::UdpDownload,
+                TrafficModel::ShortFlows(ShortFlowConfig {
+                    sizes: SizeDist::Fixed(64 * 1024),
+                    think: ArrivalDist::Fixed(ms(50)),
+                    reuse: true,
+                }),
+            ])
+            .corrupt(CorruptModel {
+                data_frac: 0.5,
+                control_per: 0.01,
+                fcs_miss: 0.25,
+            })
+            .dynamics(vec![
+                ChannelEvent {
+                    at: ms(300),
+                    change: ChannelChange::SnrOffsetDb(-6.5),
+                },
+                ChannelEvent {
+                    at: ms(400),
+                    change: ChannelChange::ClientLoss {
+                        client: 1,
+                        per: 0.2,
+                    },
+                },
+                ChannelEvent {
+                    at: ms(500),
+                    change: ChannelChange::MoveClient {
+                        client: 2,
+                        x: 3.5,
+                        y: -1.25,
+                    },
+                },
+            ])
+            .transfer_bytes(1 << 20)
+            .build();
+        a.loss = LossConfig::Ideal;
+
+        let b = ScenarioBuilder::dot11n_download(300, 2, HackMode::Opportunistic)
+            .traffic(TrafficModel::Bidirectional)
+            .traffic_mix(vec![
+                TrafficModel::Cbr(CbrConfig::default()),
+                TrafficModel::OnOff(OnOffConfig {
+                    on: ArrivalDist::Exponential { mean: ms(120) },
+                    off: ArrivalDist::Uniform {
+                        lo: ms(10),
+                        hi: ms(90),
+                    },
+                    rate_kbps: 1_500,
+                    payload_bytes: 900,
+                }),
+                TrafficModel::ShortFlows(ShortFlowConfig::default()),
+            ])
+            .loss(LossConfig::PerClient(vec![0.03, 0.07]))
+            .cc(CcKind::Cubic)
+            .txop_limit(ms(2))
+            .retry_limit(4)
+            .supervisor(SupervisorConfig::default())
+            .client_hack_capable(vec![true, false])
+            .build();
+
+        let mut c = ScenarioBuilder::dot11n_download(150, 4, HackMode::MoreData)
+            .traffic(TrafficModel::ShortFlows(ShortFlowConfig {
+                sizes: SizeDist::LogNormal {
+                    mu: 11.0,
+                    sigma: 1.5,
+                    max: 8 << 20,
+                },
+                think: ArrivalDist::Uniform {
+                    lo: ms(5),
+                    hi: ms(25),
+                },
+                reuse: false,
+            }))
+            .loss(LossConfig::SnrDistance(12.5))
+            .cc(CcKind::Highspeed)
+            .bss(BssSpec::apartment_block(2, 2))
+            .build();
+        c.roam.schedule = vec![RoamEvent {
+            flow: 1,
+            at: ms(700),
+            target_bss: 1,
+        }];
+        c.roam.trigger = Some(RoamTrigger {
+            threshold_db: 18.0,
+            hysteresis_db: 3.0,
+            min_dwell: ms(250),
+        });
+        c.roam.paths = vec![ClientPath {
+            client: 3,
+            waypoints: vec![
+                Waypoint {
+                    at: ms(0),
+                    x: 0.0,
+                    y: 1.0,
+                },
+                Waypoint {
+                    at: ms(900),
+                    x: 12.0,
+                    y: 2.5,
+                },
+            ],
+        }];
+        c.roam.ap_hack_capable = vec![true, false];
+
+        let d = ScenarioBuilder::dot11n_download(150, 2, HackMode::ExplicitTimer(ms(2)))
+            .traffic(TrafficModel::OnOff(OnOffConfig {
+                on: ArrivalDist::Fixed(ms(40)),
+                ..OnOffConfig::default()
+            }))
+            .loss(LossConfig::Burst(GeParams {
+                p_enter_bad: 0.02,
+                p_exit_bad: 0.25,
+                per_good: 0.001,
+                per_bad: 0.6,
+            }))
+            .cc(CcKind::Bbr)
+            .build();
+
+        let pins = [
+            (a, "916e78966427f36d07b8a825fcdcab53"),
+            (b, "faac20f64ba44206221ea0d2da0e116a"),
+            (c, "71a182441ff37d2d99b0cca76c24507d"),
+            (d, "25e79a83ff8028f47b85751240408aa4"),
+        ];
+        for (cfg, want) in pins {
+            assert_eq!(cfg.stable_hash_hex(), want, "{:?}", cfg.hack_mode);
+        }
+    }
+
     /// Traffic models key the cache by their own parameters, and a mix
     /// keys it even when every flow runs the default.
     #[test]
