@@ -33,9 +33,9 @@ fn esc_json(s: &str) -> String {
     out
 }
 
-/// Quote a CSV field when it needs it (comma, quote, newline).
+/// Quote a CSV field when it needs it (comma, quote, CR or LF).
 fn esc_csv(s: &str) -> String {
-    if s.contains([',', '"', '\n']) {
+    if s.contains([',', '"', '\n', '\r']) {
         format!("\"{}\"", s.replace('"', "\"\""))
     } else {
         s.to_string()
@@ -145,5 +145,6 @@ mod tests {
         assert_eq!(esc_csv("plain"), "plain");
         assert_eq!(esc_csv("a,b"), "\"a,b\"");
         assert_eq!(esc_csv("say \"hi\""), "\"say \"\"hi\"\"\"");
+        assert_eq!(esc_csv("a\rb"), "\"a\rb\"");
     }
 }

@@ -1,13 +1,14 @@
 //! Versioned binary serialization of [`RunResult`] — the campaign
-//! cache's on-disk format — and its JSON view.
+//! cache's on-disk format — its JSON view, and the field walk of
+//! [`ScenarioConfig`] that keys the cache.
 //!
 //! The campaign engine caches each job's full [`RunResult`] keyed by
 //! the content hash of its resolved configuration
-//! ([`ScenarioConfig::stable_hash`](crate::ScenarioConfig::stable_hash)).
-//! For a cache hit to be indistinguishable from a fresh run, the codec
-//! must round-trip every field *exactly*: floats are stored as IEEE-754
-//! bit patterns, never re-parsed from text, so decoded results produce
-//! byte-identical aggregates and JSON.
+//! ([`ScenarioConfig::stable_hash`]). For a cache hit to be
+//! indistinguishable from a fresh run, the codec must round-trip every
+//! field *exactly*: floats are stored as IEEE-754 bit patterns, never
+//! re-parsed from text, so decoded results produce byte-identical
+//! aggregates and JSON.
 //!
 //! Every encoded result starts with a magic tag and
 //! [`RESULT_SCHEMA_VERSION`]. Decoding a result with a different
@@ -17,29 +18,43 @@
 //!
 //! # One walk per type
 //!
-//! Every type reachable from [`RunResult`] lists its fields once, in
-//! wire order, in the `walk!` table below. That one list generates both
-//! directions: [`Walk::walk`] feeds the fields of a `&T` to a [`Sink`]
-//! (the binary encoder behind [`encode_run_result`] and the JSON writer
-//! behind [`to_json`]), and the validating decoder behind
-//! [`decode_run_result`] builds a `T` back in the same order. The walk
-//! destructures the struct without `..` and the decoder builds it with
-//! a struct literal, so a field missing from the list is a compile
-//! error. **Changing the list — a field, its order or its width — is a
-//! format change: bump [`RESULT_SCHEMA_VERSION`] and re-pin
-//! `encoded_run_result_bytes_are_pinned` with a one-line reason.**
+//! Every struct reachable from [`RunResult`] or [`ScenarioConfig`]
+//! lists its fields once, in wire order, in a `walk!` table below, and
+//! every enum lists its variants, each with an explicit wire code and
+//! its payload in wire order, in a `walk_enum!` table. That one list
+//! generates both directions: [`Walk::walk`] feeds the fields of a `&T`
+//! to a [`Sink`] (the binary encoder behind [`encode_run_result`], the
+//! JSON writer behind [`to_json`], and the
+//! [`StableHasher`](crate::StableHasher) behind the cache key), and the
+//! validating decoder behind [`decode_run_result`] builds a `T` back in
+//! the same order. The walk destructures a struct without `..` and
+//! matches an enum without a wildcard arm, and the decoder builds a
+//! struct with a literal, so a field or variant missing from a list is
+//! a compile error. **Changing a list — a field, a variant's code, an
+//! order or a width — is a format change.** Under [`RunResult`], bump
+//! [`RESULT_SCHEMA_VERSION`] and re-pin
+//! `encoded_run_result_bytes_are_pinned`; under [`ScenarioConfig`],
+//! bump [`CONFIG_ENCODING_VERSION`](crate::CONFIG_ENCODING_VERSION) and
+//! re-pin `legacy_hashes_pinned_to_pre_model_build` and
+//! `every_variant_hashes_pinned`; each with a one-line reason.
 
 use std::fmt::Write as _;
 
-use hack_mac::MacStats;
+use hack_mac::{AssocConfig, MacStats};
+use hack_phy::{CorruptModel, GeParams, InterferenceConfig, RoamTrigger, Waypoint};
 use hack_rohc::{CompressStats, DecompressStats};
 use hack_sim::{Counter, QuantileSketch, SimDuration, SimTime, TimeAccumulator};
-use hack_tcp::TcpStats;
+use hack_tcp::{CcKind, TcpStats};
 
-use crate::driver::CompressSideStats;
-use crate::scenario::{ClassReport, RunResult};
-use crate::supervisor::{FlowHealth, SupervisorReport, SupervisorStats};
-use crate::traffic::TrafficClass;
+use crate::driver::{CompressSideStats, HackMode};
+use crate::scenario::{
+    BssSpec, ChannelChange, ChannelEvent, ClassReport, ClientPath, LossConfig, RoamConfig,
+    RoamEvent, RunResult, ScenarioConfig, Standard,
+};
+use crate::supervisor::{FlowHealth, SupervisorConfig, SupervisorReport, SupervisorStats};
+use crate::traffic::{
+    ArrivalDist, CbrConfig, OnOffConfig, ShortFlowConfig, SizeDist, TrafficClass, TrafficModel,
+};
 
 /// Version of the serialized [`RunResult`] layout. Bump on any change
 /// to the result shape; the cache rejects (and recomputes) entries
@@ -97,18 +112,32 @@ impl std::error::Error for CodecError {}
 
 /// What a [`Walk`] feeds: a value's leaves in wire order, with the
 /// record and sequence structure a self-describing format needs to name
-/// them. A binary sink ignores the structure it does not store.
+/// them. A binary sink ignores the structure it does not store, and the
+/// defaults store floats, bools, enum codes and `Option` tags the binary
+/// way.
 pub trait Sink {
-    /// An unsigned integer (`usize` counts arrive widened).
+    /// An unsigned integer (`usize` counts and durations arrive widened).
     fn u64(&mut self, v: u64);
-    /// A 32-bit unsigned integer (a sketch bucket index).
+    /// A 32-bit unsigned integer (a sketch bucket index, a window).
     fn u32(&mut self, v: u32);
-    /// A float.
-    fn f64(&mut self, v: f64);
-    /// A wire-enum variant: its one-byte code and its report name.
-    fn variant(&mut self, code: u8, name: &'static str);
+    /// One byte (a channel number).
+    fn u8(&mut self, v: u8);
+    /// A float, as its IEEE-754 bit pattern.
+    fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+    /// A bool, as one byte 0 or 1.
+    fn bool(&mut self, v: bool) {
+        self.u8(u8::from(v));
+    }
+    /// An enum variant: its one-byte code and its report name.
+    fn variant(&mut self, code: u8, _name: &'static str) {
+        self.u8(code);
+    }
     /// An `Option`'s tag; the value follows when `some`.
-    fn option(&mut self, some: bool);
+    fn option(&mut self, some: bool) {
+        self.u8(u8::from(some));
+    }
     /// A sequence of `len` values follows, then [`Sink::end_seq`].
     fn seq(&mut self, len: usize);
     /// Closes the innermost sequence.
@@ -121,7 +150,8 @@ pub trait Sink {
     fn end_record(&mut self) {}
 }
 
-/// A type the codec walks: [`RunResult`] and every type inside it.
+/// A type the codec walks: [`RunResult`], [`ScenarioConfig`] and every
+/// type inside them.
 pub trait Walk {
     /// Feed this value to `s`, field by field in wire order.
     fn walk<S: Sink>(&self, s: &mut S);
@@ -183,6 +213,101 @@ walk! {
     SparseSketch { count, sum, min, max, buckets }
 }
 
+// The cache key: the configuration and every struct inside it.
+walk! {
+    ScenarioConfig {
+        standard, n_clients, hack_mode, traffic, traffic_mix, delayed_ack, server_at_ap,
+        ap_queue_cap, loss, corrupt, dynamics, stack_delay, dma_delay, duration, transfer_bytes,
+        stagger, warmup, seed, sora_quirks, rcv_window, disable_sync, txop_limit, retry_limit,
+        supervisor, client_hack_capable, held_cap, cc, bss, interference, roam,
+    }
+    ShortFlowConfig { sizes, think, reuse }
+    CbrConfig { rate_kbps, payload_bytes }
+    OnOffConfig { on, off, rate_kbps, payload_bytes }
+    GeParams { p_enter_bad, p_exit_bad, per_good, per_bad }
+    CorruptModel { data_frac, control_per, fcs_miss }
+    ChannelEvent { at, change }
+    SupervisorConfig {
+        degrade_score, fallback_score, probation_initial, probation_max, probation_success,
+        decay_good,
+    }
+    BssSpec { x, y, channel, n_clients }
+    InterferenceConfig { co_channel_range_m, adjacent_range_m }
+    RoamConfig {
+        schedule, trigger, paths, mobility_tick, ap_hack_capable, assoc, assoc_fail_prob,
+        rto_clamp_shift, park_cap,
+    }
+    RoamEvent { flow, at, target_bss }
+    RoamTrigger { threshold_db, hysteresis_db, min_dwell }
+    ClientPath { client, waypoints }
+    Waypoint { at, x, y }
+    AssocConfig { scan_delay, retry_backoff, max_retries }
+}
+
+/// Implements [`Walk`] and [`Decode`] for each enum from one list of its
+/// variants: the wire code, the variant and its payload's bindings in
+/// wire order. The walk's `match` has no wildcard arm, so a variant
+/// missing from the list is a compile error. A unit variant walks as
+/// [`Sink::variant`]; one with a payload walks as a record whose
+/// `variant` field names it.
+macro_rules! walk_enum {
+    ($($ty:ident {
+        $($code:literal => $v:ident $(($($t:ident),*))? $({$($f:ident),*})?),* $(,)?
+    })*) => {$(
+        impl Walk for $ty {
+            fn walk<S: Sink>(&self, s: &mut S) {
+                match self {
+                    $($ty::$v $(($($t),*))? $({$($f),*})? => {
+                        walk_enum!(@walk s $code $v $($($t)*)? $($($f)*)?)
+                    })*
+                }
+            }
+        }
+        impl Decode for $ty {
+            fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+                Ok(match r.u8()? {
+                    $($code => {
+                        $($(let $t = Decode::decode(r)?;)*)?
+                        $($(let $f = Decode::decode(r)?;)*)?
+                        $ty::$v $(($($t),*))? $({$($f),*})?
+                    })*
+                    _ => return Err(CodecError::BadValue),
+                })
+            }
+        }
+    )*};
+    (@walk $s:ident $code:literal $v:ident) => { $s.variant($code, stringify!($v)) };
+    (@walk $s:ident $code:literal $v:ident $($f:ident)+) => {{
+        $s.record();
+        $s.field("variant");
+        $s.variant($code, stringify!($v));
+        $($s.field(stringify!($f)); $f.walk($s);)+
+        $s.end_record();
+    }};
+}
+
+walk_enum! {
+    Standard { 0 => Dot11a { rate_mbps }, 1 => Dot11n { rate_mbps } }
+    HackMode { 0 => Disabled, 1 => Opportunistic, 2 => MoreData, 3 => ExplicitTimer(timer) }
+    TrafficModel {
+        0 => BulkDownload, 1 => BulkUpload, 2 => UdpDownload, 3 => ShortFlows(config),
+        4 => Bidirectional, 5 => Cbr(config), 6 => OnOff(config),
+    }
+    SizeDist {
+        0 => Fixed(bytes),
+        1 => BoundedPareto { alpha, min, max },
+        2 => LogNormal { mu, sigma, max },
+    }
+    ArrivalDist { 0 => Fixed(gap), 1 => Exponential { mean }, 2 => Uniform { lo, hi } }
+    LossConfig { 0 => Ideal, 1 => PerClient(per), 2 => SnrDistance(distance_m), 3 => Burst(params) }
+    ChannelChange {
+        0 => SnrOffsetDb(db),
+        1 => ClientLoss { client, per },
+        2 => MoveClient { client, x, y },
+    }
+    CcKind { 0 => Reno, 1 => Cubic, 2 => Highspeed, 3 => Bbr }
+}
+
 /// The sparse form of a [`QuantileSketch`]: what the codec stores.
 struct SparseSketch {
     count: u64,
@@ -212,10 +337,18 @@ macro_rules! leaf {
 
 leaf! {
     u64: |v, s| s.u64(*v), |r| r.u64();
+    u32: |v, s| s.u32(*v), |r| r.u32();
+    u8: |v, s| s.u8(*v), |r| r.u8();
+    bool: |v, s| s.bool(*v), |r| match r.u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        _ => Err(CodecError::BadValue),
+    };
     usize: |v, s| s.u64(*v as u64), |r| usize::try_from(r.u64()?).or(Err(CodecError::BadValue));
     f64: |v, s| s.f64(*v), |r| r.u64().map(f64::from_bits);
     Counter: |v, s| s.u64(v.get()), |r| r.u64().map(Counter::from_value);
     SimTime: |v, s| s.u64(v.as_nanos()), |r| r.u64().map(SimTime::from_nanos);
+    SimDuration: |v, s| s.u64(v.as_nanos()), |r| r.u64().map(SimDuration::from_nanos);
     FlowHealth: |v, s| s.variant(v.code(), v.name()),
         |r| FlowHealth::from_code(r.u8()?).ok_or(CodecError::BadValue);
     TrafficClass: |v, s| s.variant(v.code(), v.name()),
@@ -303,17 +436,11 @@ impl Sink for Encoder {
     fn u32(&mut self, v: u32) {
         self.0.extend_from_slice(&v.to_le_bytes());
     }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn variant(&mut self, code: u8, _name: &'static str) {
-        self.0.push(code);
-    }
-    fn option(&mut self, some: bool) {
-        self.0.push(u8::from(some));
+    fn u8(&mut self, v: u8) {
+        self.0.push(v);
     }
     fn seq(&mut self, len: usize) {
-        self.u32(u32::try_from(len).expect("result vector fits u32"));
+        self.u32(u32::try_from(len).expect("vector fits u32"));
     }
 }
 
@@ -388,7 +515,8 @@ pub fn decode_run_result(bytes: &[u8]) -> Result<RunResult, CodecError> {
 // ---------------------------------------------------------------------
 
 /// The JSON sink: records become objects keyed by field name, sequences
-/// arrays, enum variants their names; `None` and non-finite floats are
+/// arrays, enum variants their names (a variant with a payload is a
+/// record naming it under `variant`); `None` and non-finite floats are
 /// `null`.
 struct Json {
     out: String,
@@ -422,6 +550,12 @@ impl Sink for Json {
         self.value(v);
     }
     fn u32(&mut self, v: u32) {
+        self.value(v);
+    }
+    fn u8(&mut self, v: u8) {
+        self.value(v);
+    }
+    fn bool(&mut self, v: bool) {
         self.value(v);
     }
     fn f64(&mut self, v: f64) {
@@ -699,11 +833,23 @@ mod tests {
     }
 
     /// Encodes like [`Encoder`] and records the offset of every enum
-    /// code and `Option` tag it writes, with the first code above the
-    /// known ones.
+    /// code, `Option` tag and bool it writes, with the first code above
+    /// the known ones.
     struct TagSpy {
         enc: Encoder,
+        /// The first unknown code of the enum a variant belongs to.
+        unknown: fn(u8, &'static str) -> u8,
         tags: Vec<(usize, u8)>,
+    }
+
+    impl TagSpy {
+        fn new(prefix: &[u8], unknown: fn(u8, &'static str) -> u8) -> Self {
+            TagSpy {
+                enc: Encoder(prefix.to_vec()),
+                unknown,
+                tags: Vec::new(),
+            }
+        }
     }
 
     impl Sink for TagSpy {
@@ -713,13 +859,16 @@ mod tests {
         fn u32(&mut self, v: u32) {
             self.enc.u32(v);
         }
-        fn f64(&mut self, v: f64) {
-            self.enc.f64(v);
+        fn u8(&mut self, v: u8) {
+            self.enc.u8(v);
+        }
+        fn bool(&mut self, v: bool) {
+            self.tags.push((self.enc.0.len(), 2));
+            self.enc.bool(v);
         }
         fn variant(&mut self, code: u8, name: &'static str) {
-            let health = FlowHealth::from_code(code).is_some_and(|h| h.name() == name);
-            let unknown = if health { 5 } else { 6 };
-            self.tags.push((self.enc.0.len(), unknown));
+            self.tags
+                .push((self.enc.0.len(), (self.unknown)(code, name)));
             self.enc.variant(code, name);
         }
         fn option(&mut self, some: bool) {
@@ -745,10 +894,14 @@ mod tests {
             );
         }
 
-        let mut spy = TagSpy {
-            enc: Encoder(bytes[..SCHEMA_VERSION_OFFSET + 4].to_vec()),
-            tags: Vec::new(),
-        };
+        let mut spy = TagSpy::new(&bytes[..SCHEMA_VERSION_OFFSET + 4], |code, name| {
+            let health = FlowHealth::from_code(code).is_some_and(|h| h.name() == name);
+            if health {
+                5
+            } else {
+                6
+            }
+        });
         r.walk(&mut spy);
         assert_eq!(spy.enc.0, bytes);
         // Two completion tags, two supervisor states, two classes.
@@ -860,6 +1013,328 @@ mod tests {
         }
     }
 
+    /// A [`ScenarioConfig`] through the binary [`Encoder`]: the bytes
+    /// the cache key hashes, but with `u32` sequence lengths.
+    fn encode_config(cfg: &ScenarioConfig) -> Vec<u8> {
+        let mut e = Encoder(Vec::new());
+        cfg.walk(&mut e);
+        e.0
+    }
+
+    /// The decoder `walk!` generates for [`ScenarioConfig`], trailing
+    /// bytes rejected as [`decode_run_result`] rejects them.
+    fn decode_config(bytes: &[u8]) -> Result<ScenarioConfig, CodecError> {
+        let mut r = Reader(bytes);
+        let cfg = ScenarioConfig::decode(&mut r)?;
+        if r.0.is_empty() {
+            Ok(cfg)
+        } else {
+            Err(CodecError::BadValue)
+        }
+    }
+
+    /// Each config enum's decoder accepts exactly the codes below
+    /// `first_unknown` (with an all-zero payload after the code).
+    fn accepts_codes_below<T: Decode>(first_unknown: u8) {
+        for code in 0..=u8::MAX {
+            let mut bytes = [0u8; 64];
+            bytes[0] = code;
+            let decoded = T::decode(&mut Reader(&bytes));
+            if code < first_unknown {
+                assert!(decoded.is_ok(), "code {code} is known");
+            } else {
+                assert_eq!(decoded.err(), Some(CodecError::BadValue), "code {code}");
+            }
+        }
+    }
+
+    #[test]
+    fn config_enum_codes_are_dense() {
+        accepts_codes_below::<Standard>(2);
+        accepts_codes_below::<HackMode>(4);
+        accepts_codes_below::<TrafficModel>(7);
+        accepts_codes_below::<SizeDist>(3);
+        accepts_codes_below::<ArrivalDist>(3);
+        accepts_codes_below::<LossConfig>(4);
+        accepts_codes_below::<ChannelChange>(3);
+        accepts_codes_below::<CcKind>(4);
+        accepts_codes_below::<bool>(2);
+    }
+
+    mod configs {
+        use super::*;
+        use proptest::prelude::*;
+        use proptest::runner::TestRng;
+
+        /// Draws a [`ScenarioConfig`] from the whole of its walk: every
+        /// enum variant, both `Option` arms, vectors of 0–3 elements and
+        /// any bit pattern in a float.
+        struct AnyConfig;
+
+        impl Strategy for AnyConfig {
+            type Value = ScenarioConfig;
+            fn generate(&self, rng: &mut TestRng) -> ScenarioConfig {
+                Draw(rng).config()
+            }
+        }
+
+        struct Draw<'a>(&'a mut TestRng);
+
+        impl Draw<'_> {
+            fn below(&mut self, n: u64) -> u64 {
+                self.0.below(n)
+            }
+            fn u64(&mut self) -> u64 {
+                self.0.next_u64()
+            }
+            fn u32(&mut self) -> u32 {
+                self.u64() as u32
+            }
+            fn usize(&mut self) -> usize {
+                self.u64() as usize
+            }
+            fn f64(&mut self) -> f64 {
+                f64::from_bits(self.u64())
+            }
+            fn bool(&mut self) -> bool {
+                self.below(2) == 1
+            }
+            fn dur(&mut self) -> SimDuration {
+                SimDuration::from_nanos(self.u64())
+            }
+            fn opt<T>(&mut self, f: impl FnOnce(&mut Self) -> T) -> Option<T> {
+                if self.bool() {
+                    Some(f(self))
+                } else {
+                    None
+                }
+            }
+            fn vec<T>(&mut self, mut f: impl FnMut(&mut Self) -> T) -> Vec<T> {
+                let n = self.below(4);
+                (0..n).map(|_| f(self)).collect()
+            }
+            fn arrival(&mut self) -> ArrivalDist {
+                match self.below(3) {
+                    0 => ArrivalDist::Fixed(self.dur()),
+                    1 => ArrivalDist::Exponential { mean: self.dur() },
+                    _ => ArrivalDist::Uniform {
+                        lo: self.dur(),
+                        hi: self.dur(),
+                    },
+                }
+            }
+            fn sizes(&mut self) -> SizeDist {
+                match self.below(3) {
+                    0 => SizeDist::Fixed(self.u64()),
+                    1 => SizeDist::BoundedPareto {
+                        alpha: self.f64(),
+                        min: self.u64(),
+                        max: self.u64(),
+                    },
+                    _ => SizeDist::LogNormal {
+                        mu: self.f64(),
+                        sigma: self.f64(),
+                        max: self.u64(),
+                    },
+                }
+            }
+            fn model(&mut self) -> TrafficModel {
+                match self.below(7) {
+                    0 => TrafficModel::BulkDownload,
+                    1 => TrafficModel::BulkUpload,
+                    2 => TrafficModel::UdpDownload,
+                    3 => TrafficModel::ShortFlows(ShortFlowConfig {
+                        sizes: self.sizes(),
+                        think: self.arrival(),
+                        reuse: self.bool(),
+                    }),
+                    4 => TrafficModel::Bidirectional,
+                    5 => TrafficModel::Cbr(CbrConfig {
+                        rate_kbps: self.u64(),
+                        payload_bytes: self.u32(),
+                    }),
+                    _ => TrafficModel::OnOff(OnOffConfig {
+                        on: self.arrival(),
+                        off: self.arrival(),
+                        rate_kbps: self.u64(),
+                        payload_bytes: self.u32(),
+                    }),
+                }
+            }
+            fn loss(&mut self) -> LossConfig {
+                match self.below(4) {
+                    0 => LossConfig::Ideal,
+                    1 => LossConfig::PerClient(self.vec(Self::f64)),
+                    2 => LossConfig::SnrDistance(self.f64()),
+                    _ => LossConfig::Burst(GeParams {
+                        p_enter_bad: self.f64(),
+                        p_exit_bad: self.f64(),
+                        per_good: self.f64(),
+                        per_bad: self.f64(),
+                    }),
+                }
+            }
+            fn channel_event(&mut self) -> ChannelEvent {
+                ChannelEvent {
+                    at: self.dur(),
+                    change: match self.below(3) {
+                        0 => ChannelChange::SnrOffsetDb(self.f64()),
+                        1 => ChannelChange::ClientLoss {
+                            client: self.usize(),
+                            per: self.f64(),
+                        },
+                        _ => ChannelChange::MoveClient {
+                            client: self.usize(),
+                            x: self.f64(),
+                            y: self.f64(),
+                        },
+                    },
+                }
+            }
+            fn waypoint(&mut self) -> Waypoint {
+                Waypoint {
+                    at: self.dur(),
+                    x: self.f64(),
+                    y: self.f64(),
+                }
+            }
+            fn roam(&mut self) -> RoamConfig {
+                RoamConfig {
+                    schedule: self.vec(|d| RoamEvent {
+                        flow: d.usize(),
+                        at: d.dur(),
+                        target_bss: d.usize(),
+                    }),
+                    trigger: self.opt(|d| RoamTrigger {
+                        threshold_db: d.f64(),
+                        hysteresis_db: d.f64(),
+                        min_dwell: d.dur(),
+                    }),
+                    paths: self.vec(|d| ClientPath {
+                        client: d.usize(),
+                        waypoints: d.vec(Self::waypoint),
+                    }),
+                    mobility_tick: self.dur(),
+                    ap_hack_capable: self.vec(Self::bool),
+                    assoc: AssocConfig {
+                        scan_delay: self.dur(),
+                        retry_backoff: self.dur(),
+                        max_retries: self.u32(),
+                    },
+                    assoc_fail_prob: self.f64(),
+                    rto_clamp_shift: self.u32(),
+                    park_cap: self.usize(),
+                }
+            }
+            fn config(&mut self) -> ScenarioConfig {
+                ScenarioConfig {
+                    standard: if self.bool() {
+                        Standard::Dot11a {
+                            rate_mbps: self.u64(),
+                        }
+                    } else {
+                        Standard::Dot11n {
+                            rate_mbps: self.u64(),
+                        }
+                    },
+                    n_clients: self.usize(),
+                    hack_mode: match self.below(4) {
+                        0 => HackMode::Disabled,
+                        1 => HackMode::Opportunistic,
+                        2 => HackMode::MoreData,
+                        _ => HackMode::ExplicitTimer(self.dur()),
+                    },
+                    traffic: self.model(),
+                    traffic_mix: self.vec(Self::model),
+                    delayed_ack: self.bool(),
+                    server_at_ap: self.bool(),
+                    ap_queue_cap: self.usize(),
+                    loss: self.loss(),
+                    corrupt: self.opt(|d| CorruptModel {
+                        data_frac: d.f64(),
+                        control_per: d.f64(),
+                        fcs_miss: d.f64(),
+                    }),
+                    dynamics: self.vec(Self::channel_event),
+                    stack_delay: self.dur(),
+                    dma_delay: self.dur(),
+                    duration: self.dur(),
+                    transfer_bytes: self.opt(Self::u64),
+                    stagger: self.dur(),
+                    warmup: self.dur(),
+                    seed: self.u64(),
+                    sora_quirks: self.bool(),
+                    rcv_window: self.u32(),
+                    disable_sync: self.bool(),
+                    txop_limit: self.opt(Self::dur),
+                    retry_limit: self.opt(Self::u32),
+                    supervisor: self.opt(|d| SupervisorConfig {
+                        degrade_score: d.u32(),
+                        fallback_score: d.u32(),
+                        probation_initial: d.dur(),
+                        probation_max: d.dur(),
+                        probation_success: d.u32(),
+                        decay_good: d.u32(),
+                    }),
+                    client_hack_capable: self.vec(Self::bool),
+                    held_cap: self.usize(),
+                    cc: CcKind::ALL[self.below(4) as usize],
+                    bss: self.vec(|d| BssSpec {
+                        x: d.f64(),
+                        y: d.f64(),
+                        channel: d.u64() as u8,
+                        n_clients: d.usize(),
+                    }),
+                    interference: InterferenceConfig {
+                        co_channel_range_m: self.f64(),
+                        adjacent_range_m: self.f64(),
+                    },
+                    roam: self.roam(),
+                }
+            }
+        }
+
+        proptest! {
+            /// The config encoding is injective: an arbitrary config
+            /// decodes back to one that re-encodes to the same bytes and
+            /// hashes to the same key, and the decoder rejects every
+            /// strict prefix, an unknown enum code, an `Option` tag or
+            /// bool byte of 2, and a trailing byte.
+            #[test]
+            fn config_round_trip_is_injective(cfg in AnyConfig) {
+                let bytes = encode_config(&cfg);
+                let decoded = decode_config(&bytes).map_err(|e| e.to_string())?;
+                prop_assert_eq!(encode_config(&decoded), bytes.clone());
+                prop_assert_eq!(decoded.stable_hash(), cfg.stable_hash());
+
+                for n in 0..bytes.len() {
+                    prop_assert!(
+                        matches!(
+                            decode_config(&bytes[..n]),
+                            Err(CodecError::Truncated | CodecError::BadValue)
+                        ),
+                        "prefix of {n} bytes"
+                    );
+                }
+                let mut spy = TagSpy::new(&[], |_, _| u8::MAX);
+                cfg.walk(&mut spy);
+                prop_assert_eq!(&spy.enc.0, &bytes);
+                for &(at, unknown) in &spy.tags {
+                    let mut bad = bytes.clone();
+                    bad[at] = unknown;
+                    prop_assert_eq!(
+                        decode_config(&bad).err(),
+                        Some(CodecError::BadValue),
+                        "code {} at byte {}", unknown, at
+                    );
+                }
+                let mut long = bytes;
+                long.push(0);
+                prop_assert_eq!(decode_config(&long).err(), Some(CodecError::BadValue));
+            }
+        }
+    }
+
     #[test]
     fn json_names_every_field() {
         let rep = SupervisorReport {
@@ -884,5 +1359,35 @@ mod tests {
         assert!(json.starts_with("{\"flow_goodput_mbps\":["));
         assert!(json.contains("\"classes\":[{\"class\":\"udp\",\"flows\":"));
         assert!(json.contains("\"buckets\":[{\"bucket\":"));
+
+        let cfg = ScenarioBuilder::dot11n_download(
+            150,
+            1,
+            HackMode::ExplicitTimer(SimDuration::from_millis(2)),
+        )
+        .loss(LossConfig::Burst(GeParams {
+            p_enter_bad: 0.5,
+            p_exit_bad: 0.25,
+            per_good: 0.0,
+            per_bad: 1.0,
+        }))
+        .build();
+        assert_eq!(
+            to_json(&cfg),
+            "{\"standard\":{\"variant\":\"Dot11n\",\"rate_mbps\":150},\"n_clients\":1,\
+             \"hack_mode\":{\"variant\":\"ExplicitTimer\",\"timer\":2000000},\
+             \"traffic\":\"BulkDownload\",\"traffic_mix\":[],\"delayed_ack\":true,\
+             \"server_at_ap\":false,\"ap_queue_cap\":126,\"loss\":{\"variant\":\"Burst\",\
+             \"params\":{\"p_enter_bad\":0.5,\"p_exit_bad\":0.25,\"per_good\":0,\"per_bad\":1}},\
+             \"corrupt\":null,\"dynamics\":[],\"stack_delay\":30000,\"dma_delay\":15000,\
+             \"duration\":10000000000,\"transfer_bytes\":null,\"stagger\":500000000,\
+             \"warmup\":1000000000,\"seed\":1,\"sora_quirks\":false,\"rcv_window\":1048576,\
+             \"disable_sync\":false,\"txop_limit\":null,\"retry_limit\":null,\"supervisor\":null,\
+             \"client_hack_capable\":[],\"held_cap\":64,\"cc\":\"Reno\",\"bss\":[],\
+             \"interference\":{\"co_channel_range_m\":30,\"adjacent_range_m\":12},\
+             \"roam\":{\"schedule\":[],\"trigger\":null,\"paths\":[],\"mobility_tick\":100000000,\
+             \"ap_hack_capable\":[],\"assoc\":{\"scan_delay\":20000000,\"retry_backoff\":10000000,\
+             \"max_retries\":3},\"assoc_fail_prob\":0,\"rto_clamp_shift\":1,\"park_cap\":126}}"
+        );
     }
 }

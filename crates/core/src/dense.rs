@@ -33,6 +33,7 @@ use hack_phy::InterferenceGraph;
 use hack_rohc::DecompressStats;
 use hack_trace::TraceHandle;
 
+use crate::codec::Sink;
 use crate::scenario::{
     blob_within_aifs, ChannelChange, ChannelEvent, ClassReport, ClientPath, LossConfig, RoamEvent,
     RunResult, ScenarioConfig,
@@ -90,7 +91,7 @@ pub fn shard_seed(master: u64, shard_min_bss: usize) -> u64 {
     let mut h = StableHasher::new();
     h.write(b"hack-dense-shard");
     h.u64(master);
-    h.usize(shard_min_bss);
+    h.u64(shard_min_bss as u64);
     let d = h.finish();
     u64::from_le_bytes(d[..8].try_into().expect("16-byte digest"))
 }

@@ -577,13 +577,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Convenience: just a scheduled roam list, with every other roam
-    /// knob at its default.
-    pub fn roam_schedule(mut self, schedule: Vec<RoamEvent>) -> Self {
-        self.cfg.roam.schedule = schedule;
-        self
-    }
-
     /// Resolve the builder into a [`ScenarioConfig`].
     #[must_use]
     pub fn build(self) -> ScenarioConfig {

@@ -12,20 +12,19 @@
 //!    byte string and hash that with FNV-1a/128, both fixed here.
 //! 2. **Completeness.** A field that changes behaviour but is missing
 //!    from the encoding would alias two different runs onto one cache
-//!    entry. The encoding therefore lists every field explicitly and
-//!    starts with [`CONFIG_ENCODING_VERSION`], which must be bumped
-//!    whenever a field is added, removed, or re-interpreted.
+//!    entry. The encoding is therefore the codec's field walk
+//!    ([`crate::codec`]) fed into [`StableHasher`], so a field or
+//!    variant missing from [`ScenarioConfig`]'s walk table is a compile
+//!    error, and it starts with [`CONFIG_ENCODING_VERSION`]. Changing
+//!    that table bumps the version and re-pins the tests' cache keys
+//!    with a one-line reason.
 //!
 //! Floats are encoded as their IEEE-754 bit patterns; enums as explicit
-//! tag bytes; vectors with a length prefix. Nothing here depends on
-//! wall-clock, addresses, or map iteration order.
+//! code bytes; vectors with a `u64` length prefix. Nothing here depends
+//! on wall-clock, addresses, or map iteration order.
 
-use hack_sim::SimDuration;
-
-use crate::driver::HackMode;
-use crate::scenario::{ChannelChange, LossConfig, ScenarioConfig, Standard};
-use crate::supervisor::SupervisorConfig;
-use crate::traffic::{ArrivalDist, SizeDist, TrafficModel};
+use crate::codec::{Sink, Walk};
+use crate::scenario::ScenarioConfig;
 
 /// Version of the canonical [`ScenarioConfig`] encoding. Bump whenever
 /// the struct (or the meaning of a field) changes so stale cache
@@ -68,41 +67,6 @@ impl StableHasher {
         }
     }
 
-    /// Absorb a `u8`.
-    pub fn u8(&mut self, v: u8) {
-        self.write(&[v]);
-    }
-
-    /// Absorb a `u32` (little-endian).
-    pub fn u32(&mut self, v: u32) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// Absorb a `u64` (little-endian).
-    pub fn u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// Absorb a `usize` widened to `u64` (platform-independent width).
-    pub fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    /// Absorb an `f64` as its IEEE-754 bit pattern.
-    pub fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    /// Absorb a bool as one byte.
-    pub fn bool(&mut self, v: bool) {
-        self.u8(u8::from(v));
-    }
-
-    /// Absorb a duration as nanoseconds.
-    pub fn duration(&mut self, d: SimDuration) {
-        self.u64(d.as_nanos());
-    }
-
     /// The 128-bit digest, big-endian bytes.
     pub fn finish(&self) -> [u8; 16] {
         self.state.to_be_bytes()
@@ -120,166 +84,22 @@ impl StableHasher {
     }
 }
 
-fn hash_loss(h: &mut StableHasher, loss: &LossConfig) {
-    match loss {
-        LossConfig::Ideal => h.u8(0),
-        LossConfig::PerClient(per) => {
-            h.u8(1);
-            h.usize(per.len());
-            for &p in per {
-                h.f64(p);
-            }
-        }
-        LossConfig::SnrDistance(d) => {
-            h.u8(2);
-            h.f64(*d);
-        }
-        LossConfig::Burst(g) => {
-            h.u8(3);
-            h.f64(g.p_enter_bad);
-            h.f64(g.p_exit_bad);
-            h.f64(g.per_good);
-            h.f64(g.per_bad);
-        }
+/// The cache key's encoding: the codec's binary one (little-endian
+/// integers, one-byte codes and tags), except that sequence lengths are
+/// `u64`, where the result codec writes `u32`.
+impl Sink for StableHasher {
+    fn u64(&mut self, v: u64) {
+        self.write(&v.to_le_bytes());
     }
-}
-
-fn hash_dynamics(h: &mut StableHasher, dynamics: &[crate::scenario::ChannelEvent]) {
-    h.usize(dynamics.len());
-    for ev in dynamics {
-        h.duration(ev.at);
-        match ev.change {
-            ChannelChange::SnrOffsetDb(db) => {
-                h.u8(0);
-                h.f64(db);
-            }
-            ChannelChange::ClientLoss { client, per } => {
-                h.u8(1);
-                h.usize(client);
-                h.f64(per);
-            }
-            ChannelChange::MoveClient { client, x, y } => {
-                h.u8(2);
-                h.usize(client);
-                h.f64(x);
-                h.f64(y);
-            }
-        }
+    fn u32(&mut self, v: u32) {
+        self.write(&v.to_le_bytes());
     }
-}
-
-fn hash_roam(h: &mut StableHasher, r: &crate::scenario::RoamConfig) {
-    h.usize(r.schedule.len());
-    for ev in &r.schedule {
-        h.usize(ev.flow);
-        h.duration(ev.at);
-        h.usize(ev.target_bss);
+    fn u8(&mut self, v: u8) {
+        self.write(&[v]);
     }
-    match &r.trigger {
-        None => h.u8(0),
-        Some(t) => {
-            h.u8(1);
-            h.f64(t.threshold_db);
-            h.f64(t.hysteresis_db);
-            h.duration(t.min_dwell);
-        }
+    fn seq(&mut self, len: usize) {
+        self.u64(len as u64);
     }
-    h.usize(r.paths.len());
-    for p in &r.paths {
-        h.usize(p.client);
-        h.usize(p.waypoints.len());
-        for w in &p.waypoints {
-            h.duration(w.at);
-            h.f64(w.x);
-            h.f64(w.y);
-        }
-    }
-    h.duration(r.mobility_tick);
-    h.usize(r.ap_hack_capable.len());
-    for &b in &r.ap_hack_capable {
-        h.bool(b);
-    }
-    h.duration(r.assoc.scan_delay);
-    h.duration(r.assoc.retry_backoff);
-    h.u32(r.assoc.max_retries);
-    h.f64(r.assoc_fail_prob);
-    h.u32(r.rto_clamp_shift);
-    h.usize(r.park_cap);
-}
-
-fn hash_size_dist(h: &mut StableHasher, d: &SizeDist) {
-    match *d {
-        SizeDist::Fixed(n) => {
-            h.u8(0);
-            h.u64(n);
-        }
-        SizeDist::BoundedPareto { alpha, min, max } => {
-            h.u8(1);
-            h.f64(alpha);
-            h.u64(min);
-            h.u64(max);
-        }
-        SizeDist::LogNormal { mu, sigma, max } => {
-            h.u8(2);
-            h.f64(mu);
-            h.f64(sigma);
-            h.u64(max);
-        }
-    }
-}
-
-fn hash_arrival(h: &mut StableHasher, d: &ArrivalDist) {
-    match *d {
-        ArrivalDist::Fixed(gap) => {
-            h.u8(0);
-            h.duration(gap);
-        }
-        ArrivalDist::Exponential { mean } => {
-            h.u8(1);
-            h.duration(mean);
-        }
-        ArrivalDist::Uniform { lo, hi } => {
-            h.u8(2);
-            h.duration(lo);
-            h.duration(hi);
-        }
-    }
-}
-
-fn hash_model(h: &mut StableHasher, m: &TrafficModel) {
-    match m {
-        TrafficModel::BulkDownload => h.u8(0),
-        TrafficModel::BulkUpload => h.u8(1),
-        TrafficModel::UdpDownload => h.u8(2),
-        TrafficModel::ShortFlows(s) => {
-            h.u8(3);
-            hash_size_dist(h, &s.sizes);
-            hash_arrival(h, &s.think);
-            h.bool(s.reuse);
-        }
-        TrafficModel::Bidirectional => h.u8(4),
-        TrafficModel::Cbr(c) => {
-            h.u8(5);
-            h.u64(c.rate_kbps);
-            h.u32(c.payload_bytes);
-        }
-        TrafficModel::OnOff(o) => {
-            h.u8(6);
-            hash_arrival(h, &o.on);
-            hash_arrival(h, &o.off);
-            h.u64(o.rate_kbps);
-            h.u32(o.payload_bytes);
-        }
-    }
-}
-
-fn hash_supervisor(h: &mut StableHasher, s: &SupervisorConfig) {
-    h.u32(s.degrade_score);
-    h.u32(s.fallback_score);
-    h.duration(s.probation_initial);
-    h.duration(s.probation_max);
-    h.u32(s.probation_success);
-    h.u32(s.decay_good);
 }
 
 impl ScenarioConfig {
@@ -303,111 +123,18 @@ impl ScenarioConfig {
     /// Feed the canonical field encoding into an existing hasher.
     pub fn stable_hash_into(&self, h: &mut StableHasher) {
         h.u32(CONFIG_ENCODING_VERSION);
-        match self.standard {
-            Standard::Dot11a { rate_mbps } => {
-                h.u8(0);
-                h.u64(rate_mbps);
-            }
-            Standard::Dot11n { rate_mbps } => {
-                h.u8(1);
-                h.u64(rate_mbps);
-            }
-        }
-        h.usize(self.n_clients);
-        match self.hack_mode {
-            HackMode::Disabled => h.u8(0),
-            HackMode::Opportunistic => h.u8(1),
-            HackMode::MoreData => h.u8(2),
-            HackMode::ExplicitTimer(d) => {
-                h.u8(3);
-                h.duration(d);
-            }
-        }
-        hash_model(h, &self.traffic);
-        h.usize(self.traffic_mix.len());
-        for m in &self.traffic_mix {
-            hash_model(h, m);
-        }
-        h.bool(self.delayed_ack);
-        h.bool(self.server_at_ap);
-        h.usize(self.ap_queue_cap);
-        hash_loss(h, &self.loss);
-        match &self.corrupt {
-            None => h.u8(0),
-            Some(c) => {
-                h.u8(1);
-                h.f64(c.data_frac);
-                h.f64(c.control_per);
-                h.f64(c.fcs_miss);
-            }
-        }
-        hash_dynamics(h, &self.dynamics);
-        h.duration(self.stack_delay);
-        h.duration(self.dma_delay);
-        h.duration(self.duration);
-        match self.transfer_bytes {
-            None => h.u8(0),
-            Some(b) => {
-                h.u8(1);
-                h.u64(b);
-            }
-        }
-        h.duration(self.stagger);
-        h.duration(self.warmup);
-        h.u64(self.seed);
-        h.bool(self.sora_quirks);
-        h.u32(self.rcv_window);
-        h.bool(self.disable_sync);
-        match self.txop_limit {
-            None => h.u8(0),
-            Some(d) => {
-                h.u8(1);
-                h.duration(d);
-            }
-        }
-        match self.retry_limit {
-            None => h.u8(0),
-            Some(l) => {
-                h.u8(1);
-                h.u32(l);
-            }
-        }
-        match &self.supervisor {
-            None => h.u8(0),
-            Some(s) => {
-                h.u8(1);
-                hash_supervisor(h, s);
-            }
-        }
-        h.usize(self.client_hack_capable.len());
-        for &b in &self.client_hack_capable {
-            h.bool(b);
-        }
-        h.usize(self.held_cap);
-        h.u8(match self.cc {
-            hack_tcp::CcKind::Reno => 0,
-            hack_tcp::CcKind::Cubic => 1,
-            hack_tcp::CcKind::Highspeed => 2,
-            hack_tcp::CcKind::Bbr => 3,
-        });
-        h.usize(self.bss.len());
-        for b in &self.bss {
-            h.f64(b.x);
-            h.f64(b.y);
-            h.u8(b.channel);
-            h.usize(b.n_clients);
-        }
-        h.f64(self.interference.co_channel_range_m);
-        h.f64(self.interference.adjacent_range_m);
-        hash_roam(h, &self.roam);
+        self.walk(h);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::ScenarioBuilder;
-    use crate::traffic::{CbrConfig, ShortFlowConfig};
+    use crate::driver::HackMode;
+    use crate::scenario::{ChannelChange, LossConfig, ScenarioBuilder};
+    use crate::supervisor::SupervisorConfig;
+    use crate::traffic::{ArrivalDist, CbrConfig, ShortFlowConfig, SizeDist, TrafficModel};
+    use hack_sim::SimDuration;
 
     #[test]
     fn fnv_vectors() {

@@ -306,12 +306,6 @@ impl TrafficModel {
             TrafficModel::UdpDownload | TrafficModel::Cbr(_) | TrafficModel::OnOff(_)
         )
     }
-
-    /// Whether the flow is UDP paced from the wired side (CBR and
-    /// on/off sources).
-    pub fn is_paced_udp(&self) -> bool {
-        matches!(self, TrafficModel::Cbr(_) | TrafficModel::OnOff(_))
-    }
 }
 
 #[cfg(test)]

@@ -147,10 +147,3 @@ pub enum Action<M> {
         dst: StationId,
     },
 }
-
-impl<M> Action<M> {
-    /// Convenience for tests: is this a `StartTx`?
-    pub fn is_start_tx(&self) -> bool {
-        matches!(self, Action::StartTx(_))
-    }
-}

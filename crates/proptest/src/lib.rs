@@ -24,9 +24,6 @@ pub mod option;
 pub mod runner;
 pub mod strategy;
 
-/// What the `proptest!`-generated test bodies yield per case.
-pub type TestCaseResult = Result<(), String>;
-
 pub mod prelude {
     //! The usual glob-import surface: `use proptest::prelude::*;`.
     pub use crate::arbitrary::any;
