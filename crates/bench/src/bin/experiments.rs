@@ -1,27 +1,57 @@
 //! Regenerate every table and figure of the HACK paper (USENIX ATC '14).
 //!
 //! Run `experiments --help` (or see [`hack_bench::USAGE`]) for the
-//! subcommand list and flags. The sweep-shaped subcommands
-//! (`loss-sweep`, `fault-matrix`, `chaos-recovery`, `campaign-smoke`)
-//! run on the `hack-campaign` engine: declarative axes over
-//! [`ScenarioConfig`], the shared worker pool, and an optional
-//! content-addressed result cache (`--cache <dir>`) — with
-//! byte-identical output at any thread count.
+//! subcommand list and flags. Every subcommand that runs a campaign —
+//! each paper figure and table, the ablations and the sweep-shaped CI
+//! smokes — is one [`SweepSpec`] (declarative axes over
+//! [`ScenarioConfig`] and a seed bank) run through [`hack_bench::run`],
+//! so `--threads`, `--cache` and `--trace` mean the same everywhere and
+//! the output is byte-identical at any thread count.
 
 use hack_analysis::{CapacityModel, Protocol};
-use hack_bench::{run_seeds, set_trace_base, CommonOpts, USAGE};
+use hack_bench::{matches_serial, run, CommonOpts, USAGE};
 use hack_campaign::{campaign_csv, campaign_json, run_campaign, Axis, CellReport, SweepSpec};
 use hack_core::codec::to_json;
 use hack_core::{
     run_auto, run_dense, BssSpec, CbrConfig, CcKind, ChannelChange, ChannelEvent, CorruptModel,
     DenseOptions, DenseReport, FlowHealth, GeParams, HackMode, LossConfig, OnOffConfig, RoamEvent,
-    RunResult, ScenarioBuilder, ScenarioConfig, ShortFlowConfig, SupervisorConfig,
+    RunResult, ScenarioBuilder, ScenarioConfig, ShortFlowConfig, Standard, SupervisorConfig,
     SupervisorReport, TrafficClass, TrafficModel,
 };
 use hack_phy::{Channel, PhyRate, StationId, DOT11A_RATES_MBPS, DOT11N_HT40_SGI_MBPS};
 use hack_sim::{QuantileSketch, RunStats, SimDuration};
 
 type Opts = CommonOpts;
+
+/// A subcommand: its name and what it runs.
+type Subcommand = (&'static str, fn(&Opts));
+
+/// Every subcommand, in the order `all` runs them.
+const COMMANDS: [Subcommand; 23] = [
+    ("fig1a", fig1a),
+    ("fig1b", fig1b),
+    ("fig9", fig9),
+    ("table1", table1),
+    ("table2", table2),
+    ("table3", table3),
+    ("xval", xval),
+    ("fig10", fig10),
+    ("fig11", fig11),
+    ("fig12", fig12),
+    ("loss-sweep", loss_sweep),
+    ("fault-matrix", fault_matrix),
+    ("chaos-recovery", chaos_recovery),
+    ("campaign-smoke", campaign_smoke),
+    ("cc-matrix", cc_matrix),
+    ("traffic-matrix", traffic_matrix),
+    ("dense-sweep", dense_sweep),
+    ("dense-smoke", dense_smoke),
+    ("roam-chaos", roam_chaos),
+    ("ablate-timer", ablate_timer),
+    ("ablate-delack", ablate_delack),
+    ("ablate-sync", ablate_sync),
+    ("ablate-txop", ablate_txop),
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -36,64 +66,15 @@ fn main() {
         print!("{USAGE}");
         return;
     }
-    if let Some(p) = opts.trace.clone() {
-        set_trace_base(p);
-    }
-    let cmd = positional.as_deref().unwrap_or("all");
-
-    match cmd {
-        "fig1a" => fig1a(),
-        "fig1b" => fig1b(),
-        "fig9" => fig9(&opts),
-        "table1" => table1(&opts),
-        "table2" => table2(&opts),
-        "table3" => table3(&opts),
-        "xval" => xval(&opts),
-        "fig10" => fig10(&opts),
-        "fig11" => fig11(&opts),
-        "fig12" => fig12(&opts),
-        "loss-sweep" => loss_sweep(&opts),
-        "fault-matrix" => fault_matrix(&opts),
-        "chaos-recovery" => chaos_recovery(&opts),
-        "campaign-smoke" => campaign_smoke(&opts),
-        "cc-matrix" => cc_matrix(&opts),
-        "traffic-matrix" => traffic_matrix(&opts),
-        "dense-sweep" => dense_sweep(&opts),
-        "dense-smoke" => dense_smoke(&opts),
-        "roam-chaos" => roam_chaos(&opts),
-        "ablate-timer" => ablate_timer(&opts),
-        "ablate-delack" => ablate_delack(&opts),
-        "ablate-sync" => ablate_sync(&opts),
-        "ablate-txop" => ablate_txop(&opts),
-        "all" => {
-            fig1a();
-            fig1b();
-            fig9(&opts);
-            table1(&opts);
-            table2(&opts);
-            table3(&opts);
-            xval(&opts);
-            fig10(&opts);
-            fig11(&opts);
-            fig12(&opts);
-            loss_sweep(&opts);
-            fault_matrix(&opts);
-            chaos_recovery(&opts);
-            campaign_smoke(&opts);
-            cc_matrix(&opts);
-            traffic_matrix(&opts);
-            dense_sweep(&opts);
-            dense_smoke(&opts);
-            roam_chaos(&opts);
-            ablate_timer(&opts);
-            ablate_delack(&opts);
-            ablate_sync(&opts);
-            ablate_txop(&opts);
-        }
-        other => {
-            eprintln!("unknown subcommand {other:?}; see --help");
-            std::process::exit(2);
-        }
+    match positional.as_deref().unwrap_or("all") {
+        "all" => COMMANDS.iter().for_each(|(_, cmd)| cmd(&opts)),
+        name => match COMMANDS.iter().find(|(n, _)| *n == name) {
+            Some((_, cmd)) => cmd(&opts),
+            None => {
+                eprintln!("unknown subcommand {name:?}; see --help");
+                std::process::exit(2);
+            }
+        },
     }
 }
 
@@ -101,21 +82,34 @@ fn banner(title: &str) {
     println!("\n===== {title} =====");
 }
 
-/// `mean ± std` goodput string for one campaign cell, matching the
-/// `RunStats` display the direct-run tables use.
-fn cell_goodput(cell: &CellReport) -> String {
-    let mut s = RunStats::new();
-    for r in &cell.runs {
-        s.push(r.aggregate_goodput_mbps);
-    }
-    s.to_string()
+/// One metric of a cell's runs, in seed order, as `mean ± std`.
+fn stats(cell: &CellReport, metric: impl Fn(&RunResult) -> f64) -> RunStats {
+    cell.runs.iter().map(metric).collect()
+}
+
+/// A cell's steady-state aggregate goodput over its seed bank.
+fn goodput(cell: &CellReport) -> RunStats {
+    stats(cell, |r| r.aggregate_goodput_mbps)
+}
+
+/// A sweep over `base` on the seed bank `base.seed, base.seed + 1, ..`.
+fn sweep(name: impl Into<String>, base: ScenarioConfig, n_seeds: u64) -> SweepSpec {
+    let seed = base.seed;
+    SweepSpec::new(name, base).seed_bank(seed, n_seeds)
+}
+
+/// The tcp/hack axis every HACK-on-vs-off comparison sweeps.
+fn mode_axis() -> Axis {
+    Axis::new("mode")
+        .point("tcp", |c| c.hack_mode = HackMode::Disabled)
+        .point("hack", |c| c.hack_mode = HackMode::MoreData)
 }
 
 // ----------------------------------------------------------------------
 // Figure 1: analytical capacity
 // ----------------------------------------------------------------------
 
-fn fig1a() {
+fn fig1a(_opts: &Opts) {
     banner("Figure 1(a): theoretical goodput, 802.11a (Mbps)");
     let m = CapacityModel::dot11a();
     println!(
@@ -134,7 +128,7 @@ fn fig1a() {
     }
 }
 
-fn fig1b() {
+fn fig1b(_opts: &Opts) {
     banner("Figure 1(b): theoretical goodput, 802.11n (Mbps)");
     let m = CapacityModel::dot11n();
     let rates: Vec<u64> = {
@@ -166,51 +160,44 @@ fn fig1b() {
 // Figure 9 / Table 1: the SoRa testbed
 // ----------------------------------------------------------------------
 
-fn sora_cfg(clients: &str, mode: HackMode, udp: bool, opts: &Opts) -> ScenarioConfig {
-    let mut cfg = match clients {
-        "c1" => ScenarioBuilder::sora_testbed(1, mode).build(),
-        "c2" => {
-            let mut c = ScenarioBuilder::sora_testbed(1, mode).build();
-            c.loss = LossConfig::PerClient(vec![0.02]);
-            c
-        }
-        _ => ScenarioBuilder::sora_testbed(2, mode).build(),
-    };
-    cfg.duration = SimDuration::from_secs(opts.secs);
-    if udp {
-        cfg.traffic = TrafficModel::UdpDownload;
-    }
-    cfg
+/// The SoRa testbed cells Figure 9 and Table 1 share: which clients
+/// (C1 alone, C2 alone, both) × protocol (UDP, TCP/HACK, TCP).
+fn sora_spec(name: &str, opts: &Opts) -> SweepSpec {
+    let mut base = ScenarioBuilder::sora_testbed(1, HackMode::Disabled).build();
+    base.duration = SimDuration::from_secs(opts.secs);
+    sweep(name, base, opts.seeds)
+        .axis(
+            Axis::new("clients")
+                .point("c1", |_| {})
+                .point("c2", |c| c.loss = LossConfig::PerClient(vec![0.02]))
+                .point("both", |c| {
+                    c.n_clients = 2;
+                    c.loss = LossConfig::PerClient(vec![0.025, 0.02]);
+                }),
+        )
+        .axis(
+            Axis::new("proto")
+                .point("U", |c| c.traffic = TrafficModel::UdpDownload)
+                .point("H", |c| c.hack_mode = HackMode::MoreData)
+                .point("T", |_| {}),
+        )
 }
 
 fn fig9(opts: &Opts) {
     banner("Figure 9: SoRa testbed mean goodput (Mbps), mean ± std over runs");
     println!("(paper anchors at 54 Mbps: UDP ≈ 26.5, TCP/HACK ≈ 25.0, TCP/802.11a ≈ 19.4)");
-    for (label, clients) in [
-        ("One client (C1)", "c1"),
-        ("One client (C2)", "c2"),
-        ("Both clients", "both"),
-    ] {
+    let report = run(&sora_spec("fig9", opts), opts);
+    let labels = ["One client (C1)", "One client (C2)", "Both clients"];
+    for (label, row) in labels.into_iter().zip(report.cells.chunks(3)) {
         println!("-- {label} --");
-        for (tag, mode, udp) in [
-            ("U", HackMode::Disabled, true),
-            ("H", HackMode::MoreData, false),
-            ("T", HackMode::Disabled, false),
-        ] {
-            let mr = run_seeds(&sora_cfg(clients, mode, udp, opts), opts.seeds);
-            if clients == "both" {
-                if udp {
-                    // UDP has per-client meters too.
-                    let c1 = mr.flow_goodput(0);
-                    let c2 = mr.flow_goodput(1);
-                    println!("  {tag}: client1 {c1}   client2 {c2}");
-                } else {
-                    let c1 = mr.flow_goodput(0);
-                    let c2 = mr.flow_goodput(1);
-                    println!("  {tag}: client1 {c1}   client2 {c2}");
-                }
+        for cell in row {
+            let tag = &cell.labels[1];
+            if cell.labels[0] == "both" {
+                let c1 = stats(cell, |r| r.flow_goodput_mbps[0]);
+                let c2 = stats(cell, |r| r.flow_goodput_mbps[1]);
+                println!("  {tag}: client1 {c1}   client2 {c2}");
             } else {
-                println!("  {tag}: {}", mr.aggregate_goodput());
+                println!("  {tag}: {}", goodput(cell));
             }
         }
     }
@@ -223,22 +210,19 @@ fn table1(opts: &Opts) {
         "{:<18} {:>12} {:>12} {:>12}",
         "", "UDP/802.11a", "TCP/HACK", "TCP/802.11a"
     );
-    for (label, clients) in [
-        ("Client 1 alone", "c1"),
-        ("Client 2 alone", "c2"),
-        ("Both clients", "both"),
-    ] {
-        let mut row = format!("{label:<18}");
-        for (mode, udp) in [
-            (HackMode::Disabled, true),
-            (HackMode::MoreData, false),
-            (HackMode::Disabled, false),
-        ] {
-            let mr = run_seeds(&sora_cfg(clients, mode, udp, opts), opts.seeds);
-            let f = mr.ap_first_try();
-            row.push_str(&format!(" {:>11.1}%", f.mean() * 100.0));
+    let report = run(&sora_spec("table1", opts), opts);
+    let labels = ["Client 1 alone", "Client 2 alone", "Both clients"];
+    for (label, row) in labels.into_iter().zip(report.cells.chunks(3)) {
+        let mut line = format!("{label:<18}");
+        for cell in row {
+            let f: RunStats = cell
+                .runs
+                .iter()
+                .filter_map(RunResult::ap_first_try_fraction)
+                .collect();
+            line.push_str(&format!(" {:>11.1}%", f.mean() * 100.0));
         }
-        println!("{row}");
+        println!("{line}");
     }
 }
 
@@ -246,26 +230,24 @@ fn table1(opts: &Opts) {
 // Tables 2 and 3: the 25 MB transfer
 // ----------------------------------------------------------------------
 
-fn transfer_cfg(mode: HackMode) -> ScenarioConfig {
-    let mut cfg = ScenarioBuilder::sora_testbed(1, mode).build();
+/// One 25 MB transfer per protocol (TCP, TCP/HACK), one seed.
+fn transfer_spec(name: &str) -> SweepSpec {
+    let mut cfg = ScenarioBuilder::sora_testbed(1, HackMode::Disabled).build();
     cfg.transfer_bytes = Some(25_000_000);
     cfg.duration = SimDuration::from_secs(60);
-    cfg
+    SweepSpec::new(name, cfg).axis(mode_axis())
 }
 
-fn table2(_opts: &Opts) {
+fn table2(opts: &Opts) {
     banner("Table 2: ACK accounting over a 25 MB transfer");
     println!("(paper: TCP 9060 ACKs / 471120 B; HACK 10 native + 9050 compressed, ratio 12)");
     println!(
         "{:<14} {:>10} {:>12} {:>10} {:>12} {:>8}",
         "", "ACK count", "ACK bytes", "ACKC count", "ACKC bytes", "ratio"
     );
-    for (label, mode) in [
-        ("TCP/802.11a", HackMode::Disabled),
-        ("TCP/HACK", HackMode::MoreData),
-    ] {
-        let mr = run_seeds(&transfer_cfg(mode), 1);
-        let r = &mr.runs[0];
+    let report = run(&transfer_spec("table2"), opts);
+    for (label, cell) in ["TCP/802.11a", "TCP/HACK"].into_iter().zip(&report.cells) {
+        let r = &cell.runs[0];
         let d = &r.driver[0];
         let ratio = r.compressor[0].ratio();
         println!(
@@ -278,20 +260,16 @@ fn table2(_opts: &Opts) {
     }
 }
 
-fn table3(_opts: &Opts) {
+fn table3(opts: &Opts) {
     banner("Table 3: TCP ACK time overheads over a 25 MB transfer (ms)");
     println!("(paper: TCP 70/0/1093/456; HACK 0.08/13.1/1.17/0.46)");
     println!(
         "{:<14} {:>10} {:>10} {:>10} {:>14}",
         "", "TCP ACK", "ROHC", "Channel", "LL ACK ovh"
     );
-    for (label, mode) in [
-        ("TCP/802.11a", HackMode::Disabled),
-        ("TCP/HACK", HackMode::MoreData),
-    ] {
-        let mr = run_seeds(&transfer_cfg(mode), 1);
-        let r = &mr.runs[0];
-        let client = &r.mac[1];
+    let report = run(&transfer_spec("table3"), opts);
+    for (label, cell) in ["TCP/802.11a", "TCP/HACK"].into_iter().zip(&report.cells) {
+        let client = &cell.runs[0].mac[1];
         let ms = |d: hack_sim::SimDuration| d.as_nanos() as f64 / 1e6;
         println!(
             "{label:<14} {:>10.2} {:>10.2} {:>10.2} {:>14.2}",
@@ -301,10 +279,9 @@ fn table3(_opts: &Opts) {
             ms(client.ll_ack_overhead.total()),
         );
     }
-    let mr = run_seeds(&transfer_cfg(HackMode::MoreData), 1);
     println!(
         "(blob fits within AIFS on {:.1}% of augmented LL ACKs; paper: 98.5%)",
-        mr.runs[0].blob_within_aifs * 100.0
+        report.cells[1].runs[0].blob_within_aifs * 100.0
     );
 }
 
@@ -319,20 +296,31 @@ fn xval(opts: &Opts) {
         "{:<12} {:>6} {:>18} {:>18}",
         "protocol", "loss", "ideal LL ACKs", "SoRa LL ACKs"
     );
-    for (label, mode, loss) in [
+    let protos = [
         ("TCP/802.11a", HackMode::Disabled, 0.12),
         ("TCP/HACK", HackMode::MoreData, 0.02),
-    ] {
-        let mut row = format!("{label:<12} {:>5.0}%", loss * 100.0);
-        for sora in [false, true] {
-            let mut cfg = ScenarioBuilder::sora_testbed(1, mode).build();
-            cfg.loss = LossConfig::PerClient(vec![loss]);
-            cfg.sora_quirks = sora;
-            cfg.duration = SimDuration::from_secs(opts.secs);
-            let mr = run_seeds(&cfg, opts.seeds);
-            row.push_str(&format!(" {:>18}", mr.aggregate_goodput().to_string()));
+    ];
+    let mut proto_axis = Axis::new("proto");
+    for (label, mode, loss) in protos {
+        proto_axis = proto_axis.point(label, move |c| {
+            c.hack_mode = mode;
+            c.loss = LossConfig::PerClient(vec![loss]);
+        });
+    }
+    let mut base = ScenarioBuilder::sora_testbed(1, HackMode::Disabled).build();
+    base.duration = SimDuration::from_secs(opts.secs);
+    let spec = sweep("xval", base, opts.seeds).axis(proto_axis).axis(
+        Axis::new("ll-acks")
+            .point("ideal", |c| c.sora_quirks = false)
+            .point("sora", |c| c.sora_quirks = true),
+    );
+    let report = run(&spec, opts);
+    for ((label, _, loss), row) in protos.into_iter().zip(report.cells.chunks(2)) {
+        let mut line = format!("{label:<12} {:>5.0}%", loss * 100.0);
+        for cell in row {
+            line.push_str(&format!(" {:>18}", goodput(cell).to_string()));
         }
-        println!("{row}");
+        println!("{line}");
     }
 }
 
@@ -351,14 +339,13 @@ const SWEEP_LOSSES: [f64; 6] = [0.0, 0.02, 0.05, 0.10, 0.15, 0.20];
 fn loss_sweep_spec(opts: &Opts) -> SweepSpec {
     let mut base = ScenarioBuilder::sora_testbed(1, HackMode::Disabled).build();
     base.duration = SimDuration::from_secs(opts.secs);
-    let seed = base.seed;
     let mut loss_axis = Axis::new("loss");
     for loss in SWEEP_LOSSES {
         loss_axis = loss_axis.point(format!("{:.0}%", loss * 100.0), move |c| {
             c.loss = LossConfig::PerClient(vec![loss]);
         });
     }
-    SweepSpec::new("loss-sweep", base)
+    sweep("loss-sweep", base, opts.seeds)
         .axis(loss_axis)
         .axis(Axis::new("chan").point("iid", |_| {}).point("burst", |c| {
             if let LossConfig::PerClient(per) = &c.loss {
@@ -366,12 +353,7 @@ fn loss_sweep_spec(opts: &Opts) -> SweepSpec {
                 c.loss = LossConfig::Burst(GeParams::bursty(mean, 8.0));
             }
         }))
-        .axis(
-            Axis::new("mode")
-                .point("tcp", |c| c.hack_mode = HackMode::Disabled)
-                .point("hack", |c| c.hack_mode = HackMode::MoreData),
-        )
-        .seed_bank(seed, opts.seeds)
+        .axis(mode_axis())
 }
 
 fn loss_sweep(opts: &Opts) {
@@ -382,7 +364,7 @@ fn loss_sweep(opts: &Opts) {
         "{:<6} {:>16} {:>16} {:>16} {:>16}",
         "loss", "TCP iid", "HACK iid", "TCP burst", "HACK burst"
     );
-    let report = run_campaign(&loss_sweep_spec(opts), &opts.campaign());
+    let report = run(&loss_sweep_spec(opts), opts);
     // Cells are odometer-ordered (mode fastest, then chan, then loss):
     // cell = (loss_idx * 2 + chan_idx) * 2 + mode_idx.
     for (li, loss) in SWEEP_LOSSES.iter().enumerate() {
@@ -391,7 +373,7 @@ fn loss_sweep(opts: &Opts) {
             for mode in 0..2 {
                 let cell = (li * 2 + chan) * 2 + mode;
                 match report.cells.iter().find(|c| c.cell == cell) {
-                    Some(c) => row.push_str(&format!(" {:>16}", cell_goodput(c))),
+                    Some(c) => row.push_str(&format!(" {:>16}", goodput(c).to_string())),
                     None => row.push_str(&format!(" {:>16}", "-")),
                 }
             }
@@ -460,7 +442,7 @@ fn fault_matrix(opts: &Opts) {
                 c.supervisor = Some(SupervisorConfig::default());
             }),
     );
-    let report = run_campaign(&spec, &opts.campaign());
+    let report = run(&spec, opts);
     let mut failed = false;
     let mut json_rows = Vec::new();
     for cell in &report.cells {
@@ -516,8 +498,8 @@ fn fault_matrix(opts: &Opts) {
 /// The PR 3 "everything on" fault scenario (bursty loss + corrupted
 /// delivery + mid-run dynamics) — identical to the one the supervisor
 /// integration tests run. Seeds come from the campaign's seed bank.
-fn chaos_faulty(mode: HackMode, supervised: bool) -> ScenarioConfig {
-    let mut c = ScenarioBuilder::sora_testbed(1, mode).build();
+fn chaos_faulty() -> ScenarioConfig {
+    let mut c = ScenarioBuilder::sora_testbed(1, HackMode::Disabled).build();
     c.duration = SimDuration::from_secs(2);
     c.loss = LossConfig::Burst(GeParams::bursty(0.08, 6.0));
     c.corrupt = Some(CorruptModel {
@@ -538,9 +520,6 @@ fn chaos_faulty(mode: HackMode, supervised: bool) -> ScenarioConfig {
             change: ChannelChange::SnrOffsetDb(-3.0),
         },
     ];
-    if supervised {
-        c.supervisor = Some(SupervisorConfig::default());
-    }
     c
 }
 
@@ -585,7 +564,7 @@ fn chaos_recovery(opts: &Opts) {
     // One campaign: a protocol axis (plain TCP vs supervised HACK) over
     // the matrix seed bank. Cell 0 is TCP, cell 1 supervised HACK; runs
     // come back in seed-bank order.
-    let faulty_spec = SweepSpec::new("chaos-faulty", chaos_faulty(HackMode::Disabled, false))
+    let faulty_spec = SweepSpec::new("chaos-faulty", chaos_faulty())
         .axis(
             Axis::new("proto")
                 .point("tcp", |c| {
@@ -598,7 +577,7 @@ fn chaos_recovery(opts: &Opts) {
                 }),
         )
         .seeds(matrix_seeds.to_vec());
-    let faulty = run_campaign(&faulty_spec, &opts.campaign());
+    let faulty = run(&faulty_spec, opts);
     for (i, &seed) in matrix_seeds.iter().enumerate() {
         let (tcp, sup) = (&faulty.cells[0].runs[i], &faulty.cells[1].runs[i]);
         tcp_total += tcp.aggregate_goodput_mbps;
@@ -641,7 +620,7 @@ fn chaos_recovery(opts: &Opts) {
         "seed", "goodput", "final-win"
     );
     let storm_spec = SweepSpec::new("chaos-storm", chaos_storm()).seeds(storm_seeds.to_vec());
-    let storm = run_campaign(&storm_spec, &opts.campaign());
+    let storm = run(&storm_spec, opts);
     for (i, &seed) in storm_seeds.iter().enumerate() {
         let r = &storm.cells[0].runs[i];
         let rep = &r.supervisor[0];
@@ -700,37 +679,31 @@ fn campaign_smoke(opts: &Opts) {
     } else {
         base.duration = SimDuration::from_secs(2);
     }
-    let seed = base.seed;
-    let spec = SweepSpec::new("campaign-smoke", base)
+    let spec = sweep("campaign-smoke", base, 2)
         .axis(
             Axis::new("loss")
                 .point("2%", |c| c.loss = LossConfig::PerClient(vec![0.02]))
                 .point("5%", |c| c.loss = LossConfig::PerClient(vec![0.05])),
         )
-        .axis(
-            Axis::new("mode")
-                .point("tcp", |c| c.hack_mode = HackMode::Disabled)
-                .point("hack", |c| c.hack_mode = HackMode::MoreData),
-        )
-        .seed_bank(seed, 2);
+        .axis(mode_axis());
 
-    // (1) Determinism: one worker vs the full pool, byte for byte.
-    let mut serial_opts = opts.campaign();
-    serial_opts.threads = 1;
-    serial_opts.cache_dir = None;
-    let mut parallel_opts = opts.campaign();
-    parallel_opts.cache_dir = None;
-    let serial = run_campaign(&spec, &serial_opts);
-    let parallel = run_campaign(&spec, &parallel_opts);
-    let serial_json = campaign_json(&serial);
-    if serial_json != campaign_json(&parallel) {
+    // (1) Determinism: one worker vs the full pool, byte for byte. The
+    // cache stays cold for (2).
+    let pool = run(
+        &spec,
+        &Opts {
+            cache_dir: None,
+            ..opts.clone()
+        },
+    );
+    if !matches_serial(&spec, &pool, opts) {
         eprintln!("FAIL: parallel and serial campaigns emitted different reports");
         std::process::exit(1);
     }
     println!(
         "determinism: serial == parallel over {} jobs ({} cells)",
-        serial.jobs_total,
-        serial.cells.len()
+        pool.jobs_total,
+        pool.cells.len()
     );
 
     // (2) Cache: run the same sweep twice through a cache directory.
@@ -763,7 +736,7 @@ fn campaign_smoke(opts: &Opts) {
     }
     // Cached results must feed the same aggregates as fresh ones.
     let tail = |s: &str| s[s.find("\"cells\":").map_or(0, |i| i)..].to_string();
-    if tail(&campaign_json(&second)) != tail(&serial_json) {
+    if tail(&campaign_json(&second)) != tail(&campaign_json(&pool)) {
         eprintln!("FAIL: cache round-trip changed the aggregates");
         std::process::exit(1);
     }
@@ -804,14 +777,13 @@ fn cc_matrix(opts: &Opts) {
     println!(" rtt is the delivery-rate sampler's mean across flows and seeds)");
     let mut base = ScenarioBuilder::sora_testbed(1, HackMode::Disabled).build();
     base.duration = SimDuration::from_secs(opts.secs);
-    let seed = base.seed;
     let mut cc_axis = Axis::new("cc");
     for kind in CcKind::ALL {
         cc_axis = cc_axis.point(kind.name(), move |c| c.cc = kind);
     }
     // Odometer-ordered (mode fastest, then chan, then cc):
     // cell = (cc_idx * 2 + chan_idx) * 2 + mode_idx.
-    let spec = SweepSpec::new("cc-matrix", base)
+    let spec = sweep("cc-matrix", base, opts.seeds)
         .axis(cc_axis)
         .axis(
             Axis::new("chan")
@@ -820,18 +792,11 @@ fn cc_matrix(opts: &Opts) {
                     c.loss = LossConfig::Burst(GeParams::bursty(0.05, 8.0));
                 }),
         )
-        .axis(
-            Axis::new("mode")
-                .point("tcp", |c| c.hack_mode = HackMode::Disabled)
-                .point("hack", |c| c.hack_mode = HackMode::MoreData),
-        )
-        .seed_bank(seed, opts.seeds);
+        .axis(mode_axis());
 
-    let report = run_campaign(&spec, &opts.campaign());
+    let report = run(&spec, opts);
     // Determinism gate: one worker must reproduce the pool byte for byte.
-    let mut serial_opts = opts.campaign();
-    serial_opts.threads = 1;
-    if campaign_json(&run_campaign(&spec, &serial_opts)) != campaign_json(&report) {
+    if !matches_serial(&spec, &report, opts) {
         eprintln!("FAIL: parallel and serial cc-matrix reports differ");
         std::process::exit(1);
     }
@@ -858,7 +823,7 @@ fn cc_matrix(opts: &Opts) {
                     failed = true;
                 }
                 let rtt_s = rtt.map_or_else(|| "-".into(), |ms| format!("{ms:.1}"));
-                cols += &format!(" {:>14} {rtt_s:>9}{verdict}", cell_goodput(cell));
+                cols += &format!(" {:>14} {rtt_s:>9}{verdict}", goodput(cell).to_string());
                 json_rows.push(format!(
                     "{{\"cc\":\"{}\",\"chan\":\"{chan}\",\"mode\":\"{}\",\
                      \"goodput_mbps\":{:.3},\"mean_rtt_ms\":{}}}",
@@ -919,7 +884,6 @@ fn traffic_matrix(opts: &Opts) {
     println!(" merged across seeds)");
     let mut base = ScenarioBuilder::dot11n_download(150, 1, HackMode::Disabled).build();
     base.duration = SimDuration::from_secs(opts.secs);
-    let seed = base.seed;
     // Odometer-ordered (mode fastest, then chan, then model):
     // cell = (model_idx * 2 + chan_idx) * 2 + mode_idx.
     const MODELS: [&str; 5] = ["bulk", "short", "bidir", "cbr", "onoff"];
@@ -947,7 +911,7 @@ fn traffic_matrix(opts: &Opts) {
     for label in MODELS {
         model_axis = model_axis.point(label, move |c| c.traffic = model_of(label));
     }
-    let spec = SweepSpec::new("traffic-matrix", base)
+    let spec = sweep("traffic-matrix", base, opts.seeds)
         .axis(model_axis)
         .axis(
             Axis::new("chan")
@@ -956,30 +920,11 @@ fn traffic_matrix(opts: &Opts) {
                     c.loss = LossConfig::Burst(GeParams::bursty(0.05, 8.0));
                 }),
         )
-        .axis(
-            Axis::new("mode")
-                .point("tcp", |c| c.hack_mode = HackMode::Disabled)
-                .point("hack", |c| c.hack_mode = HackMode::MoreData),
-        )
-        .seed_bank(seed, opts.seeds);
+        .axis(mode_axis());
 
-    let report = run_campaign(&spec, &opts.campaign());
-    // Determinism gate: one worker must reproduce the pool byte for
-    // byte. The jobs header of `campaign_json` counts cache hits, so
-    // the comparison runs bypass the cache (a warm-cache report could
-    // never byte-match a cold one even with identical physics).
-    let mut serial_opts = opts.campaign();
-    serial_opts.threads = 1;
-    serial_opts.cache_dir = None;
-    let serial_json = campaign_json(&run_campaign(&spec, &serial_opts));
-    let parallel_json = if opts.cache_dir.is_some() {
-        let mut parallel_opts = opts.campaign();
-        parallel_opts.cache_dir = None;
-        campaign_json(&run_campaign(&spec, &parallel_opts))
-    } else {
-        campaign_json(&report)
-    };
-    if serial_json != parallel_json {
+    let report = run(&spec, opts);
+    // Determinism gate: one worker must reproduce the pool byte for byte.
+    if !matches_serial(&spec, &report, opts) {
         eprintln!("FAIL: parallel and serial traffic-matrix reports differ");
         std::process::exit(1);
     }
@@ -1039,7 +984,7 @@ fn traffic_matrix(opts: &Opts) {
                 let jit = if paced { q_ms(&jitter, 0.95) } else { None };
                 println!(
                     "{model:<6} {chan:<6} {mode:<5} {:>14} {transfers:>9} {metric:<4} {:>8} {:>8} {:>8} {:>8}{verdict}",
-                    cell_goodput(cell),
+                    goodput(cell).to_string(),
                     fmt_q(q_ms(sketch, 0.5)),
                     fmt_q(q_ms(sketch, 0.95)),
                     fmt_q(q_ms(sketch, 0.99)),
@@ -1415,37 +1360,33 @@ fn fig10(opts: &Opts) {
         "{:>8} {:>16} {:>18} {:>16} {:>16}",
         "clients", "UDP", "TCP/HACK MD", "TCP/Opp. HACK", "TCP/802.11n"
     );
+    let mut base = ScenarioBuilder::dot11n_download(150, 1, HackMode::Disabled).build();
+    base.stagger = SimDuration::from_millis(200);
+    let secs = opts.secs;
+    let mut clients_axis = Axis::new("clients");
     for n in [1usize, 2, 4, 10] {
-        let mut row = format!("{n:>8}");
-        for (mode, udp) in [
-            (HackMode::Disabled, true),
-            (HackMode::MoreData, false),
-            (HackMode::Opportunistic, false),
-            (HackMode::Disabled, false),
-        ] {
-            let mut cfg = ScenarioBuilder::dot11n_download(150, n, mode).build();
+        clients_axis = clients_axis.point(n.to_string(), move |c| {
+            c.n_clients = n;
             // Duration = staggered starts + warmup + a full measurement
             // window, so the steady-state window is the same length for
             // every client count.
-            cfg.stagger = SimDuration::from_millis(200);
-            cfg.duration =
-                cfg.stagger * (n as u64) + cfg.warmup + SimDuration::from_secs(opts.secs);
-            if udp {
-                cfg.traffic = TrafficModel::UdpDownload;
-            }
-            let mr = run_seeds(&cfg, opts.seeds);
-            let w = if mode == HackMode::MoreData && !udp {
-                18
-            } else {
-                16
-            };
-            row.push_str(&format!(
-                " {:>w$}",
-                mr.aggregate_goodput().to_string(),
-                w = w
-            ));
+            c.duration = c.stagger * (n as u64) + c.warmup + SimDuration::from_secs(secs);
+        });
+    }
+    let spec = sweep("fig10", base, opts.seeds).axis(clients_axis).axis(
+        Axis::new("proto")
+            .point("udp", |c| c.traffic = TrafficModel::UdpDownload)
+            .point("md", |c| c.hack_mode = HackMode::MoreData)
+            .point("opp", |c| c.hack_mode = HackMode::Opportunistic)
+            .point("tcp", |_| {}),
+    );
+    let report = run(&spec, opts);
+    for row in report.cells.chunks(4) {
+        let mut line = format!("{:>8}", row[0].labels[0]);
+        for (cell, w) in row.iter().zip([16, 18, 16, 16]) {
+            line.push_str(&format!(" {:>w$}", goodput(cell).to_string()));
         }
-        println!("{row}");
+        println!("{line}");
     }
 }
 
@@ -1453,21 +1394,21 @@ fn fig10(opts: &Opts) {
 // Figures 11 and 12: SNR sweep and theory-vs-simulation
 // ----------------------------------------------------------------------
 
-fn snr_run(rate: u64, snr_db: f64, mode: HackMode, opts: &Opts) -> f64 {
-    // Skip rates hopelessly beyond their sensitivity: they deliver ~0.
-    let r = PhyRate::ht(rate);
-    if snr_db < r.min_snr_db() - 4.0 {
-        return 0.0;
+/// A rate × tcp/hack sweep of one 802.11n client, `secs` ≤ 6 and at
+/// most 3 seeds per point, with `loss` on the link.
+fn rate_spec(name: &str, rates: &[u64], loss: LossConfig, opts: &Opts) -> SweepSpec {
+    let mut base = ScenarioBuilder::dot11n_download(150, 1, HackMode::Disabled).build();
+    base.loss = loss;
+    base.duration = SimDuration::from_secs(opts.secs.min(6));
+    let mut rate_axis = Axis::new("rate");
+    for &rate in rates {
+        rate_axis = rate_axis.point(rate.to_string(), move |c| {
+            c.standard = Standard::Dot11n { rate_mbps: rate };
+        });
     }
-    let mut ch = Channel::indoor();
-    ch.place(StationId(0), 0.0, 0.0);
-    let d = ch.distance_for_snr(snr_db);
-    let mut cfg = ScenarioBuilder::dot11n_download(rate, 1, mode).build();
-    cfg.loss = LossConfig::SnrDistance(d);
-    cfg.duration = SimDuration::from_secs(opts.secs.min(6));
-    let mr = run_seeds(&cfg, opts.seeds.min(3));
-    // Figure 11 averages goodput including slow start.
-    mr.flow_goodput_full(0).mean()
+    sweep(name, base, opts.seeds.min(3))
+        .axis(rate_axis)
+        .axis(mode_axis())
 }
 
 fn fig11(opts: &Opts) {
@@ -1481,12 +1422,33 @@ fn fig11(opts: &Opts) {
     println!(" {:>9} {:>9} {:>7}", "envT", "envH", "gain");
     let mut gains = Vec::new();
     for &snr in &snrs {
+        // Skip rates hopelessly beyond their sensitivity: they deliver ~0.
+        let live = |rate: u64| snr >= PhyRate::ht(rate).min_snr_db() - 4.0;
+        let rates: Vec<u64> = DOT11N_HT40_SGI_MBPS
+            .into_iter()
+            .filter(|&r| live(r))
+            .collect();
+        let mut ch = Channel::indoor();
+        ch.place(StationId(0), 0.0, 0.0);
+        let loss = LossConfig::SnrDistance(ch.distance_for_snr(snr));
+        let report = run(
+            &rate_spec(&format!("fig11.snr{snr}"), &rates, loss, opts),
+            opts,
+        );
+        // Figure 11 averages goodput including slow start.
+        let mut cells = report.cells.chunks(2).map(|row| {
+            let full = |cell: &CellReport| stats(cell, |r| r.flow_goodput_full_mbps[0]).mean();
+            (full(&row[0]), full(&row[1]))
+        });
         let mut row = format!("{snr:>6.1}");
         let mut env_t: f64 = 0.0;
         let mut env_h: f64 = 0.0;
         for &rate in &DOT11N_HT40_SGI_MBPS {
-            let h = snr_run(rate, snr, HackMode::MoreData, opts);
-            let t = snr_run(rate, snr, HackMode::Disabled, opts);
+            let (t, h) = if live(rate) {
+                cells.next().unwrap()
+            } else {
+                (0.0, 0.0)
+            };
             env_h = env_h.max(h);
             env_t = env_t.max(t);
             row.push_str(&format!(" {h:>6.1}"));
@@ -1518,20 +1480,13 @@ fn fig12(opts: &Opts) {
         "{:>6} {:>10} {:>10} {:>10} {:>10} {:>9} {:>9}",
         "rate", "theor.TCP", "sim.TCP", "theor.HACK", "sim.HACK", "th.gain", "sim.gain"
     );
-    for &rate in &DOT11N_HT40_SGI_MBPS {
+    let spec = rate_spec("fig12", &DOT11N_HT40_SGI_MBPS, LossConfig::Ideal, opts);
+    let report = run(&spec, opts);
+    for (&rate, row) in DOT11N_HT40_SGI_MBPS.iter().zip(report.cells.chunks(2)) {
         let r = PhyRate::ht(rate);
         let tt = m.goodput_dot11n(r, Protocol::Tcp);
         let th = m.goodput_dot11n(r, Protocol::TcpHack);
-        let mut cfg_t = ScenarioBuilder::dot11n_download(rate, 1, HackMode::Disabled).build();
-        let mut cfg_h = ScenarioBuilder::dot11n_download(rate, 1, HackMode::MoreData).build();
-        cfg_t.duration = SimDuration::from_secs(opts.secs.min(6));
-        cfg_h.duration = SimDuration::from_secs(opts.secs.min(6));
-        let st = run_seeds(&cfg_t, opts.seeds.min(3))
-            .aggregate_goodput()
-            .mean();
-        let sh = run_seeds(&cfg_h, opts.seeds.min(3))
-            .aggregate_goodput()
-            .mean();
+        let (st, sh) = (goodput(&row[0]).mean(), goodput(&row[1]).mean());
         println!(
             "{rate:>6} {tt:>10.1} {st:>10.1} {th:>10.1} {sh:>10.1} {:>8.1}% {:>8.1}%",
             (th / tt - 1.0) * 100.0,
@@ -1544,12 +1499,20 @@ fn fig12(opts: &Opts) {
 // Ablations (DESIGN.md §5)
 // ----------------------------------------------------------------------
 
+/// The 802.11n 150 Mbps one-client base the ablations vary.
+fn ablation_base(opts: &Opts) -> ScenarioConfig {
+    let mut cfg = ScenarioBuilder::dot11n_download(150, 1, HackMode::Disabled).build();
+    cfg.duration = SimDuration::from_secs(opts.secs);
+    cfg
+}
+
 fn ablate_timer(opts: &Opts) {
     banner("Ablation: explicit-timer HACK vs MORE DATA (802.11n, 1 client)");
     println!("(left: server behind the wired backhaul — data trickles in and every hold");
     println!(" gets a ride, so the timer looks harmless; right: sender on the AP with a");
     println!(" 32 KB receive window — the whole window lands in one batch, the queue drains,");
     println!(" and held ACKs stall the ACK clock: the §3.2 pathology)");
+    let mut mode_axis = Axis::new("mode");
     for (label, mode) in [
         ("Disabled", HackMode::Disabled),
         (
@@ -1566,33 +1529,47 @@ fn ablate_timer(opts: &Opts) {
         ),
         ("MoreData", HackMode::MoreData),
     ] {
-        let mut cfg = ScenarioBuilder::dot11n_download(150, 1, mode).build();
-        cfg.duration = SimDuration::from_secs(opts.secs);
-        let backhaul = run_seeds(&cfg, opts.seeds.min(3));
-        let mut stall = cfg.clone();
-        stall.server_at_ap = true;
-        stall.rcv_window = 32 * 1024;
-        let local = run_seeds(&stall, opts.seeds.min(3));
+        mode_axis = mode_axis.point(label, move |c| c.hack_mode = mode);
+    }
+    let base = ablation_base(opts);
+    let spec = sweep("ablate-timer", base, opts.seeds.min(3))
+        .axis(mode_axis)
+        .axis(
+            Axis::new("sender")
+                .point("backhaul", |_| {})
+                .point("local/32KB", |c| {
+                    c.server_at_ap = true;
+                    c.rcv_window = 32 * 1024;
+                }),
+        );
+    for row in run(&spec, opts).cells.chunks(2) {
         println!(
-            "{label:<22} backhaul {:>16}   local/32KB {:>16}",
-            backhaul.aggregate_goodput().to_string(),
-            local.aggregate_goodput().to_string()
+            "{:<22} backhaul {:>16}   local/32KB {:>16}",
+            row[0].labels[0],
+            goodput(&row[0]).to_string(),
+            goodput(&row[1]).to_string()
         );
     }
 }
 
 fn ablate_delack(opts: &Opts) {
     banner("Ablation: TCP delayed ACK on/off (802.11n, 1 client)");
-    for (label, mode) in [
-        ("TCP/802.11n", HackMode::Disabled),
-        ("TCP/HACK", HackMode::MoreData),
-    ] {
-        for delack in [true, false] {
-            let mut cfg = ScenarioBuilder::dot11n_download(150, 1, mode).build();
-            cfg.delayed_ack = delack;
-            cfg.duration = SimDuration::from_secs(opts.secs);
-            let mr = run_seeds(&cfg, opts.seeds.min(3));
-            println!("{label:<14} delack={delack:<5} {}", mr.aggregate_goodput());
+    let base = ablation_base(opts);
+    let spec = sweep("ablate-delack", base, opts.seeds.min(3))
+        .axis(mode_axis())
+        .axis(
+            Axis::new("delack")
+                .point("true", |c| c.delayed_ack = true)
+                .point("false", |c| c.delayed_ack = false),
+        );
+    let report = run(&spec, opts);
+    for (label, row) in ["TCP/802.11n", "TCP/HACK"]
+        .into_iter()
+        .zip(report.cells.chunks(2))
+    {
+        for cell in row {
+            let delack = &cell.labels[1];
+            println!("{label:<14} delack={delack:<5} {}", goodput(cell));
         }
     }
 }
@@ -1607,29 +1584,30 @@ fn ablate_sync(opts: &Opts) {
     let mut ch = Channel::indoor();
     ch.place(StationId(0), 0.0, 0.0);
     let d = ch.distance_for_snr(PhyRate::ht(rate).min_snr_db() + 2.2);
-    for disable in [false, true] {
-        let mut cfg = ScenarioBuilder::dot11n_download(rate, 1, HackMode::MoreData).build();
-        cfg.loss = LossConfig::SnrDistance(d);
-        cfg.disable_sync = disable;
-        // A tight retry budget makes BAR exhaustion (the SYNC trigger)
-        // reachable within a short run — with the standard limit of 7 it
-        // needs 8 consecutive control-frame losses and essentially never
-        // fires, which is itself a (reassuring) finding.
-        cfg.retry_limit = Some(1);
-        cfg.duration = SimDuration::from_secs(opts.secs);
-        let mr = run_seeds(&cfg, opts.seeds);
-        let crc: u64 = mr.runs.iter().map(|r| r.decompressor.crc_failures).sum();
-        let dups: u64 = mr.runs.iter().map(|r| r.decompressor.duplicates).sum();
-        let to: u64 = mr.runs.iter().map(|r| r.sender_tcp[0].timeouts).sum();
-        let bars: u64 = mr.runs.iter().map(|r| r.mac[0].bars_exhausted.get()).sum();
+    let mut base = ablation_base(opts);
+    base.standard = Standard::Dot11n { rate_mbps: rate };
+    base.hack_mode = HackMode::MoreData;
+    base.loss = LossConfig::SnrDistance(d);
+    // A tight retry budget makes BAR exhaustion (the SYNC trigger)
+    // reachable within a short run — with the standard limit of 7 it
+    // needs 8 consecutive control-frame losses and essentially never
+    // fires, which is itself a (reassuring) finding.
+    base.retry_limit = Some(1);
+    let spec = sweep("ablate-sync", base, opts.seeds).axis(
+        Axis::new("sync")
+            .point("true", |c| c.disable_sync = false)
+            .point("false", |c| c.disable_sync = true),
+    );
+    for cell in run(&spec, opts).cells {
+        let sum = |f: fn(&RunResult) -> u64| cell.runs.iter().map(f).sum::<u64>();
         println!(
             "sync={:<5} goodput {}  BAR exhaustions {}  blob dups {}  CRC failures {}  TCP timeouts {}",
-            !disable,
-            mr.aggregate_goodput(),
-            bars,
-            dups,
-            crc,
-            to
+            cell.labels[0],
+            goodput(&cell),
+            sum(|r| r.mac[0].bars_exhausted.get()),
+            sum(|r| r.decompressor.duplicates),
+            sum(|r| r.decompressor.crc_failures),
+            sum(|r| r.sender_tcp[0].timeouts),
         );
     }
 }
@@ -1637,15 +1615,22 @@ fn ablate_sync(opts: &Opts) {
 fn ablate_txop(opts: &Opts) {
     banner("Ablation: TXOP limit sweep (802.11n 150 Mbps, 1 client)");
     println!("(§5: shorter TXOPs cost efficiency; HACK claws some back)");
+    let mut txop_axis = Axis::new("txop");
     for ms in [1u64, 2, 4, 8] {
-        let mut row = format!("TXOP {ms:>2} ms ");
-        for (label, mode) in [("TCP", HackMode::Disabled), ("HACK", HackMode::MoreData)] {
-            let mut cfg = ScenarioBuilder::dot11n_download(150, 1, mode).build();
-            cfg.txop_limit = Some(SimDuration::from_millis(ms));
-            cfg.duration = SimDuration::from_secs(opts.secs);
-            let mr = run_seeds(&cfg, opts.seeds.min(3));
-            row.push_str(&format!(" {label} {}", mr.aggregate_goodput()));
-        }
-        println!("{row}");
+        txop_axis = txop_axis.point(ms.to_string(), move |c| {
+            c.txop_limit = Some(SimDuration::from_millis(ms));
+        });
+    }
+    let base = ablation_base(opts);
+    let spec = sweep("ablate-txop", base, opts.seeds.min(3))
+        .axis(txop_axis)
+        .axis(mode_axis());
+    for row in run(&spec, opts).cells.chunks(2) {
+        println!(
+            "TXOP {:>2} ms  TCP {} HACK {}",
+            row[0].labels[0],
+            goodput(&row[0]),
+            goodput(&row[1])
+        );
     }
 }

@@ -71,17 +71,21 @@ FLAGS:
                     the paper's shape (5 runs per point)
     --seeds <n>     override the per-point seed count
     --json          additionally emit one machine-readable JSON object on
-                    stdout (campaign subcommands, fault-matrix,
-                    chaos-recovery)
-    --trace <path>  capture a structured cross-layer event trace per run:
-                    <path>.runR.seedS.jsonl holds the events,
-                    <path>.runR.seedS.digest the binary digest
-                    (byte-identical for the same seed)
-    --threads <n>   campaign worker threads (default: all cores; campaigns
-                    produce byte-identical output at any thread count)
-    --cache <dir>   content-addressed result cache for campaign
-                    subcommands; re-runs and interrupted sweeps resume
-                    from completed jobs
+                    stdout (loss-sweep, fault-matrix, chaos-recovery,
+                    campaign-smoke, cc-matrix, traffic-matrix, dense-sweep,
+                    roam-chaos)
+    --trace <path>  capture a structured cross-layer event trace per run of
+                    every subcommand that runs a campaign:
+                    <path>.<campaign>.cellC.seedS.jsonl holds the events,
+                    <path>.<campaign>.cellC.seedS.digest the binary digest
+                    (byte-identical for the same seed; S is the seed's slot
+                    in the bank); traced runs bypass --cache
+    --threads <n>   worker threads for every subcommand that runs a
+                    campaign (default: all cores; output is byte-identical
+                    at any thread count)
+    --cache <dir>   content-addressed result cache for every subcommand
+                    that runs a campaign; re-runs and interrupted sweeps
+                    resume from completed jobs
     --help, -h      print this help
 ";
 

@@ -1,116 +1,67 @@
-//! Multi-seed scenario execution.
+//! The one run path for every campaign-shaped `experiments` subcommand.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
-
-use hack_campaign::{run_campaign_with, Job, SweepSpec};
+use hack_campaign::{
+    campaign_json, run_campaign, run_campaign_with, CampaignOptions, CampaignReport, Job, SweepSpec,
+};
 use hack_core::{RunResult, ScenarioConfig, World};
-use hack_sim::RunStats;
 use hack_trace::{write_jsonl, TraceHandle};
 
-/// Where per-run trace output goes (set once by `--trace <path>`).
-static TRACE_BASE: OnceLock<PathBuf> = OnceLock::new();
-/// Distinguishes successive `run_seeds` calls in trace filenames.
-static TRACE_RUN_COUNTER: AtomicU64 = AtomicU64::new(0);
+use crate::CommonOpts;
 
 /// Ring capacity for `--trace` captures: large enough that short CI runs
 /// keep every event; long runs keep the tail (`overwritten` says so).
 const TRACE_RING_CAPACITY: usize = 1 << 20;
 
-/// Enable structured-event tracing for all subsequent [`run_seeds`]
-/// calls. Each simulated run writes `<base>.runR.seedS.jsonl` (the
-/// captured events) and `<base>.runR.seedS.digest` (the binary
-/// [`hack_trace::Digest`], byte-identical across same-seed runs).
-pub fn set_trace_base(base: PathBuf) {
-    let _ = TRACE_BASE.set(base);
-}
-
-/// Results of running one scenario under several seeds.
-#[derive(Debug)]
-pub struct MultiRun {
-    /// One result per seed, in seed order.
-    pub runs: Vec<RunResult>,
-}
-
-impl MultiRun {
-    /// Aggregate steady-state goodput across runs (mean ± std).
-    pub fn aggregate_goodput(&self) -> RunStats {
-        let mut s = RunStats::new();
-        for r in &self.runs {
-            s.push(r.aggregate_goodput_mbps);
-        }
-        s
-    }
-
-    /// Per-flow steady-state goodput for flow `i` across runs.
-    pub fn flow_goodput(&self, i: usize) -> RunStats {
-        let mut s = RunStats::new();
-        for r in &self.runs {
-            s.push(r.flow_goodput_mbps[i]);
-        }
-        s
-    }
-
-    /// Per-flow full-run goodput (including slow start) for flow `i`.
-    pub fn flow_goodput_full(&self, i: usize) -> RunStats {
-        let mut s = RunStats::new();
-        for r in &self.runs {
-            s.push(r.flow_goodput_full_mbps[i]);
-        }
-        s
-    }
-
-    /// Mean fraction of *data* MPDUs delivered without retries at the
-    /// AP (Table 1's "no retries" row), across runs.
-    pub fn ap_first_try(&self) -> RunStats {
-        let mut s = RunStats::new();
-        for r in &self.runs {
-            if let Some(f) = r.ap_first_try_fraction() {
-                s.push(f);
-            }
-        }
-        s
-    }
-}
-
-/// Run `cfg` under `n_seeds` consecutive seeds (base = `cfg.seed`),
-/// in parallel, preserving seed order.
+/// Run `spec` as the flags say: on `--threads` workers, through the
+/// `--cache` directory.
 ///
-/// This is a thin campaign of one cell: the shared worker pool
-/// (bounded by [`std::thread::available_parallelism`]) executes the
-/// seed bank, and its index-ordered reduction returns results in seed
-/// order regardless of which worker finishes first. Tracing rides in as
-/// a custom runner.
-pub fn run_seeds(cfg: &ScenarioConfig, n_seeds: u64) -> MultiRun {
-    let trace_base = TRACE_BASE.get().cloned();
-    let run_no = trace_base
-        .is_some()
-        .then(|| TRACE_RUN_COUNTER.fetch_add(1, Ordering::Relaxed));
-    let base_seed = cfg.seed;
-    let spec = SweepSpec::new("run_seeds", cfg.clone()).seed_bank(base_seed, n_seeds);
-    let runner = move |job: &Job| match (&trace_base, run_no) {
-        (Some(base), Some(r)) => run_one_traced(job.cfg.clone(), base, r, job.seed - base_seed),
-        _ => World::builder(job.cfg.clone()).run(),
+/// Under `--trace <prefix>` every job runs traced and writes
+/// `<prefix>.<campaign>.cell<C>.seed<S>.jsonl` (the captured events) and
+/// `….digest` (the binary [`hack_trace::Digest`], byte-identical across
+/// same-seed runs), `S` being the seed's slot in the bank. The cache is
+/// off then: a cache hit would write no trace.
+pub fn run(spec: &SweepSpec, opts: &CommonOpts) -> CampaignReport {
+    let Some(prefix) = &opts.trace else {
+        return run_campaign(spec, &opts.campaign());
     };
-    let mut report = run_campaign_with(&spec, &hack_campaign::CampaignOptions::default(), &runner);
-    let runs = match report.cells.pop() {
-        Some(cell) => cell.runs,
-        None => Vec::new(),
+    let (name, n_seeds) = (spec.name(), spec.seed_list().len());
+    let runner = |job: &Job| {
+        let slot = job.index % n_seeds;
+        let stem = format!("{}.{name}.cell{}.seed{slot}", prefix.display(), job.cell);
+        run_traced(job.cfg.clone(), &stem)
     };
-    MultiRun { runs }
+    let uncached = CampaignOptions {
+        cache_dir: None,
+        ..opts.campaign()
+    };
+    run_campaign_with(spec, &uncached, &runner)
 }
 
-/// Run one traced scenario and write its event log + digest files.
-fn run_one_traced(
-    cfg: ScenarioConfig,
-    base: &std::path::Path,
-    run_no: u64,
-    seed_no: u64,
-) -> RunResult {
+/// The serial == parallel gate: whether `report` (from [`run`]) equals
+/// a fresh one-worker run of `spec`, byte for byte in `campaign_json`.
+/// Neither comparison run touches the cache or writes a trace. The jobs
+/// header counts cache hits, so a report the cache served in part is
+/// compared through a fresh pool run instead of itself.
+pub fn matches_serial(spec: &SweepSpec, report: &CampaignReport, opts: &CommonOpts) -> bool {
+    let fresh = |threads| {
+        let opts = CampaignOptions {
+            threads,
+            ..CampaignOptions::default()
+        };
+        campaign_json(&run_campaign(spec, &opts))
+    };
+    let pool = if report.cache_hits == 0 {
+        campaign_json(report)
+    } else {
+        fresh(opts.threads)
+    };
+    fresh(1) == pool
+}
+
+/// Run one traced scenario and write `<stem>.jsonl` + `<stem>.digest`.
+fn run_traced(cfg: ScenarioConfig, stem: &str) -> RunResult {
     let (handle, ring) = TraceHandle::ring(TRACE_RING_CAPACITY);
     let result = World::builder(cfg).trace(handle).run();
-    let stem = format!("{}.run{run_no}.seed{seed_no}", base.display());
     let records = ring.drain();
     let digest = ring.digest();
     if let Err(e) = std::fs::File::create(format!("{stem}.jsonl"))
@@ -135,43 +86,68 @@ fn run_one_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hack_campaign::Axis;
     use hack_core::{HackMode, ScenarioBuilder};
     use hack_sim::SimDuration;
 
+    fn one_cell(ms: u64, n_seeds: u64) -> SweepSpec {
+        let mut cfg = ScenarioBuilder::dot11n_download(150, 1, HackMode::Disabled).build();
+        cfg.duration = SimDuration::from_millis(ms);
+        SweepSpec::new("one-cell", cfg.clone()).seed_bank(cfg.seed, n_seeds)
+    }
+
     #[test]
     fn seeds_vary_but_reproduce() {
-        let mut cfg = ScenarioBuilder::dot11n_download(150, 1, HackMode::Disabled).build();
-        cfg.duration = SimDuration::from_secs(2);
-        let a = run_seeds(&cfg, 2);
-        let b = run_seeds(&cfg, 2);
-        assert_eq!(
-            a.runs[0].aggregate_goodput_mbps,
-            b.runs[0].aggregate_goodput_mbps
-        );
+        let spec = one_cell(2000, 2);
+        let a = run(&spec, &CommonOpts::default());
+        let b = run(&spec, &CommonOpts::default());
+        let (a, b) = (&a.cells[0].runs, &b.cells[0].runs);
+        assert_eq!(a[0].aggregate_goodput_mbps, b[0].aggregate_goodput_mbps);
         assert_ne!(
-            a.runs[0].aggregate_goodput_mbps, a.runs[1].aggregate_goodput_mbps,
+            a[0].aggregate_goodput_mbps, a[1].aggregate_goodput_mbps,
             "different seeds should differ at least slightly"
         );
-        let stats = a.aggregate_goodput();
-        assert_eq!(stats.samples().len(), 2);
-        assert!(stats.mean() > 0.0);
+        assert!(a.iter().all(|r| r.aggregate_goodput_mbps > 0.0));
     }
 
     #[test]
     fn results_stay_in_seed_order() {
-        let mut cfg = ScenarioBuilder::dot11n_download(150, 1, HackMode::Disabled).build();
-        cfg.duration = SimDuration::from_millis(1500);
-        let multi = run_seeds(&cfg, 3);
-        assert_eq!(multi.runs.len(), 3);
-        for (i, r) in multi.runs.iter().enumerate() {
-            let mut c = cfg.clone();
-            c.seed = cfg.seed + i as u64;
+        let spec = one_cell(1500, 3);
+        let report = run(&spec, &CommonOpts::default());
+        assert_eq!(report.cells[0].runs.len(), 3);
+        for (r, job) in report.cells[0].runs.iter().zip(spec.expand()) {
             assert_eq!(
                 r.aggregate_goodput_mbps,
-                World::builder(c).run().aggregate_goodput_mbps,
-                "slot {i} must hold seed {}",
-                cfg.seed + i as u64
+                World::builder(job.cfg).run().aggregate_goodput_mbps,
+                "slot {} must hold seed {}",
+                job.index,
+                job.seed
             );
         }
+    }
+
+    #[test]
+    fn a_report_the_cache_served_in_part_passes_the_gate() {
+        let mut cfg = ScenarioBuilder::sora_testbed(1, HackMode::Disabled).build();
+        cfg.warmup = SimDuration::from_millis(100);
+        cfg.duration = SimDuration::from_millis(400);
+        let spec = SweepSpec::new("gate", cfg).axis(
+            Axis::new("mode")
+                .point("tcp", |c| c.hack_mode = HackMode::Disabled)
+                .point("hack", |c| c.hack_mode = HackMode::MoreData),
+        );
+        let dir = std::env::temp_dir().join(format!("hack-bench-gate-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = CommonOpts {
+            threads: 2,
+            cache_dir: Some(dir.clone()),
+            ..CommonOpts::default()
+        };
+        // Warm one of the two cells, so the report mixes a hit and a run.
+        let first = run(&SweepSpec::new("warm", spec.expand()[1].cfg.clone()), &opts);
+        let report = run(&spec, &opts);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!((first.cache_hits, report.cache_hits), (0, 1));
+        assert!(matches_serial(&spec, &report, &opts));
     }
 }

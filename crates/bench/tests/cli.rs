@@ -1,5 +1,5 @@
 //! CLI contract tests for the `experiments` binary: the `--help`
-//! snapshot and flag-parsing exit codes.
+//! snapshot, flag-parsing exit codes and `--trace` output.
 
 use std::process::Command;
 
@@ -53,4 +53,46 @@ fn missing_flag_value_exits_2() {
     let out = experiments().arg("--trace").output().expect("spawn");
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("--trace"));
+}
+
+#[test]
+fn fault_matrix_traces_every_run_alike_at_any_thread_count() {
+    let dir = std::env::temp_dir().join(format!("hack-bench-cli-trace-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut digests = Vec::new();
+    for threads in ["1", "2"] {
+        let sub = dir.join(threads);
+        std::fs::create_dir_all(&sub).expect("temp dir");
+        let out = experiments()
+            .args(["fault-matrix", "--quick", "--threads", threads, "--trace"])
+            .arg(sub.join("t"))
+            .output()
+            .expect("spawn");
+        assert!(out.status.success(), "fault-matrix --trace must exit 0");
+        let mut files: Vec<String> = std::fs::read_dir(&sub)
+            .expect("read temp dir")
+            .map(|e| {
+                e.expect("dir entry")
+                    .file_name()
+                    .into_string()
+                    .expect("utf-8")
+            })
+            .collect();
+        files.sort();
+        let count = |ext: &str| files.iter().filter(|f| f.ends_with(ext)).count();
+        assert_eq!((count(".jsonl"), count(".digest")), (5, 5), "{files:?}");
+        let read = |f: &String| (f.clone(), std::fs::read(sub.join(f)).expect("read"));
+        digests.push(
+            files
+                .iter()
+                .filter(|f| f.ends_with(".digest"))
+                .map(read)
+                .collect::<Vec<_>>(),
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        digests[0], digests[1],
+        "trace digests differ between 1 and 2 threads"
+    );
 }

@@ -106,8 +106,8 @@ fn parallel_and_serial_emit_byte_identical_reports() {
 
 #[test]
 fn campaign_of_one_axis_matches_direct_runs() {
-    // A single-cell campaign is just run_seeds: per-seed results must
-    // equal direct `run` calls on the same configs.
+    // A single-cell campaign is a plain seed bank: per-seed results
+    // must equal direct `run` calls on the same configs.
     let sweep = SweepSpec::new("single", base_cfg()).seed_bank(3, 2);
     let report = run_campaign(&sweep, &CampaignOptions::default());
     assert_eq!(report.cells.len(), 1);

@@ -174,6 +174,14 @@ impl RunStats {
     }
 }
 
+impl FromIterator<f64> for RunStats {
+    fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
+        RunStats {
+            samples: iter.into_iter().collect(),
+        }
+    }
+}
+
 impl fmt::Display for RunStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:.2} ± {:.2}", self.mean(), self.std_dev())
