@@ -30,6 +30,14 @@
 //! tail drops at a capped AP queue, paced datagrams arriving at an idle
 //! AP and at a busy one, and ten staggered clients whose packets share
 //! one backhaul while the AP creates their queues one by one.
+//!
+//! The fifth group was captured immediately before a host delivery
+//! batch started settling its blob installs and TCP timer re-arms once,
+//! at the batch's end, for the worlds where that is closest to moving
+//! an event: every holding mode, with `dma_delay` or `stack_delay` at
+//! zero, one and three clients, servers on the AP, and a supervisor
+//! that falls back to native ACKs in the middle of a batch. Its pins
+//! hold `events_dispatched` as well as the digest.
 
 use hack_core::{
     run_dense, ArrivalDist, BssSpec, CbrConfig, ChannelChange, ChannelEvent, CorruptModel,
@@ -514,4 +522,135 @@ fn ten_staggered_clients_share_one_backhaul() {
     let (r, digest) = run_and_digest(cfg);
     assert!(r.flow_goodput_full_mbps.iter().all(|&g| g > 0.0), "{r:?}");
     assert_pins("ten staggered clients", &[digest], &PINS);
+}
+
+// ---------------------------------------------------------------------
+// Captured before the blob installs and TCP timer re-arms of a host
+// delivery batch were settled once, at the batch's end.
+// ---------------------------------------------------------------------
+
+/// `b` run twice, once with `dma_delay` and once with `stack_delay`
+/// zeroed: a blob install, or the ACK that makes one, then falls on the
+/// instant that produced it, so an install or timer event settled at
+/// the wrong place in the order moves the trace or the event count.
+/// Each run's digest and `events_dispatched`, after `check` saw its
+/// result.
+fn zero_delay_runs(b: ScenarioBuilder, check: impl Fn(&RunResult)) -> Vec<(String, u64)> {
+    let zeroed = [
+        b.clone().dma_delay(SimDuration::ZERO),
+        b.stack_delay(SimDuration::ZERO),
+    ];
+    zeroed
+        .into_iter()
+        .map(|b| {
+            let (r, digest) = run_and_digest(b.build());
+            check(&r);
+            (digest, r.events_dispatched)
+        })
+        .collect()
+}
+
+fn assert_counted_pins(what: &str, got: &[(String, u64)], pins: &[(&str, u64)]) {
+    let pins: Vec<(String, u64)> = pins.iter().map(|&(d, n)| (d.to_owned(), n)).collect();
+    assert_eq!(
+        got, pins,
+        "trace drifted: {what} no longer matches its pinned digests and event counts"
+    );
+}
+
+/// HACK downloads in each holding mode, with one and three clients, at
+/// each zeroed delay.
+#[test]
+fn zero_delay_installs_and_timer_rearms() {
+    const PINS: [(&str, u64); 12] = [
+        ("485452440100b8210000000000000832acdfda40f83e170300000000000009040000000000006b020000000000002c180000000000000100000000000000", 4651),
+        ("48545244010061210000000000007ef2cf58a7a5bb3bfb0200000000000070030000000000002602000000000000cf180000000000000100000000000000", 4523),
+        ("4854524401005f290000000000003772055813040de08d0300000000000091040000000000003606000000000000081b0000000000000300000000000000", 5631),
+        ("4854524401004227000000000000ef678584352455335d03000000000000d0030000000000004505000000000000cd1a0000000000000300000000000000", 5401),
+        ("4854524401004a1e000000000000c62cb20c338935cd2d05000000000000e605000000000000a50200000000000091100000000000000100000000000000", 5009),
+        ("485452440100cd230000000000003af4fc148960093fad020000000000005303000000000000b1020000000000001b1b0000000000000100000000000000", 4629),
+        ("48545244010097200000000000000493c7cfa6e8adeba7050000000000008f06000000000000c605000000000000980e0000000000000300000000000000", 6159),
+        ("485452440100c227000000000000e18bada1dca6c5f8e1020000000000008703000000000000ec040000000000006b1c0000000000000300000000000000", 5286),
+        ("485452440100a61b0000000000007a499dd4d8d6b4068105000000000000a70500000000000030030000000000004d0d0000000000000100000000000000", 5082),
+        ("48545244010056230000000000006ac919ef42132258e302000000000000910300000000000086020000000000005b1a0000000000000100000000000000", 4800),
+        ("4854524401008821000000000000d928b6562de98ee1d705000000000000c006000000000000f006000000000000fe0d0000000000000300000000000000", 6473),
+        ("485452440100ad270000000000000b1d70af51afeaab2103000000000000c803000000000000ec04000000000000d51b0000000000000300000000000000", 5481),
+    ];
+    let modes = [
+        HackMode::MoreData,
+        HackMode::Opportunistic,
+        HackMode::ExplicitTimer(SimDuration::from_millis(2)),
+    ];
+    let mut got = Vec::new();
+    for mode in modes {
+        for clients in [1, 3] {
+            let b = ScenarioBuilder::dot11n_download(150, clients, mode)
+                .duration(SimDuration::from_millis(600))
+                .warmup(SimDuration::from_millis(100))
+                .stagger(SimDuration::from_millis(2))
+                .seed(11);
+            got.extend(zero_delay_runs(b, |r| {
+                assert!(r.driver.iter().any(|d| d.hacked_acks > 0), "{:?}", r.driver);
+            }));
+        }
+    }
+    assert_counted_pins("zero-delay downloads", &got, &PINS);
+}
+
+/// Three bidirectional flows whose servers run on the AP, at each
+/// zeroed delay: the AP's host stack takes deliveries for three server
+/// endpoints and holds ACKs toward three clients, so one batch can
+/// settle installs for several (station, peer) pairs and timer re-arms
+/// for several endpoints.
+#[test]
+fn zero_delay_server_at_ap_batches() {
+    const PINS: [(&str, u64); 2] = [
+        ("48545244010076250000000000001c11cfb1b5d1345f1f04000000000000920500000000000093070000000000002f140000000000000300000000000000", 2024),
+        ("485452440100422500000000000056e8f95ecace7106fd030000000000005905000000000000a30600000000000046150000000000000300000000000000", 1918),
+    ];
+    let b = ScenarioBuilder::dot11n_download(150, 3, HackMode::MoreData)
+        .traffic(TrafficModel::Bidirectional)
+        .server_at_ap(true)
+        .duration(SimDuration::from_millis(600))
+        .warmup(SimDuration::from_millis(100))
+        .stagger(SimDuration::from_millis(2))
+        .seed(12);
+    let got = zero_delay_runs(b, |r| {
+        assert!(
+            r.driver_ap.iter().all(|d| d.hacked_acks > 0),
+            "{:?}",
+            r.driver_ap
+        );
+        assert!(r.flow_goodput_mbps.iter().all(|&g| g > 0.0), "{r:?}");
+    });
+    assert_counted_pins("zero-delay server-at-AP batches", &got, &PINS);
+}
+
+/// A supervised HACK download under bursty loss: the supervisor forces
+/// the drivers native while the client's host stack is handling a
+/// delivery batch, so the clear that forced flush asks for must also
+/// take out the blob install an earlier packet of the same batch asked
+/// for (a debug build would otherwise dispatch a stale install).
+#[test]
+fn supervised_fallback_inside_a_delivery_batch() {
+    const PINS: [(&str, u64); 1] = [(
+        "485452440100dd15000000000000edb5b656054cf5b50f06000000000000e903000000000000c6020000000000001a090000000000000500000000000000",
+        3671,
+    )];
+    let cfg = ScenarioBuilder::dot11n_download(150, 1, HackMode::MoreData)
+        .supervisor(SupervisorConfig::default())
+        .loss(LossConfig::Burst(GeParams::bursty(0.08, 6.0)))
+        .duration(SimDuration::from_millis(500))
+        .warmup(SimDuration::from_millis(100))
+        .stagger(SimDuration::from_millis(2))
+        .seed(271)
+        .build();
+    let (r, digest) = run_and_digest(cfg);
+    assert!(
+        r.supervisor[0].stats.fallbacks >= 1,
+        "{:?}",
+        r.supervisor[0]
+    );
+    let got = [(digest, r.events_dispatched)];
+    assert_counted_pins("supervised fallback mid-batch", &got, &PINS);
 }
