@@ -609,14 +609,13 @@ impl CompressSide {
     }
 
     /// Opportunistic mode: our blob rode an LL ACK; the native twins of
-    /// the ridden ACKs should be withdrawn from the MAC queue. Returns
+    /// the ridden ACKs should be withdrawn from the MAC queue. Yields
     /// the idents to withdraw.
-    pub fn ridden_idents(&self) -> Vec<u16> {
+    pub fn ridden_idents(&self) -> impl Iterator<Item = u16> + '_ {
         self.held
             .iter()
             .filter(|h| h.rode_ll_ack)
             .map(|h| h.original.ident)
-            .collect()
     }
 
     /// The explicit flush timer fired.
@@ -926,7 +925,7 @@ mod tests {
         // Blob rides an LL ACK: the native twin's ident is reported for
         // withdrawal from the MAC queue.
         d.on_response_sent(true, t(3));
-        assert_eq!(d.ridden_idents(), vec![2]);
+        assert_eq!(d.ridden_idents().collect::<Vec<_>>(), [2]);
         // Natives delivered first instead: held copy dropped.
         let mut d2 = CompressSide::new(HackMode::Opportunistic);
         d2.on_ack_out(ack(1000, 1), t(1));

@@ -21,7 +21,10 @@
 //! * Host deliveries pushed back to back, for one station at one
 //!   instant, travel as one `HostRx` batch (`host_rx`). Its packets
 //!   are handled in push order, and the run can end between two of
-//!   them, exactly where it would have ended between two events.
+//!   them, exactly where it would have ended between two events. The
+//!   blob installs and TCP timer re-arms a batch asks for are pushed
+//!   at its end, each where in the order it was asked for, and one
+//!   that a later packet of the batch supersedes is never pushed.
 //! * A wired packet bound for an AP takes its place in the order when
 //!   it is sent, but is dispatched as an event only if it can act at
 //!   its own instant (`backhaul`). Otherwise it is applied at its own
@@ -56,7 +59,7 @@ use hack_trace::TraceHandle;
 
 use self::backhaul::Backhaul;
 use self::flows::{ClassAcc, Endpoint, FlowRt};
-use self::host_rx::HostRxBatches;
+use self::host_rx::{BatchEffects, HostRxBatches};
 use self::roam::RoamRuntime;
 use self::topology::{Layout, SERVER_IP};
 use crate::driver::{CompressSide, DecompressSide, DriverAction, HackMode};
@@ -173,6 +176,8 @@ pub struct World {
     installs: TimerTable<(u32, u32)>,
     /// Packets on their way up a host stack, batched per instant.
     host_rx: HostRxBatches,
+    /// The installs and timer re-arms of the batch being handled.
+    effects: BatchEffects,
     /// Packets on their way to an AP over its backhaul.
     backhaul: Backhaul,
     /// One supervisor per flow; empty when supervision is off.
@@ -215,6 +220,9 @@ pub struct World {
     /// Scratch for `on_tx_end`: what bystanders need to know of each
     /// frame of the ending PPDU, once its addressee owns the frames.
     overheard_buf: Vec<OverheardFrame>,
+    /// Scratch for Opportunistic mode: the idents of the held ACKs whose
+    /// native twins a response made redundant.
+    ident_buf: Vec<u16>,
     /// Per-event-kind `(name, count, ns)` accumulated by `run_until`.
     #[cfg(feature = "evprof")]
     evprof: [(&'static str, u64, u64); collect::EVENT_KINDS],
@@ -338,6 +346,7 @@ impl World {
             sup_timers: TimerTable::new(),
             installs: TimerTable::new(),
             host_rx: HostRxBatches::default(),
+            effects: BatchEffects::default(),
             backhaul: Backhaul::default(),
             supervisors,
             medium,
@@ -364,6 +373,7 @@ impl World {
             roam,
             idle_buf: Vec::new(),
             overheard_buf: Vec::new(),
+            ident_buf: Vec::new(),
             #[cfg(feature = "evprof")]
             evprof: [("", 0, 0); collect::EVENT_KINDS],
             trace,
@@ -492,18 +502,7 @@ impl World {
                 }
             }
             Event::TxEnd(id, src) => self.on_tx_end(id, src, now),
-            Event::HostRx { station, batch } => {
-                let mut pkts = self.host_rx.take(batch);
-                for (pkt, native) in pkts.drain(..) {
-                    self.on_host_rx(station, pkt, native, now);
-                    // The packet that completes the run ends it, as it
-                    // would between two events.
-                    if self.completion.is_some() {
-                        break;
-                    }
-                }
-                self.host_rx.put_back(batch, pkts);
-            }
+            Event::HostRx { station, batch } => self.on_host_rx_batch(station, batch, now),
             Event::WiredToAp(cell) => self.on_wired_to_ap(cell, now),
             Event::WiredToServer(pkt) => {
                 let ep = self.ep_for(&pkt);
@@ -790,12 +789,17 @@ impl World {
                         let dacts = side.on_response_sent(attached_blob, now);
                         // Opportunistic: withdraw native twins that rode.
                         if side.mode() == HackMode::Opportunistic && attached_blob {
-                            let idents = side.ridden_idents();
+                            let mut idents = std::mem::take(&mut self.ident_buf);
+                            idents.clear();
+                            idents.extend(side.ridden_idents());
                             if !idents.is_empty() {
-                                self.station(sid).withdraw_unsent(to, |m| {
-                                    m.is_pure_tcp_ack() && idents.contains(&m.ip().ident)
-                                });
+                                self.station(sid).withdraw_unsent(
+                                    to,
+                                    |m| m.is_pure_tcp_ack() && idents.contains(&m.ip().ident),
+                                    drop,
+                                );
                             }
+                            self.ident_buf = idents;
                         }
                         self.apply_driver(sid, to, dacts, now);
                     }
@@ -923,16 +927,7 @@ impl World {
                     self.apply(sid, acts, now);
                 }
                 DriverAction::InstallBlob { bytes, generation } => {
-                    self.cancel_install(sid, peer);
-                    let at = now + self.cfg.dma_delay;
-                    let key = (sid.0, peer.0);
-                    self.installs
-                        .schedule(&mut self.sched, key, at, |_| Event::InstallBlob {
-                            station: sid,
-                            peer,
-                            bytes,
-                            generation,
-                        });
+                    self.install_blob(sid, peer, bytes, generation, now);
                 }
                 DriverAction::ClearBlob => {
                     self.cancel_install(sid, peer);
@@ -959,19 +954,6 @@ impl World {
         }
         if let Some((flow, side)) = self.driver_slot(sid, peer) {
             self.compress[flow][side].recycle(dacts);
-        }
-    }
-
-    /// Take `sid`'s pending blob install toward `peer`, which a rebuild
-    /// or clear for the same pair supersedes, out of the queue. Its bytes
-    /// go back to the driver's pool now rather than when it would have
-    /// fired.
-    fn cancel_install(&mut self, sid: StationId, peer: StationId) {
-        let pending = self.installs.unschedule(&mut self.sched, (sid.0, peer.0));
-        if let Some(Event::InstallBlob { bytes, .. }) = pending {
-            if let Some((flow, side)) = self.driver_slot(sid, peer) {
-                self.compress[flow][side].recycle_blob(bytes);
-            }
         }
     }
 
@@ -1238,25 +1220,12 @@ impl World {
             .conn
             .as_ref()
             .and_then(Connection::next_timer);
-        match next {
-            Some(at) => {
-                let at = at.max(now);
-                // Same deadline as the armed event: keep it (its token is
-                // still the latest) instead of flooding the queue with a
-                // stale-token event per delivered segment.
-                if self.endpoints[ep].timer_at == Some(at) {
-                    return;
-                }
-                self.endpoints[ep].timer_at = Some(at);
-                self.tcp_timers
-                    .schedule(&mut self.sched, ep as u32, at, |token| {
-                        Event::TcpTimer(ep, token)
-                    });
-            }
-            None => {
-                self.endpoints[ep].timer_at = None;
-                self.tcp_timers.unschedule(&mut self.sched, ep as u32);
-            }
+        let at = next.map(|at| at.max(now));
+        // Same deadline as the armed event: keep it (its token is still
+        // the latest) instead of flooding the queue with a stale-token
+        // event per delivered segment.
+        if at.is_none() || self.endpoints[ep].timer_at != at {
+            self.set_tcp_timer(ep, at);
         }
     }
 }

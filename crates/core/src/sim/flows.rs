@@ -430,8 +430,7 @@ impl World {
         let server = base + 1;
         let cur_ap = self.cur_ap_of_flow(flow);
         for ep in [base, server] {
-            self.endpoints[ep].timer_at = None;
-            self.tcp_timers.unschedule(&mut self.sched, ep as u32);
+            self.set_tcp_timer(ep, None);
         }
         self.drop_flow_contexts(flow, &[self.layout.client(flow), cur_ap]);
         let tuple = self.layout.tuple(flow, 0, generation);

@@ -10,12 +10,38 @@
 //! moves no packet in the dispatch order. The batches live here rather
 //! than in the event, keyed by the scheduler's push counter, so they
 //! work on every queue kind.
+//!
+//! ## What settles at the end of a batch
+//!
+//! Each packet of a batch may make its station hold one more TCP ACK,
+//! and each hold rebuilds the blob and asks for an `InstallBlob` event
+//! that supersedes the one the packet before asked for. Each data
+//! segment also re-arms or cancels its endpoint's TCP timer; a receiver
+//! with delayed ACKs arms it on one segment and cancels it on the next.
+//! While a batch is handled, both wait in [`BatchEffects`]: the latest
+//! install per (station, peer) and the latest timer re-arm per
+//! endpoint, one of each. A newer one for the same pair or endpoint
+//! replaces it without touching the queue, one for another pair or
+//! endpoint pushes it first, and the end of the batch pushes what is
+//! left. A superseded install is never pushed.
+//!
+//! That is exact. Each waiting event holds the [`Ticket`] that
+//! [`Scheduler::reserve`] gave it when it was asked for, so it pops
+//! where it would have popped if pushed at once, and every request
+//! still takes one place in the order, so `Scheduler::pushes` (and with
+//! it the batching rule above) reads the same. Nothing in between reads
+//! a pending install or a timer's queue entry: an install fires no
+//! earlier than the batch's own instant, after the batch; a clear, a
+//! rebuild or a connection re-key that cancels one goes through the
+//! same slots (`World::cancel_install`, `World::set_tcp_timer`).
+//! Outside a batch both are pushed at once, as before, and cost
+//! nothing more.
 
 use hack_phy::StationId;
-use hack_sim::{Scheduler, SimTime};
+use hack_sim::{Scheduler, SimTime, Ticket};
 use hack_tcp::Ipv4Packet;
 
-use super::Event;
+use super::{Event, World};
 
 /// One packet bound for a host stack, and whether it arrived natively
 /// (not decoded from a HACK blob).
@@ -91,6 +117,149 @@ impl HostRxBatches {
         deliveries.clear();
         self.batches[batch as usize] = deliveries;
         self.free.push(batch);
+    }
+}
+
+/// A blob install asked for inside a batch and not pushed yet: its
+/// `(station, peer)` key, its place in the order and its event.
+struct HeldInstall {
+    key: (u32, u32),
+    ticket: Ticket,
+    event: Event,
+}
+
+/// The side effects of the batch being handled that a later packet of
+/// it may supersede (see the module doc). Both slots are empty outside
+/// a batch.
+#[derive(Default)]
+pub(super) struct BatchEffects {
+    /// Whether a `HostRx` batch is being handled.
+    open: bool,
+    install: Option<HeldInstall>,
+    /// An endpoint and the place of its timer's new event, or `None`
+    /// for a cancel.
+    rearm: Option<(usize, Option<Ticket>)>,
+}
+
+impl World {
+    /// Hand the packets of `batch` to `station`'s host stack in push
+    /// order, then push the installs and timer re-arms they left.
+    pub(super) fn on_host_rx_batch(&mut self, station: StationId, batch: u32, now: SimTime) {
+        let mut pkts = self.host_rx.take(batch);
+        self.effects.open = true;
+        for (pkt, native) in pkts.drain(..) {
+            self.on_host_rx(station, pkt, native, now);
+            // The packet that completes the run ends it, as it would
+            // between two events.
+            if self.completion.is_some() {
+                break;
+            }
+        }
+        self.effects.open = false;
+        if let Some(held) = self.effects.install.take() {
+            self.push_install(held);
+        }
+        if let Some((ep, ticket)) = self.effects.rearm.take() {
+            self.rearm_tcp(ep, ticket);
+        }
+        self.host_rx.put_back(batch, pkts);
+    }
+
+    /// Install `bytes` as `sid`'s blob toward `peer` after the DMA
+    /// delay, superseding the install pending for that pair.
+    pub(super) fn install_blob(
+        &mut self,
+        sid: StationId,
+        peer: StationId,
+        bytes: Vec<u8>,
+        generation: u64,
+        now: SimTime,
+    ) {
+        let held = HeldInstall {
+            key: (sid.0, peer.0),
+            ticket: self.sched.reserve(now + self.cfg.dma_delay),
+            event: Event::InstallBlob {
+                station: sid,
+                peer,
+                bytes,
+                generation,
+            },
+        };
+        match self.effects.install.take() {
+            // Superseded by a later packet of its batch: never pushed.
+            Some(old) if old.key == held.key => self.recycle_install(sid, peer, old.event),
+            other => {
+                if let Some(old) = other {
+                    self.push_install(old);
+                }
+                self.cancel_install(sid, peer);
+            }
+        }
+        if self.effects.open {
+            self.effects.install = Some(held);
+        } else {
+            self.push_install(held);
+        }
+    }
+
+    fn push_install(&mut self, held: HeldInstall) {
+        let HeldInstall { key, ticket, event } = held;
+        self.installs
+            .schedule_reserved(&mut self.sched, key, ticket, |_| event);
+    }
+
+    /// Take `sid`'s pending blob install toward `peer`, which a rebuild
+    /// or clear for the same pair supersedes, out of the batch's slot or
+    /// the queue. Its bytes go back to the driver's pool now rather than
+    /// when it would have fired.
+    pub(super) fn cancel_install(&mut self, sid: StationId, peer: StationId) {
+        let key = (sid.0, peer.0);
+        if let Some(held) = self.effects.install.take_if(|h| h.key == key) {
+            self.recycle_install(sid, peer, held.event);
+        }
+        if let Some(pending) = self.installs.unschedule(&mut self.sched, key) {
+            self.recycle_install(sid, peer, pending);
+        }
+    }
+
+    fn recycle_install(&mut self, sid: StationId, peer: StationId, install: Event) {
+        if let (Event::InstallBlob { bytes, .. }, Some((flow, side))) =
+            (install, self.driver_slot(sid, peer))
+        {
+            self.compress[flow][side].recycle_blob(bytes);
+        }
+    }
+
+    /// Re-arm endpoint `ep`'s TCP timer at `at`, or cancel it.
+    pub(super) fn set_tcp_timer(&mut self, ep: usize, at: Option<SimTime>) {
+        self.endpoints[ep].timer_at = at;
+        let ticket = at.map(|at| self.sched.reserve(at));
+        if let Some((old, old_ticket)) = self.effects.rearm.take() {
+            // The same endpoint's is superseded: never pushed.
+            if old != ep {
+                self.rearm_tcp(old, old_ticket);
+            }
+        }
+        if self.effects.open {
+            self.effects.rearm = Some((ep, ticket));
+        } else {
+            self.rearm_tcp(ep, ticket);
+        }
+    }
+
+    fn rearm_tcp(&mut self, ep: usize, ticket: Option<Ticket>) {
+        let key = ep as u32;
+        match ticket {
+            Some(ticket) => {
+                self.tcp_timers
+                    .schedule_reserved(&mut self.sched, key, ticket, |token| {
+                        Event::TcpTimer(ep, token)
+                    });
+            }
+            None => {
+                self.tcp_timers.unschedule(&mut self.sched, key);
+            }
+        }
     }
 }
 

@@ -332,12 +332,12 @@ impl<M: Msdu> DestQueue<M> {
         }
     }
 
-    /// Remove and return the not-yet-sent MSDUs matching `pred` (used by
-    /// Opportunistic HACK to withdraw native TCP ACKs that are about to
-    /// ride a Block ACK instead). MSDUs already assigned sequence numbers
-    /// (in flight or queued for retransmission) are not touched.
-    pub fn withdraw_unsent<F: FnMut(&M) -> bool>(&mut self, mut pred: F) -> Vec<M> {
-        let mut out = Vec::new();
+    /// Remove the not-yet-sent MSDUs matching `pred` and hand each, in
+    /// queue order, to `take` (used by Opportunistic HACK to withdraw
+    /// native TCP ACKs that are about to ride a Block ACK instead).
+    /// MSDUs already assigned sequence numbers (in flight or queued for
+    /// retransmission) are not touched.
+    pub fn withdraw_unsent(&mut self, mut pred: impl FnMut(&M) -> bool, mut take: impl FnMut(M)) {
         // Partition in place, order kept on both sides, by rotating the
         // queue once through itself: withdrawing nothing allocates nothing.
         for _ in 0..self.unsent.len() {
@@ -346,12 +346,11 @@ impl<M: Msdu> DestQueue<M> {
                 self.queued_msdu_bytes = self
                     .queued_msdu_bytes
                     .saturating_sub(u64::from(m.wire_len()));
-                out.push(m);
+                take(m);
             } else {
                 self.unsent.push_back(m);
             }
         }
-        out
     }
 
     /// BAR retries exhausted: stop soliciting, requeue everything

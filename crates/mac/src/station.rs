@@ -338,12 +338,17 @@ impl<M: Msdu> Station<M> {
         self.queues.iter().any(DestQueue::has_work)
     }
 
-    /// Remove and return not-yet-transmitted MSDUs toward `dst` matching
-    /// `pred` (Opportunistic HACK's queue grab, §3.2).
-    pub fn withdraw_unsent<F: FnMut(&M) -> bool>(&mut self, dst: StationId, pred: F) -> Vec<M> {
-        match self.queue_index(dst) {
-            Some(i) => self.queues[i].withdraw_unsent(pred),
-            None => Vec::new(),
+    /// Remove the not-yet-transmitted MSDUs toward `dst` matching `pred`
+    /// and hand each, in queue order, to `take` (Opportunistic HACK's
+    /// queue grab, §3.2, drops them).
+    pub fn withdraw_unsent(
+        &mut self,
+        dst: StationId,
+        pred: impl FnMut(&M) -> bool,
+        take: impl FnMut(M),
+    ) {
+        if let Some(i) = self.queue_index(dst) {
+            self.queues[i].withdraw_unsent(pred, take);
         }
     }
 
@@ -360,7 +365,9 @@ impl<M: Msdu> Station<M> {
             p.hack_negotiated = None;
             p.blob = None;
         }
-        self.withdraw_unsent(peer, |_| true)
+        let mut withdrawn = Vec::new();
+        self.withdraw_unsent(peer, |_| true, |m| withdrawn.push(m));
+        withdrawn
     }
 
     /// Whether [`Station::enqueue`] would only append: the station holds

@@ -38,30 +38,82 @@ const fn crc_byte(state: u16, byte: u8, poly: u8) -> u16 {
     crc
 }
 
-/// Full CRC-3 state-transition table: `CRC3_TABLE[state][byte]` is the
-/// 3-bit state after folding one input byte. The state space is only 8
-/// values, so the whole function fits in a 2 KiB table and the per-byte
-/// cost drops from 8 shift/xor steps to a single load.
-const CRC3_TABLE: [[u8; 256]; 8] = {
-    let mut t = [[0u8; 256]; 8];
-    let mut s = 0;
-    while s < 8 {
+/// CRC-3's reversed polynomial: x³+x+1, for a 3-bit LSB-first CRC.
+const CRC3_POLY: u8 = 0b110;
+
+/// CRC-3's initial state.
+const CRC3_INIT: u16 = 0b111;
+
+/// The zero-byte step of CRC-3 repeats after this many bytes.
+const CRC3_PERIOD: usize = 7;
+
+/// `k` zero bytes folded into CRC-3 state `s`.
+const fn crc3_zeros(s: u16, k: usize) -> u16 {
+    let mut s = s;
+    let mut i = 0;
+    while i < k {
+        s = crc_byte(s, 0, CRC3_POLY);
+        i += 1;
+    }
+    s
+}
+
+/// CRC-3 without a serial chain. Folding a byte is linear over GF(2):
+/// `step(s, b) = L(s) ^ T(b)`, with `L(s) = step(s, 0)` and
+/// `T(b) = step(0, b)`. So the CRC of `d[0..n]` is
+/// `L^n(init) ^ XOR_i L^(n-1-i)(T(d[i]))`. The polynomial is primitive
+/// of degree 3, so seven zero-bit steps are the identity, and `L`,
+/// eight of them, is one: `L` has order 7. The bytes whose distance from
+/// the end agrees mod 7 can therefore be XORed together first, and
+/// `CRC3_FOLD[r][a] = L^r(T(a))` maps each of those seven sums to its
+/// share of the CRC in one independent lookup.
+const CRC3_FOLD: [[u8; 256]; CRC3_PERIOD] = {
+    let mut t = [[0u8; 256]; CRC3_PERIOD];
+    let mut r = 0;
+    while r < CRC3_PERIOD {
         let mut b = 0;
         while b < 256 {
-            t[s][b] = crc_byte(s as u16, b as u8, 0b110) as u8;
+            t[r][b] = crc3_zeros(crc_byte(0, b as u8, CRC3_POLY), r) as u8;
             b += 1;
         }
-        s += 1;
+        r += 1;
+    }
+    t
+};
+
+/// `CRC3_INIT_AFTER[k] = L^k(init)`: the initial state's share of the
+/// CRC of an input whose length is `k` mod 7.
+const CRC3_INIT_AFTER: [u8; CRC3_PERIOD] = {
+    let mut t = [0u8; CRC3_PERIOD];
+    let mut k = 0;
+    while k < CRC3_PERIOD {
+        t[k] = crc3_zeros(CRC3_INIT, k) as u8;
+        k += 1;
     }
     t
 };
 
 /// ROHC CRC-3 (values 0–7).
+///
+/// The input is cut into 7-byte blocks aligned to its end and the
+/// blocks are XORed into one: byte `o` of the sum holds every byte at a
+/// distance `6 - o` (mod 7) from the end. Seven lookups in
+/// `CRC3_FOLD` then finish the CRC, so no byte waits on the lookup of
+/// the byte before it.
 pub fn crc3(data: &[u8]) -> u8 {
-    // x³+x+1 => reversed representation 0b110 for a 3-bit LSB-first CRC.
-    let mut crc = 0b111u8;
-    for &byte in data {
-        crc = CRC3_TABLE[usize::from(crc)][usize::from(byte)];
+    let blocks = data.rchunks_exact(CRC3_PERIOD);
+    let head = blocks.remainder();
+    let mut word = [0u8; 8];
+    word[CRC3_PERIOD - head.len()..CRC3_PERIOD].copy_from_slice(head);
+    let mut sum = u64::from_le_bytes(word);
+    for block in blocks {
+        let mut word = [0u8; 8];
+        word[..CRC3_PERIOD].copy_from_slice(block);
+        sum ^= u64::from_le_bytes(word);
+    }
+    let mut crc = CRC3_INIT_AFTER[data.len() % CRC3_PERIOD];
+    for (o, fold) in CRC3_FOLD.iter().rev().enumerate() {
+        crc ^= fold[usize::from((sum >> (8 * o)) as u8)];
     }
     crc
 }
@@ -82,23 +134,91 @@ pub fn crc8(data: &[u8]) -> u8 {
 mod tests {
     use super::*;
 
+    /// The bit-serial definition of CRC-3, byte by byte.
+    fn crc3_serial(data: &[u8]) -> u8 {
+        crc_generic(data, 3, CRC3_POLY, CRC3_INIT as u8)
+    }
+
+    /// Deterministic filler bytes (a 64-bit LCG's high byte).
+    fn noise(seed: u64, len: usize) -> Vec<u8> {
+        let mut x = seed;
+        (0..len)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (x >> 56) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn zero_byte_step_has_order_seven() {
+        for s in 0..8u16 {
+            assert_eq!(crc3_zeros(s, CRC3_PERIOD), s, "state {s}");
+        }
+        for k in 1..CRC3_PERIOD {
+            assert!(
+                (0..8u16).any(|s| crc3_zeros(s, k) != s),
+                "order divides {k}"
+            );
+        }
+    }
+
     #[test]
     fn crc3_table_matches_bitwise_reference_exhaustively() {
-        // Every (state, byte) transition agrees with the bit-serial
-        // algorithm, so table-driven crc3 == the original definition.
-        for s in 0..8u16 {
+        // Every entry of the fold table is what the bit-serial algorithm
+        // makes of byte `b` followed by `r` zero bytes from state 0, and
+        // every initial share is `k` zero bytes from the initial state.
+        for r in 0..CRC3_PERIOD {
             for b in 0..=255u8 {
+                let mut d = vec![b];
+                d.resize(r + 1, 0);
                 assert_eq!(
-                    u16::from(CRC3_TABLE[usize::from(s)][usize::from(b)]),
-                    crc_byte(s, b, 0b110),
-                    "state {s} byte {b}"
+                    CRC3_FOLD[r][usize::from(b)],
+                    crc_generic(&d, 3, CRC3_POLY, 0),
+                    "residue {r} byte {b}"
                 );
             }
+            assert_eq!(
+                CRC3_INIT_AFTER[r],
+                crc3_serial(&vec![0; r]),
+                "initial share after {r} bytes"
+            );
         }
         // And end-to-end on a multi-byte input.
         for len in 0..64usize {
             let data: Vec<u8> = (0..len as u8).map(|i| i.wrapping_mul(37)).collect();
-            assert_eq!(crc3(&data), crc_generic(&data, 3, 0b110, 0b111));
+            assert_eq!(crc3(&data), crc3_serial(&data));
+        }
+    }
+
+    #[test]
+    fn folded_crc3_matches_bit_serial_on_random_bytes_at_every_length() {
+        for len in 0..=128usize {
+            for seed in 0..8 {
+                let data = noise(seed * 1000 + len as u64, len);
+                assert_eq!(crc3(&data), crc3_serial(&data), "len {len} seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn folded_crc3_matches_bit_serial_for_every_byte_at_every_residue() {
+        // Byte `b` at distance `r` from the end, over inputs whose
+        // lengths cover every residue of the head block too.
+        for r in 0..CRC3_PERIOD {
+            for b in 0..=255u8 {
+                for len in r + 1..r + 1 + 2 * CRC3_PERIOD {
+                    let mut data = noise(u64::from(b) ^ ((len as u64) << 8), len);
+                    data[len - 1 - r] = b;
+                    assert_eq!(
+                        crc3(&data),
+                        crc3_serial(&data),
+                        "byte {b} at distance {r} from the end of {len}"
+                    );
+                }
+            }
         }
     }
 

@@ -18,7 +18,7 @@
 use std::hash::Hash;
 
 use crate::hash::FastMap;
-use crate::queue::{EventHandle, Scheduler};
+use crate::queue::{EventHandle, Scheduler, Ticket};
 use crate::time::SimTime;
 
 /// A handle embedded in a scheduled event identifying one arming of one
@@ -96,6 +96,20 @@ impl<K: Eq + Hash + Copy> TimerTable<K> {
         at: SimTime,
         event: impl FnOnce(TimerToken<K>) -> E,
     ) {
+        let ticket = sched.reserve(at);
+        self.schedule_reserved(sched, key, ticket, event);
+    }
+
+    /// [`TimerTable::schedule`] at a place [`Scheduler::reserve`] took:
+    /// the event pops where one armed when the ticket was issued would
+    /// have, so an arming can be decided early and pushed later.
+    pub fn schedule_reserved<E>(
+        &mut self,
+        sched: &mut Scheduler<E>,
+        key: K,
+        ticket: Ticket,
+        event: impl FnOnce(TimerToken<K>) -> E,
+    ) {
         let armed = self.keys.entry(key).or_default();
         armed.generation += 1;
         if let Some(previous) = armed.event.take() {
@@ -105,7 +119,7 @@ impl<K: Eq + Hash + Copy> TimerTable<K> {
             key,
             generation: armed.generation,
         };
-        armed.event = Some(sched.schedule_at(at, event(token)));
+        armed.event = Some(sched.schedule_reserved(ticket, event(token)));
     }
 
     /// Cancel `key` and take its pending event, if any, out of `sched`.
@@ -215,6 +229,22 @@ mod tests {
         assert_eq!((s.pop(), t.stale_fired()), (None, 0));
         // Fired, so nothing is left to take out.
         assert_eq!(t.unschedule(&mut s, Key::Slot), None);
+    }
+
+    #[test]
+    fn a_reserved_arming_pops_in_its_tickets_place() {
+        let mut t = TimerTable::new();
+        let mut s = Scheduler::new();
+        let at = SimTime::from_micros(5);
+        t.schedule(&mut s, Key::Slot, at, |tok| ("stale", Some(tok)));
+        let ticket = s.reserve(at);
+        s.schedule_at(at, ("pushed later", None));
+        t.schedule_reserved(&mut s, Key::Slot, ticket, |tok| ("reserved", Some(tok)));
+        assert_eq!(s.pending(), 2, "the re-arm took the first event out");
+        let (_, (first, tok)) = s.pop().expect("pending");
+        assert_eq!(first, "reserved");
+        assert!(t.fire(tok.expect("a timer event")));
+        assert_eq!(s.pop().map(|(_, (what, _))| what), Some("pushed later"));
     }
 
     #[test]
