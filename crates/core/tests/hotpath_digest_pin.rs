@@ -38,6 +38,11 @@
 //! zero, one and three clients, servers on the AP, and a supervisor
 //! that falls back to native ACKs in the middle of a batch. Its pins
 //! hold `events_dispatched` as well as the digest.
+//!
+//! The sixth group was captured immediately before the client driver's
+//! held ACKs and blob bytes moved into one queue type, for the path no
+//! earlier pin reaches: a supervisor forcing an Opportunistic driver
+//! native while ACKs are held.
 
 use hack_core::{
     run_dense, ArrivalDist, BssSpec, CbrConfig, ChannelChange, ChannelEvent, CorruptModel,
@@ -653,4 +658,38 @@ fn supervised_fallback_inside_a_delivery_batch() {
     );
     let got = [(digest, r.events_dispatched)];
     assert_counted_pins("supervised fallback mid-batch", &got, &PINS);
+}
+
+// ---------------------------------------------------------------------
+// Captured before the client driver's held ACKs moved into one queue
+// type.
+// ---------------------------------------------------------------------
+
+/// A supervised Opportunistic download under bursty loss: the
+/// supervisor forces the drivers native while ACKs are held, some of
+/// them never having ridden, so the forced flush decides the fate of
+/// held ACKs whose native twins are already queued.
+#[test]
+fn supervised_opportunistic_fallback_with_holds() {
+    const PINS: [(&str, u64); 1] = [(
+        "4854524401008e12000000000000ab15a0b79df2152b6d070000000000003e040000000000003d03000000000000a2030000000000000400000000000000",
+        2944,
+    )];
+    let cfg = ScenarioBuilder::dot11n_download(150, 1, HackMode::Opportunistic)
+        .supervisor(SupervisorConfig::default())
+        .loss(LossConfig::Burst(GeParams::bursty(0.15, 6.0)))
+        .duration(SimDuration::from_millis(500))
+        .warmup(SimDuration::from_millis(100))
+        .stagger(SimDuration::from_millis(2))
+        .seed(9)
+        .build();
+    let (r, digest) = run_and_digest(cfg);
+    assert!(
+        r.supervisor[0].stats.fallbacks >= 1 && r.driver[0].forced_native >= 1,
+        "{:?} / {:?}",
+        r.supervisor[0],
+        r.driver[0]
+    );
+    let got = [(digest, r.events_dispatched)];
+    assert_counted_pins("supervised Opportunistic fallback", &got, &PINS);
 }
