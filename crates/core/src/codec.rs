@@ -66,7 +66,10 @@ use crate::traffic::{
 ///
 /// v5: same layout, but `events_dispatched` no longer counts stale
 /// timer events or one event per same-instant host delivery.
-pub const RESULT_SCHEMA_VERSION: u32 = 5;
+///
+/// v6: the driver stats gain `superseded`, and held ACKs older than a
+/// delivered native no longer ride, which changes HACK results.
+pub const RESULT_SCHEMA_VERSION: u32 = 6;
 
 /// File magic for encoded results.
 const MAGIC: &[u8; 4] = b"HKRR";
@@ -197,7 +200,7 @@ walk! {
     }
     CompressSideStats {
         native_acks, native_ack_bytes, hacked_acks, hacked_ack_bytes, reenqueued,
-        dropped_on_flush, timer_flushes, spilled, noop_flushes, forced_native,
+        dropped_on_flush, timer_flushes, spilled, noop_flushes, forced_native, superseded,
     }
     CompressStats { compressed, compressed_bytes, original_bytes, declined }
     DecompressStats { decompressed, duplicates, crc_failures, no_context, malformed }
@@ -674,6 +677,7 @@ mod tests {
                 spilled: self.next(),
                 noop_flushes: self.next(),
                 forced_native: self.next(),
+                superseded: self.next(),
             }
         }
         fn tcp(&mut self) -> TcpStats {
@@ -770,9 +774,10 @@ mod tests {
         let bytes = encode_run_result(&pinned_result());
         let mut h = StableHasher::new();
         h.write(&bytes);
+        // Re-pinned at v6: the driver stats gained `superseded`.
         assert_eq!(
             (bytes.len(), h.finish_hex().as_str()),
-            (1778, "9c67b674d3bb646a9cded03a514479ab")
+            (1822, "649568686e1eabd0dfcee8b28a01204b")
         );
     }
 

@@ -92,7 +92,8 @@ pub struct CompressSideStats {
     /// Held ACKs re-enqueued natively after a HACK failure (the ready
     /// race or a flush with unsent segments).
     pub reenqueued: u64,
-    /// Held-and-sent ACKs dropped on flush (cumulative ACKs cover them).
+    /// Held ACKs dropped on flush or spill: ridden ones (cumulative ACKs
+    /// cover them) and Opportunistic ones (their native twin is queued).
     pub dropped_on_flush: u64,
     /// Explicit-timer flushes fired.
     pub timer_flushes: u64,
@@ -105,6 +106,10 @@ pub struct CompressSideStats {
     pub noop_flushes: u64,
     /// Times the supervisor forced this driver onto the native path.
     pub forced_native: u64,
+    /// Held ACKs withdrawn before riding any LL ACK because a native ACK
+    /// sent no later on their five-tuple was delivered: neither hacked
+    /// nor native, covered by that native.
+    pub superseded: u64,
 }
 
 /// Health observations the event loop drains from the driver and feeds
@@ -350,6 +355,12 @@ impl CompressSide {
         bytes
     }
 
+    /// The original packets of the held ACKs, oldest first. Verification
+    /// hook for the driver proptests.
+    pub fn held_acks(&self) -> impl Iterator<Item = &Ipv4Packet> + '_ {
+        self.held.iter().map(|h| &h.original)
+    }
+
     /// Hand back an action list this driver returned, once applied, so
     /// the next call fills it instead of allocating. Optional, like
     /// [`CompressSide::recycle_blob`].
@@ -567,9 +578,11 @@ impl CompressSide {
     }
 
     /// Some of our natively transmitted ACKs were just acknowledged by
-    /// the peer's link layer: advance the compressor floor (every mode),
-    /// and in Opportunistic mode drop the corresponding held copies
-    /// (identified by IP ident) so they don't ride future LL ACKs.
+    /// the peer's link layer: advance the compressor floor, and withdraw
+    /// every held copy sent no later than a delivered native on the same
+    /// five-tuple (the ident serial compare of the compressor's own
+    /// confirmation). The peer has moved its references to that native,
+    /// so an older held segment would no longer decode against them.
     ///
     /// Non-ACK packets in `pkts` (data MSDUs sharing the same A-MPDU)
     /// are ignored, so callers can pass the delivered batch as-is
@@ -578,33 +591,35 @@ impl CompressSide {
         if self.mode == HackMode::Disabled {
             return Vec::new();
         }
-        for p in pkts.iter().filter(|p| p.is_pure_tcp_ack()) {
-            self.compressor.confirm(p.ip());
-        }
-        if self.mode != HackMode::Opportunistic || self.held.is_empty() {
-            return Vec::new();
-        }
         let before = self.held.len();
-        let mut offset = 0usize;
-        let mut i = 0;
-        while i < self.held.len() {
-            let seg_len = self.held[i].segment.len();
-            let delivered = pkts.iter().filter(|p| p.is_pure_tcp_ack()).any(|p| {
-                p.ip().ident == self.held[i].original.ident
-                    && p.ip().src == self.held[i].original.src
-            });
-            if delivered {
-                self.held.remove(i);
-                self.blob_cache.drain(offset..offset + seg_len);
-            } else {
-                offset += seg_len;
-                i += 1;
+        for p in pkts.iter().filter(|p| p.is_pure_tcp_ack()) {
+            let native = p.ip();
+            self.compressor.confirm(native);
+            let tuple = native.five_tuple();
+            let mut offset = 0usize;
+            let mut i = 0;
+            while i < self.held.len() {
+                let h = &self.held[i];
+                let seg_len = h.segment.len();
+                if native.ident.wrapping_sub(h.original.ident) < 0x8000
+                    && h.original.five_tuple() == tuple
+                {
+                    if !h.rode_ll_ack {
+                        self.stats.superseded += 1;
+                    }
+                    self.held.remove(i);
+                    self.blob_cache.drain(offset..offset + seg_len);
+                } else {
+                    offset += seg_len;
+                    i += 1;
+                }
             }
         }
-        let mut out = self.action_list();
-        if self.held.len() != before {
-            out.push(self.rebuild_blob());
+        if self.held.len() == before {
+            return Vec::new();
         }
+        let mut out = self.action_list();
+        out.push(self.rebuild_blob());
         out
     }
 
@@ -640,9 +655,10 @@ impl CompressSide {
     fn flush(&mut self, out: &mut Vec<DriverAction>) {
         self.blob_cache.clear();
         for h in self.held.drain(..) {
-            if h.rode_ll_ack {
+            if h.rode_ll_ack || self.mode == HackMode::Opportunistic {
                 // Rode at least one LL ACK: if that ACK was lost, a later
-                // cumulative TCP ACK covers it (Figure 7).
+                // cumulative TCP ACK covers it (Figure 7). An unridden
+                // Opportunistic ACK's native twin is already queued.
                 self.stats.dropped_on_flush += 1;
             } else {
                 // Never rode anything (the ready race, §3.3.1): the
@@ -933,6 +949,51 @@ mod tests {
         let acts = d2.on_natives_delivered(&[NetPacket(ack(2000, 2))]);
         assert_eq!(d2.held_count(), 0);
         assert!(matches!(acts[0], DriverAction::ClearBlob));
+    }
+
+    #[test]
+    fn delivered_native_withdraws_older_holds() {
+        let mut d = CompressSide::new(HackMode::Opportunistic);
+        d.on_ack_out(ack(1000, 1), t(1)); // native only (no context yet)
+        for i in 2..5u16 {
+            d.on_ack_out(ack(1000 * u32::from(i), i), t(2));
+        }
+        d.on_response_sent(true, t(3)); // 2, 3 and 4 ride
+        d.on_ack_out(ack(5000, 5), t(4));
+        d.on_ack_out(ack(6000, 6), t(4));
+        // Native 5 is delivered: every held ACK sent no later goes, the
+        // ridden ones and the unridden one alike; 6 stays.
+        let acts = d.on_natives_delivered(&[NetPacket(ack(5000, 5))]);
+        assert!(matches!(acts[..], [DriverAction::InstallBlob { .. }]));
+        assert_eq!(d.held_acks().map(|p| p.ident).collect::<Vec<_>>(), [6]);
+        assert_eq!(d.stats().superseded, 1, "only 5 never rode");
+        // A native of another five-tuple withdraws nothing.
+        let mut other = ack(9000, 9);
+        other.src = Ipv4Addr::new(192, 168, 0, 3);
+        assert!(d.on_natives_delivered(&[NetPacket(other)]).is_empty());
+        assert_eq!(d.held_count(), 1);
+    }
+
+    #[test]
+    fn forced_opportunistic_flush_sends_no_ack_twice() {
+        let mut d = CompressSide::new(HackMode::Opportunistic);
+        let mut natives = Vec::new();
+        let mut sent = |acts: Vec<DriverAction>| {
+            natives.extend(acts.into_iter().filter_map(|a| match a {
+                DriverAction::SendNative(p) => Some(p.ident),
+                _ => None,
+            }))
+        };
+        sent(d.on_ack_out(ack(1000, 1), t(1)));
+        for i in 2..5u16 {
+            sent(d.on_ack_out(ack(1000 * u32::from(i), i), t(2)));
+        }
+        assert_eq!(d.held_count(), 3, "held unridden, twins queued");
+        sent(d.force_native(t(3)));
+        assert_eq!(d.held_count(), 0);
+        assert_eq!(d.stats().reenqueued, 0);
+        assert_eq!(d.stats().dropped_on_flush, 3);
+        assert_eq!(natives, [1, 2, 3, 4], "each ACK leaves natively once");
     }
 
     #[test]

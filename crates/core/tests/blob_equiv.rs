@@ -1,12 +1,18 @@
-//! Property-based equivalence of the incremental blob cache against a
-//! from-scratch rebuild: after *any* sequence of driver operations —
-//! holds, spills past the cap, ridden/unridden response cycles, data
-//! confirmations, flush timers — `CompressSide::current_blob()` (the
-//! patched cache) must equal `rebuild_blob_from_scratch()` (re-encoding
-//! every held segment). This is the safety net under the zero-copy hot
-//! path: the simulator only ever ships the cached bytes.
+//! Property-based checks of the client driver over arbitrary operation
+//! sequences — holds, spills past the cap, ridden/unridden response
+//! cycles, data confirmations, flush timers, delivered natives, and the
+//! supervisor forcing native mode and resuming — in every `HackMode`.
+//! After every step:
+//! - `CompressSide::current_blob()` (the patched cache) equals
+//!   `rebuild_blob_from_scratch()` (re-encoding every held segment), the
+//!   safety net under the zero-copy hot path: the simulator only ever
+//!   ships the cached bytes;
+//! - no ACK has left the driver natively twice;
+//! - no held ACK was sent no later than a delivered native on its
+//!   five-tuple: the peer's references have moved past such a segment,
+//!   so it must not ride again.
 
-use hack_core::{CompressSide, HackMode};
+use hack_core::{CompressSide, DriverAction, HackMode, NetPacket};
 use hack_mac::RxDataInfo;
 use hack_phy::StationId;
 use hack_sim::{SimDuration, SimTime};
@@ -57,10 +63,15 @@ enum Op {
     ResponseSent { attached: bool },
     /// Explicit flush timer fired.
     FlushTimer,
+    /// The peer's link layer acknowledged the oldest `count` natives not
+    /// yet delivered.
+    NativesDelivered { count: u32 },
+    /// The supervisor forces the native path (`true`) or resumes HACK.
+    Supervise { force: bool },
 }
 
 fn decode_op(sel: u8, a: u32, b: u16, f: (bool, bool, bool, bool)) -> Op {
-    match sel % 4 {
+    match sel % 6 {
         0 => Op::AckOut {
             delta: a % 100_000,
             window: b,
@@ -72,7 +83,9 @@ fn decode_op(sel: u8, a: u32, b: u16, f: (bool, bool, bool, bool)) -> Op {
             is_aggregate: f.3,
         },
         2 => Op::ResponseSent { attached: f.0 },
-        _ => Op::FlushTimer,
+        3 => Op::FlushTimer,
+        4 => Op::NativesDelivered { count: a % 8 },
+        _ => Op::Supervise { force: f.0 },
     }
 }
 
@@ -83,14 +96,20 @@ fn run_ops(mode: HackMode, held_cap: usize, ops: &[Op]) {
     let mut ident = 1u16;
     let mut ts = 100u32;
     let mut now = SimTime::from_millis(1);
+    // Natives the driver emitted and the link has not delivered yet,
+    // oldest first; every ident the driver ever emitted natively; the
+    // newest native delivered (one five-tuple throughout).
+    let mut in_flight: Vec<NetPacket> = Vec::new();
+    let mut sent_natively: Vec<u16> = Vec::new();
+    let mut newest_delivered: Option<u16> = None;
     for (i, op) in ops.iter().enumerate() {
         now += SimDuration::from_micros(137);
-        match *op {
+        let actions = match *op {
             Op::AckOut { delta, window } => {
                 ackno = ackno.wrapping_add(delta);
                 ident = ident.wrapping_add(1);
                 ts = ts.wrapping_add(1);
-                d.on_ack_out(ack_pkt(ackno, ident, ts, window), now);
+                d.on_ack_out(ack_pkt(ackno, ident, ts, window), now)
             }
             Op::DataReceived {
                 more_data,
@@ -106,13 +125,37 @@ fn run_ops(mode: HackMode, held_cap: usize, ops: &[Op]) {
                     advances_seq,
                     is_aggregate,
                 };
-                d.on_data_received(&info, now);
+                d.on_data_received(&info, now)
             }
-            Op::ResponseSent { attached } => {
-                d.on_response_sent(attached, now);
+            Op::ResponseSent { attached } => d.on_response_sent(attached, now),
+            Op::FlushTimer => d.on_flush_timer(now),
+            Op::NativesDelivered { count } => {
+                let n = in_flight.len().min(count as usize);
+                let delivered: Vec<NetPacket> = in_flight.drain(..n).collect();
+                for n in delivered.iter().map(|p| p.ip().ident) {
+                    // Re-enqueued natives leave after newer ones: keep
+                    // the newest by the ident serial compare.
+                    if newest_delivered.is_none_or(|m| n.wrapping_sub(m) < 0x8000) {
+                        newest_delivered = Some(n);
+                    }
+                }
+                d.on_natives_delivered(&delivered)
             }
-            Op::FlushTimer => {
-                d.on_flush_timer(now);
+            Op::Supervise { force: true } => d.force_native(now),
+            Op::Supervise { force: false } => {
+                d.resume_hack();
+                Vec::new()
+            }
+        };
+        for a in actions {
+            if let DriverAction::SendNative(p) = a {
+                assert!(
+                    !sent_natively.contains(&p.ident),
+                    "ident {} left natively twice, at op {i} ({op:?})",
+                    p.ident
+                );
+                sent_natively.push(p.ident);
+                in_flight.push(NetPacket(p));
             }
         }
         assert_eq!(
@@ -121,12 +164,21 @@ fn run_ops(mode: HackMode, held_cap: usize, ops: &[Op]) {
             "cache diverged after op {i} ({op:?}); held={}",
             d.held_count()
         );
+        if let Some(native) = newest_delivered {
+            for h in d.held_acks() {
+                assert!(
+                    native.wrapping_sub(h.ident) >= 0x8000,
+                    "held ident {} is no newer than delivered native {native}, after op {i} ({op:?})",
+                    h.ident
+                );
+            }
+        }
     }
 }
 
 proptest! {
-    /// MORE DATA mode: the incremental cache equals a from-scratch
-    /// rebuild after every operation of an arbitrary driver history.
+    /// MORE DATA mode: the checks hold after every operation of an
+    /// arbitrary driver history.
     #[test]
     fn incremental_blob_matches_scratch_more_data(
         held_cap in 1usize..12,
@@ -141,7 +193,7 @@ proptest! {
     }
 
     /// Explicit-timer mode exercises the flush path (drain-all +
-    /// SendNative spill) under the same invariant.
+    /// SendNative spill) under the same checks.
     #[test]
     fn incremental_blob_matches_scratch_explicit_timer(
         held_cap in 1usize..12,
@@ -153,5 +205,34 @@ proptest! {
     ) {
         let ops: Vec<Op> = raw.iter().map(|&(s, a, b, f)| decode_op(s, a, b, f)).collect();
         run_ops(HackMode::ExplicitTimer(SimDuration::from_millis(5)), held_cap, &ops);
+    }
+
+    /// Opportunistic mode: every held ACK also has a native twin, so a
+    /// flush or spill must not send it natively again.
+    #[test]
+    fn incremental_blob_matches_scratch_opportunistic(
+        held_cap in 1usize..12,
+        raw in proptest::collection::vec(
+            (any::<u8>(), any::<u32>(), any::<u16>(),
+             (any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>())),
+            1..80,
+        ),
+    ) {
+        let ops: Vec<Op> = raw.iter().map(|&(s, a, b, f)| decode_op(s, a, b, f)).collect();
+        run_ops(HackMode::Opportunistic, held_cap, &ops);
+    }
+
+    /// Stock mode: nothing is ever held, whatever the driver is told.
+    #[test]
+    fn incremental_blob_matches_scratch_disabled(
+        held_cap in 1usize..12,
+        raw in proptest::collection::vec(
+            (any::<u8>(), any::<u32>(), any::<u16>(),
+             (any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>())),
+            1..80,
+        ),
+    ) {
+        let ops: Vec<Op> = raw.iter().map(|&(s, a, b, f)| decode_op(s, a, b, f)).collect();
+        run_ops(HackMode::Disabled, held_cap, &ops);
     }
 }

@@ -249,3 +249,40 @@ fn more_data_latch_tracks_queue_state() {
         "ACKs unaccounted for: generated {generated}, accounted {accounted}"
     );
 }
+
+/// A native ACK the AP receives moves its references to that native's
+/// values, so a held segment sent before it would decode wrongly if it
+/// rode afterwards. In this lossy Opportunistic world such segments
+/// once rode: CRC-3 passed some of the wrong decodes, and the first
+/// flow's sender saw ACKs for bytes its receiver never delivered.
+#[test]
+fn opportunistic_lossy_world_forges_no_ack() {
+    let cfg = ScenarioBuilder::dot11n_download(150, 2, HackMode::Opportunistic)
+        .loss(LossConfig::PerClient(vec![0.1, 0.05]))
+        .duration(SimDuration::from_secs(3))
+        .seed(11)
+        .build();
+    let r = World::builder(cfg).run();
+    for (f, (tx, rx)) in r.sender_tcp.iter().zip(&r.receiver_tcp).enumerate() {
+        assert!(
+            tx.bytes_acked <= rx.bytes_delivered,
+            "flow {f}: {} bytes acked, {} delivered",
+            tx.bytes_acked,
+            rx.bytes_delivered
+        );
+    }
+}
+
+/// On a clean channel every blob segment decodes: a delivered native
+/// withdraws the held segments sent before it, so none rides against
+/// references that have moved past it.
+#[test]
+fn opportunistic_clean_world_has_no_crc_failures() {
+    let cfg = ScenarioBuilder::dot11n_download(150, 1, HackMode::Opportunistic)
+        .duration(SimDuration::from_secs(3))
+        .seed(3)
+        .build();
+    let r = World::builder(cfg).run();
+    assert!(r.decompressor.decompressed > 1000, "{:?}", r.decompressor);
+    assert_eq!(r.decompressor.crc_failures, 0, "{:?}", r.decompressor);
+}

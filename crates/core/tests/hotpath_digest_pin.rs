@@ -351,7 +351,9 @@ fn explicit_timer_flushes_armed_and_cancelled() {
 fn opportunistic_native_twins_withdrawn() {
     const PINS: [&str; 2] = [
         "485452440100527d000000000000c9401ad2356929ddea34000000000000eb340000000000007c06000000000000ff0c0000000000000200000000000000",
-        "485452440100c84b000000000000bc590be0050a044c6e0c000000000000d00e0000000000002b060000000000005d2a0000000000000200000000000000",
+        // Re-pinned: a delivered native now withdraws every held ACK
+        // sent no later on its five-tuple, not only its own held copy.
+        "4854524401004c4b0000000000000b19ebcffaedf7cf6e0c000000000000780e0000000000002b06000000000000392a0000000000000200000000000000",
     ];
     let worlds = [
         ScenarioBuilder::sora_testbed(2, HackMode::Opportunistic),
@@ -572,14 +574,18 @@ fn zero_delay_installs_and_timer_rearms() {
         ("48545244010061210000000000007ef2cf58a7a5bb3bfb0200000000000070030000000000002602000000000000cf180000000000000100000000000000", 4523),
         ("4854524401005f290000000000003772055813040de08d0300000000000091040000000000003606000000000000081b0000000000000300000000000000", 5631),
         ("4854524401004227000000000000ef678584352455335d03000000000000d0030000000000004505000000000000cd1a0000000000000300000000000000", 5401),
-        ("4854524401004a1e000000000000c62cb20c338935cd2d05000000000000e605000000000000a50200000000000091100000000000000100000000000000", 5009),
+        // Re-pinned: a delivered native withdraws the older held ACKs.
+        ("485452440100141c000000000000c27a0c2b9d84d8164904000000000000d1040000000000001402000000000000e5100000000000000100000000000000", 4663),
         ("485452440100cd230000000000003af4fc148960093fad020000000000005303000000000000b1020000000000001b1b0000000000000100000000000000", 4629),
-        ("48545244010097200000000000000493c7cfa6e8adeba7050000000000008f06000000000000c605000000000000980e0000000000000300000000000000", 6159),
+        // Re-pinned: a delivered native withdraws the older held ACKs.
+        ("485452440100c71f0000000000003311033d8956937e9f050000000000007b060000000000006305000000000000470e0000000000000300000000000000", 6070),
         ("485452440100c227000000000000e18bada1dca6c5f8e1020000000000008703000000000000ec040000000000006b1c0000000000000300000000000000", 5286),
         ("485452440100a61b0000000000007a499dd4d8d6b4068105000000000000a70500000000000030030000000000004d0d0000000000000100000000000000", 5082),
-        ("48545244010056230000000000006ac919ef42132258e302000000000000910300000000000086020000000000005b1a0000000000000100000000000000", 4800),
+        // Re-pinned: a delivered native withdraws the older held ACKs.
+        ("4854524401005c230000000000009acda417cb266f97e302000000000000970300000000000086020000000000005b1a0000000000000100000000000000", 4806),
         ("4854524401008821000000000000d928b6562de98ee1d705000000000000c006000000000000f006000000000000fe0d0000000000000300000000000000", 6473),
-        ("485452440100ad270000000000000b1d70af51afeaab2103000000000000c803000000000000ec04000000000000d51b0000000000000300000000000000", 5481),
+        // Re-pinned: a delivered native withdraws the older held ACKs.
+        ("485452440100b4270000000000002d69f084cfd063b02103000000000000cf03000000000000ec04000000000000d51b0000000000000300000000000000", 5488),
     ];
     let modes = [
         HackMode::MoreData,
@@ -671,9 +677,11 @@ fn supervised_fallback_inside_a_delivery_batch() {
 /// held ACKs whose native twins are already queued.
 #[test]
 fn supervised_opportunistic_fallback_with_holds() {
+    // Re-pinned: the forced flush no longer re-enqueues held ACKs whose
+    // native twins are queued, and delivered natives withdraw older ones.
     const PINS: [(&str, u64); 1] = [(
-        "4854524401008e12000000000000ab15a0b79df2152b6d070000000000003e040000000000003d03000000000000a2030000000000000400000000000000",
-        2944,
+        "4854524401009c16000000000000b93ada4d8dd3636c84070000000000003a040000000000001e07000000000000b9030000000000000700000000000000",
+        3311,
     )];
     let cfg = ScenarioBuilder::dot11n_download(150, 1, HackMode::Opportunistic)
         .supervisor(SupervisorConfig::default())

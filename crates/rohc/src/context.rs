@@ -6,14 +6,21 @@
 //! Compressed ACKs ride link-layer acknowledgments, which can *overtake*
 //! native ACKs still queued at the MAC — and blobs or natives can be
 //! lost independently. The decompressor's reference for each field is
-//! therefore only known to lie somewhere between the compressor's
-//! **floor** (the oldest value that could still be the peer's reference)
-//! and its newest emission. ROHC's window-based LSB encoding handles
-//! exactly this: transmit enough low-order bits of the *value* that any
-//! reference in the window decodes it unambiguously. All the dynamic
-//! fields HACK compresses (ACK number, timestamps, IP ident) are
-//! monotone non-decreasing, so decoding is forward-only:
-//! `v = ref + ((lsbs − ref) mod 2^k)`.
+//! therefore only known to be no older than the compressor's **floor**
+//! (the oldest value that could still be the peer's reference). ROHC's
+//! window-based LSB encoding handles this: transmit enough low-order
+//! bits of the *value* that any reference in `[floor, value]` decodes
+//! it unambiguously. All the dynamic fields HACK compresses (ACK number,
+//! timestamps, IP ident) are monotone non-decreasing, so decoding is
+//! forward-only: `v = ref + ((lsbs − ref) mod 2^k)`.
+//!
+//! The window ends at the value being encoded, not at the newest
+//! emission: a native sent after a held segment can reach the peer
+//! first and leave its reference *above* the segment's values, where no
+//! `k` decodes them. The client driver therefore withdraws every held
+//! segment sent no later than a native whose delivery its link layer
+//! reports; a segment can still meet such a reference while that report
+//! is missing.
 //!
 //! The compressor maintains the floor from the driver's confirmation
 //! signals: a native ACK is outstanding from enqueue until the MAC
