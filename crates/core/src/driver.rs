@@ -22,6 +22,7 @@ use hack_rohc::{CompressStats, Compressor, DecompressStats, Decompressor, RohcSe
 use hack_sim::{SimDuration, SimTime};
 use hack_tcp::{FiveTuple, Ipv4Packet};
 use hack_trace::TraceHandle;
+use std::vec::Drain;
 
 use crate::packet::NetPacket;
 
@@ -77,6 +78,139 @@ struct HeldAck {
     held_at: SimTime,
 }
 
+/// The ACKs a [`CompressSide`] holds compressed on the NIC, oldest
+/// first, and the blob payload they make. Every edit of either is one
+/// of five operations — hold, ride, confirm, supersede, drain — and
+/// each hands back the entries it concerns. The payload is patched in
+/// step with the entries, so a blob build is one memcpy instead of a
+/// re-encode of every held ACK.
+///
+/// Invariants, asserted by [`HeldQueue::audit`]: ridden entries form a
+/// prefix (a ride marks everything held; holds append unridden), and
+/// the payload is the entries' segments, concatenated.
+#[derive(Debug, Default)]
+struct HeldQueue {
+    entries: Vec<HeldAck>,
+    payload: Vec<u8>,
+}
+
+impl HeldQueue {
+    /// Append `ack`, spilling the oldest entry first when the queue sits
+    /// at `cap` (set before the first hold). Hands back the spilled one.
+    fn hold(&mut self, ack: HeldAck, cap: usize) -> Option<HeldAck> {
+        self.audit();
+        let spilled = (self.entries.len() >= cap).then(|| {
+            let oldest = self.entries.remove(0);
+            self.payload.drain(..oldest.segment.len());
+            oldest
+        });
+        self.payload.extend_from_slice(&ack.segment);
+        self.entries.push(ack);
+        spilled
+    }
+
+    /// The entries that have ridden an LL ACK.
+    fn ridden(&self) -> &[HeldAck] {
+        &self.entries[..self.entries.partition_point(|h| h.rode_ll_ack)]
+    }
+
+    /// The blob rode a response: mark every entry ridden. Hands back the
+    /// entries riding for the first time.
+    fn ride(&mut self) -> &[HeldAck] {
+        self.audit();
+        let fresh = self.ridden().len();
+        for h in &mut self.entries[fresh..] {
+            h.rode_ll_ack = true;
+        }
+        &self.entries[fresh..]
+    }
+
+    /// The peer confirmed the ridden prefix (§3.4): remove it.
+    fn confirm(&mut self) -> Drain<'_, HeldAck> {
+        self.audit();
+        let n = self.ridden().len();
+        let bytes: usize = self.entries[..n].iter().map(|h| h.segment.len()).sum();
+        self.payload.drain(..bytes);
+        self.entries.drain(..n)
+    }
+
+    /// A native ACK reached the peer, whose references now stand at its
+    /// values: remove every entry sent no later on its five-tuple (the
+    /// ident serial compare of the compressor's own confirmation), which
+    /// would no longer decode against them.
+    fn supersede(&mut self, native: &Ipv4Packet) -> impl Iterator<Item = HeldAck> + '_ {
+        self.audit();
+        let (ident, tuple) = (native.ident, native.five_tuple());
+        let (payload, mut at) = (&mut self.payload, 0);
+        self.entries.extract_if(.., move |h| {
+            let len = h.segment.len();
+            let gone =
+                ident.wrapping_sub(h.original.ident) < 0x8000 && h.original.five_tuple() == tuple;
+            if gone {
+                payload.drain(at..at + len);
+            } else {
+                at += len;
+            }
+            gone
+        })
+    }
+
+    /// Remove every entry.
+    fn drain(&mut self) -> Drain<'_, HeldAck> {
+        self.audit();
+        self.payload.clear();
+        self.entries.drain(..)
+    }
+
+    /// Staleness watchdog: if the oldest entry has waited longer than
+    /// `limit`, restamp every entry with `now` (re-arming), and say so.
+    fn restamp_if_stale(&mut self, now: SimTime, limit: Option<SimDuration>) -> bool {
+        let oldest = self.entries.first().map(|h| h.held_at);
+        let stale = limit
+            .zip(oldest)
+            .is_some_and(|(l, at)| now.saturating_duration_since(at) > l);
+        if stale {
+            for h in &mut self.entries {
+                h.held_at = now;
+            }
+        }
+        stale
+    }
+
+    /// The blob, count byte then payload, written into `bytes` (reserved
+    /// like the payload, so pooled buffers do not each outgrow every blob
+    /// size in turn).
+    fn blob(&self, mut bytes: Vec<u8>) -> Vec<u8> {
+        self.audit();
+        bytes.reserve(1 + self.payload.capacity());
+        bytes.push(u8::try_from(self.entries.len()).expect("≤255 held ACKs"));
+        bytes.extend_from_slice(&self.payload);
+        bytes
+    }
+
+    /// The blob re-encoded from the entries' segments, payload unread.
+    fn blob_from_scratch(&self) -> Vec<u8> {
+        let mut bytes = vec![u8::try_from(self.entries.len()).expect("≤255 held ACKs")];
+        bytes.extend(self.entries.iter().flat_map(|h| h.segment.iter()));
+        bytes
+    }
+
+    /// The invariants, checked in debug builds only and in place, so
+    /// they make no allocation that release builds do not.
+    fn audit(&self) {
+        if cfg!(debug_assertions) {
+            // Ridden entries first: the unridden flags never fall.
+            let prefix = self.entries.iter().map(|h| !h.rode_ll_ack).is_sorted();
+            let segments = self.entries.iter().flat_map(|h| h.segment.iter());
+            assert!(
+                prefix && segments.eq(&self.payload),
+                "held queue: ridden entries must form a prefix and the payload \
+                 must be the segments, concatenated"
+            );
+        }
+    }
+}
+
 /// Driver-level statistics (Table 2's ACK accounting).
 #[derive(Debug, Default, Clone)]
 pub struct CompressSideStats {
@@ -114,20 +248,13 @@ pub struct CompressSideStats {
 
 /// Health observations the event loop drains from the driver and feeds
 /// to the flow's supervisor (compress-side contribution).
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct DriverHealth {
     /// Held ACKs spilled by the queue cap since the last drain.
     pub spills: u64,
     /// Staleness-limit violations of the oldest held ACK since the last
     /// drain.
     pub stale_holds: u64,
-}
-
-impl DriverHealth {
-    /// True if nothing was observed since the last drain.
-    pub fn is_empty(&self) -> bool {
-        self.spills == 0 && self.stale_holds == 0
-    }
 }
 
 /// The compress-side (client) HACK driver toward one peer.
@@ -138,12 +265,7 @@ pub struct CompressSide {
     /// The MORE DATA latch (§3.2): set while the peer has promised more
     /// data, meaning held ACKs will get a ride.
     latched: bool,
-    held: Vec<HeldAck>,
-    /// Incrementally maintained blob payload: the concatenation of every
-    /// held segment's bytes, kept in sync with `held` by appending on
-    /// hold and splicing on spill/confirm/flush. A rebuild is then a
-    /// single memcpy instead of re-encoding all held ACKs.
-    blob_cache: Vec<u8>,
+    held: HeldQueue,
     /// Bumped on every rebuild; stale InstallBlob events are ignored.
     generation: u64,
     /// Clear (and flush) after the response that is about to go out.
@@ -185,8 +307,7 @@ impl CompressSide {
             mode,
             compressor: Compressor::new(),
             latched: false,
-            held: Vec::new(),
-            blob_cache: Vec::new(),
+            held: HeldQueue::default(),
             generation: 0,
             clear_after_response: false,
             flush_armed: false,
@@ -217,16 +338,9 @@ impl CompressSide {
         std::mem::take(&mut self.health)
     }
 
-    /// Whether the supervisor currently forces the native path.
-    pub fn is_forced_native(&self) -> bool {
-        self.forced_native
-    }
-
     /// Supervisor override: route all subsequent ACKs natively without
-    /// changing the configured mode. Held state flushes exactly like a
-    /// MORE-DATA-off flush — unridden ACKs re-enqueue natively, ridden
-    /// ones are covered by later cumulative ACKs — and any pending
-    /// explicit flush timer is cancelled.
+    /// changing the configured mode. Held ACKs flush as on MORE DATA off,
+    /// and any pending explicit flush timer is cancelled.
     pub fn force_native(&mut self, _now: SimTime) -> Vec<DriverAction> {
         if self.forced_native || self.mode == HackMode::Disabled {
             return Vec::new();
@@ -279,7 +393,7 @@ impl CompressSide {
 
     /// Number of ACKs currently held on the NIC.
     pub fn held_count(&self) -> usize {
-        self.held.len()
+        self.held.entries.len()
     }
 
     /// Current blob generation (used by the event loop to validate
@@ -288,77 +402,33 @@ impl CompressSide {
         self.generation
     }
 
-    /// Whether the MORE DATA latch is set.
-    pub fn latched(&self) -> bool {
-        self.latched
-    }
-
     fn rebuild_blob(&mut self) -> DriverAction {
         self.generation += 1;
-        if self.held.is_empty() {
+        if self.held.entries.is_empty() {
             DriverAction::ClearBlob
         } else {
-            debug_assert!(
-                self.blob_cache_matches_held(),
-                "incremental blob diverged from a from-scratch encode"
-            );
-            // The payload is maintained incrementally (append on hold,
-            // splice on spill/confirm): a rebuild is one memcpy out of
-            // the cache into a pooled buffer, sized like the cache so the
-            // pool's buffers do not each outgrow every blob size in turn.
-            let mut bytes = self.pool.take();
-            bytes.reserve(1 + self.blob_cache.capacity());
-            bytes.push(u8::try_from(self.held.len()).expect("≤255 held ACKs"));
-            bytes.extend_from_slice(&self.blob_cache);
             DriverAction::InstallBlob {
-                bytes,
+                bytes: self.held.blob(self.pool.take()),
                 generation: self.generation,
             }
         }
     }
 
-    /// Is the cached payload exactly the held segments, concatenated?
-    /// (Compared in place: the check must not cost debug builds an
-    /// allocation per rebuild that release builds do not make.)
-    fn blob_cache_matches_held(&self) -> bool {
-        let mut rest = self.blob_cache.as_slice();
-        for h in &self.held {
-            match rest.strip_prefix(&h.segment[..]) {
-                Some(tail) => rest = tail,
-                None => return false,
-            }
-        }
-        rest.is_empty()
-    }
-
-    /// The blob a from-scratch rebuild would produce (count byte + every
-    /// held segment re-serialized). Verification hook for the
-    /// incremental `blob_cache`: the equivalence proptests compare it to
-    /// the cached bytes after arbitrary driver-op sequences.
+    /// The blob re-encoded from every held segment. Verification hook:
+    /// the proptests compare it to [`CompressSide::current_blob`].
     pub fn rebuild_blob_from_scratch(&self) -> Vec<u8> {
-        let mut bytes =
-            Vec::with_capacity(1 + self.held.iter().map(|h| h.segment.len()).sum::<usize>());
-        bytes.push(u8::try_from(self.held.len()).expect("≤255 held ACKs"));
-        for h in &self.held {
-            bytes.extend_from_slice(&h.segment);
-        }
-        bytes
+        self.held.blob_from_scratch()
     }
 
-    /// The incrementally maintained blob (count byte + cached payload),
-    /// as `rebuild_blob` would install it. Verification hook for the
-    /// equivalence proptests.
+    /// The incrementally maintained blob, as an install would ship it.
     pub fn current_blob(&self) -> Vec<u8> {
-        let mut bytes = Vec::with_capacity(1 + self.blob_cache.len());
-        bytes.push(u8::try_from(self.held.len()).expect("≤255 held ACKs"));
-        bytes.extend_from_slice(&self.blob_cache);
-        bytes
+        self.held.blob(Vec::new())
     }
 
-    /// The original packets of the held ACKs, oldest first. Verification
-    /// hook for the driver proptests.
+    /// The original packets of the held ACKs, oldest first (a
+    /// verification hook too).
     pub fn held_acks(&self) -> impl Iterator<Item = &Ipv4Packet> + '_ {
-        self.held.iter().map(|h| &h.original)
+        self.held.entries.iter().map(|h| &h.original)
     }
 
     /// Hand back an action list this driver returned, once applied, so
@@ -383,58 +453,25 @@ impl CompressSide {
         self.pool.put(bytes);
     }
 
+    /// Count `pkt` as a native ACK and ask for it to be enqueued.
     fn send_native(&mut self, pkt: Ipv4Packet, out: &mut Vec<DriverAction>) {
-        self.compressor.observe_native(&pkt);
         self.stats.native_acks += 1;
         self.stats.native_ack_bytes += u64::from(pkt.wire_len());
         out.push(DriverAction::SendNative(pkt));
     }
 
-    /// Stage a compressed ACK, spilling the oldest entry first when the
-    /// queue sits at its cap. An unridden spill re-enqueues natively
-    /// (except in Opportunistic mode, whose native twin is already in
-    /// the MAC queue); a ridden one is covered by later cumulative ACKs.
-    fn hold(
-        &mut self,
-        segment: RohcSegment,
-        original: Ipv4Packet,
-        now: SimTime,
-        out: &mut Vec<DriverAction>,
-    ) {
-        while self.held.len() >= self.held_cap {
-            let oldest = self.held.remove(0);
-            self.blob_cache.drain(..oldest.segment.len());
-            self.stats.spilled += 1;
-            self.health.spills += 1;
-            if oldest.rode_ll_ack || self.mode == HackMode::Opportunistic {
-                self.stats.dropped_on_flush += 1;
-            } else {
-                self.stats.reenqueued += 1;
-                self.compressor.observe_native(&oldest.original);
-                self.stats.native_acks += 1;
-                self.stats.native_ack_bytes += u64::from(oldest.original.wire_len());
-                out.push(DriverAction::SendNative(oldest.original));
-            }
-        }
-        self.blob_cache.extend_from_slice(&segment);
-        self.held.push(HeldAck {
-            segment,
-            original,
-            rode_ll_ack: false,
-            held_at: now,
-        });
-    }
-
-    /// Staleness watchdog: if the oldest held ACK has been staged longer
-    /// than the limit, record one health observation and re-arm.
-    fn check_stale(&mut self, now: SimTime) {
-        if let (Some(limit), Some(oldest)) = (self.stale_limit, self.held.first()) {
-            if now.saturating_duration_since(oldest.held_at) > limit {
-                self.health.stale_holds += 1;
-                for h in &mut self.held {
-                    h.held_at = now;
-                }
-            }
+    /// An entry left the held queue unconfirmed, spilled or flushed. A
+    /// ridden one is covered by later cumulative ACKs (Figure 7), an
+    /// Opportunistic one by its queued native twin. Any other never rode
+    /// (the ready race, §3.3.1): the driver "re-enqueues the TCP ACKs on
+    /// the transmit queue for normal transmission".
+    fn retire(&mut self, h: HeldAck, out: &mut Vec<DriverAction>) {
+        if h.rode_ll_ack || self.mode == HackMode::Opportunistic {
+            self.stats.dropped_on_flush += 1;
+        } else {
+            self.stats.reenqueued += 1;
+            self.compressor.observe_native(&h.original);
+            self.send_native(h.original, out);
         }
     }
 
@@ -443,57 +480,46 @@ impl CompressSide {
     pub fn on_ack_out(&mut self, pkt: Ipv4Packet, now: SimTime) -> Vec<DriverAction> {
         self.compressor.set_trace_clock(now.as_nanos());
         let mut out = self.action_list();
-        if self.forced_native {
+        if self.mode == HackMode::Disabled {
             self.send_native(pkt, &mut out);
             return out;
         }
-        self.check_stale(now);
-        match self.mode {
-            HackMode::Disabled => {
-                self.stats.native_acks += 1;
-                self.stats.native_ack_bytes += u64::from(pkt.wire_len());
-                out.push(DriverAction::SendNative(pkt));
-            }
-            HackMode::MoreData => {
-                if self.latched {
-                    match self.compressor.compress(&pkt) {
-                        Some(segment) => {
-                            self.hold(segment, pkt, now, &mut out);
-                            out.push(self.rebuild_blob());
-                        }
-                        None => self.send_native(pkt, &mut out),
-                    }
-                } else {
-                    self.send_native(pkt, &mut out);
-                }
-            }
-            HackMode::ExplicitTimer(delay) => match self.compressor.compress(&pkt) {
-                Some(segment) => {
-                    self.hold(segment, pkt, now, &mut out);
-                    out.push(self.rebuild_blob());
-                    if !self.flush_armed {
-                        self.flush_armed = true;
-                        out.push(DriverAction::SetFlushTimer(now + delay));
-                    }
-                }
-                None => self.send_native(pkt, &mut out),
-            },
-            HackMode::Opportunistic => {
-                // Dual path: stage compressed on the NIC *and* enqueue
-                // natively; the race decides (§3.2).
-                match self.compressor.compress(&pkt) {
-                    Some(segment) => {
-                        self.hold(segment, pkt.clone(), now, &mut out);
-                        out.push(self.rebuild_blob());
-                        // Native twin goes out without `observe_native`:
-                        // the compressor already advanced past this ACK.
-                        self.stats.native_acks += 1;
-                        self.stats.native_ack_bytes += u64::from(pkt.wire_len());
-                        out.push(DriverAction::SendNative(pkt));
-                    }
-                    None => self.send_native(pkt, &mut out),
-                }
-            }
+        if !self.forced_native && self.held.restamp_if_stale(now, self.stale_limit) {
+            self.health.stale_holds += 1;
+        }
+        let segment = match self.mode {
+            _ if self.forced_native => None,
+            HackMode::MoreData if !self.latched => None,
+            _ => self.compressor.compress(&pkt),
+        };
+        let Some(segment) = segment else {
+            self.compressor.observe_native(&pkt);
+            self.send_native(pkt, &mut out);
+            return out;
+        };
+        // Opportunistic: stage compressed on the NIC *and* enqueue
+        // natively; the race decides (§3.2).
+        let twin = (self.mode == HackMode::Opportunistic).then(|| pkt.clone());
+        let ack = HeldAck {
+            segment,
+            original: pkt,
+            rode_ll_ack: false,
+            held_at: now,
+        };
+        if let Some(oldest) = self.held.hold(ack, self.held_cap) {
+            self.stats.spilled += 1;
+            self.health.spills += 1;
+            self.retire(oldest, &mut out);
+        }
+        out.push(self.rebuild_blob());
+        if let (HackMode::ExplicitTimer(delay), false) = (self.mode, self.flush_armed) {
+            self.flush_armed = true;
+            out.push(DriverAction::SetFlushTimer(now + delay));
+        }
+        if let Some(twin) = twin {
+            // No `observe_native`: the compressor already advanced past
+            // this ACK.
+            self.send_native(twin, &mut out);
         }
         out
     }
@@ -507,7 +533,9 @@ impl CompressSide {
         if self.mode == HackMode::Disabled || self.forced_native {
             return out;
         }
-        self.check_stale(now);
+        if self.held.restamp_if_stale(now, self.stale_limit) {
+            self.health.stale_holds += 1;
+        }
 
         // §3.4 confirmation: receipt of data (not SYNC-marked) confirms
         // that our previous LL ACK — and the blob on it — reached the
@@ -515,29 +543,16 @@ impl CompressSide {
         // confirms (Figure 5(b)); a same-seq retransmission means our
         // ACK was lost and the blob must ride again.
         let confirms = !info.sync && (info.is_aggregate || info.advances_seq);
-        if confirms && self.held.iter().any(|h| h.rode_ll_ack) {
-            // Ridden entries always form a prefix of `held`:
-            // `on_response_sent` marks everything currently held, and new
-            // holds append unridden at the tail. The confirmed prefix
-            // splices off the front of the cached blob payload in one
-            // drain.
-            let ridden = self.held.iter().take_while(|h| h.rode_ll_ack).count();
-            debug_assert!(
-                self.held[ridden..].iter().all(|h| !h.rode_ll_ack),
-                "ridden held ACKs must form a prefix"
-            );
-            let ridden_bytes: usize = self.held[..ridden].iter().map(|h| h.segment.len()).sum();
-            for h in self.held.drain(..ridden) {
+        if confirms && !self.held.ridden().is_empty() {
+            for h in self.held.confirm() {
                 // Advance the compressor floor: the peer holds this.
                 self.compressor.confirm(&h.original);
             }
-            self.blob_cache.drain(..ridden_bytes);
             out.push(self.rebuild_blob());
             // The confirmation may have drained the queue entirely; a
             // still-armed explicit flush timer would only fire as a
-            // no-op, so disarm it (satellite: the stale-flush-timer
-            // fix).
-            if self.flush_armed && self.held.is_empty() {
+            // no-op, so disarm it.
+            if self.flush_armed && self.held.entries.is_empty() {
                 self.flush_armed = false;
                 out.push(DriverAction::CancelFlushTimer);
             }
@@ -562,12 +577,9 @@ impl CompressSide {
             return out;
         }
         if attached {
-            for h in &mut self.held {
-                if !h.rode_ll_ack {
-                    h.rode_ll_ack = true;
-                    self.stats.hacked_acks += 1;
-                    self.stats.hacked_ack_bytes += h.segment.len() as u64;
-                }
+            for h in self.held.ride() {
+                self.stats.hacked_acks += 1;
+                self.stats.hacked_ack_bytes += h.segment.len() as u64;
             }
         }
         if self.clear_after_response {
@@ -579,10 +591,7 @@ impl CompressSide {
 
     /// Some of our natively transmitted ACKs were just acknowledged by
     /// the peer's link layer: advance the compressor floor, and withdraw
-    /// every held copy sent no later than a delivered native on the same
-    /// five-tuple (the ident serial compare of the compressor's own
-    /// confirmation). The peer has moved its references to that native,
-    /// so an older held segment would no longer decode against them.
+    /// every held ACK sent no later on the same five-tuple.
     ///
     /// Non-ACK packets in `pkts` (data MSDUs sharing the same A-MPDU)
     /// are ignored, so callers can pass the delivered batch as-is
@@ -591,31 +600,13 @@ impl CompressSide {
         if self.mode == HackMode::Disabled {
             return Vec::new();
         }
-        let before = self.held.len();
+        let before = self.held.entries.len();
         for p in pkts.iter().filter(|p| p.is_pure_tcp_ack()) {
-            let native = p.ip();
-            self.compressor.confirm(native);
-            let tuple = native.five_tuple();
-            let mut offset = 0usize;
-            let mut i = 0;
-            while i < self.held.len() {
-                let h = &self.held[i];
-                let seg_len = h.segment.len();
-                if native.ident.wrapping_sub(h.original.ident) < 0x8000
-                    && h.original.five_tuple() == tuple
-                {
-                    if !h.rode_ll_ack {
-                        self.stats.superseded += 1;
-                    }
-                    self.held.remove(i);
-                    self.blob_cache.drain(offset..offset + seg_len);
-                } else {
-                    offset += seg_len;
-                    i += 1;
-                }
-            }
+            self.compressor.confirm(p.ip());
+            let unridden = self.held.supersede(p.ip()).filter(|h| !h.rode_ll_ack);
+            self.stats.superseded += unridden.count() as u64;
         }
-        if self.held.len() == before {
+        if self.held.entries.len() == before {
             return Vec::new();
         }
         let mut out = self.action_list();
@@ -627,17 +618,14 @@ impl CompressSide {
     /// the ridden ACKs should be withdrawn from the MAC queue. Yields
     /// the idents to withdraw.
     pub fn ridden_idents(&self) -> impl Iterator<Item = u16> + '_ {
-        self.held
-            .iter()
-            .filter(|h| h.rode_ll_ack)
-            .map(|h| h.original.ident)
+        self.held.ridden().iter().map(|h| h.original.ident)
     }
 
     /// The explicit flush timer fired.
     pub fn on_flush_timer(&mut self, now: SimTime) -> Vec<DriverAction> {
         self.compressor.set_trace_clock(now.as_nanos());
         self.flush_armed = false;
-        if self.held.is_empty() {
+        if self.held.entries.is_empty() {
             // Should no longer happen — confirmation drains emit
             // `CancelFlushTimer` — but count it so a regression to the
             // old silent-no-op behavior is visible.
@@ -650,29 +638,15 @@ impl CompressSide {
         out
     }
 
-    /// Empty the held queue: unridden ACKs go out natively, ridden ones
-    /// are left to later cumulative ACKs, and the NIC slot is cleared.
+    /// Empty the held queue, retiring every entry, and clear the NIC
+    /// slot.
     fn flush(&mut self, out: &mut Vec<DriverAction>) {
-        self.blob_cache.clear();
-        for h in self.held.drain(..) {
-            if h.rode_ll_ack || self.mode == HackMode::Opportunistic {
-                // Rode at least one LL ACK: if that ACK was lost, a later
-                // cumulative TCP ACK covers it (Figure 7). An unridden
-                // Opportunistic ACK's native twin is already queued.
-                self.stats.dropped_on_flush += 1;
-            } else {
-                // Never rode anything (the ready race, §3.3.1): the
-                // driver "re-enqueues the TCP ACKs on the transmit queue
-                // for normal transmission".
-                self.stats.reenqueued += 1;
-                self.compressor.observe_native(&h.original);
-                self.stats.native_acks += 1;
-                self.stats.native_ack_bytes += u64::from(h.original.wire_len());
-                out.push(DriverAction::SendNative(h.original));
-            }
+        let mut held = std::mem::take(&mut self.held);
+        for h in held.drain() {
+            self.retire(h, out);
         }
-        self.generation += 1;
-        out.push(DriverAction::ClearBlob);
+        self.held = held;
+        out.push(self.rebuild_blob());
         self.latched = false;
     }
 }
@@ -715,18 +689,9 @@ impl DecompressSide {
     }
 
     /// An augmented LL ACK carried this blob: reconstitute the TCP ACKs
-    /// to forward upstream. Duplicates and CRC failures are absorbed
-    /// (counted in stats).
-    pub fn on_blob(&mut self, blob: &[u8], now: SimTime) -> Vec<Ipv4Packet> {
-        let mut pkts = Vec::new();
-        self.on_blob_with(blob, now, |p| pkts.push(p));
-        pkts
-    }
-
-    /// Zero-copy variant of [`DecompressSide::on_blob`]: each
-    /// reconstituted ACK is handed to `forward` as it decodes straight
-    /// out of the borrowed blob slice — no intermediate packet `Vec`.
-    /// The event loop uses this to schedule host-RX events directly.
+    /// to forward upstream, each handed to `forward` as it decodes
+    /// straight out of the borrowed blob slice. Duplicates and CRC
+    /// failures are absorbed (counted in stats).
     pub fn on_blob_with(&mut self, blob: &[u8], now: SimTime, mut forward: impl FnMut(Ipv4Packet)) {
         self.decompressor.set_trace_clock(now.as_nanos());
         for item in self.decompressor.decode(blob) {
@@ -777,6 +742,12 @@ mod tests {
         SimTime::from_millis(ms)
     }
 
+    fn decode(ap: &mut DecompressSide, blob: &[u8], now: SimTime) -> Vec<Ipv4Packet> {
+        let mut pkts = Vec::new();
+        ap.on_blob_with(blob, now, |p| pkts.push(p));
+        pkts
+    }
+
     #[test]
     fn disabled_mode_is_always_native() {
         let mut d = CompressSide::new(HackMode::Disabled);
@@ -804,7 +775,7 @@ mod tests {
         d.on_ack_out(ack(1000, 1), t(1));
         // Peer promises more data.
         d.on_data_received(&info(true, false), t(2));
-        assert!(d.latched());
+        assert!(d.latched);
         let acts = d.on_ack_out(ack(2000, 2), t(2));
         assert!(
             matches!(acts[0], DriverAction::InstallBlob { .. }),
@@ -871,7 +842,7 @@ mod tests {
         d.on_ack_out(ack(2000, 2), t(2));
         // Final batch: MORE DATA off.
         d.on_data_received(&info(false, false), t(3));
-        assert!(!d.latched());
+        assert!(!d.latched);
         // The response still carries the blob (Fig 2's last ride)…
         let acts = d.on_response_sent(true, t(3));
         // …and afterwards held state clears; the ridden ACK is dropped
@@ -1023,7 +994,7 @@ mod tests {
         assert_eq!(d.stats().reenqueued, 1);
         let health = d.drain_health();
         assert_eq!(health.spills, 1);
-        assert!(d.drain_health().is_empty(), "drain resets");
+        assert_eq!(d.drain_health(), DriverHealth::default(), "drain resets");
         // A ridden oldest is dropped instead (cumulative ACKs cover it).
         d.on_response_sent(true, t(4));
         let acts = d.on_ack_out(ack(6000, 6), t(5));
@@ -1102,7 +1073,7 @@ mod tests {
         d.on_ack_out(ack(2000, 2), t(2));
         assert_eq!(d.held_count(), 1);
         let acts = d.force_native(t(3));
-        assert!(d.is_forced_native());
+        assert!(d.forced_native);
         assert_eq!(d.held_count(), 0);
         // The unridden held ACK re-enqueues natively and the NIC slot
         // clears.
@@ -1113,7 +1084,7 @@ mod tests {
         assert_eq!(d.stats().forced_native, 1);
         // While forced, everything is native regardless of the latch.
         d.on_data_received(&info(true, false), t(4));
-        assert!(!d.latched(), "latch input ignored while forced");
+        assert!(!d.latched, "latch input ignored while forced");
         let acts = d.on_ack_out(ack(3000, 3), t(4));
         assert!(matches!(acts[0], DriverAction::SendNative(_)));
         // Idempotent.
@@ -1147,13 +1118,17 @@ mod tests {
         d.on_ack_out(ack(1000, 1), t(1));
         d.on_data_received(&info(true, false), t(1));
         d.on_ack_out(ack(2000, 2), t(1));
-        assert!(d.drain_health().is_empty());
+        assert_eq!(d.drain_health(), DriverHealth::default());
         // 10 ms later the held ACK is stale; the watchdog reports once
         // and re-arms.
         d.on_ack_out(ack(3000, 3), t(11));
         assert_eq!(d.drain_health().stale_holds, 1);
         d.on_ack_out(ack(4000, 4), t(12));
-        assert!(d.drain_health().is_empty(), "re-armed, not spamming");
+        assert_eq!(
+            d.drain_health(),
+            DriverHealth::default(),
+            "re-armed, not spamming"
+        );
     }
 
     #[test]
@@ -1170,7 +1145,7 @@ mod tests {
         let DriverAction::InstallBlob { bytes, .. } = &acts[0] else {
             panic!("expected blob install, got {acts:?}");
         };
-        let pkts = ap.on_blob(bytes, t(3));
+        let pkts = decode(&mut ap, bytes, t(3));
         assert_eq!(pkts.len(), 1);
         assert_eq!(pkts[0], ack(2000, 2), "byte-exact reconstitution");
         assert_eq!(ap.forwarded, 1);
@@ -1188,9 +1163,9 @@ mod tests {
         let DriverAction::InstallBlob { bytes, .. } = &acts[0] else {
             panic!()
         };
-        assert_eq!(ap.on_blob(bytes, t(3)).len(), 1);
+        assert_eq!(decode(&mut ap, bytes, t(3)).len(), 1);
         // Retained blob arrives again (our BA was retransmitted).
-        assert_eq!(ap.on_blob(bytes, t(4)).len(), 0);
+        assert_eq!(decode(&mut ap, bytes, t(4)).len(), 0);
         assert_eq!(ap.stats().duplicates, 1);
     }
 }

@@ -14,13 +14,11 @@
 //! timestamps, IP ident) are monotone non-decreasing, so decoding is
 //! forward-only: `v = ref + ((lsbs − ref) mod 2^k)`.
 //!
-//! The window ends at the value being encoded, not at the newest
-//! emission: a native sent after a held segment can reach the peer
-//! first and leave its reference *above* the segment's values, where no
-//! `k` decodes them. The client driver therefore withdraws every held
-//! segment sent no later than a native whose delivery its link layer
-//! reports; a segment can still meet such a reference while that report
-//! is missing.
+//! The window ends at the value being encoded: a native sent after a
+//! held segment can reach the peer first and leave its reference above
+//! the segment's values, where no `k` decodes them. The client driver
+//! therefore withdraws held segments up to each native reported
+//! delivered; while a report is missing, the race stays open.
 //!
 //! The compressor maintains the floor from the driver's confirmation
 //! signals: a native ACK is outstanding from enqueue until the MAC

@@ -9,18 +9,16 @@
 //! Every segment is encoded against the compressor's floor, a value
 //! not newer than any reference this side could hold, so a blob that
 //! overtakes queued native ACKs, arrives duplicated, or skips lost
-//! predecessors decodes correctly. The reverse race is not covered: a
-//! native sent *after* a held segment that reaches this side first
-//! moves the references past the segment's values, and the forward-only
-//! decode then wraps by 2^k. The client driver withdraws every held
-//! segment sent no later than a native its link layer reports
-//! delivered, which closes that race except while the report is
-//! missing (the native arrived but its LL ACK was lost): such a
-//! segment fails CRC-3, or passes it one time in eight as a wrong ACK.
-//! A genuine desynchronization (e.g. a dropped native the compressor
-//! folded into its floor) likewise surfaces as a CRC failure and heals
-//! on the next native ACK, satisfying the paper's "must not be
-//! persistent" requirement.
+//! predecessors decodes correctly. A native sent *after* a held segment
+//! that arrives first is the exception: it moves the references past
+//! the segment, and the forward-only decode wraps by 2^k. The client
+//! driver withdraws held segments up to each native its link layer
+//! reports delivered; while that report is missing (the native's LL ACK
+//! was lost), such a segment fails CRC-3, or passes it one time in
+//! eight. A genuine desynchronization (e.g. a dropped native the
+//! compressor folded into its floor) likewise surfaces as a CRC failure
+//! and heals on the next native ACK, satisfying the paper's "must not
+//! be persistent" requirement.
 
 use hack_tcp::{flags as tcpflags, Ipv4Packet, TcpOption, TcpSegment, TcpSeq, Transport};
 use hack_trace::{Event, TraceHandle};
