@@ -11,8 +11,11 @@
 //! - no held ACK was sent no later than a delivered native on its
 //!   five-tuple: the peer's references have moved past such a segment,
 //!   so it must not ride again.
+//!
+//! A scripted test drives both driver halves through the interleaving
+//! that once let such a segment ride and decode into a forged ACK.
 
-use hack_core::{CompressSide, DriverAction, HackMode, NetPacket};
+use hack_core::{CompressSide, DecompressSide, DriverAction, HackMode, NetPacket};
 use hack_mac::RxDataInfo;
 use hack_phy::StationId;
 use hack_sim::{SimDuration, SimTime};
@@ -234,5 +237,90 @@ proptest! {
     ) {
         let ops: Vec<Op> = raw.iter().map(|&(s, a, b, f)| decode_op(s, a, b, f)).collect();
         run_ops(HackMode::Disabled, held_cap, &ops);
+    }
+}
+
+/// One client driver and one AP driver joined by the client's NIC blob
+/// slot, recording what the client emitted and what the AP forwarded.
+struct Link {
+    client: CompressSide,
+    ap: DecompressSide,
+    nic: Vec<u8>,
+    emitted: Vec<Ipv4Packet>,
+    forwarded: Vec<Ipv4Packet>,
+}
+
+impl Link {
+    fn apply(&mut self, actions: Vec<DriverAction>) {
+        for a in actions {
+            match a {
+                DriverAction::InstallBlob { bytes, .. } => self.nic = bytes,
+                DriverAction::ClearBlob => self.nic.clear(),
+                _ => {}
+            }
+        }
+    }
+
+    fn ack_out(&mut self, pkt: Ipv4Packet, now: SimTime) {
+        self.emitted.push(pkt.clone());
+        let actions = self.client.on_ack_out(pkt, now);
+        self.apply(actions);
+    }
+
+    fn native_delivered(&mut self, pkt: Ipv4Packet, now: SimTime) {
+        self.ap.on_native_ack(&pkt, now);
+        let actions = self.client.on_natives_delivered(&[NetPacket(pkt)]);
+        self.apply(actions);
+    }
+
+    /// A response goes out carrying whatever blob the NIC holds.
+    fn response(&mut self, now: SimTime) {
+        let forwarded = &mut self.forwarded;
+        self.ap.on_blob_with(&self.nic, now, |p| forwarded.push(p));
+        let actions = self.client.on_response_sent(!self.nic.is_empty(), now);
+        self.apply(actions);
+    }
+}
+
+/// The interleaving behind forged ACKs, scripted sans-IO through both
+/// driver halves: ACK N−1 rides a response and waits for confirmation,
+/// ACK N is held, N's native twin reaches the AP first (moving its
+/// references to N), and the next response carries the blob again.
+/// Every ACK the AP forwards must be one the client emitted, and no
+/// segment may fail to decode. Run over a spread of ACK-number steps,
+/// so a wrong decode that slips past CRC-3 would show too.
+#[test]
+fn native_overtaking_a_held_segment_forges_nothing() {
+    let now = SimTime::from_millis(1);
+    for step in 1..=24u32 {
+        let ack = |n: u16| {
+            ack_pkt(
+                1000 + u32::from(n) * step * 1460,
+                n,
+                100 + u32::from(n),
+                1024,
+            )
+        };
+        let mut link = Link {
+            client: CompressSide::new(HackMode::Opportunistic),
+            ap: DecompressSide::new(),
+            nic: Vec::new(),
+            emitted: Vec::new(),
+            forwarded: Vec::new(),
+        };
+        link.ack_out(ack(1), now); // native only: seeds the context
+        link.native_delivered(ack(1), now);
+        link.ack_out(ack(2), now); // N−1: held, its twin queued
+        link.response(now); // N−1 rides, unconfirmed
+        link.ack_out(ack(3), now); // N: held
+        link.native_delivered(ack(3), now); // N's twin reaches the AP first
+        link.ack_out(ack(4), now);
+        link.response(now); // the blob rides again
+        for p in &link.forwarded {
+            assert!(link.emitted.contains(p), "step {step}: forged {p:?}");
+        }
+        let stats = link.ap.stats();
+        assert_eq!(stats.crc_failures, 0, "step {step}: {stats:?}");
+        assert!(stats.decompressed >= 2, "step {step}: {stats:?}");
     }
 }
