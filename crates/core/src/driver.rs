@@ -322,7 +322,8 @@ impl CompressSide {
     }
 
     /// Set the held-queue cap (clamped to the blob format's 255-segment
-    /// ceiling; a zero cap is treated as 1).
+    /// ceiling; a zero cap is treated as 1), before the first hold: a
+    /// hold spills at most one entry.
     pub fn set_held_cap(&mut self, cap: usize) {
         self.held_cap = cap.clamp(1, 255);
     }
