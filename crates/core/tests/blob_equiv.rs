@@ -135,11 +135,11 @@ fn run_ops(mode: HackMode, held_cap: usize, ops: &[Op]) {
             Op::NativesDelivered { count } => {
                 let n = in_flight.len().min(count as usize);
                 let delivered: Vec<NetPacket> = in_flight.drain(..n).collect();
-                for n in delivered.iter().map(|p| p.ip().ident) {
+                for id in delivered.iter().map(|p| p.ip().ident) {
                     // Re-enqueued natives leave after newer ones: keep
                     // the newest by the ident serial compare.
-                    if newest_delivered.is_none_or(|m| n.wrapping_sub(m) < 0x8000) {
-                        newest_delivered = Some(n);
+                    if newest_delivered.is_none_or(|m| id.wrapping_sub(m) < 0x8000) {
+                        newest_delivered = Some(id);
                     }
                 }
                 d.on_natives_delivered(&delivered)
