@@ -43,6 +43,11 @@
 //! held ACKs and blob bytes moved into one queue type, for the path no
 //! earlier pin reaches: a supervisor forcing an Opportunistic driver
 //! native while ACKs are held.
+//!
+//! The seventh group was captured immediately before the ROHC
+//! compressor and decompressor came to share one flow table, for the
+//! path no earlier pin reaches: two flows at one AP whose five-tuples
+//! hash to the same CID.
 
 use hack_core::{
     run_dense, ArrivalDist, BssSpec, CbrConfig, ChannelChange, ChannelEvent, CorruptModel,
@@ -51,6 +56,7 @@ use hack_core::{
     TrafficModel, World,
 };
 use hack_sim::SimDuration;
+use hack_tcp::{FiveTuple, Ipv4Addr};
 use hack_trace::TraceHandle;
 
 fn digest_of(cfg: ScenarioConfig) -> String {
@@ -700,4 +706,47 @@ fn supervised_opportunistic_fallback_with_holds() {
     );
     let got = [(digest, r.events_dispatched)];
     assert_counted_pins("supervised Opportunistic fallback", &got, &PINS);
+}
+
+// ---------------------------------------------------------------------
+// Captured before the ROHC compressor and decompressor came to share
+// one flow table.
+// ---------------------------------------------------------------------
+
+/// Twenty-four clients behind one AP, all but two on CBR: the bulk
+/// downloads of flows 7 and 23 ACK on five-tuples whose MD5 ends in the
+/// same byte, so the AP's decompressor finds flow 23's CID taken by
+/// flow 7 at every native ACK flow 23 sends.
+#[test]
+fn cid_collision_at_the_ap() {
+    const PINS: [&str; 1] = [
+        "485452440100e238000000000000cb870625845bb0c940160000000000004b12000000000000aa02000000000000950d0000000000001800000000000000",
+    ];
+    let ack_tuple = |flow: u8| FiveTuple {
+        src_ip: Ipv4Addr::new(192, 168, 0, 10 + flow),
+        dst_ip: Ipv4Addr::new(10, 0, 0, 1),
+        src_port: 40_000 + u16::from(flow),
+        dst_port: 5_001 + u16::from(flow),
+        protocol: 6,
+    };
+    let cid = |flow| hack_rohc::cid_for_tuple(&ack_tuple(flow).bytes());
+    assert_eq!(cid(7), cid(23));
+    let mut mix = vec![TrafficModel::Cbr(CbrConfig::default()); 24];
+    mix[7] = TrafficModel::BulkDownload;
+    mix[23] = TrafficModel::BulkDownload;
+    let cfg = ScenarioBuilder::dot11n_download(150, 24, HackMode::MoreData)
+        .traffic_mix(mix)
+        .duration(SimDuration::from_millis(1000))
+        .warmup(SimDuration::from_millis(100))
+        .stagger(SimDuration::from_millis(2))
+        .seed(2)
+        .build();
+    let (r, digest) = run_and_digest(cfg);
+    assert!(
+        r.driver[7].native_acks > 0 && r.driver[23].native_acks > 0,
+        "{:?} / {:?}",
+        r.driver[7],
+        r.driver[23]
+    );
+    assert_pins("CID collision at the AP", &[digest], &PINS);
 }
