@@ -4,17 +4,20 @@
 //! every packet. The original implementation kept a `Vec<(FiveTuple,
 //! u8)>` scanned linearly — fine for one flow, quadratic pain for a
 //! dense-cell AP decompressing blobs from dozens of stations. This
-//! module provides the two replacements:
+//! module provides the replacements:
 //!
 //! * [`CidMap`] — a small open-addressed hash map from [`FiveTuple`] to
 //!   CID, keyed by a cheap multiply-xor hash over the tuple words (no
-//!   MD5, no SipHash). O(1) expected lookup independent of flow count;
-//!   the MD5 CID derivation still runs exactly once per flow, on first
-//!   sight.
-//! * [`CtxTable`] — direct-indexed context storage. CIDs are single
+//!   MD5, no SipHash). O(1) expected lookup independent of flow count.
+//! * `CtxTable` — direct-indexed context storage. CIDs are single
 //!   bytes, so a 256-slot table replaces `HashMap<u8, Ctx>`: lookup is
 //!   an array index, no hashing at all. Slots allocate lazily on first
 //!   insert so an idle endpoint costs nothing.
+//! * `FlowTable` — the two together, and the one place the §3.3.2 rule
+//!   lives on either end: a flow's CID is the low byte of the MD5 of
+//!   its 5-tuple (derived once per flow, on first sight), a context is
+//!   created only from a native ACK, and a flow whose CID another flow
+//!   already holds gets no context and stays native-only.
 
 use hack_tcp::FiveTuple;
 
@@ -117,22 +120,16 @@ impl CidMap {
 /// a flat 256-slot table and lookup is a bounds-check-free array index.
 ///
 /// The table allocates lazily on the first insert (one allocation for
-/// the lifetime of the endpoint) so `Default` stays free.
+/// the lifetime of the endpoint), so an empty table is free.
 #[derive(Debug, Clone)]
-pub struct CtxTable<T> {
+struct CtxTable<T> {
     slots: Vec<Option<T>>,
     live: usize,
 }
 
-impl<T> Default for CtxTable<T> {
-    fn default() -> Self {
-        CtxTable::new()
-    }
-}
-
 impl<T> CtxTable<T> {
     /// An empty table (no allocation until the first insert).
-    pub fn new() -> Self {
+    fn new() -> Self {
         CtxTable {
             slots: Vec::new(),
             live: 0,
@@ -140,29 +137,24 @@ impl<T> CtxTable<T> {
     }
 
     /// Number of live contexts.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.live
-    }
-
-    /// Whether no contexts are live.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
     }
 
     /// The context at `cid`, if any.
     #[inline]
-    pub fn get(&self, cid: u8) -> Option<&T> {
+    fn get(&self, cid: u8) -> Option<&T> {
         self.slots.get(usize::from(cid))?.as_ref()
     }
 
     /// Mutable access to the context at `cid`, if any.
     #[inline]
-    pub fn get_mut(&mut self, cid: u8) -> Option<&mut T> {
+    fn get_mut(&mut self, cid: u8) -> Option<&mut T> {
         self.slots.get_mut(usize::from(cid))?.as_mut()
     }
 
     /// Install (or replace) the context at `cid`.
-    pub fn insert(&mut self, cid: u8, ctx: T) {
+    fn insert(&mut self, cid: u8, ctx: T) {
         if self.slots.is_empty() {
             self.slots.resize_with(256, || None);
         }
@@ -172,12 +164,103 @@ impl<T> CtxTable<T> {
     }
 
     /// Remove and return the context at `cid`.
-    pub fn remove(&mut self, cid: u8) -> Option<T> {
+    fn remove(&mut self, cid: u8) -> Option<T> {
         let old = self.slots.get_mut(usize::from(cid))?.take();
         if old.is_some() {
             self.live -= 1;
         }
         old
+    }
+}
+
+/// A per-flow context: the 5-tuple it belongs to.
+pub(crate) trait FlowContext {
+    /// The flow (ACK direction).
+    fn tuple(&self) -> &FiveTuple;
+}
+
+/// What a native ACK found at its flow's CID ([`FlowTable::observe`]).
+pub(crate) enum Observed<'a, T> {
+    /// The flow's own context, for the caller to refresh.
+    Live(&'a mut T),
+    /// The CID was free: the native's context now holds it.
+    Created(u8),
+    /// Another flow holds the CID: this flow stays native-only.
+    Taken,
+}
+
+/// One endpoint's contexts, keyed by flow. Compressor and decompressor
+/// each hold one, so both ends derive CIDs, create contexts and resolve
+/// collisions by the same code.
+#[derive(Debug)]
+pub(crate) struct FlowTable<T> {
+    /// Tuple → CID, so MD5 runs once per flow rather than once per ACK.
+    cids: CidMap,
+    slots: CtxTable<T>,
+}
+
+impl<T> Default for FlowTable<T> {
+    fn default() -> Self {
+        FlowTable {
+            cids: CidMap::new(),
+            slots: CtxTable::new(),
+        }
+    }
+}
+
+impl<T: FlowContext> FlowTable<T> {
+    /// Number of live contexts.
+    pub(crate) fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// A native ACK of `fresh`'s flow: the flow's context if it has one,
+    /// else `fresh` installed at the flow's CID if that is free. The
+    /// only site that derives a CID (§3.3.2: MD5 of the 5-tuple, on
+    /// first sight of the flow).
+    pub(crate) fn observe(&mut self, fresh: T) -> Observed<'_, T> {
+        let tuple = *fresh.tuple();
+        let cid = match self.cids.get(&tuple) {
+            Some(cid) => cid,
+            None => {
+                let cid = crate::md5::cid_for_tuple(&tuple.bytes());
+                self.cids.insert(tuple, cid);
+                cid
+            }
+        };
+        if self.slots.get(cid).is_none() {
+            self.slots.insert(cid, fresh);
+            return Observed::Created(cid);
+        }
+        match self.slots.get_mut(cid) {
+            Some(ctx) if *ctx.tuple() == tuple => Observed::Live(ctx),
+            _ => Observed::Taken,
+        }
+    }
+
+    /// The context of `tuple`'s flow and its CID. A flow never observed
+    /// has none, so this derives nothing.
+    #[inline]
+    pub(crate) fn get_mut(&mut self, tuple: &FiveTuple) -> Option<(u8, &mut T)> {
+        let cid = self.cids.get(tuple)?;
+        let ctx = self.slots.get_mut(cid)?;
+        (ctx.tuple() == tuple).then_some((cid, ctx))
+    }
+
+    /// The context holding `cid`, whichever flow it belongs to (a
+    /// compressed segment names its CID, not its flow).
+    #[inline]
+    pub(crate) fn by_cid_mut(&mut self, cid: u8) -> Option<&mut T> {
+        self.slots.get_mut(cid)
+    }
+
+    /// Forget `tuple`'s context (supervisor-driven refresh); the next
+    /// native ACK of the flow re-seeds it. Whether there was one. A
+    /// flow holding the same CID is untouched.
+    pub(crate) fn drop(&mut self, tuple: &FiveTuple) -> bool {
+        self.get_mut(tuple)
+            .map(|(cid, _)| cid)
+            .is_some_and(|cid| self.slots.remove(cid).is_some())
     }
 }
 
@@ -236,7 +319,7 @@ mod tests {
     #[test]
     fn ctx_table_insert_get_remove() {
         let mut t: CtxTable<String> = CtxTable::new();
-        assert!(t.is_empty());
+        assert_eq!(t.len(), 0);
         assert_eq!(t.get(7), None);
         t.insert(7, "seven".into());
         t.insert(255, "max".into());

@@ -33,7 +33,7 @@ use hack_inline::InlineVec;
 use hack_tcp::{FiveTuple, Ipv4Packet};
 use hack_trace::{Event, TraceHandle};
 
-use crate::cidmap::{CidMap, CtxTable};
+use crate::cidmap::{FlowTable, Observed};
 use crate::context::{compressible_ack, wlsb_k, CompContext, FieldRefs};
 use crate::crc::crc3;
 use crate::varint::{write_ivarint, write_uvarint};
@@ -91,11 +91,7 @@ impl CompressStats {
 /// The client-side compressor.
 #[derive(Debug, Default)]
 pub struct Compressor {
-    contexts: CtxTable<CompContext>,
-    /// Per-flow CID cache: MD5 over the 5-tuple runs once per flow
-    /// (at first sight), not once per ACK; steady-state lookups go
-    /// through the open-addressed [`CidMap`] — O(1) at any flow count.
-    cid_cache: CidMap,
+    flows: FlowTable<CompContext>,
     /// Reused header-serialization buffer for the CRC-3 computation:
     /// one warm buffer per compressor instead of a fresh `Vec` per ACK.
     scratch: Vec<u8>,
@@ -132,18 +128,7 @@ impl Compressor {
 
     /// Number of live contexts.
     pub fn context_count(&self) -> usize {
-        self.contexts.len()
-    }
-
-    /// The flow's CID, computing the MD5 only on first sight of the
-    /// 5-tuple.
-    fn cid_of(&mut self, tuple: &FiveTuple) -> u8 {
-        if let Some(cid) = self.cid_cache.get(tuple) {
-            return cid;
-        }
-        let cid = crate::md5::cid_for_tuple(&tuple.bytes());
-        self.cid_cache.insert(*tuple, cid);
-        cid
+        self.flows.len()
     }
 
     /// Drop the flow's context entirely (supervisor-driven refresh): the
@@ -153,14 +138,7 @@ impl Compressor {
     /// context was dropped. Other flows (including a CID-colliding one)
     /// are untouched.
     pub fn drop_context(&mut self, tuple: &FiveTuple) -> bool {
-        let cid = self.cid_of(tuple);
-        match self.contexts.get(cid) {
-            Some(ctx) if &ctx.tuple == tuple => {
-                self.contexts.remove(cid);
-                true
-            }
-            _ => false,
-        }
+        self.flows.drop(tuple)
     }
 
     /// A native ACK was *enqueued* for transmission: create the flow's
@@ -173,15 +151,10 @@ impl Compressor {
         let Some(fresh) = CompContext::from_native(pkt) else {
             return;
         };
-        let cid = self.cid_of(&fresh.tuple);
-        match self.contexts.get_mut(cid) {
-            Some(ctx) if ctx.tuple == pkt.five_tuple() => ctx.native_enqueued(pkt, seg),
-            Some(_) => {
-                // CID collision with a different flow: the new flow stays
-                // native-only.
-            }
-            None => {
-                self.contexts.insert(cid, fresh);
+        match self.flows.observe(fresh) {
+            Observed::Live(ctx) => ctx.native_enqueued(pkt, seg),
+            Observed::Taken => {}
+            Observed::Created(cid) => {
                 hack_trace::trace_ev!(
                     self.trace,
                     self.trace_now,
@@ -208,12 +181,8 @@ impl Compressor {
         let Some(seg) = compressible_ack(pkt) else {
             return;
         };
-        let tuple = pkt.five_tuple();
-        let cid = self.cid_of(&tuple);
-        if let Some(ctx) = self.contexts.get_mut(cid) {
-            if ctx.tuple == tuple {
-                ctx.confirmed(&FieldRefs::of(pkt, seg));
-            }
+        if let Some((_, ctx)) = self.flows.get_mut(&pkt.five_tuple()) {
+            ctx.confirmed(&FieldRefs::of(pkt, seg));
         }
     }
 
@@ -224,9 +193,7 @@ impl Compressor {
             self.stats.declined += 1;
             return None;
         };
-        let tuple = pkt.five_tuple();
-        let cid = self.cid_of(&tuple);
-        let Some(ctx) = self.contexts.get_mut(cid) else {
+        let Some((cid, ctx)) = self.flows.get_mut(&pkt.five_tuple()) else {
             self.stats.declined += 1;
             return None;
         };
@@ -235,8 +202,7 @@ impl Compressor {
         // Shape checks: static chain, monotone distances within range.
         let ident_dist = pkt.ident.wrapping_sub(floor.ident);
         let ack_dist = seg.ack - floor.ack;
-        let encodable = ctx.tuple == tuple
-            && pkt.ttl == ctx.ttl
+        let encodable = pkt.ttl == ctx.ttl
             && seg.seq == floor.seq
             && ts.is_some() == ctx.has_ts
             && ident_dist < 256
@@ -339,20 +305,13 @@ impl Compressor {
 /// Generic over the segment representation so both `Vec<u8>` and
 /// [`RohcSegment`] slices work.
 pub fn build_blob<S: AsRef<[u8]>>(segments: &[S]) -> Vec<u8> {
-    let mut out = Vec::new();
-    build_blob_into(&mut out, segments);
-    out
-}
-
-/// [`build_blob`] into a caller-provided (typically pooled) buffer.
-pub fn build_blob_into<S: AsRef<[u8]>>(out: &mut Vec<u8>, segments: &[S]) {
     assert!(segments.len() <= 255, "blob segment count overflow");
-    out.clear();
-    out.reserve(1 + segments.iter().map(|s| s.as_ref().len()).sum::<usize>());
+    let mut out = Vec::with_capacity(1 + segments.iter().map(|s| s.as_ref().len()).sum::<usize>());
     out.push(segments.len() as u8);
     for s in segments {
         out.extend_from_slice(s.as_ref());
     }
+    out
 }
 
 #[cfg(test)]
@@ -514,8 +473,5 @@ mod tests {
         let blob = build_blob(&[vec![1, 2], vec![3]]);
         assert_eq!(blob, vec![2, 1, 2, 3]);
         assert_eq!(build_blob::<Vec<u8>>(&[]), vec![0]);
-        let mut pooled = Vec::with_capacity(64);
-        build_blob_into(&mut pooled, &[vec![9u8, 8], vec![7]]);
-        assert_eq!(pooled, vec![2, 9, 8, 7]);
     }
 }

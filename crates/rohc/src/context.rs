@@ -29,7 +29,7 @@ use std::collections::VecDeque;
 
 use hack_tcp::{FiveTuple, Ipv4Packet, TcpSegment, TcpSeq, Transport};
 
-use crate::md5::cid_for_tuple;
+use crate::cidmap::FlowContext;
 
 /// A snapshot of the dynamic header fields of one ACK.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,11 +140,6 @@ impl CompContext {
             && self.last_emitted_window.is_none_or(|w| w == window)
     }
 
-    /// The flow's CID (lowest byte of MD5 over the 5-tuple, §3.3.2).
-    pub fn cid(&self) -> u8 {
-        cid_for_tuple(&self.tuple.bytes())
-    }
-
     /// A native ACK was enqueued for transmission: it becomes an
     /// outstanding (unconfirmed) reference.
     pub fn native_enqueued(&mut self, pkt: &Ipv4Packet, seg: &TcpSegment) {
@@ -206,11 +201,6 @@ pub struct DecompContext {
 }
 
 impl DecompContext {
-    /// The flow's CID.
-    pub fn cid(&self) -> u8 {
-        cid_for_tuple(&self.tuple.bytes())
-    }
-
     /// Seed from a natively received pure ACK.
     pub fn from_native(pkt: &Ipv4Packet) -> Option<DecompContext> {
         let Transport::Tcp(seg) = &pkt.transport else {
@@ -239,6 +229,18 @@ impl DecompContext {
             self.has_ts = true;
         }
         self.msn_valid = false;
+    }
+}
+
+impl FlowContext for CompContext {
+    fn tuple(&self) -> &FiveTuple {
+        &self.tuple
+    }
+}
+
+impl FlowContext for DecompContext {
+    fn tuple(&self) -> &FiveTuple {
+        &self.tuple
     }
 }
 
@@ -276,6 +278,8 @@ pub fn wlsb_k(value: u64, floor: u64, choices: &[u32]) -> Option<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cidmap::{FlowTable, Observed};
+    use crate::md5::cid_for_tuple;
     use hack_tcp::{flags, Ipv4Addr, TcpOption};
 
     fn ack_packet(ack: u32, ident: u16, tsval: u32) -> Ipv4Packet {
@@ -401,8 +405,15 @@ mod tests {
 
     #[test]
     fn cid_is_stable() {
+        // Both ends place a flow's context at the CID of its 5-tuple
+        // (§3.3.2), each on its own.
         let p = ack_packet(1, 1, 1);
-        let ctx = CompContext::from_native(&p).unwrap();
-        assert_eq!(ctx.cid(), cid_for_tuple(&p.five_tuple().bytes()));
+        let cid = cid_for_tuple(&p.five_tuple().bytes());
+        let mut comp = FlowTable::default();
+        let created = comp.observe(CompContext::from_native(&p).unwrap());
+        assert!(matches!(created, Observed::Created(c) if c == cid));
+        let mut decomp = FlowTable::default();
+        let created = decomp.observe(DecompContext::from_native(&p).unwrap());
+        assert!(matches!(created, Observed::Created(c) if c == cid));
     }
 }

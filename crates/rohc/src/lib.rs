@@ -39,10 +39,8 @@ pub mod decompress;
 pub mod md5;
 pub mod varint;
 
-pub use cidmap::{CidMap, CtxTable};
-pub use compress::{build_blob, build_blob_into, CompressStats, Compressor, RohcSegment};
+pub use cidmap::CidMap;
+pub use compress::{build_blob, CompressStats, Compressor, RohcSegment};
 pub use context::{CompContext, DecompContext, FieldRefs};
-pub use decompress::{
-    BlobDecoder, BlobItem, BlobResult, DecompressError, DecompressStats, Decompressor,
-};
+pub use decompress::{BlobDecoder, BlobItem, DecompressError, DecompressStats, Decompressor};
 pub use md5::{cid_for_tuple, md5};

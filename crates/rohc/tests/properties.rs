@@ -1,7 +1,8 @@
 //! Property-based tests: compression roundtrips over arbitrary ACK
-//! streams, duplicate discard, and CRC coverage.
+//! streams, duplicate discard, CRC coverage, and the decoder's outcome
+//! accounting.
 
-use hack_rohc::{build_blob, BlobItem, Compressor, Decompressor};
+use hack_rohc::{build_blob, BlobItem, Compressor, DecompressError, DecompressStats, Decompressor};
 use hack_tcp::{flags as tf, Ipv4Addr, Ipv4Packet, TcpOption, TcpSegment, TcpSeq, Transport};
 use proptest::prelude::*;
 
@@ -28,6 +29,57 @@ fn ack_pkt(ackno: u32, ident: u16, tsval: u32, window: u16) -> Ipv4Packet {
     }
 }
 
+/// What one blob decoded to.
+#[derive(Debug, Default)]
+struct Decoded {
+    packets: Vec<Ipv4Packet>,
+    duplicates: usize,
+    errors: Vec<DecompressError>,
+}
+
+/// The decompressor's counters, in a fixed order.
+fn counters(s: &DecompressStats) -> [u64; 5] {
+    [
+        s.decompressed,
+        s.duplicates,
+        s.crc_failures,
+        s.no_context,
+        s.malformed,
+    ]
+}
+
+/// Index into [`counters`] of the one counter `item` must move.
+fn counter_of(item: &BlobItem) -> usize {
+    match item {
+        BlobItem::Packet(_) => 0,
+        BlobItem::Duplicate => 1,
+        BlobItem::Fail(DecompressError::BadCrc) => 2,
+        BlobItem::Fail(DecompressError::NoContext) => 3,
+        BlobItem::Fail(DecompressError::Malformed) => 4,
+    }
+}
+
+/// Decode `blob` item by item and hold the accounting law on the way:
+/// each item the cursor yields moves exactly its own counter, by one.
+fn decode(d: &mut Decompressor, blob: &[u8]) -> Result<Decoded, String> {
+    let mut out = Decoded::default();
+    let mut cursor = d.decode(blob);
+    let mut before = counters(cursor.stats());
+    while let Some(item) = cursor.next() {
+        let after = counters(cursor.stats());
+        let mut want = before;
+        want[counter_of(&item)] += 1;
+        prop_assert_eq!(after, want, "after {:?}", item);
+        before = after;
+        match item {
+            BlobItem::Packet(p) => out.packets.push(p),
+            BlobItem::Duplicate => out.duplicates += 1,
+            BlobItem::Fail(e) => out.errors.push(e),
+        }
+    }
+    Ok(out)
+}
+
 proptest! {
     /// Any monotone ACK stream (arbitrary deltas, windows, timestamps)
     /// compresses and reconstitutes byte-exactly when no losses occur.
@@ -51,7 +103,7 @@ proptest! {
             ident = ident.wrapping_add(1);
             let p = ack_pkt(ackno, ident, ts, w);
             let seg = c.compress(&p).expect("in-profile packet");
-            let res = d.decompress_blob(&build_blob(&[seg]));
+            let res = decode(&mut d, &build_blob(&[seg]))?;
             prop_assert!(res.errors.is_empty(), "i={i}: {:?}", res.errors);
             prop_assert_eq!(res.packets.len(), 1);
             prop_assert_eq!(&res.packets[0], &p, "i={}", i);
@@ -105,7 +157,7 @@ proptest! {
             segments.push(c.compress(&p).expect("in-profile packet"));
             sent.push(p);
         }
-        let res = d.decompress_blob(&build_blob(&segments));
+        let res = decode(&mut d, &build_blob(&segments))?;
         prop_assert!(res.errors.is_empty(), "{:?}", res.errors);
         prop_assert_eq!(res.packets, sent);
     }
@@ -129,13 +181,13 @@ proptest! {
             segs.push(c.compress(&p).unwrap());
         }
         // Deliver everything once.
-        let res = d.decompress_blob(&build_blob(&segs));
+        let res = decode(&mut d, &build_blob(&segs))?;
         prop_assert_eq!(res.packets.len(), n);
         // Replay a suffix (what retention does): all duplicates.
         let replay = &segs[replay_at..];
-        let res2 = d.decompress_blob(&build_blob(replay));
+        let res2 = decode(&mut d, &build_blob(replay))?;
         prop_assert_eq!(res2.packets.len(), 0);
-        prop_assert_eq!(res2.duplicates as usize, replay.len());
+        prop_assert_eq!(res2.duplicates, replay.len());
         prop_assert!(res2.errors.is_empty());
     }
 
@@ -161,7 +213,7 @@ proptest! {
                 let mut bad = seg.clone();
                 bad[idx] ^= 1 << bit;
                 total += 1;
-                let res = d.decompress_blob(&build_blob(&[bad]));
+                let res = decode(&mut d, &build_blob(&[bad]))?;
                 if res.packets.iter().any(|got| got != &p) {
                     wrong += 1;
                 }
@@ -176,9 +228,10 @@ proptest! {
     }
 
     /// Arbitrary garbage fed to the decompressor never panics and never
-    /// hangs — every byte string terminates with bounded work, and a
-    /// subsequent native ACK always re-syncs the context so the next
-    /// compressed ACK decodes byte-exactly.
+    /// hangs — every byte string terminates with bounded work, each item
+    /// it yields is counted once, in its own counter — and a subsequent
+    /// native ACK always re-syncs the context so the next compressed ACK
+    /// decodes byte-exactly.
     #[test]
     fn arbitrary_bytes_never_panic_and_native_resyncs(
         garbage in proptest::collection::vec(any::<u8>(), 0..256),
@@ -188,7 +241,7 @@ proptest! {
         let seed = ack_pkt(1000, 1, 100, 1024);
         c.observe_native(&seed);
         d.observe_native(&seed);
-        let _ = d.decompress_blob(&garbage); // must not panic or loop
+        decode(&mut d, &garbage)?; // must not panic or loop
         // Whatever state the garbage left behind, a native ACK repairs
         // the context (§3.3.2's last line of defense)…
         let native = ack_pkt(500_000, 7, 200, 2048);
@@ -197,13 +250,14 @@ proptest! {
         // …and the chain continues byte-exactly from there.
         let next = ack_pkt(502_920, 8, 201, 2048);
         let seg = c.compress(&next).expect("in-profile packet");
-        let res = d.decompress_blob(&build_blob(&[seg]));
+        let res = decode(&mut d, &build_blob(&[seg]))?;
         prop_assert!(res.errors.is_empty(), "{:?}", res.errors);
         prop_assert_eq!(res.packets, vec![next]);
     }
 
-    /// A valid blob with any single bit flipped never panics, and the
-    /// native-ACK repair path restores byte-exact decoding afterwards.
+    /// A valid blob with any single bit flipped never panics, counts each
+    /// item it yields once, in its own counter, and the native-ACK
+    /// repair path restores byte-exact decoding afterwards.
     #[test]
     fn bit_flipped_blob_never_panics_and_recovers(
         ackno in 2000u32..1_000_000,
@@ -219,14 +273,14 @@ proptest! {
         let mut blob = build_blob(&[seg]);
         let bit = usize::from(flip) % (blob.len() * 8);
         blob[bit / 8] ^= 1 << (bit % 8);
-        let _ = d.decompress_blob(&blob); // must not panic
+        decode(&mut d, &blob)?; // must not panic
         // Native repair, then the chain resumes byte-exactly.
         let native = ack_pkt(ackno.wrapping_add(2920), 3, 102, 1024);
         c.observe_native(&native);
         d.observe_native(&native);
         let next = ack_pkt(ackno.wrapping_add(5840), 4, 103, 1024);
         let seg = c.compress(&next).expect("in-profile packet");
-        let res = d.decompress_blob(&build_blob(&[seg]));
+        let res = decode(&mut d, &build_blob(&[seg]))?;
         prop_assert!(res.errors.is_empty(), "{:?}", res.errors);
         prop_assert_eq!(res.packets, vec![next]);
     }
@@ -246,61 +300,6 @@ proptest! {
                 "segment {} bytes vs original {}", seg.len(), p.wire_len());
         }
         prop_assert!(c.stats().ratio() >= 4.0);
-    }
-
-    /// The zero-copy streaming cursor and the owned batch decoder are
-    /// observationally identical: two independently primed
-    /// decompressors fed the same blob — valid or bit-flipped — yield
-    /// the same packets, duplicate count, error sequence, and final
-    /// statistics.
-    #[test]
-    fn streaming_decode_matches_owned_decode(
-        deltas in proptest::collection::vec((0u32..100_000, 0u32..50, any::<u16>()), 1..40),
-        flips in proptest::collection::vec((any::<u16>(), 0u32..8), 0..4),
-    ) {
-        let mut c = Compressor::new();
-        let seed = ack_pkt(1000, 1, 100, 1024);
-        c.observe_native(&seed);
-        let mut segs = Vec::new();
-        let mut ackno = 1000u32;
-        let mut ts = 100u32;
-        for (i, &(da, dt, w)) in deltas.iter().enumerate() {
-            ackno = ackno.wrapping_add(da);
-            ts = ts.wrapping_add(dt);
-            let p = ack_pkt(ackno, 2 + i as u16, ts, w);
-            segs.push(c.compress(&p).expect("in-profile packet"));
-        }
-        let mut blob = build_blob(&segs);
-        for &(pos, bit) in &flips {
-            let i = usize::from(pos) % blob.len();
-            blob[i] ^= 1 << bit;
-        }
-
-        let mut owned = Decompressor::new();
-        let mut streaming = Decompressor::new();
-        owned.observe_native(&seed);
-        streaming.observe_native(&seed);
-
-        let batch = owned.decompress_blob(&blob);
-        let mut packets = Vec::new();
-        let mut duplicates = 0u32;
-        let mut errors = Vec::new();
-        for item in streaming.decode(&blob) {
-            match item {
-                BlobItem::Packet(p) => packets.push(p),
-                BlobItem::Duplicate => duplicates += 1,
-                BlobItem::Fail(e) => errors.push(e),
-            }
-        }
-        prop_assert_eq!(packets, batch.packets);
-        prop_assert_eq!(duplicates, batch.duplicates);
-        prop_assert_eq!(errors, batch.errors);
-        let (a, b) = (owned.stats(), streaming.stats());
-        prop_assert_eq!(a.decompressed, b.decompressed);
-        prop_assert_eq!(a.duplicates, b.duplicates);
-        prop_assert_eq!(a.crc_failures, b.crc_failures);
-        prop_assert_eq!(a.no_context, b.no_context);
-        prop_assert_eq!(a.malformed, b.malformed);
     }
 
     /// Abandoning the streaming cursor mid-blob (the MAC dropping the
@@ -339,7 +338,7 @@ proptest! {
         d.observe_native(&native);
         let next = ack_pkt(92_920, 101, 501, 2048);
         let seg = c.compress(&next).expect("in-profile packet");
-        let res = d.decompress_blob(&build_blob(&[seg]));
+        let res = decode(&mut d, &build_blob(&[seg]))?;
         prop_assert!(res.errors.is_empty(), "{:?}", res.errors);
         prop_assert_eq!(res.packets, vec![next]);
     }

@@ -6,7 +6,7 @@
 //! cargo run --release --example ack_compression
 //! ```
 
-use tcp_hack::rohc::{build_blob, Compressor, Decompressor};
+use tcp_hack::rohc::{build_blob, BlobItem, Compressor, Decompressor};
 use tcp_hack::tcp::{flags, Ipv4Addr, Ipv4Packet, TcpOption, TcpSegment, TcpSeq, Transport};
 
 fn ack(ackno: u32, ident: u16, ts: u32) -> Ipv4Packet {
@@ -69,25 +69,27 @@ fn main() {
         segments.len() as u32 * first.wire_len()
     );
 
-    let res = ap.decompress_blob(&blob);
+    let items: Vec<BlobItem> = ap.decode(&blob).collect();
     println!(
         "AP reconstitutes {} ACKs byte-exactly, {} errors",
-        res.packets.len(),
-        res.errors.len()
+        ap.stats().decompressed,
+        items
+            .iter()
+            .filter(|i| matches!(i, BlobItem::Fail(_)))
+            .count()
     );
-    assert_eq!(res.packets.len(), 6);
-    assert_eq!(res.packets[5], ack(10_000 + 6 * 2920, 7, 106));
+    assert_eq!(ap.stats().decompressed, 6);
+    assert_eq!(items[5], BlobItem::Packet(ack(10_000 + 6 * 2920, 7, 106)));
 
     // The client retains the blob until §3.4 confirms delivery; a lost
     // Block ACK means the same bytes ride again — and must not re-apply.
-    let res2 = ap.decompress_blob(&blob);
+    let replayed: Vec<BlobItem> = ap.decode(&blob).collect();
     println!(
         "replayed blob: {} new packets, {} duplicates discarded by MSN",
-        res2.packets.len(),
-        res2.duplicates
+        ap.stats().decompressed - 6,
+        ap.stats().duplicates
     );
-    assert_eq!(res2.packets.len(), 0);
-    assert_eq!(res2.duplicates, 6);
+    assert_eq!(replayed, vec![BlobItem::Duplicate; 6]);
 
     println!(
         "\ncompression ratio so far: {:.1}:1 (the paper's full ROHC-TCP reaches ~12:1)",
