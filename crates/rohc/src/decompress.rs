@@ -12,16 +12,19 @@
 //! Every segment is encoded against the compressor's floor, a value
 //! not newer than any reference this side could hold, so a blob that
 //! overtakes queued native ACKs, arrives duplicated, or skips lost
-//! predecessors decodes correctly. A native sent *after* a held segment
-//! that arrives first is the exception: it moves the references past
-//! the segment, and the forward-only decode wraps by 2^k. The client
-//! driver withdraws held segments up to each native its link layer
-//! reports delivered; while that report is missing (the native's LL ACK
-//! was lost), such a segment fails CRC-3, or passes it one time in
-//! eight. A genuine desynchronization (e.g. a dropped native the
-//! compressor folded into its floor) likewise surfaces as a CRC failure
-//! and heals on the next native ACK, satisfying the paper's "must not
-//! be persistent" requirement.
+//! predecessors decodes correctly. Two races break that premise. A
+//! native sent *after* a held segment that arrives first moves the
+//! references past the segment, and the forward-only decode wraps by
+//! 2^k; the client driver withdraws held segments up to each native its
+//! link layer reports delivered. A native that arrives *after* newer
+//! values were decoded would move the references back below the floor;
+//! a native refresh therefore never moves them back by less than an
+//! ident window ([`DecompContext::refresh_native`]). A segment that
+//! still decodes against the wrong references fails CRC-3, or passes it
+//! one time in eight. A genuine desynchronization (e.g. a dropped
+//! native the compressor folded into its floor) likewise surfaces as a
+//! CRC failure and heals on the next native ACK, satisfying the paper's
+//! "must not be persistent" requirement.
 
 use hack_tcp::{
     flags as tcpflags, FiveTuple, Ipv4Packet, TcpOption, TcpSegment, TcpSeq, Transport,
