@@ -258,9 +258,11 @@ impl<T: FlowContext> FlowTable<T> {
     /// native ACK of the flow re-seeds it. Whether there was one. A
     /// flow holding the same CID is untouched.
     pub(crate) fn drop(&mut self, tuple: &FiveTuple) -> bool {
-        self.get_mut(tuple)
-            .map(|(cid, _)| cid)
-            .is_some_and(|cid| self.slots.remove(cid).is_some())
+        let Some((cid, _)) = self.get_mut(tuple) else {
+            return false;
+        };
+        self.slots.remove(cid);
+        true
     }
 }
 

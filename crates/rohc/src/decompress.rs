@@ -37,15 +37,17 @@ use crate::context::{compressible_ack, wlsb_decode, DecompContext, FieldRefs};
 use crate::crc::crc3;
 use crate::varint::{read_ivarint, read_uvarint};
 
-/// Why one segment failed to decompress.
+/// Why one segment failed to decompress. The discriminant is the
+/// failure's stable wire code (the `reason` of
+/// [`Event::RohcDecompressFail`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecompressError {
     /// Byte-level parse failure (truncated field, bad count).
-    Malformed,
+    Malformed = 0,
     /// No context for the CID.
-    NoContext,
+    NoContext = 1,
     /// The reconstructed header failed CRC validation (context desync).
-    BadCrc,
+    BadCrc = 2,
 }
 
 /// Decompressor statistics: one counter per [`BlobItem`] outcome.
@@ -87,16 +89,6 @@ pub struct Decompressor {
     trace: TraceHandle,
     trace_node: u32,
     trace_now: u64,
-}
-
-/// Stable wire code for a failure class (the `reason` payload of
-/// [`Event::RohcDecompressFail`]).
-pub fn decompress_error_code(e: DecompressError) -> u32 {
-    match e {
-        DecompressError::Malformed => 0,
-        DecompressError::NoContext => 1,
-        DecompressError::BadCrc => 2,
-    }
 }
 
 impl Decompressor {
@@ -344,9 +336,7 @@ impl BlobDecoder<'_, '_> {
                     self.d.trace,
                     self.d.trace_now,
                     self.d.trace_node,
-                    Event::RohcDecompressFail {
-                        reason: decompress_error_code(e)
-                    }
+                    Event::RohcDecompressFail { reason: e as u32 }
                 );
             }
         }
