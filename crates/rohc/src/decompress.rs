@@ -17,9 +17,9 @@
 //! references past the segment, and the forward-only decode wraps by
 //! 2^k; the client driver withdraws held segments up to each native its
 //! link layer reports delivered. A native that arrives *after* newer
-//! values were decoded would move the references back below the floor;
-//! a native refresh therefore never moves them back by less than an
-//! ident window ([`DecompContext::refresh_native`]). A segment that
+//! values were decoded would move the references back below the floor,
+//! so a native less than 256 idents behind them changes nothing
+//! ([`DecompContext::refresh_native`]). A segment that
 //! still decodes against the wrong references fails CRC-3, or passes it
 //! one time in eight. A genuine desynchronization (e.g. a dropped
 //! native the compressor folded into its floor) likewise surfaces as a
