@@ -273,22 +273,6 @@ fn opportunistic_lossy_world_forges_no_ack() {
     }
 }
 
-/// A native that reaches the AP after newer values were decoded from a
-/// blob once moved the AP's references back below the compressor's
-/// floor, where the next segments' LSBs could not reach their values:
-/// this clean MORE DATA world failed CRC-3 six times.
-#[test]
-fn more_data_clean_world_has_no_crc_failures() {
-    let cfg = ScenarioBuilder::dot11n_download(150, 1, HackMode::MoreData)
-        .loss(LossConfig::Ideal)
-        .duration(SimDuration::from_secs(3))
-        .seed(5)
-        .build();
-    let r = World::builder(cfg).run();
-    assert!(r.decompressor.decompressed > 1000, "{:?}", r.decompressor);
-    assert_eq!(r.decompressor.crc_failures, 0, "{:?}", r.decompressor);
-}
-
 /// On a clean channel every blob segment decodes: a delivered native
 /// withdraws the held segments sent before it, so none rides against
 /// references that have moved past it.

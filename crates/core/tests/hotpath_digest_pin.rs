@@ -294,10 +294,8 @@ fn loss_override_and_move_on_snr_medium() {
 /// one to three blocks each, counted once on an instrumented build).
 #[test]
 fn sack_bearing_acks_through_rohc() {
-    // Re-pinned: a native that reaches the AP after newer values were
-    // decoded no longer moves its references back.
     const PINS: [&str; 1] = [
-        "485452440100dfbc0000000000007f7f36877f8854ddd0170000000000002213000000000000612100000000000088700000000000000400000000000000",
+        "485452440100dfbc00000000000077ef8be687a38c44d0170000000000002213000000000000612100000000000088700000000000000400000000000000",
     ];
     let cfg = ScenarioBuilder::dot11n_download(150, 4, HackMode::MoreData)
         .duration(SimDuration::from_millis(2500))
@@ -384,10 +382,8 @@ fn opportunistic_native_twins_withdrawn() {
 /// decodes them in same-instant batches.
 #[test]
 fn bidirectional_ap_side_holds() {
-    // Re-pinned: a native that reaches the AP after newer values were
-    // decoded no longer moves its references back.
     const PINS: [&str; 1] = [
-        "4854524401004849000000000000a0803d7f6e230e686708000000000000131900000000000052050000000000007b220000000000000100000000000000",
+        "485452440100b44800000000000057eee8ccee100cb143090000000000008e11000000000000ef04000000000000f3280000000000000100000000000000",
     ];
     let cfg = ScenarioBuilder::dot11n_download(150, 1, HackMode::MoreData)
         .traffic(TrafficModel::Bidirectional)
@@ -723,12 +719,8 @@ fn supervised_opportunistic_fallback_with_holds() {
 /// flow 7 at every native ACK flow 23 sends.
 #[test]
 fn cid_collision_at_the_ap() {
-    // Re-pinned: flow 23's segments decode against flow 7's context, and
-    // once a false CRC-3 pass moves its references to flow 23's idents,
-    // flow 7's own natives less than 256 idents behind no longer pull
-    // them back.
     const PINS: [&str; 1] = [
-        "485452440100c93d0000000000003c3b6b2bb23fd95a0a170000000000004013000000000000600200000000000007110000000000001800000000000000",
+        "485452440100e238000000000000cb870625845bb0c940160000000000004b12000000000000aa02000000000000950d0000000000001800000000000000",
     ];
     let ack_tuple = |flow: u8| FiveTuple {
         src_ip: Ipv4Addr::new(192, 168, 0, 10 + flow),

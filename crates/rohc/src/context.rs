@@ -19,9 +19,9 @@
 //! the segment's values, where no `k` decodes them. The client driver
 //! therefore withdraws held segments up to each native reported
 //! delivered; while a report is missing, the race stays open. The
-//! window starts at the floor, which assumes the peer's references
-//! never move back; so a native that reaches the decompressor after
-//! newer values were decoded leaves them where they are
+//! window also starts at the floor, which assumes the peer's references
+//! never move back; a native that reaches the decompressor after newer
+//! values were decoded moves them back all the same
 //! ([`DecompContext::refresh_native`]).
 //!
 //! The compressor maintains the floor from the driver's confirmation
@@ -197,11 +197,10 @@ pub struct DecompContext {
     /// Master sequence number of the last accepted packet.
     pub msn: u8,
     /// Whether `msn` anchors the duplicate-discard window. Cleared by
-    /// every native refresh that moves `refs`: a corrupted segment that
-    /// slips past CRC-3 can plant a bogus MSN, and without this reset
-    /// the window would discard valid segments for up to 128 MSNs. A
-    /// native ACK is ground truth, so it re-syncs MSN tracking along
-    /// with the field refs.
+    /// every native refresh: a corrupted segment that slips past CRC-3
+    /// can plant a bogus MSN, and without this reset the window would
+    /// discard valid segments for up to 128 MSNs. A native ACK is ground
+    /// truth, so it re-syncs MSN tracking along with the field refs.
     pub msn_valid: bool,
 }
 
@@ -224,20 +223,15 @@ impl DecompContext {
         })
     }
 
-    /// Refresh from a natively received ACK. The references only move
-    /// forward. A native whose ident is 1 to 255 behind them arrived
-    /// after newer values were decoded; moving back to it would leave
-    /// the references below the compressor's floor, outside the
-    /// interpretation interval of the next segment (RFC 3095 §4.5.1),
-    /// so it changes nothing. A native 256 or more behind lies outside
-    /// any window the compressor encodes against (it declines an ident
-    /// that far past its floor) and refreshes as ground truth: that is
-    /// how references a CRC-3 false pass moved far off heal.
+    /// Refresh from a natively received ACK, taken as ground truth in
+    /// arrival order: this is how any desynchronization heals. The
+    /// references move back when the native arrived after newer values
+    /// were decoded, and that is not covered: the compressor's windows
+    /// start at its floor, which assumes the references never move
+    /// back, so the next segment's LSBs may not reach its values
+    /// (RFC 3095 §4.5.1) and it fails CRC-3, or passes it one time in
+    /// eight.
     pub fn refresh_native(&mut self, pkt: &Ipv4Packet, seg: &TcpSegment) {
-        let behind = self.refs.ident.wrapping_sub(pkt.ident);
-        if (1..256).contains(&behind) {
-            return;
-        }
         self.refs = FieldRefs::of(pkt, seg);
         self.ttl = pkt.ttl;
         if seg.timestamps().is_some() {
@@ -416,30 +410,6 @@ mod tests {
         a.max_with(&c);
         assert_eq!(a.ack, TcpSeq(3000));
         assert_eq!(a.ident, 7);
-    }
-
-    #[test]
-    fn late_native_never_moves_the_references_back() {
-        // A decode moved the references to ident 3 (past a wrap) and
-        // anchored the MSN window.
-        let seed = ack_packet(1000, 65_000, 10);
-        let mut ctx = DecompContext::from_native(&seed).unwrap();
-        let decoded = ack_packet(9000, 3, 20);
-        ctx.refs = FieldRefs::of(&decoded, compressible_ack(&decoded).unwrap());
-        ctx.msn_valid = true;
-        let refs = ctx.refs;
-        for behind in [1u16, 100, 255] {
-            let late = ack_packet(5000, 3u16.wrapping_sub(behind), 15);
-            ctx.refresh_native(&late, compressible_ack(&late).unwrap());
-            assert_eq!(ctx.refs, refs, "{behind} behind");
-            assert!(ctx.msn_valid, "{behind} behind");
-        }
-        // 256 or more behind: outside every window, so ground truth.
-        let far = ack_packet(500, 3u16.wrapping_sub(256), 5);
-        let far_seg = compressible_ack(&far).unwrap();
-        ctx.refresh_native(&far, far_seg);
-        assert_eq!(ctx.refs, FieldRefs::of(&far, far_seg));
-        assert!(!ctx.msn_valid);
     }
 
     #[test]

@@ -17,14 +17,14 @@
 //! references past the segment, and the forward-only decode wraps by
 //! 2^k; the client driver withdraws held segments up to each native its
 //! link layer reports delivered. A native that arrives *after* newer
-//! values were decoded would move the references back below the floor,
-//! so a native less than 256 idents behind them changes nothing
-//! ([`DecompContext::refresh_native`]). A segment that
-//! still decodes against the wrong references fails CRC-3, or passes it
+//! values were decoded moves the references back below the floor
+//! ([`DecompContext::refresh_native`] takes every native as it comes),
+//! where the next segment's LSBs may not reach its values. A segment
+//! that decodes against the wrong references fails CRC-3, or passes it
 //! one time in eight. A genuine desynchronization (e.g. a dropped
-//! native the compressor folded into its floor) likewise surfaces as a
-//! CRC failure and heals on the next native ACK, satisfying the paper's
-//! "must not be persistent" requirement.
+//! native the compressor folded into its floor, or a false CRC-3 pass)
+//! likewise surfaces as a CRC failure and heals on the next native ACK,
+//! satisfying the paper's "must not be persistent" requirement.
 
 use hack_tcp::{
     flags as tcpflags, FiveTuple, Ipv4Packet, TcpOption, TcpSegment, TcpSeq, Transport,
