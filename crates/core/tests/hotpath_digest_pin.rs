@@ -48,6 +48,11 @@
 //! compressor and decompressor came to share one flow table, for the
 //! path no earlier pin reaches: two flows at one AP whose five-tuples
 //! hash to the same CID.
+//!
+//! The eighth group was captured immediately before the decompress side
+//! moved from one per station to one per end of each link, for the path
+//! no earlier pin reaches: a pure upload, whose ACKs the AP compresses
+//! toward the client. Its pins hold `events_dispatched` as well.
 
 use hack_core::{
     run_dense, ArrivalDist, BssSpec, CbrConfig, ChannelChange, ChannelEvent, CorruptModel,
@@ -749,4 +754,33 @@ fn cid_collision_at_the_ap() {
         r.driver[23]
     );
     assert_pins("CID collision at the AP", &[digest], &PINS);
+}
+
+// ---------------------------------------------------------------------
+// Captured before the decompress side moved to one per end of each link.
+// ---------------------------------------------------------------------
+
+/// A one-client 802.11n upload in each holding mode: the server's ACKs
+/// reach the AP over the backhaul, the AP compresses them toward the
+/// client, and the client's end of the link decodes the blobs.
+#[test]
+fn bulk_upload_in_each_holding_mode() {
+    const PINS: [(&str, u64); 2] = [
+        ("48545244010001320000000000002cc74923b3faad95a5050000000000008017000000000000a70200000000000034120000000000000100000000000000", 21789),
+        ("48545244010095340000000000004f3c3b8d4cc4f9d14106000000000000621900000000000077010000000000007a130000000000000100000000000000", 21193),
+    ];
+    let got: Vec<(String, u64)> = [HackMode::MoreData, HackMode::Opportunistic]
+        .into_iter()
+        .map(|mode| {
+            let cfg = ScenarioBuilder::dot11n_download(150, 1, mode)
+                .traffic(TrafficModel::BulkUpload)
+                .duration(SimDuration::from_millis(1000))
+                .seed(3)
+                .build();
+            let (r, digest) = run_and_digest(cfg);
+            assert!(r.driver_ap[0].hacked_acks > 0, "{:?}", r.driver_ap);
+            (digest, r.events_dispatched)
+        })
+        .collect();
+    assert_counted_pins("bulk upload", &got, &PINS);
 }
