@@ -1,23 +1,18 @@
-//! Steady-state CID lookup structures for the ROHC fast path.
-//!
-//! Both endpoints resolve a flow 5-tuple to its context identifier on
-//! every packet. The original implementation kept a `Vec<(FiveTuple,
-//! u8)>` scanned linearly — fine for one flow, quadratic pain for a
-//! dense-cell AP decompressing blobs from dozens of stations. This
-//! module provides the replacements:
+//! CID lookup structures for the ROHC fast path.
 //!
 //! * [`CidMap`] — a small open-addressed hash map from [`FiveTuple`] to
 //!   CID, keyed by a cheap multiply-xor hash over the tuple words (no
-//!   MD5, no SipHash). O(1) expected lookup independent of flow count.
-//! * `CtxTable` — direct-indexed context storage. CIDs are single
-//!   bytes, so a 256-slot table replaces `HashMap<u8, Ctx>`: lookup is
-//!   an array index, no hashing at all. Slots allocate lazily on first
-//!   insert so an idle endpoint costs nothing.
-//! * `FlowTable` — the two together, and the one place the §3.3.2 rule
-//!   lives on either end: a flow's CID is the low byte of the MD5 of
-//!   its 5-tuple (derived once per flow, on first sight), a context is
-//!   created only from a native ACK, and a flow whose CID another flow
-//!   already holds gets no context and stays native-only.
+//!   MD5, no SipHash). O(1) expected lookup independent of flow count,
+//!   for a caller that maps many flows at once.
+//! * `FlowTable` — one endpoint's contexts, and the one place the
+//!   §3.3.2 rule lives on either end: a flow's CID is the low byte of
+//!   the MD5 of its 5-tuple (derived when a native ACK creates the
+//!   flow's context), a context is created only from a native ACK, and
+//!   a flow whose CID another flow already holds gets no context and
+//!   stays native-only. A CID names a context within one ROHC channel
+//!   (RFC 3095): one compressor and one decompressor, the two ends of
+//!   one link. A table therefore holds the few flows of one link, in a
+//!   short list scanned in place.
 
 use hack_tcp::FiveTuple;
 
@@ -116,63 +111,6 @@ impl CidMap {
     }
 }
 
-/// Direct-indexed context storage: CIDs are bytes, so contexts live in
-/// a flat 256-slot table and lookup is a bounds-check-free array index.
-///
-/// The table allocates lazily on the first insert (one allocation for
-/// the lifetime of the endpoint), so an empty table is free.
-#[derive(Debug, Clone)]
-struct CtxTable<T> {
-    slots: Vec<Option<T>>,
-    live: usize,
-}
-
-impl<T> CtxTable<T> {
-    /// An empty table (no allocation until the first insert).
-    fn new() -> Self {
-        CtxTable {
-            slots: Vec::new(),
-            live: 0,
-        }
-    }
-
-    /// Number of live contexts.
-    fn len(&self) -> usize {
-        self.live
-    }
-
-    /// The context at `cid`, if any.
-    #[inline]
-    fn get(&self, cid: u8) -> Option<&T> {
-        self.slots.get(usize::from(cid))?.as_ref()
-    }
-
-    /// Mutable access to the context at `cid`, if any.
-    #[inline]
-    fn get_mut(&mut self, cid: u8) -> Option<&mut T> {
-        self.slots.get_mut(usize::from(cid))?.as_mut()
-    }
-
-    /// Install (or replace) the context at `cid`.
-    fn insert(&mut self, cid: u8, ctx: T) {
-        if self.slots.is_empty() {
-            self.slots.resize_with(256, || None);
-        }
-        if self.slots[usize::from(cid)].replace(ctx).is_none() {
-            self.live += 1;
-        }
-    }
-
-    /// Remove and return the context at `cid`.
-    fn remove(&mut self, cid: u8) -> Option<T> {
-        let old = self.slots.get_mut(usize::from(cid))?.take();
-        if old.is_some() {
-            self.live -= 1;
-        }
-        old
-    }
-}
-
 /// A per-flow context: the 5-tuple it belongs to.
 pub(crate) trait FlowContext {
     /// The flow (ACK direction).
@@ -194,17 +132,14 @@ pub(crate) enum Observed<'a, T> {
 /// collisions by the same code.
 #[derive(Debug)]
 pub(crate) struct FlowTable<T> {
-    /// Tuple → CID, so MD5 runs once per flow rather than once per ACK.
-    cids: CidMap,
-    slots: CtxTable<T>,
+    /// `(CID, context)` of each flow that has a context; CIDs are
+    /// distinct, and so are the contexts' flows.
+    slots: Vec<(u8, T)>,
 }
 
 impl<T> Default for FlowTable<T> {
     fn default() -> Self {
-        FlowTable {
-            cids: CidMap::new(),
-            slots: CtxTable::new(),
-        }
+        FlowTable { slots: Vec::new() }
     }
 }
 
@@ -216,52 +151,48 @@ impl<T: FlowContext> FlowTable<T> {
 
     /// A native ACK of `fresh`'s flow: the flow's context if it has one,
     /// else `fresh` installed at the flow's CID if that is free. The
-    /// only site that derives a CID (§3.3.2: MD5 of the 5-tuple, on
-    /// first sight of the flow).
+    /// only site that derives a CID (§3.3.2: MD5 of the 5-tuple).
     pub(crate) fn observe(&mut self, fresh: T) -> Observed<'_, T> {
-        let tuple = *fresh.tuple();
-        let cid = match self.cids.get(&tuple) {
-            Some(cid) => cid,
-            None => {
-                let cid = crate::md5::cid_for_tuple(&tuple.bytes());
-                self.cids.insert(tuple, cid);
-                cid
-            }
-        };
-        if self.slots.get(cid).is_none() {
-            self.slots.insert(cid, fresh);
-            return Observed::Created(cid);
+        let tuple = fresh.tuple();
+        if let Some(i) = self.slots.iter().position(|(_, c)| c.tuple() == tuple) {
+            return Observed::Live(&mut self.slots[i].1);
         }
-        match self.slots.get_mut(cid) {
-            Some(ctx) if *ctx.tuple() == tuple => Observed::Live(ctx),
-            _ => Observed::Taken,
+        let cid = crate::md5::cid_for_tuple(&tuple.bytes());
+        if self.slots.iter().any(|&(c, _)| c == cid) {
+            return Observed::Taken;
         }
+        self.slots.push((cid, fresh));
+        Observed::Created(cid)
     }
 
     /// The context of `tuple`'s flow and its CID. A flow never observed
     /// has none, so this derives nothing.
     #[inline]
     pub(crate) fn get_mut(&mut self, tuple: &FiveTuple) -> Option<(u8, &mut T)> {
-        let cid = self.cids.get(tuple)?;
-        let ctx = self.slots.get_mut(cid)?;
-        (ctx.tuple() == tuple).then_some((cid, ctx))
+        self.slots
+            .iter_mut()
+            .find(|(_, c)| c.tuple() == tuple)
+            .map(|(cid, c)| (*cid, c))
     }
 
     /// The context holding `cid`, whichever flow it belongs to (a
     /// compressed segment names its CID, not its flow).
     #[inline]
     pub(crate) fn by_cid_mut(&mut self, cid: u8) -> Option<&mut T> {
-        self.slots.get_mut(cid)
+        self.slots
+            .iter_mut()
+            .find(|(c, _)| *c == cid)
+            .map(|(_, ctx)| ctx)
     }
 
     /// Forget `tuple`'s context (supervisor-driven refresh); the next
     /// native ACK of the flow re-seeds it. Whether there was one. A
     /// flow holding the same CID is untouched.
     pub(crate) fn drop(&mut self, tuple: &FiveTuple) -> bool {
-        let Some((cid, _)) = self.get_mut(tuple) else {
+        let Some(i) = self.slots.iter().position(|(_, c)| c.tuple() == tuple) else {
             return false;
         };
-        self.slots.remove(cid);
+        self.slots.swap_remove(i);
         true
     }
 }
@@ -320,21 +251,49 @@ mod tests {
 
     #[test]
     fn ctx_table_insert_get_remove() {
-        let mut t: CtxTable<String> = CtxTable::new();
+        #[derive(Debug, PartialEq)]
+        struct Ctx(FiveTuple, &'static str);
+        impl FlowContext for Ctx {
+            fn tuple(&self) -> &FiveTuple {
+                &self.0
+            }
+        }
+        let cid = |i| crate::md5::cid_for_tuple(&tuple(i).bytes());
+        // Two flows whose CIDs collide (pigeonhole over 257 flows).
+        let (a, b) = (0..257)
+            .flat_map(|j| (0..j).map(move |i| (i, j)))
+            .find(|&(i, j)| cid(i) == cid(j))
+            .expect("257 flows share a CID");
+        let c = (0..).find(|&k| cid(k) != cid(a)).unwrap();
+
+        let mut t: FlowTable<Ctx> = FlowTable::default();
         assert_eq!(t.len(), 0);
-        assert_eq!(t.get(7), None);
-        t.insert(7, "seven".into());
-        t.insert(255, "max".into());
-        t.insert(0, "zero".into());
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.get(7).map(String::as_str), Some("seven"));
-        assert_eq!(t.get_mut(255).map(|s| s.as_str()), Some("max"));
-        assert_eq!(t.remove(7), Some("seven".into()));
-        assert_eq!(t.remove(7), None);
+        assert!(t.get_mut(&tuple(a)).is_none());
+        assert!(t.by_cid_mut(cid(a)).is_none());
+        assert!(matches!(t.observe(Ctx(tuple(a), "a")), Observed::Created(x) if x == cid(a)));
+        assert!(matches!(t.observe(Ctx(tuple(c), "c")), Observed::Created(x) if x == cid(c)));
+        // The flow's own context comes back as it was first installed.
+        match t.observe(Ctx(tuple(a), "a again")) {
+            Observed::Live(ctx) => assert_eq!(ctx.1, "a"),
+            _ => panic!("flow a lost its context"),
+        }
+        // A second flow on a held CID stays native-only.
+        assert!(matches!(t.observe(Ctx(tuple(b), "b")), Observed::Taken));
         assert_eq!(t.len(), 2);
-        // Replacing keeps the count right.
-        t.insert(0, "nil".into());
+        assert_eq!(
+            t.get_mut(&tuple(c)).map(|(x, ctx)| (x, ctx.1)),
+            Some((cid(c), "c"))
+        );
+        assert!(t.get_mut(&tuple(b)).is_none());
+        assert_eq!(t.by_cid_mut(cid(b)).map(|ctx| ctx.1), Some("a"));
+        // Dropping another flow on the same CID leaves the holder alone.
+        assert!(!t.drop(&tuple(b)));
+        assert!(t.drop(&tuple(a)));
+        assert!(!t.drop(&tuple(a)));
+        assert_eq!(t.len(), 1);
+        // The freed CID goes to the next flow that asks for it.
+        assert!(matches!(t.observe(Ctx(tuple(b), "b")), Observed::Created(x) if x == cid(a)));
+        assert_eq!(t.by_cid_mut(cid(a)).map(|ctx| ctx.1), Some("b"));
         assert_eq!(t.len(), 2);
-        assert_eq!(t.get(0).map(String::as_str), Some("nil"));
     }
 }
