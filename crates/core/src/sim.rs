@@ -54,7 +54,7 @@ use hack_phy::{Medium, MpduStatus, PpduMeta, StationId, TxId};
 use hack_sim::{
     FastMap, Scheduler, SimRng, SimTime, ThroughputMeter, Ticket, TimerTable, TimerToken,
 };
-use hack_tcp::{Connection, Ipv4Addr, Ipv4Packet, Transport};
+use hack_tcp::{Connection, FiveTuple, Ipv4Addr, Ipv4Packet, Transport};
 use hack_trace::TraceHandle;
 
 use self::backhaul::Backhaul;
@@ -189,7 +189,11 @@ pub struct World {
     /// the client. They follow the flow across handoffs (see
     /// [`World::driver_slot`]).
     compress: Vec<[CompressSide; 2]>,
-    decompress: Vec<DecompressSide>,
+    /// Decompress-side drivers, indexed like `compress`: `[flow][0]`
+    /// decodes on the client what the AP serving it sends, `[flow][1]`
+    /// on that AP what the client sends. A CID is local to one link, so
+    /// every link has its own pair of contexts.
+    decompress: Vec<[DecompressSide; 2]>,
     /// The PPDU each station has on the air (a station transmits one at
     /// a time): its frames and whether it is an A-MPDU. Indexed by
     /// station id, grown on first use.
@@ -298,13 +302,6 @@ impl World {
         let (medium, stations) = topology::build_air(&cfg, &layout, &rng, &trace);
 
         // --- HACK drivers and their supervisors ---
-        let decompress = (0..stations.len() as u32)
-            .map(|sid| {
-                let mut d = DecompressSide::new();
-                d.set_trace(trace.clone(), sid);
-                d
-            })
-            .collect();
         let supervised = cfg.supervisor.is_some()
             && cfg.hack_mode != HackMode::Disabled
             && (0..n).any(|i| cfg.model_of(i).is_tcp());
@@ -317,16 +314,17 @@ impl World {
             }
             cs
         };
-        // The client compresses toward its AP (downloads) and the AP
-        // toward each client (uploads) — symmetric design.
-        let compress = (0..n)
-            .map(|i| {
-                [
-                    compress_side(layout.client(i)),
-                    compress_side(layout.ap_of_flow(i)),
-                ]
-            })
-            .collect();
+        let decompress_side = |sid: StationId| {
+            let mut d = DecompressSide::new();
+            d.set_trace(trace.clone(), sid.0);
+            d
+        };
+        // Both ends of each flow's link run both drivers: the client
+        // compresses toward its AP (downloads) and the AP toward the
+        // client (uploads) — symmetric design.
+        let ends = |i| [layout.client(i), layout.ap_of_flow(i)];
+        let compress = (0..n).map(|i| ends(i).map(compress_side)).collect();
+        let decompress = (0..n).map(|i| ends(i).map(decompress_side)).collect();
         let supervisors = match cfg.supervisor {
             Some(sup_cfg) if supervised => (0..n).map(|_| FlowSupervisor::new(sup_cfg)).collect(),
             _ => Vec::new(),
@@ -817,29 +815,13 @@ impl World {
                     };
                     let had_blob = blob.is_some();
                     if let Some(blob) = blob {
-                        // The supervisor's post-mortem needs the counters
-                        // from before the decode.
-                        let before =
-                            sup_flow.map(|_| self.decompress[sid.0 as usize].stats().clone());
-                        // Zero-copy decode: ACKs are scheduled as they
-                        // decompress straight out of the blob bytes — no
-                        // intermediate packet Vec.
-                        let side = &mut self.decompress[sid.0 as usize];
-                        let (sched, host_rx) = (&mut self.sched, &mut self.host_rx);
-                        let at = now + self.cfg.stack_delay;
-                        side.on_blob_with(&blob.bytes, now, |pkt| {
-                            host_rx.push(sched, sid, at, pkt, false);
-                        });
+                        // A blob over an association a handoff has since
+                        // left has no decompress end.
+                        if let Some((flow, end)) = self.driver_slot(sid, from) {
+                            self.decode_blob(sid, (flow, end), &blob.bytes, sup_flow, now);
+                        }
                         // The sender's next blob is copied into this one.
                         self.station(from).recycle_blob(blob);
-                        if let (Some(flow), Some(before)) = (sup_flow, before) {
-                            let after = self.decompress[sid.0 as usize].stats();
-                            for (sig, times) in health::signals(&before, after) {
-                                for _ in 0..times {
-                                    self.sup_signal(flow, sig, now);
-                                }
-                            }
-                        }
                     }
                     if let Some(flow) = sup_flow {
                         if !had_blob {
@@ -898,6 +880,35 @@ impl World {
             if other != sid {
                 let acts = self.station(other).on_channel_busy(now);
                 self.apply(other, acts, now);
+            }
+        }
+    }
+
+    /// Decode a blob that reached `sid` at the decompress end `slot`.
+    fn decode_blob(
+        &mut self,
+        sid: StationId,
+        (flow, end): (usize, usize),
+        blob: &[u8],
+        sup_flow: Option<usize>,
+        now: SimTime,
+    ) {
+        // The supervisor's post-mortem needs the counters from before
+        // the decode.
+        let before = sup_flow.map(|_| self.decompress[flow][end].stats().clone());
+        // Zero-copy decode: ACKs are scheduled as they decompress
+        // straight out of the blob bytes — no intermediate packet Vec.
+        let (sched, host_rx) = (&mut self.sched, &mut self.host_rx);
+        let at = now + self.cfg.stack_delay;
+        self.decompress[flow][end].on_blob_with(blob, now, |pkt| {
+            host_rx.push(sched, sid, at, pkt, false);
+        });
+        if let (Some(sup_flow), Some(before)) = (sup_flow, before) {
+            let after = self.decompress[flow][end].stats();
+            for (sig, times) in health::signals(&before, after) {
+                for _ in 0..times {
+                    self.sup_signal(sup_flow, sig, now);
+                }
             }
         }
     }
@@ -968,11 +979,7 @@ impl World {
             // Native pure ACKs refresh this AP's contexts, whether it
             // bridges them upstream or hosts the server itself.
             if native {
-                if let Transport::Tcp(t) = &pkt.transport {
-                    if t.is_pure_ack() {
-                        self.decompress[station.0 as usize].on_native_ack(&pkt, now);
-                    }
-                }
+                self.observe_native(station, &pkt, now);
             }
             let local = ep.is_some_and(|e| self.endpoints[e].station == Some(station));
             if !local {
@@ -984,9 +991,28 @@ impl World {
         self.deliver_to_endpoint(pkt, ep, now);
     }
 
-    /// The endpoint `pkt` is addressed to: the one of its flow's whose
-    /// local five-tuple mirrors the packet's.
-    fn ep_for(&self, pkt: &Ipv4Packet) -> Option<usize> {
+    /// A native pure TCP ACK surfaced at `station`: it refreshes the
+    /// decompress end there of the link it arrived over.
+    fn observe_native(&mut self, station: StationId, pkt: &Ipv4Packet, now: SimTime) {
+        if !matches!(&pkt.transport, Transport::Tcp(t) if t.is_pure_ack()) {
+            return;
+        }
+        let Some(flow) = self.flow_of_packet(pkt) else {
+            return;
+        };
+        let client = self.layout.client(flow);
+        let peer = if station == client {
+            self.cur_ap_of_flow(flow)
+        } else {
+            client
+        };
+        if let Some((flow, end)) = self.driver_slot(station, peer) {
+            self.decompress[flow][end].on_native_ack(pkt, now);
+        }
+    }
+
+    /// The flow a TCP packet belongs to, by its client's address.
+    fn flow_of_packet(&self, pkt: &Ipv4Packet) -> Option<usize> {
         if !matches!(pkt.transport, Transport::Tcp(_)) {
             return None; // UDP-class flows have no endpoints
         }
@@ -995,7 +1021,13 @@ impl World {
         } else {
             pkt.src
         };
-        let flow = self.flow_of_client_ip(client_ip)?;
+        self.flow_of_client_ip(client_ip)
+    }
+
+    /// The endpoint `pkt` is addressed to: the one of its flow's whose
+    /// local five-tuple mirrors the packet's.
+    fn ep_for(&self, pkt: &Ipv4Packet) -> Option<usize> {
+        let flow = self.flow_of_packet(pkt)?;
         let local = pkt.five_tuple().reversed();
         self.flows[flow]
             .ep_range()
@@ -1128,11 +1160,12 @@ impl World {
     // Helpers
     // ------------------------------------------------------------------
 
-    /// Where in `compress` the driver that `sid` runs toward `peer`
-    /// lives, as `(flow, side)`: a client toward the AP serving it right
-    /// now (side 0), or that AP toward the client (side 1). Any other
-    /// pair has no driver — in particular an association a handoff has
-    /// since left, which events scheduled before the roam still name.
+    /// Where in `compress` and `decompress` the drivers that `sid` runs
+    /// toward `peer` live, as `(flow, side)`: a client toward the AP
+    /// serving it right now (side 0), or that AP toward the client
+    /// (side 1). Any other pair has no driver — in particular an
+    /// association a handoff has since left, which events scheduled
+    /// before the roam still name.
     fn driver_slot(&self, sid: StationId, peer: StationId) -> Option<(usize, usize)> {
         if let Some(flow) = self.layout.flow_of_client(sid) {
             (self.cur_ap_of_flow(flow) == peer).then_some((flow, 0))
@@ -1164,27 +1197,28 @@ impl World {
         self.roam.as_ref().is_some_and(|r| r.in_blackout(flow))
     }
 
-    /// Every ROHC party holding `flow`'s contexts — both of its compress
-    /// sides and the decompressors of `stations` — forgets the flow, in
-    /// both orientations (downloads ACK on the client tuple, uploads on
-    /// its reverse), so the next native ACK re-seeds from scratch.
-    fn drop_flow_contexts(&mut self, flow: usize, stations: &[StationId]) {
-        let client = Some(self.layout.client(flow));
+    /// Every ROHC party holding `flow`'s contexts — both ends of its
+    /// link, compress and decompress side — forgets the flow, so the
+    /// next native ACK re-seeds from scratch.
+    fn drop_flow_contexts(&mut self, flow: usize) {
         for ep in self.flows[flow].ep_range() {
-            if self.endpoints[ep].station != client {
-                continue;
-            }
-            let fwd = self.endpoints[ep].tuple;
-            let rev = fwd.reversed();
-            for side in &mut self.compress[flow] {
-                side.drop_context(&fwd);
-                side.drop_context(&rev);
-            }
-            for sid in stations {
-                self.decompress[sid.0 as usize].drop_context(&fwd);
-                self.decompress[sid.0 as usize].drop_context(&rev);
+            for tuple in self.ack_tuples(ep).into_iter().flatten() {
+                for side in &mut self.compress[flow] {
+                    side.drop_context(&tuple);
+                }
+                for end in &mut self.decompress[flow] {
+                    end.drop_context(&tuple);
+                }
             }
         }
+    }
+
+    /// The five-tuples the ACKs of endpoint `ep`'s connection carry, in
+    /// both orientations (downloads ACK on the client tuple, uploads on
+    /// its reverse), named once per connection: by its client endpoint.
+    fn ack_tuples(&self, ep: usize) -> Option<[FiveTuple; 2]> {
+        let e = &self.endpoints[ep];
+        (e.station == Some(self.layout.client(e.flow))).then(|| [e.tuple, e.tuple.reversed()])
     }
 
     /// `ap`'s queue toward `client` drained a little: refill it if a

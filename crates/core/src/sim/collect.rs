@@ -153,11 +153,10 @@ impl World {
                 .map(|c| c[0].compressor_stats().clone())
                 .collect(),
             decompressor: {
-                // Aggregate across every AP's decompressor (the single
-                // AP's stats, verbatim, on legacy worlds).
+                // Aggregate across both ends of every flow's link.
                 let mut dec = DecompressStats::default();
-                for c in &self.layout.cells {
-                    dec.merge(self.decompress[c.ap.0 as usize].stats());
+                for end in self.decompress.iter().flatten() {
+                    dec.merge(end.stats());
                 }
                 dec
             },

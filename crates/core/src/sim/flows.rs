@@ -432,7 +432,7 @@ impl World {
         for ep in [base, server] {
             self.set_tcp_timer(ep, None);
         }
-        self.drop_flow_contexts(flow, &[self.layout.client(flow), cur_ap]);
+        self.drop_flow_contexts(flow);
         let tuple = self.layout.tuple(flow, 0, generation);
         let (client_iss, server_iss) = Layout::iss(flow, 0, generation);
         let e = &mut self.endpoints[base];

@@ -209,7 +209,7 @@ impl World {
                 // Every ROHC party forgets the flow, so the next native
                 // ACK re-seeds the contexts from scratch.
                 SupervisorAction::RefreshContexts => {
-                    self.drop_flow_contexts(flow, &[client, ap]);
+                    self.drop_flow_contexts(flow);
                     continue;
                 }
                 SupervisorAction::ScheduleProbe(at) => {

@@ -275,8 +275,7 @@ impl World {
         //    against a stale context across a handoff is never legal, so
         //    every party forgets the flow and the first post-roam native
         //    ACK re-seeds from scratch.
-        let new_ap = self.layout.cells[target].ap;
-        self.drop_flow_contexts(flow, &[client, old_ap, new_ap]);
+        self.drop_flow_contexts(flow);
         // 3) MAC teardown: negotiated capability and blob state toward
         //    the old peer go away; unsent MSDUs are parked for the new
         //    association. Frames already committed to the air finish
@@ -367,12 +366,20 @@ impl World {
         let client = self.layout.client(flow);
         let old_ap = self.cur_ap_of_flow(flow);
         let new_ap = self.layout.cells[cell].ap;
-        // Driver state follows the association: the flow's compress
-        // sides answer to the new AP once `cur_cell` moves below. Stats
-        // survive the move; the ROHC contexts were already dropped at
-        // disassociation.
+        // Driver state follows the association: the flow's AP-end
+        // drivers answer to the new AP once `cur_cell` moves below.
+        // Stats survive the move. The ROHC contexts were dropped at
+        // disassociation; the decompress end drops them again, since a
+        // native that landed on the old AP during the blackout must not
+        // seed the new association.
         if new_ap != old_ap {
             self.compress[flow][1].set_trace(self.trace.clone(), new_ap.0);
+            self.decompress[flow][1].set_trace(self.trace.clone(), new_ap.0);
+            for ep in self.flows[flow].ep_range() {
+                for tuple in self.ack_tuples(ep).into_iter().flatten() {
+                    self.decompress[flow][1].drop_context(&tuple);
+                }
+            }
         }
         // Retune the radio: the client joins the new cell's interference
         // domain (channel) — without this, the new AP's frames would

@@ -720,12 +720,14 @@ fn supervised_opportunistic_fallback_with_holds() {
 
 /// Twenty-four clients behind one AP, all but two on CBR: the bulk
 /// downloads of flows 7 and 23 ACK on five-tuples whose MD5 ends in the
-/// same byte, so the AP's decompressor finds flow 23's CID taken by
-/// flow 7 at every native ACK flow 23 sends.
+/// same byte. A CID is local to one link, so each flow's end at the AP
+/// holds its own context and both flows' blobs decode.
 #[test]
 fn cid_collision_at_the_ap() {
+    // Re-pinned: the AP decodes each client's blobs at that link's own
+    // end, so flow 23 no longer decodes against flow 7's context.
     const PINS: [&str; 1] = [
-        "485452440100e238000000000000cb870625845bb0c940160000000000004b12000000000000aa02000000000000950d0000000000001800000000000000",
+        "4854524401004b4c000000000000aa794e51dcdc0426ad14000000000000d911000000000000670400000000000046210000000000001800000000000000",
     ];
     let ack_tuple = |flow: u8| FiveTuple {
         src_ip: Ipv4Addr::new(192, 168, 0, 10 + flow),
@@ -753,6 +755,16 @@ fn cid_collision_at_the_ap() {
         r.driver[7],
         r.driver[23]
     );
+    assert!(r.flow_goodput_mbps[7] > 0.0, "{:?}", r.flow_goodput_mbps);
+    for (f, (tx, rx)) in r.sender_tcp.iter().zip(&r.receiver_tcp).enumerate() {
+        assert!(
+            tx.bytes_acked <= rx.bytes_delivered,
+            "flow {f}: {} bytes acked, {} delivered",
+            tx.bytes_acked,
+            rx.bytes_delivered
+        );
+    }
+    assert_eq!(r.decompressor.crc_failures, 0, "{:?}", r.decompressor);
     assert_pins("CID collision at the AP", &[digest], &PINS);
 }
 
