@@ -975,12 +975,13 @@ impl World {
     /// A packet surfaced at a wireless node's host stack.
     fn on_host_rx(&mut self, station: StationId, pkt: Ipv4Packet, native: bool, now: SimTime) {
         let ep = self.ep_for(&pkt);
+        // Native pure ACKs refresh the receiving end's contexts: the
+        // client's for an upload, the AP's for a download, whether the
+        // AP bridges them upstream or hosts the server itself.
+        if native {
+            self.observe_native(station, &pkt, now);
+        }
         if self.layout.is_ap(station) {
-            // Native pure ACKs refresh this AP's contexts, whether it
-            // bridges them upstream or hosts the server itself.
-            if native {
-                self.observe_native(station, &pkt, now);
-            }
             let local = ep.is_some_and(|e| self.endpoints[e].station == Some(station));
             if !local {
                 // Bridge upstream.

@@ -113,6 +113,11 @@ fn upload_is_symmetric() {
         "upload goodput {:.2} Mbps too low",
         res.aggregate_goodput_mbps
     );
+    // The client's end of the link decodes every ACK the AP held for it:
+    // natives seed its contexts as they seed the AP's on a download.
+    let (dec, held) = (&res.decompressor, res.driver_ap[0].hacked_acks);
+    assert_eq!((dec.no_context, dec.crc_failures), (0, 0), "{dec:?}");
+    assert_eq!(dec.decompressed, held, "{dec:?}");
 }
 
 #[test]
