@@ -69,7 +69,11 @@ use crate::traffic::{
 ///
 /// v6: the driver stats gain `superseded`, and held ACKs older than a
 /// delivered native no longer ride, which changes HACK results.
-pub const RESULT_SCHEMA_VERSION: u32 = 6;
+///
+/// v7: same layout, but each end of a link decodes with its own
+/// contexts, so uploads, bidirectional flows and CID-colliding flows
+/// decode, and `decompressor` sums every end instead of every AP.
+pub const RESULT_SCHEMA_VERSION: u32 = 7;
 
 /// File magic for encoded results.
 const MAGIC: &[u8; 4] = b"HKRR";
@@ -774,10 +778,11 @@ mod tests {
         let bytes = encode_run_result(&pinned_result());
         let mut h = StableHasher::new();
         h.write(&bytes);
-        // Re-pinned at v6: the driver stats gained `superseded`.
+        // Re-pinned at v7: the version field moved; results cached at v6
+        // decoded uploads at no end and summed only the APs' decoders.
         assert_eq!(
             (bytes.len(), h.finish_hex().as_str()),
-            (1822, "649568686e1eabd0dfcee8b28a01204b")
+            (1822, "6452e1c5cb03544d0dd591d89bbbeefe")
         );
     }
 
