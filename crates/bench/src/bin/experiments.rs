@@ -873,8 +873,8 @@ fn merged_class(
 /// [`cc_matrix`]. Fails the process on zero goodput in any cell, on a
 /// short-flow cell that completes no transfers, on a paced-UDP cell
 /// whose latency sampler stays silent, on a bidirectional HACK cell
-/// where either side's held-ACK counter is zero, or on a parallel run
-/// diverging from a serial one.
+/// where the two ends of the link did not both decode held ACKs, or on
+/// a parallel run diverging from a serial one.
 fn traffic_matrix(opts: &Opts) {
     banner("Traffic matrix: {bulk,short,bidir,cbr,onoff} × hack × channel (CI smoke)");
     println!("(fails the process on zero goodput, a stalled short-flow loop,");
@@ -966,17 +966,22 @@ fn traffic_matrix(opts: &Opts) {
                 }
                 if class == TrafficClass::Bidir && mode == "hack" {
                     // The acceptance bar for bidirectional HACK: the
-                    // client driver (upload ACKs) and the AP driver
-                    // (download ACKs) must both have held ACKs.
-                    let (cli, ap) = cell.runs.iter().fold((0u64, 0u64), |(c, a), r| {
+                    // client driver (download ACKs) and the AP driver
+                    // (upload ACKs) must both hold ACKs, and the ends of
+                    // the link must both decode them. A held ACK decodes
+                    // at most once, so the decodes beat both hold counts
+                    // only if both ends decoded.
+                    let (cli, ap, dec) = cell.runs.iter().fold((0, 0, 0), |(c, a, d), r| {
                         (
                             c + r.driver.iter().map(|d| d.hacked_acks).sum::<u64>(),
                             a + r.driver_ap.iter().map(|d| d.hacked_acks).sum::<u64>(),
+                            d + r.decompressor.decompressed,
                         )
                     });
-                    if cli == 0 || ap == 0 {
+                    if dec <= cli.max(ap) {
                         verdict = format!(
-                            "  <-- FAIL: one-sided bidir HACK (client {cli}, ap {ap} held)"
+                            "  <-- FAIL: one-sided bidir HACK \
+                             (client {cli}, ap {ap} held, {dec} decoded)"
                         );
                         failed = true;
                     }
