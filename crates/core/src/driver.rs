@@ -6,7 +6,7 @@
 //! DATA latch, the NIC-descriptor-ready race, and the §3.4 retention /
 //! flush / SYNC rules. [`DecompressSide`] is the "AP driver": it
 //! extracts blobs from augmented LL ACKs, reconstitutes TCP ACKs, and
-//! keeps contexts fresh from natively received ACKs.
+//! keeps contexts fresh from the native ACKs it receives.
 //!
 //! Both sides are sans-IO: methods return [`DriverAction`]s the event
 //! loop materializes (enqueue a native packet, install/clear the NIC
@@ -14,7 +14,10 @@
 //!
 //! The design is symmetric — an AP doing a wireless *upload* from a
 //! client runs a `CompressSide` toward that client, and the client runs
-//! a `DecompressSide`.
+//! a `DecompressSide`. Each end of a link runs one of each, serving that
+//! link alone: a CID names a context within one ROHC channel (one
+//! compressor, one decompressor), so a `DecompressSide` decodes the
+//! blobs and sees the natives of exactly one peer.
 
 use hack_inline::BufPool;
 use hack_mac::RxDataInfo;
@@ -652,7 +655,8 @@ impl CompressSide {
     }
 }
 
-/// The decompress-side (AP) HACK driver.
+/// The decompress-side HACK driver: the AP's end of a download, the
+/// client's end of an upload.
 #[derive(Debug, Default)]
 pub struct DecompressSide {
     decompressor: Decompressor,
@@ -683,7 +687,7 @@ impl DecompressSide {
         self.decompressor.drop_context(tuple)
     }
 
-    /// A native TCP ACK arrived from the wireless side: refresh contexts.
+    /// A native TCP ACK arrived from the peer: refresh contexts.
     pub fn on_native_ack(&mut self, pkt: &Ipv4Packet, now: SimTime) {
         self.decompressor.set_trace_clock(now.as_nanos());
         self.decompressor.observe_native(pkt);

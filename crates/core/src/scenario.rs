@@ -697,7 +697,8 @@ pub struct RunResult {
     pub driver_ap: Vec<CompressSideStats>,
     /// Per-client compressor statistics.
     pub compressor: Vec<CompressStats>,
-    /// Decompressor statistics at the AP.
+    /// Decompressor statistics, summed over both ends of every flow's
+    /// link.
     pub decompressor: DecompressStats,
     /// Completed PPDUs on the medium.
     pub ppdus: u64,

@@ -1,4 +1,5 @@
-//! The HACK-profile decompressor (AP-side driver component).
+//! The HACK-profile decompressor (the receiving end's driver component:
+//! the AP's on a download, the client's on an upload).
 //!
 //! [`Decompressor::decode`] walks the blob extracted from an augmented
 //! LL ACK one segment at a time, reconstitutes full IP+TCP ACK packets
@@ -67,7 +68,7 @@ pub struct DecompressStats {
 
 impl DecompressStats {
     /// Fold another decompressor's counters into this one — aggregation
-    /// across the per-AP decompressors of a multi-BSS world.
+    /// across the ends of every link of a world.
     pub fn merge(&mut self, other: &DecompressStats) {
         self.decompressed += other.decompressed;
         self.duplicates += other.duplicates;
@@ -77,7 +78,7 @@ impl DecompressStats {
     }
 }
 
-/// The AP-side decompressor.
+/// The decompressor of one end of a link.
 #[derive(Debug, Default)]
 pub struct Decompressor {
     flows: FlowTable<DecompContext>,
@@ -128,7 +129,7 @@ impl Decompressor {
         self.flows.drop(tuple)
     }
 
-    /// A native TCP ACK arrived from the client: create or refresh its
+    /// A native TCP ACK arrived from the peer: create or refresh its
     /// context (the AP "stores the necessary state for the new context
     /// and assigns it the correct CID", §3.3.2).
     pub fn observe_native(&mut self, pkt: &Ipv4Packet) {
