@@ -818,7 +818,26 @@ impl World {
                         // A blob over an association a handoff has since
                         // left has no decompress end.
                         if let Some((flow, end)) = self.driver_slot(sid, from) {
-                            self.decode_blob(sid, (flow, end), &blob.bytes, sup_flow, now);
+                            // The supervisor's post-mortem needs the
+                            // counters from before the decode.
+                            let side = &mut self.decompress[flow][end];
+                            let before = sup_flow.map(|_| side.stats().clone());
+                            // Zero-copy decode: ACKs are scheduled as they
+                            // decompress straight out of the blob bytes —
+                            // no intermediate packet Vec.
+                            let (sched, host_rx) = (&mut self.sched, &mut self.host_rx);
+                            let at = now + self.cfg.stack_delay;
+                            side.on_blob_with(&blob.bytes, now, |pkt| {
+                                host_rx.push(sched, sid, at, pkt, false);
+                            });
+                            if let (Some(sup_flow), Some(before)) = (sup_flow, before) {
+                                let after = self.decompress[flow][end].stats();
+                                for (sig, times) in health::signals(&before, after) {
+                                    for _ in 0..times {
+                                        self.sup_signal(sup_flow, sig, now);
+                                    }
+                                }
+                            }
                         }
                         // The sender's next blob is copied into this one.
                         self.station(from).recycle_blob(blob);
@@ -880,35 +899,6 @@ impl World {
             if other != sid {
                 let acts = self.station(other).on_channel_busy(now);
                 self.apply(other, acts, now);
-            }
-        }
-    }
-
-    /// Decode a blob that reached `sid` at the decompress end `slot`.
-    fn decode_blob(
-        &mut self,
-        sid: StationId,
-        (flow, end): (usize, usize),
-        blob: &[u8],
-        sup_flow: Option<usize>,
-        now: SimTime,
-    ) {
-        // The supervisor's post-mortem needs the counters from before
-        // the decode.
-        let before = sup_flow.map(|_| self.decompress[flow][end].stats().clone());
-        // Zero-copy decode: ACKs are scheduled as they decompress
-        // straight out of the blob bytes — no intermediate packet Vec.
-        let (sched, host_rx) = (&mut self.sched, &mut self.host_rx);
-        let at = now + self.cfg.stack_delay;
-        self.decompress[flow][end].on_blob_with(blob, now, |pkt| {
-            host_rx.push(sched, sid, at, pkt, false);
-        });
-        if let (Some(sup_flow), Some(before)) = (sup_flow, before) {
-            let after = self.decompress[flow][end].stats();
-            for (sig, times) in health::signals(&before, after) {
-                for _ in 0..times {
-                    self.sup_signal(sup_flow, sig, now);
-                }
             }
         }
     }
