@@ -7,8 +7,8 @@
 //! get lost — the property §3.4 of the paper demands.
 //!
 //! The compressor is deliberately conservative: any packet shape it
-//! cannot encode byte-exactly (unexpected flags, a sequence-number
-//! change, fields too far from the floor) makes
+//! cannot encode byte-exactly (flags other than a bare ACK, a
+//! sequence-number change, fields too far from the floor) makes
 //! [`Compressor::compress`] return `None` and the driver falls back to
 //! sending the ACK natively — which is also how contexts are created
 //! and refreshed, since HACK never sends ROHC IR packets (§3.3.2).
@@ -24,18 +24,23 @@
 //!          ack_k: 00=8 01=16 10=24 11=32 bits; ts_k: 0=8, 1=16 bits
 //! ```
 //!
-//! `crc3` is the ROHC CRC-3 over the *original* IP+TCP header bytes; the
-//! decompressor recomputes it over the reconstructed header. The 8-bit
-//! MSN implements the paper's extended master sequence number for
-//! duplicate discard after Block ACK retransmission (§3.4, Figure 6).
+//! `crc3` is the ROHC CRC-3 over the *original* IP+TCP header, and the
+//! decompressor recomputes it over the reconstructed one. Neither end
+//! writes the header out: both compute the CRC from its fields (the
+//! crate's `fold` module), on top of the part of the header the flow's
+//! context fixes, and a SACK-bearing ACK from all of its fields. Only an
+//! ACK carrying an option other than timestamps and SACK is serialized
+//! for it. The 8-bit MSN implements the paper's extended master
+//! sequence number for duplicate discard after Block ACK retransmission
+//! (§3.4, Figure 6).
 
 use hack_inline::InlineVec;
-use hack_tcp::{FiveTuple, Ipv4Packet};
+use hack_tcp::{flags as tcpflags, FiveTuple, Ipv4Packet};
 use hack_trace::{Event, TraceHandle};
 
 use crate::cidmap::{FlowTable, Observed};
 use crate::context::{compressible_ack, wlsb_k, CompContext, FieldRefs};
-use crate::crc::crc3;
+use crate::fold::byte_crc3;
 use crate::varint::{write_ivarint, write_uvarint};
 
 /// One compressed ACK segment. Inline capacity of 32 bytes covers every
@@ -92,9 +97,6 @@ impl CompressStats {
 #[derive(Debug, Default)]
 pub struct Compressor {
     flows: FlowTable<CompContext>,
-    /// Reused header-serialization buffer for the CRC-3 computation:
-    /// one warm buffer per compressor instead of a fresh `Vec` per ACK.
-    scratch: Vec<u8>,
     stats: CompressStats,
     trace: TraceHandle,
     trace_node: u32,
@@ -202,7 +204,8 @@ impl Compressor {
         // Shape checks: static chain, monotone distances within range.
         let ident_dist = pkt.ident.wrapping_sub(floor.ident);
         let ack_dist = seg.ack - floor.ack;
-        let encodable = pkt.ttl == ctx.ttl
+        let encodable = seg.flags == tcpflags::ACK
+            && pkt.ttl == ctx.ttl
             && seg.seq == floor.seq
             && ts.is_some() == ctx.has_ts
             && ident_dist < 256
@@ -254,8 +257,19 @@ impl Compressor {
         if ts_k == 16 {
             flags |= flagbits::TS_K;
         }
-        pkt.header_bytes_into(&mut self.scratch);
-        flags |= crc3(&self.scratch) & flagbits::CRC_MASK;
+        let refs = FieldRefs {
+            ack: seg.ack,
+            seq: seg.seq,
+            window: seg.window,
+            tsval,
+            tsecr,
+            ident: pkt.ident,
+        };
+        let crc = ctx
+            .header_crc3(&refs, &seg.options)
+            .unwrap_or_else(|| byte_crc3(pkt));
+        debug_assert_eq!(crc, byte_crc3(pkt), "field CRC-3 of {pkt:?}");
+        flags |= crc & flagbits::CRC_MASK;
 
         let msn = ctx.msn.wrapping_add(1);
         ctx.msn = msn;
@@ -409,6 +423,25 @@ mod tests {
             t.seq = TcpSeq(8888); // client sent data meanwhile
         }
         assert!(c.compress(&p).is_none());
+    }
+
+    #[test]
+    fn non_bare_ack_flags_decline() {
+        // The decompressor rebuilds a bare ACK's flags, so any other flag
+        // would fail CRC-3 seven times in eight and forge the ACK the
+        // eighth.
+        const ECE: u8 = 0x40; // RFC 3168
+        let mut c = Compressor::new();
+        c.observe_native(&ack(1000, 1, 10));
+        for extra in [ECE, tf::PSH] {
+            let mut p = ack(3920, 2, 11);
+            if let Transport::Tcp(t) = &mut p.transport {
+                t.flags |= extra;
+            }
+            assert!(c.compress(&p).is_none(), "flags {extra:#x}");
+        }
+        assert_eq!(c.stats().declined, 2);
+        assert!(c.compress(&ack(3920, 2, 11)).is_some());
     }
 
     #[test]

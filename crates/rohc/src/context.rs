@@ -31,9 +31,10 @@
 
 use std::collections::VecDeque;
 
-use hack_tcp::{FiveTuple, Ipv4Packet, TcpSegment, TcpSeq, Transport};
+use hack_tcp::{FiveTuple, Ipv4Packet, TcpOption, TcpSegment, TcpSeq, Transport};
 
 use crate::cidmap::FlowContext;
+use crate::fold::HeaderFold;
 
 /// A snapshot of the dynamic header fields of one ACK.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,6 +109,9 @@ pub struct CompContext {
     pub last_emitted_window: Option<u16>,
     /// Master sequence number of the last compressed packet.
     pub msn: u8,
+    /// The header bytes `tuple`, `ttl` and `has_ts` fix, folded for
+    /// CRC-3 ([`HeaderFold::of_flow`]).
+    fold: HeaderFold,
 }
 
 /// Cap on tracked outstanding natives; beyond this the oldest are folded
@@ -124,14 +128,17 @@ impl CompContext {
         if !seg.is_pure_ack() {
             return None;
         }
+        let tuple = pkt.five_tuple();
+        let has_ts = seg.timestamps().is_some();
         Some(CompContext {
-            tuple: pkt.five_tuple(),
+            tuple,
             ttl: pkt.ttl,
-            has_ts: seg.timestamps().is_some(),
+            has_ts,
             floor: FieldRefs::of(pkt, seg),
             outstanding: VecDeque::new(),
             last_emitted_window: None,
             msn: 0,
+            fold: HeaderFold::of_flow(&tuple, pkt.ttl, has_ts),
         })
     }
 
@@ -153,9 +160,18 @@ impl CompContext {
             }
         }
         self.outstanding.push_back(FieldRefs::of(pkt, seg));
-        if let Some((_, _)) = seg.timestamps() {
+        if !self.has_ts && seg.timestamps().is_some() {
             self.has_ts = true;
+            self.fold = HeaderFold::of_flow(&self.tuple, self.ttl, true);
         }
+    }
+
+    /// CRC-3 of the header of the pure ACK on this flow with `refs`'
+    /// ident, seq, ack and window and with `options`, from the fields;
+    /// `None` when an option sends it to the byte path.
+    pub(crate) fn header_crc3(&self, refs: &FieldRefs, options: &[TcpOption]) -> Option<u8> {
+        self.fold
+            .ack_crc3(&self.tuple, self.ttl, self.has_ts, refs, options)
     }
 
     /// A previously enqueued native (or a compressed ACK, per §3.4
@@ -202,6 +218,9 @@ pub struct DecompContext {
     /// discard valid segments for up to 128 MSNs. A native ACK is ground
     /// truth, so it re-syncs MSN tracking along with the field refs.
     pub msn_valid: bool,
+    /// The header bytes `tuple`, `ttl` and `has_ts` fix, folded for
+    /// CRC-3 ([`HeaderFold::of_flow`]).
+    fold: HeaderFold,
 }
 
 impl DecompContext {
@@ -213,13 +232,16 @@ impl DecompContext {
         if !seg.is_pure_ack() {
             return None;
         }
+        let tuple = pkt.five_tuple();
+        let has_ts = seg.timestamps().is_some();
         Some(DecompContext {
-            tuple: pkt.five_tuple(),
+            tuple,
             ttl: pkt.ttl,
-            has_ts: seg.timestamps().is_some(),
+            has_ts,
             refs: FieldRefs::of(pkt, seg),
             msn: 0,
             msn_valid: false,
+            fold: HeaderFold::of_flow(&tuple, pkt.ttl, has_ts),
         })
     }
 
@@ -233,11 +255,21 @@ impl DecompContext {
     /// eight.
     pub fn refresh_native(&mut self, pkt: &Ipv4Packet, seg: &TcpSegment) {
         self.refs = FieldRefs::of(pkt, seg);
-        self.ttl = pkt.ttl;
-        if seg.timestamps().is_some() {
-            self.has_ts = true;
+        let has_ts = self.has_ts || seg.timestamps().is_some();
+        if (pkt.ttl, has_ts) != (self.ttl, self.has_ts) {
+            self.ttl = pkt.ttl;
+            self.has_ts = has_ts;
+            self.fold = HeaderFold::of_flow(&self.tuple, self.ttl, has_ts);
         }
         self.msn_valid = false;
+    }
+
+    /// CRC-3 of the header of the pure ACK on this flow with `refs`'
+    /// ident, seq, ack and window and with `options`, from the fields;
+    /// `None` when an option sends it to the byte path.
+    pub(crate) fn header_crc3(&self, refs: &FieldRefs, options: &[TcpOption]) -> Option<u8> {
+        self.fold
+            .ack_crc3(&self.tuple, self.ttl, self.has_ts, refs, options)
     }
 }
 
@@ -288,6 +320,7 @@ pub fn wlsb_k(value: u64, floor: u64, choices: &[u32]) -> Option<u32> {
 mod tests {
     use super::*;
     use crate::cidmap::{FlowTable, Observed};
+    use crate::fold::byte_crc3;
     use crate::md5::cid_for_tuple;
     use hack_tcp::{flags, Ipv4Addr, TcpOption};
 
@@ -410,6 +443,50 @@ mod tests {
         a.max_with(&c);
         assert_eq!(a.ack, TcpSeq(3000));
         assert_eq!(a.ident, 7);
+    }
+
+    #[test]
+    fn the_static_fold_follows_timestamps_and_ttl() {
+        // Each context's field CRC-3 of `p` is the byte path's.
+        let check = |comp: &CompContext, decomp: &DecompContext, p: &Ipv4Packet| {
+            let seg = compressible_ack(p).unwrap();
+            let refs = FieldRefs::of(p, seg);
+            assert_eq!(comp.header_crc3(&refs, &seg.options), Some(byte_crc3(p)));
+            assert_eq!(decomp.header_crc3(&refs, &seg.options), Some(byte_crc3(p)));
+        };
+        let bare = |ack, ident| {
+            let mut p = ack_packet(ack, ident, 0);
+            if let Transport::Tcp(t) = &mut p.transport {
+                t.options.clear();
+            }
+            p
+        };
+        let seed = bare(1000, 1);
+        let mut comp = CompContext::from_native(&seed).unwrap();
+        let mut decomp = DecompContext::from_native(&seed).unwrap();
+        check(&comp, &decomp, &bare(2000, 2));
+
+        // Timestamps appear on a native: the compressor sees it enqueued,
+        // the decompressor refreshes from it.
+        let native = ack_packet(3000, 3, 50);
+        let seg = compressible_ack(&native).unwrap();
+        comp.native_enqueued(&native, seg);
+        decomp.refresh_native(&native, seg);
+        assert!(comp.has_ts && decomp.has_ts);
+        check(&comp, &decomp, &ack_packet(4000, 4, 51));
+
+        // A refresh with another TTL (the compressor declines such ACKs
+        // until its context is re-seeded, so only the decompressor's
+        // fold must follow).
+        let mut native = ack_packet(5000, 5, 52);
+        native.ttl = 32;
+        let seg = compressible_ack(&native).unwrap();
+        decomp.refresh_native(&native, seg);
+        let mut p = ack_packet(6000, 6, 53);
+        p.ttl = 32;
+        let seg = compressible_ack(&p).unwrap();
+        let refs = FieldRefs::of(&p, seg);
+        assert_eq!(decomp.header_crc3(&refs, &seg.options), Some(byte_crc3(&p)));
     }
 
     #[test]

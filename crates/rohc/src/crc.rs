@@ -12,6 +12,10 @@
 //! * CRC-8: x⁸ + x² + x + 1, initial value 0xFF
 //!
 //! Bits are processed LSB-first, as specified.
+//!
+//! [`crc3`] takes bytes. The compressor and decompressor never write a
+//! header out for it: the crate's `fold` module computes a header's
+//! CRC-3 from its fields and finishes it with the same seven lookups.
 
 fn crc_generic(data: &[u8], width: u8, poly: u8, init: u8) -> u8 {
     let mask = (1u16 << width) - 1;
@@ -45,7 +49,7 @@ const CRC3_POLY: u8 = 0b110;
 const CRC3_INIT: u16 = 0b111;
 
 /// The zero-byte step of CRC-3 repeats after this many bytes.
-const CRC3_PERIOD: usize = 7;
+pub(crate) const CRC3_PERIOD: usize = 7;
 
 /// `k` zero bytes folded into CRC-3 state `s`.
 const fn crc3_zeros(s: u16, k: usize) -> u16 {
@@ -93,27 +97,42 @@ const CRC3_INIT_AFTER: [u8; CRC3_PERIOD] = {
     t
 };
 
+/// The low seven bytes of a `u64`: one fold word.
+pub(crate) const CRC3_WORD_MASK: u64 = (1 << (8 * CRC3_PERIOD)) - 1;
+
 /// ROHC CRC-3 (values 0–7).
 ///
-/// The input is cut into 7-byte blocks aligned to its end and the
-/// blocks are XORed into one: byte `o` of the sum holds every byte at a
-/// distance `6 - o` (mod 7) from the end. Seven lookups in
-/// `CRC3_FOLD` then finish the CRC, so no byte waits on the lookup of
-/// the byte before it.
+/// The input is cut into 7-byte blocks from its start and the blocks
+/// are XORed into one word, the last and shorter one included: byte `o`
+/// of the word holds every byte at an offset congruent to `o` mod 7.
+/// `crc3_of_word` finishes the CRC from that word, so no byte waits on
+/// the lookup of the byte before it.
 pub fn crc3(data: &[u8]) -> u8 {
-    let blocks = data.rchunks_exact(CRC3_PERIOD);
-    let head = blocks.remainder();
+    let blocks = data.chunks_exact(CRC3_PERIOD);
+    let tail = blocks.remainder();
     let mut word = [0u8; 8];
-    word[CRC3_PERIOD - head.len()..CRC3_PERIOD].copy_from_slice(head);
+    word[..tail.len()].copy_from_slice(tail);
     let mut sum = u64::from_le_bytes(word);
     for block in blocks {
         let mut word = [0u8; 8];
         word[..CRC3_PERIOD].copy_from_slice(block);
         sum ^= u64::from_le_bytes(word);
     }
-    let mut crc = CRC3_INIT_AFTER[data.len() % CRC3_PERIOD];
+    crc3_of_word(sum, data.len())
+}
+
+/// The CRC-3 of a `len`-byte input whose bytes at offsets congruent to
+/// `o` mod 7 XOR to byte `o` of `word` (whatever built the word: the
+/// input's bytes in [`crc3`], a header's fields in the `fold` module).
+/// Rotating the word right by `len` mod 7 bytes lines each byte up with
+/// its distance from the end; seven independent lookups in `CRC3_FOLD`
+/// then give the CRC.
+pub(crate) fn crc3_of_word(word: u64, len: usize) -> u8 {
+    let r = 8 * (len % CRC3_PERIOD);
+    let by_distance = ((word >> r) | (word << (8 * CRC3_PERIOD - r))) & CRC3_WORD_MASK;
+    let mut crc = CRC3_INIT_AFTER[len % CRC3_PERIOD];
     for (o, fold) in CRC3_FOLD.iter().rev().enumerate() {
-        crc ^= fold[usize::from((sum >> (8 * o)) as u8)];
+        crc ^= fold[usize::from((by_distance >> (8 * o)) as u8)];
     }
     crc
 }
@@ -262,9 +281,11 @@ mod tests {
 
     #[test]
     fn crc3_catches_most_flips() {
-        // CRC-3 detects any single-bit error (it has x+1 as a factor...
-        // actually it detects all odd-weight errors); verify single-bit
-        // coverage empirically on a 52-byte header-sized buffer.
+        // CRC-3 detects every single-bit error: x³+x+1 has more than one
+        // term. It does not detect every odd-weight error, which takes
+        // x+1 as a factor: x³+x+1 is primitive, so irreducible, and the
+        // three-bit error equal to the generator (bits 0, 2 and 3 of a
+        // byte, in LSB-first order) goes undetected.
         let data = vec![0x3Cu8; 52];
         let base = crc3(&data);
         let mut caught = 0;
@@ -280,6 +301,9 @@ mod tests {
             }
         }
         assert_eq!(caught, total, "CRC-3 must catch all single-bit errors");
+        let mut d = data.clone();
+        d[10] ^= 0b1101;
+        assert_eq!(crc3(&d), base, "the generator's own pattern is invisible");
     }
 
     #[test]

@@ -10,6 +10,12 @@
 //! in one place and counted in one place: every item the cursor yields
 //! moves exactly one [`DecompressStats`] counter by one.
 //!
+//! The CRC-3 is checked from the decoded fields (the crate's `fold`
+//! module), on top of the part of the header the flow's context fixes,
+//! or from all of them for a SACK-bearing ACK, before any packet is
+//! built: a segment that fails it costs no packet, and one that passes
+//! moves the context's references to the decoded fields as they are.
+//!
 //! Every segment is encoded against the compressor's floor, a value
 //! not newer than any reference this side could hold, so a blob that
 //! overtakes queued native ACKs, arrives duplicated, or skips lost
@@ -35,7 +41,7 @@ use hack_trace::{Event, TraceHandle};
 use crate::cidmap::{FlowTable, Observed};
 use crate::compress::flagbits;
 use crate::context::{compressible_ack, wlsb_decode, DecompContext, FieldRefs};
-use crate::crc::crc3;
+use crate::fold::byte_crc3;
 use crate::varint::{read_ivarint, read_uvarint};
 
 /// Why one segment failed to decompress. The discriminant is the
@@ -82,10 +88,6 @@ impl DecompressStats {
 #[derive(Debug, Default)]
 pub struct Decompressor {
     flows: FlowTable<DecompContext>,
-    /// Reused header-serialization buffer for CRC-3 validation: one
-    /// warm buffer per decompressor instead of a fresh `Vec` per
-    /// reconstructed segment.
-    scratch: Vec<u8>,
     stats: DecompressStats,
     trace: TraceHandle,
     trace_node: u32,
@@ -211,26 +213,29 @@ impl Decompressor {
         }
 
         // Forward W-LSB reconstruction against our current references.
-        let refs = ctx.refs;
         let ack = TcpSeq(wlsb_decode(
-            u64::from(refs.ack.0),
+            u64::from(ctx.refs.ack.0),
             u64::from(parsed.ack_lsbs),
             parsed.ack_k,
         ) as u32);
-        let ident = wlsb_decode(u64::from(refs.ident), u64::from(parsed.ident_lsb), 8) as u16;
-        let window = parsed.window.unwrap_or(refs.window);
-        let ts = if has_ts {
-            let (v_lsb, e_lsb, k) = parsed.ts.expect("parsed with has_ts");
-            Some((
-                wlsb_decode(u64::from(refs.tsval), u64::from(v_lsb), k) as u32,
-                wlsb_decode(u64::from(refs.tsecr), u64::from(e_lsb), k) as u32,
-            ))
-        } else {
-            None
+        let ts = parsed.ts.map(|(v_lsb, e_lsb, k)| {
+            (
+                wlsb_decode(u64::from(ctx.refs.tsval), u64::from(v_lsb), k) as u32,
+                wlsb_decode(u64::from(ctx.refs.tsecr), u64::from(e_lsb), k) as u32,
+            )
+        });
+        let (tsval, tsecr) = ts.unwrap_or((0, 0));
+        let refs = FieldRefs {
+            ack,
+            seq: ctx.refs.seq,
+            window: parsed.window.unwrap_or(ctx.refs.window),
+            tsval,
+            tsecr,
+            ident: wlsb_decode(u64::from(ctx.refs.ident), u64::from(parsed.ident_lsb), 8) as u16,
         };
 
         let mut options = hack_tcp::TcpOptions::new();
-        if let Some((tsval, tsecr)) = ts {
+        if ts.is_some() {
             options.push(TcpOption::Timestamps { tsval, tsecr });
         }
         if let Some((blocks, n)) = &parsed.sack {
@@ -245,33 +250,17 @@ impl Decompressor {
             ));
         }
 
-        let pkt = Ipv4Packet {
-            src: ctx.tuple.src_ip,
-            dst: ctx.tuple.dst_ip,
-            ident,
-            ttl: ctx.ttl,
-            transport: Transport::Tcp(TcpSegment {
-                src_port: ctx.tuple.src_port,
-                dst_port: ctx.tuple.dst_port,
-                seq: refs.seq,
-                ack,
-                flags: tcpflags::ACK,
-                window,
-                options,
-                payload_len: 0,
-            }),
-        };
-
-        // CRC validation over the reconstructed original header,
-        // serialized into the reused scratch buffer (no per-segment Vec).
-        pkt.header_bytes_into(&mut self.scratch);
-        if crc3(&self.scratch) & flagbits::CRC_MASK != parsed.crc {
+        // CRC validation from the reconstructed fields, before any
+        // packet is built.
+        let crc = ctx
+            .header_crc3(&refs, &options)
+            .expect("the decompressor rebuilds only timestamps and SACK");
+        if crc & flagbits::CRC_MASK != parsed.crc {
             return (BlobItem::Fail(BadCrc), parsed.consumed);
         }
 
-        // Commit: our references move to the decoded packet.
-        let seg = compressible_ack(&pkt).expect("constructed as pure ACK");
-        ctx.refs = FieldRefs::of(&pkt, seg);
+        // Commit: our references move to the decoded fields.
+        ctx.refs = refs;
         ctx.msn = parsed.msn;
         ctx.msn_valid = true;
         hack_trace::trace_ev!(
@@ -283,6 +272,23 @@ impl Decompressor {
                 msn: u32::from(parsed.msn)
             }
         );
+        let pkt = Ipv4Packet {
+            src: ctx.tuple.src_ip,
+            dst: ctx.tuple.dst_ip,
+            ident: refs.ident,
+            ttl: ctx.ttl,
+            transport: Transport::Tcp(TcpSegment {
+                src_port: ctx.tuple.src_port,
+                dst_port: ctx.tuple.dst_port,
+                seq: refs.seq,
+                ack,
+                flags: tcpflags::ACK,
+                window: refs.window,
+                options,
+                payload_len: 0,
+            }),
+        };
+        debug_assert_eq!(crc, byte_crc3(&pkt), "field CRC-3 of {pkt:?}");
         (BlobItem::Packet(pkt), parsed.consumed)
     }
 }
@@ -751,6 +757,59 @@ mod tests {
         }
         let seg = c.compress(&p).unwrap();
         assert_eq!(decode(&mut d, &[seg]), [Packet(p)]);
+    }
+
+    /// `ack` without the timestamps option.
+    fn bare(ackno: u32, ident: u16) -> Ipv4Packet {
+        let mut p = ack(ackno, ident, 0);
+        if let Transport::Tcp(t) = &mut p.transport {
+            t.options.clear();
+        }
+        p
+    }
+
+    #[test]
+    fn timestamps_appearing_on_a_native_keep_both_folds_in_step() {
+        let mut c = Compressor::new();
+        let mut d = Decompressor::new();
+        c.observe_native(&bare(1000, 1));
+        d.observe_native(&bare(1000, 1));
+        let p = bare(2000, 2);
+        let seg = c.compress(&p).unwrap();
+        assert_eq!(decode(&mut d, &[seg]), [Packet(p)]);
+        // The next native carries timestamps: the compressor's context
+        // takes them on enqueue, the decompressor's on refresh.
+        let native = ack(3000, 3, 10);
+        c.observe_native(&native);
+        d.observe_native(&native);
+        for i in 1..=3 {
+            let p = ack(3000 + 1000 * i, 3 + i as u16, 10 + i);
+            let seg = c.compress(&p).expect("timestamps are the flow's now");
+            assert_eq!(decode(&mut d, &[seg]), [Packet(p)]);
+        }
+        assert_eq!(d.stats().crc_failures, 0);
+    }
+
+    #[test]
+    fn a_refresh_with_a_new_ttl_keeps_the_fold_in_step() {
+        // The path to the peer changed length: natives arrive with TTL
+        // 60. The compressor declines them until its context is
+        // re-seeded; the decompressor refreshes its live one.
+        let (mut c, mut d) = pair();
+        let shorter = |ackno, ident, ts| {
+            let mut p = ack(ackno, ident, ts);
+            p.ttl = 60;
+            p
+        };
+        let native = shorter(3920, 2, 11);
+        assert!(c.compress(&native).is_none());
+        assert!(c.drop_context(&native.five_tuple()));
+        c.observe_native(&native);
+        d.observe_native(&native);
+        let p = shorter(6840, 3, 12);
+        let seg = c.compress(&p).expect("re-seeded at TTL 60");
+        assert_eq!(decode(&mut d, &[seg]), [Packet(p)]);
+        assert_eq!(d.stats().crc_failures, 0);
     }
 
     #[test]

@@ -36,6 +36,7 @@ pub mod compress;
 pub mod context;
 pub mod crc;
 pub mod decompress;
+mod fold;
 pub mod md5;
 pub mod varint;
 

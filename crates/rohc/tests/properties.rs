@@ -2,6 +2,7 @@
 //! streams, duplicate discard, CRC coverage, and the decoder's outcome
 //! accounting.
 
+use hack_rohc::crc::crc3;
 use hack_rohc::{build_blob, BlobItem, Compressor, DecompressError, DecompressStats, Decompressor};
 use hack_tcp::{flags as tf, Ipv4Addr, Ipv4Packet, TcpOption, TcpSegment, TcpSeq, Transport};
 use proptest::prelude::*;
@@ -160,6 +161,78 @@ proptest! {
         let res = decode(&mut d, &build_blob(&segments))?;
         prop_assert!(res.errors.is_empty(), "{:?}", res.errors);
         prop_assert_eq!(res.packets, sent);
+    }
+
+    /// The CRC-3 a compressed ACK carries, which both ends compute from
+    /// the header's fields, is the CRC-3 of the header's bytes: for any
+    /// flow (addresses, ports, TTL), any ident, seq, ack and window, with
+    /// and without timestamps, with SACK blocks, and with option lists
+    /// the decompressor does not rebuild (SACK before timestamps, or an
+    /// option the field path leaves to the byte path). Each ACK seeds its
+    /// own context, so every field is at distance 0 and it compresses;
+    /// the ones the decompressor can rebuild come out whole, so its field
+    /// CRC-3 agrees as well.
+    #[test]
+    fn field_crc3_is_the_header_bytes_crc3(
+        addrs in (any::<u32>(), any::<u32>()),
+        ports in (any::<u16>(), any::<u16>()),
+        ttl in any::<u8>(),
+        ident in any::<u16>(),
+        seq_ack in (any::<u32>(), any::<u32>()),
+        window in any::<u16>(),
+        ts in proptest::option::of((any::<u32>(), any::<u32>())),
+        sacks in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..4),
+        odd in 0u8..4,
+    ) {
+        let mut options = Vec::new();
+        if let Some((tsval, tsecr)) = ts {
+            options.push(TcpOption::Timestamps { tsval, tsecr });
+        }
+        if !sacks.is_empty() {
+            let blocks = sacks.iter().map(|&(l, r)| (TcpSeq(l), TcpSeq(r)));
+            options.push(TcpOption::Sack(blocks.collect()));
+        }
+        let rebuilt = match odd {
+            1 => {
+                options.reverse();
+                options.len() < 2
+            }
+            2 => {
+                options.push(TcpOption::Mss(1460));
+                false
+            }
+            3 => {
+                options.push(TcpOption::WindowScale(7));
+                false
+            }
+            _ => true,
+        };
+        let p = Ipv4Packet {
+            src: Ipv4Addr(addrs.0),
+            dst: Ipv4Addr(addrs.1),
+            ident,
+            ttl,
+            transport: Transport::Tcp(TcpSegment {
+                src_port: ports.0,
+                dst_port: ports.1,
+                seq: TcpSeq(seq_ack.0),
+                ack: TcpSeq(seq_ack.1),
+                flags: tf::ACK,
+                window,
+                options: options.into(),
+                payload_len: 0,
+            }),
+        };
+        let mut c = Compressor::new();
+        let mut d = Decompressor::new();
+        c.observe_native(&p);
+        d.observe_native(&p);
+        let seg = c.compress(&p).expect("an ACK at its own floor compresses");
+        prop_assert_eq!(seg[1] & 0x07, crc3(&p.header_bytes()), "{:?}", p);
+        if rebuilt {
+            let res = decode(&mut d, &build_blob(&[seg]))?;
+            prop_assert_eq!(res.packets, vec![p]);
+        }
     }
 
     /// Re-delivering any prefix of already-applied segments (blob
