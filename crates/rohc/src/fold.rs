@@ -20,8 +20,7 @@
 //! carrying any other option takes the byte path, which serializes the
 //! header and runs [`crc3`] over it.
 
-use std::cell::RefCell;
-
+use hack_inline::InlineVec;
 use hack_tcp::{flags, FiveTuple, Ipv4Packet, TcpOption};
 
 use crate::context::FieldRefs;
@@ -106,7 +105,7 @@ impl HeaderFold {
     pub(crate) fn of_flow(tuple: &FiveTuple, ttl: u8, has_ts: bool) -> HeaderFold {
         let ts = [TcpOption::Timestamps { tsval: 0, tsecr: 0 }];
         let options: &[TcpOption] = if has_ts { &ts } else { &[] };
-        HeaderFold::new(tuple, ttl, options).expect("timestamps fold")
+        HeaderFold::new(tuple, ttl, options).expect("timestamps alone always fold")
     }
 
     /// CRC-3 of the header of a pure ACK with `refs`' ident, seq, ack
@@ -157,9 +156,8 @@ impl HeaderFold {
 
     /// The IP and TCP checksums: each sum with its carries added back in
     /// until it fits 16 bits, then complemented, as `hack_tcp`'s
-    /// serializer computes them. Only the sum of no words at all folds
-    /// to 0 and checksums to 0xFFFF; any other sum congruent to 0 mod
-    /// 0xFFFF folds to 0xFFFF and checksums to 0.
+    /// serializer computes them. A nonzero sum congruent to 0 mod 0xFFFF
+    /// folds to 0xFFFF, so its checksum is 0, never 0xFFFF.
     fn checksums(&self) -> (u16, u16) {
         (complement(self.ip_sum), complement(self.tcp_sum))
     }
@@ -187,9 +185,9 @@ impl HeaderFold {
         }
     }
 
-    /// XOR the `width` big-endian bytes of `v` into the word, the first
-    /// at byte `at` mod 7 and each next one a byte further, round the
-    /// seven.
+    /// XOR the `width` big-endian bytes of `v` into the word: the first
+    /// at byte `at` mod 7, each next one a byte further, wrapping from
+    /// byte 6 to byte 0.
     fn xor(&mut self, at: u32, v: u32, width: u32) {
         let bytes = u64::from(v.swap_bytes() >> (32 - 8 * width));
         let s = 8 * (at as usize % CRC3_PERIOD);
@@ -212,16 +210,13 @@ fn complement(mut sum: u32) -> u16 {
 
 /// CRC-3 of `pkt`'s serialized header: the byte path, and in debug
 /// builds the reference every field CRC-3 is checked against. The header
-/// is written into one buffer per thread, sized for the longest IP+TCP
-/// header, so neither use allocates per ACK.
+/// is written on the stack, sized for the longest IP+TCP header, so
+/// neither use allocates: a debug-only allocation per ACK would move
+/// the exact allocation counts that tests hold in debug builds.
 pub(crate) fn byte_crc3(pkt: &Ipv4Packet) -> u8 {
-    thread_local! {
-        static HEADER: RefCell<Vec<u8>> = RefCell::new(Vec::with_capacity(80));
-    }
-    HEADER.with_borrow_mut(|header| {
-        pkt.header_bytes_into(header);
-        crc3(header)
-    })
+    let mut header = InlineVec::<u8, 80>::new();
+    pkt.header_bytes_into(&mut header);
+    crc3(&header)
 }
 
 #[cfg(test)]

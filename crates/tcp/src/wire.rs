@@ -49,6 +49,37 @@ impl FromIterator<(TcpSeq, TcpSeq)> for SackBlocks {
     }
 }
 
+/// A buffer [`Ipv4Packet::header_bytes_into`] writes a header into: a
+/// `Vec`, or an [`InlineVec`] that keeps the header off the heap.
+pub trait HeaderBuf: std::ops::DerefMut<Target = [u8]> {
+    /// Remove every byte.
+    fn clear(&mut self);
+    /// Append `bytes`.
+    fn extend_from_slice(&mut self, bytes: &[u8]);
+    /// Append one byte.
+    fn push(&mut self, byte: u8) {
+        self.extend_from_slice(&[byte]);
+    }
+}
+
+impl HeaderBuf for Vec<u8> {
+    fn clear(&mut self) {
+        Vec::clear(self);
+    }
+    fn extend_from_slice(&mut self, bytes: &[u8]) {
+        Vec::extend_from_slice(self, bytes);
+    }
+}
+
+impl<const N: usize> HeaderBuf for InlineVec<u8, N> {
+    fn clear(&mut self) {
+        InlineVec::clear(self);
+    }
+    fn extend_from_slice(&mut self, bytes: &[u8]) {
+        InlineVec::extend_from_slice(self, bytes);
+    }
+}
+
 /// An IPv4 address (stored as a `u32` for arithmetic convenience).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Ipv4Addr(pub u32);
@@ -161,7 +192,7 @@ impl TcpOption {
         }
     }
 
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode(&self, out: &mut impl HeaderBuf) {
         match self {
             TcpOption::Mss(v) => {
                 out.push(2);
@@ -363,24 +394,24 @@ impl Ipv4Packet {
     /// # Panics
     /// Panics for UDP packets (never compressed by HACK).
     pub fn header_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        // The longest IP+TCP header: one allocation.
+        let mut out = Vec::with_capacity(80);
         self.header_bytes_into(&mut out);
         out
     }
 
-    /// [`Ipv4Packet::header_bytes`] into a caller-provided scratch
-    /// buffer (cleared first): the hot-path form — one buffer, no
-    /// intermediate IP/TCP/pseudo-header vectors, and zero allocations
-    /// when the scratch capacity is warm.
+    /// [`Ipv4Packet::header_bytes`] into a caller-provided buffer
+    /// (cleared first): one buffer, no intermediate IP/TCP/pseudo-header
+    /// vectors, and no allocation into a warm `Vec` or an
+    /// `InlineVec<u8, 80>`.
     ///
     /// # Panics
     /// Panics for UDP packets (never compressed by HACK).
-    pub fn header_bytes_into(&self, out: &mut Vec<u8>) {
+    pub fn header_bytes_into(&self, out: &mut impl HeaderBuf) {
         let Transport::Tcp(tcp) = &self.transport else {
             panic!("header_bytes is only defined for TCP packets");
         };
         out.clear();
-        out.reserve(20 + tcp.header_len() as usize);
 
         let total_len = self.wire_len() as u16;
         out.push(0x45); // version 4, IHL 5
