@@ -7,7 +7,8 @@
 //! get lost — the property §3.4 of the paper demands.
 //!
 //! The compressor is deliberately conservative: any packet shape it
-//! cannot encode byte-exactly (flags other than a bare ACK, a
+//! cannot encode byte-exactly (flags other than a bare ACK, options
+//! other than the flow's timestamps and one SACK option, a
 //! sequence-number change, fields too far from the floor) makes
 //! [`Compressor::compress`] return `None` and the driver falls back to
 //! sending the ACK natively — which is also how contexts are created
@@ -26,16 +27,15 @@
 //!
 //! `crc3` is the ROHC CRC-3 over the *original* IP+TCP header, and the
 //! decompressor recomputes it over the reconstructed one. Neither end
-//! writes the header out: both compute the CRC from its fields (the
-//! crate's `fold` module), on top of the part of the header the flow's
-//! context fixes, and a SACK-bearing ACK from all of its fields. Only an
-//! ACK carrying an option other than timestamps and SACK is serialized
-//! for it. The 8-bit MSN implements the paper's extended master
-//! sequence number for duplicate discard after Block ACK retransmission
-//! (§3.4, Figure 6).
+//! writes a SACK-free ACK's header out: both compute its CRC from its
+//! fields (the crate's `fold` module), on top of the part of the header
+//! the flow's context fixes. A SACK-bearing ACK takes the byte path: its
+//! header is serialized on the stack and `crc3` runs over it. The 8-bit
+//! MSN implements the paper's extended master sequence number for
+//! duplicate discard after Block ACK retransmission (§3.4, Figure 6).
 
 use hack_inline::InlineVec;
-use hack_tcp::{flags as tcpflags, FiveTuple, Ipv4Packet};
+use hack_tcp::{flags as tcpflags, FiveTuple, Ipv4Packet, TcpOption};
 use hack_trace::{Event, TraceHandle};
 
 use crate::cidmap::{FlowTable, Observed};
@@ -207,7 +207,7 @@ impl Compressor {
         let encodable = seg.flags == tcpflags::ACK
             && pkt.ttl == ctx.ttl
             && seg.seq == floor.seq
-            && ts.is_some() == ctx.has_ts
+            && rebuilt_as_sent(&seg.options, ctx.has_ts)
             && ident_dist < 256
             && ack_dist < 0x8000_0000;
         if !encodable {
@@ -265,9 +265,10 @@ impl Compressor {
             tsecr,
             ident: pkt.ident,
         };
-        let crc = ctx
-            .header_crc3(&refs, &seg.options)
-            .unwrap_or_else(|| byte_crc3(pkt));
+        let crc = match sack {
+            None => ctx.fold.ack_crc3(&refs),
+            Some(_) => byte_crc3(pkt),
+        };
         debug_assert_eq!(crc, byte_crc3(pkt), "field CRC-3 of {pkt:?}");
         flags |= crc & flagbits::CRC_MASK;
 
@@ -311,6 +312,25 @@ impl Compressor {
         self.stats.compressed_bytes += out.len() as u64;
         self.stats.original_bytes += u64::from(pkt.wire_len());
         Some(out)
+    }
+}
+
+/// Whether the decompressor rebuilds `options` exactly: the timestamps
+/// if the flow has them, then at most one SACK option, within the 40
+/// bytes of options a TCP header has room for. Any other list (another
+/// option, SACK before the timestamps, timestamps on a flow without
+/// them) would decode to a different header and fail CRC-3, or pass it
+/// one time in eight and forge the ACK.
+fn rebuilt_as_sent(options: &[TcpOption], has_ts: bool) -> bool {
+    let rest = match options {
+        [TcpOption::Timestamps { .. }, rest @ ..] if has_ts => rest,
+        _ if has_ts => return false,
+        _ => options,
+    };
+    match rest {
+        [] => true,
+        [TcpOption::Sack(_)] => options.iter().map(TcpOption::wire_len).sum::<usize>() <= 40,
+        _ => false,
     }
 }
 
@@ -442,6 +462,47 @@ mod tests {
         }
         assert_eq!(c.stats().declined, 2);
         assert!(c.compress(&ack(3920, 2, 11)).is_some());
+    }
+
+    #[test]
+    fn option_lists_the_decompressor_cannot_rebuild_decline() {
+        let ts = TcpOption::Timestamps {
+            tsval: 11,
+            tsecr: 8,
+        };
+        let sack = |n: u32| {
+            TcpOption::Sack(
+                (0..n)
+                    .map(|i| (TcpSeq(2460 + 2920 * i), TcpSeq(3920 + 2920 * i)))
+                    .collect(),
+            )
+        };
+        let mut c = Compressor::new();
+        c.observe_native(&ack(1000, 1, 10));
+        for options in [
+            vec![sack(1), ts.clone()],
+            vec![ts.clone(), TcpOption::Mss(1460)],
+            vec![ts.clone(), TcpOption::WindowScale(7)],
+            vec![ts.clone(), TcpOption::SackPermitted],
+            vec![ts.clone(), ts.clone()],
+            vec![sack(1)],
+            // 44 bytes of options: more than a TCP header holds.
+            vec![ts.clone(), sack(4)],
+        ] {
+            let mut p = ack(1000, 2, 11);
+            if let Transport::Tcp(t) = &mut p.transport {
+                t.options = options.clone().into();
+            }
+            assert!(c.compress(&p).is_none(), "{options:?}");
+        }
+        assert_eq!(c.stats().declined, 7);
+        for n in 0..=3 {
+            let mut p = ack(1000, 2, 11);
+            if let Transport::Tcp(t) = &mut p.transport {
+                t.options = vec![ts.clone(), sack(n)].into();
+            }
+            assert!(c.compress(&p).is_some(), "{n} SACK blocks");
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@
 
 use std::collections::VecDeque;
 
-use hack_tcp::{FiveTuple, Ipv4Packet, TcpOption, TcpSegment, TcpSeq, Transport};
+use hack_tcp::{FiveTuple, Ipv4Packet, TcpSegment, TcpSeq, Transport};
 
 use crate::cidmap::FlowContext;
 use crate::fold::HeaderFold;
@@ -111,7 +111,7 @@ pub struct CompContext {
     pub msn: u8,
     /// The header bytes `tuple`, `ttl` and `has_ts` fix, folded for
     /// CRC-3 ([`HeaderFold::of_flow`]).
-    fold: HeaderFold,
+    pub(crate) fold: HeaderFold,
 }
 
 /// Cap on tracked outstanding natives; beyond this the oldest are folded
@@ -166,14 +166,6 @@ impl CompContext {
         }
     }
 
-    /// CRC-3 of the header of the pure ACK on this flow with `refs`'
-    /// ident, seq, ack and window and with `options`, from the fields;
-    /// `None` when an option sends it to the byte path.
-    pub(crate) fn header_crc3(&self, refs: &FieldRefs, options: &[TcpOption]) -> Option<u8> {
-        self.fold
-            .ack_crc3(&self.tuple, self.ttl, self.has_ts, refs, options)
-    }
-
     /// A previously enqueued native (or a compressed ACK, per §3.4
     /// confirmation) is now known to have reached the peer: advance the
     /// floor and drop confirmed outstanding entries.
@@ -220,7 +212,7 @@ pub struct DecompContext {
     pub msn_valid: bool,
     /// The header bytes `tuple`, `ttl` and `has_ts` fix, folded for
     /// CRC-3 ([`HeaderFold::of_flow`]).
-    fold: HeaderFold,
+    pub(crate) fold: HeaderFold,
 }
 
 impl DecompContext {
@@ -262,14 +254,6 @@ impl DecompContext {
             self.fold = HeaderFold::of_flow(&self.tuple, self.ttl, has_ts);
         }
         self.msn_valid = false;
-    }
-
-    /// CRC-3 of the header of the pure ACK on this flow with `refs`'
-    /// ident, seq, ack and window and with `options`, from the fields;
-    /// `None` when an option sends it to the byte path.
-    pub(crate) fn header_crc3(&self, refs: &FieldRefs, options: &[TcpOption]) -> Option<u8> {
-        self.fold
-            .ack_crc3(&self.tuple, self.ttl, self.has_ts, refs, options)
     }
 }
 
@@ -451,8 +435,8 @@ mod tests {
         let check = |comp: &CompContext, decomp: &DecompContext, p: &Ipv4Packet| {
             let seg = compressible_ack(p).unwrap();
             let refs = FieldRefs::of(p, seg);
-            assert_eq!(comp.header_crc3(&refs, &seg.options), Some(byte_crc3(p)));
-            assert_eq!(decomp.header_crc3(&refs, &seg.options), Some(byte_crc3(p)));
+            assert_eq!(comp.fold.ack_crc3(&refs), byte_crc3(p));
+            assert_eq!(decomp.fold.ack_crc3(&refs), byte_crc3(p));
         };
         let bare = |ack, ident| {
             let mut p = ack_packet(ack, ident, 0);
@@ -486,7 +470,7 @@ mod tests {
         p.ttl = 32;
         let seg = compressible_ack(&p).unwrap();
         let refs = FieldRefs::of(&p, seg);
-        assert_eq!(decomp.header_crc3(&refs, &seg.options), Some(byte_crc3(&p)));
+        assert_eq!(decomp.fold.ack_crc3(&refs), byte_crc3(&p));
     }
 
     #[test]

@@ -10,11 +10,11 @@
 //! in one place and counted in one place: every item the cursor yields
 //! moves exactly one [`DecompressStats`] counter by one.
 //!
-//! The CRC-3 is checked from the decoded fields (the crate's `fold`
-//! module), on top of the part of the header the flow's context fixes,
-//! or from all of them for a SACK-bearing ACK, before any packet is
-//! built: a segment that fails it costs no packet, and one that passes
-//! moves the context's references to the decoded fields as they are.
+//! A SACK-free segment's CRC-3 is checked from the decoded fields (the
+//! crate's `fold` module), on top of the part of the header the flow's
+//! context fixes; a SACK-bearing one's from the serialized header of
+//! the packet it rebuilds. A segment that passes moves the context's
+//! references to the decoded fields as they are.
 //!
 //! Every segment is encoded against the compressor's floor, a value
 //! not newer than any reference this side could hold, so a blob that
@@ -34,7 +34,8 @@
 //! satisfying the paper's "must not be persistent" requirement.
 
 use hack_tcp::{
-    flags as tcpflags, FiveTuple, Ipv4Packet, TcpOption, TcpSegment, TcpSeq, Transport,
+    flags as tcpflags, FiveTuple, Ipv4Packet, SackBlocks, TcpOption, TcpOptions, TcpSegment,
+    TcpSeq, Transport,
 };
 use hack_trace::{Event, TraceHandle};
 
@@ -234,27 +235,25 @@ impl Decompressor {
             ident: wlsb_decode(u64::from(ctx.refs.ident), u64::from(parsed.ident_lsb), 8) as u16,
         };
 
-        let mut options = hack_tcp::TcpOptions::new();
-        if ts.is_some() {
-            options.push(TcpOption::Timestamps { tsval, tsecr });
-        }
-        if let Some((blocks, n)) = &parsed.sack {
-            options.push(TcpOption::Sack(
-                blocks[..usize::from(*n)]
-                    .iter()
-                    .map(|&(start_rel, len)| {
-                        let start = ack + (start_rel as u32);
-                        (start, start + len)
-                    })
-                    .collect(),
-            ));
-        }
+        let sack = parsed.sack.map(|(blocks, n)| {
+            blocks[..usize::from(n)]
+                .iter()
+                .map(|&(start_rel, len)| {
+                    let start = ack + (start_rel as u32);
+                    (start, start + len)
+                })
+                .collect::<SackBlocks>()
+        });
 
-        // CRC validation from the reconstructed fields, before any
-        // packet is built.
-        let crc = ctx
-            .header_crc3(&refs, &options)
-            .expect("the decompressor rebuilds only timestamps and SACK");
+        // CRC validation: from the reconstructed fields, before any
+        // packet is built; a SACK block moves every byte of the
+        // context's fold, so a SACK-bearing packet is rebuilt first and
+        // its header serialized.
+        let rebuilt = sack.map(|blocks| rebuild(ctx, &refs, Some(blocks)));
+        let crc = match &rebuilt {
+            None => ctx.fold.ack_crc3(&refs),
+            Some(pkt) => byte_crc3(pkt),
+        };
         if crc & flagbits::CRC_MASK != parsed.crc {
             return (BlobItem::Fail(BadCrc), parsed.consumed);
         }
@@ -272,24 +271,40 @@ impl Decompressor {
                 msn: u32::from(parsed.msn)
             }
         );
-        let pkt = Ipv4Packet {
-            src: ctx.tuple.src_ip,
-            dst: ctx.tuple.dst_ip,
-            ident: refs.ident,
-            ttl: ctx.ttl,
-            transport: Transport::Tcp(TcpSegment {
-                src_port: ctx.tuple.src_port,
-                dst_port: ctx.tuple.dst_port,
-                seq: refs.seq,
-                ack,
-                flags: tcpflags::ACK,
-                window: refs.window,
-                options,
-                payload_len: 0,
-            }),
-        };
+        let pkt = rebuilt.unwrap_or_else(|| rebuild(ctx, &refs, None));
         debug_assert_eq!(crc, byte_crc3(&pkt), "field CRC-3 of {pkt:?}");
         (BlobItem::Packet(pkt), parsed.consumed)
+    }
+}
+
+/// The pure ACK on `ctx`'s flow with `refs`' fields: the timestamps if
+/// the flow has them, then `sack`'s blocks if any.
+fn rebuild(ctx: &DecompContext, refs: &FieldRefs, sack: Option<SackBlocks>) -> Ipv4Packet {
+    let mut options = TcpOptions::new();
+    if ctx.has_ts {
+        options.push(TcpOption::Timestamps {
+            tsval: refs.tsval,
+            tsecr: refs.tsecr,
+        });
+    }
+    if let Some(blocks) = sack {
+        options.push(TcpOption::Sack(blocks));
+    }
+    Ipv4Packet {
+        src: ctx.tuple.src_ip,
+        dst: ctx.tuple.dst_ip,
+        ident: refs.ident,
+        ttl: ctx.ttl,
+        transport: Transport::Tcp(TcpSegment {
+            src_port: ctx.tuple.src_port,
+            dst_port: ctx.tuple.dst_port,
+            seq: refs.seq,
+            ack: refs.ack,
+            flags: tcpflags::ACK,
+            window: refs.window,
+            options,
+            payload_len: 0,
+        }),
     }
 }
 
@@ -494,7 +509,8 @@ mod tests {
     use super::*;
     use crate::compress::{build_blob, Compressor};
     use crate::md5::cid_for_tuple;
-    use hack_tcp::{flags as tf, Ipv4Addr, TcpOption};
+    use crate::varint::{write_ivarint, write_uvarint};
+    use hack_tcp::{flags as tf, Ipv4Addr};
     use BlobItem::{Duplicate, Fail, Packet};
 
     fn ack(ackno: u32, ident: u16, ts: u32) -> Ipv4Packet {
@@ -810,6 +826,36 @@ mod tests {
         let seg = c.compress(&p).expect("re-seeded at TTL 60");
         assert_eq!(decode(&mut d, &[seg]), [Packet(p)]);
         assert_eq!(d.stats().crc_failures, 0);
+    }
+
+    #[test]
+    fn four_sack_blocks_beside_timestamps_decode_without_panicking() {
+        // No compressor emits this, but a bit flip that sets S can:
+        // 10 + 34 bytes of options, more than a TCP header holds. The
+        // header is serialized for its CRC-3 as any SACK-bearing one.
+        let (_, mut d) = pair();
+        let blocks: SackBlocks = (0..4u32)
+            .map(|i| (TcpSeq(2460 + 2920 * i), TcpSeq(3920 + 2920 * i)))
+            .collect();
+        let mut p = ack(1000, 2, 11);
+        if let Transport::Tcp(t) = &mut p.transport {
+            t.options.push(TcpOption::Sack(blocks));
+        }
+        let cid = cid_for_tuple(&p.five_tuple().bytes());
+        let segment = |crc: u8| {
+            let mut seg = vec![cid, flagbits::S | crc, 1, 2, 1000u32 as u8, 11, 8, 4];
+            for &(start, end) in blocks.iter() {
+                write_ivarint(&mut seg, i64::from(start - TcpSeq(1000)));
+                write_uvarint(&mut seg, u64::from(end - start));
+            }
+            seg
+        };
+        let crc = crate::fold::byte_crc3(&p);
+        assert_eq!(
+            decode(&mut d, &[segment(crc ^ 1)]),
+            [Fail(DecompressError::BadCrc)]
+        );
+        assert_eq!(decode(&mut d, &[segment(crc)]), [Packet(p)]);
     }
 
     #[test]

@@ -15,13 +15,13 @@
 //! [`HeaderFold::of_flow`] folds those bytes once per context, with the
 //! dynamic ones at zero. Per ACK only ident, seq, ack, window and the
 //! timestamps are placed, and both checksums are finished from their
-//! sums. A SACK-bearing ACK has a longer header, which moves every byte
-//! to another place mod 7: it is folded from all of its fields. An ACK
-//! carrying any other option takes the byte path, which serializes the
-//! header and runs [`crc3`] over it.
+//! sums ([`HeaderFold::ack_crc3`]). A SACK-bearing ACK has a longer
+//! header, which moves every byte to another place mod 7: it takes the
+//! byte path, [`byte_crc3`], which serializes the header and runs
+//! [`crc3`] over it.
 
 use hack_inline::InlineVec;
-use hack_tcp::{flags, FiveTuple, Ipv4Packet, TcpOption};
+use hack_tcp::{flags, FiveTuple, Ipv4Packet};
 
 use crate::context::FieldRefs;
 use crate::crc::{crc3, crc3_of_word, CRC3_PERIOD, CRC3_WORD_MASK};
@@ -42,25 +42,25 @@ pub(crate) struct HeaderFold {
     tcp_sum: u32,
     /// Header length in bytes, IP and TCP.
     len: u32,
+    /// Whether the header carries the timestamps option.
+    has_ts: bool,
 }
 
 impl HeaderFold {
-    /// The header of a pure ACK on `tuple` with TTL `ttl` and `options`,
-    /// with ident, seq, ack, window and both checksums at zero. `None`
-    /// when an option is neither timestamps nor SACK, or the options
-    /// overrun the 40 bytes a TCP header has room for.
-    fn new(tuple: &FiveTuple, ttl: u8, options: &[TcpOption]) -> Option<HeaderFold> {
-        let opts: u32 = options.iter().map(|o| o.wire_len() as u32).sum();
-        if opts > 2 * BASE_LEN {
-            return None;
-        }
-        let tcp_len = BASE_LEN + opts.div_ceil(4) * 4;
+    /// The bytes a flow's context fixes (see the module docs): the
+    /// header of a pure ACK on `tuple` with TTL `ttl`, with timestamps
+    /// if `has_ts` and no other option, and with ident, seq, ack,
+    /// window, the timestamps and both checksums at zero.
+    pub(crate) fn of_flow(tuple: &FiveTuple, ttl: u8, has_ts: bool) -> HeaderFold {
+        // Timestamps take 10 bytes, padded to 12 by two NOPs.
+        let tcp_len = if has_ts { BASE_LEN + 12 } else { BASE_LEN };
         let mut f = HeaderFold {
             word: 0,
             ip_sum: 0,
             // The pseudo-header: addresses, protocol and TCP length.
             tcp_sum: halves(tuple.src_ip.0) + halves(tuple.dst_ip.0) + 6 + tcp_len,
             len: BASE_LEN + tcp_len,
+            has_ts,
         };
         f.put16(0, 0x4500); // version 4, IHL 5; TOS 0
         f.put16(2, f.len); // total length: no payload
@@ -72,86 +72,38 @@ impl HeaderFold {
         f.put16(22, u32::from(tuple.dst_port));
         f.put16(32, (tcp_len / 4) << 12 | u32::from(flags::ACK));
         // The urgent pointer, at 38, is zero.
-        let mut at = 2 * BASE_LEN;
-        for opt in options {
-            match opt {
-                TcpOption::Timestamps { tsval, tsecr } => {
-                    f.put16(at, 0x080A);
-                    f.put32(at + 2, *tsval);
-                    f.put32(at + 6, *tsecr);
-                }
-                TcpOption::Sack(blocks) => {
-                    f.put16(at, 0x0500 | opt.wire_len() as u32);
-                    for (i, &(left, right)) in blocks.iter().enumerate() {
-                        let block = at + 2 + 8 * i as u32;
-                        f.put32(block, left.0);
-                        f.put32(block + 4, right.0);
-                    }
-                }
-                _ => return None,
-            }
-            at += opt.wire_len() as u32;
+        if has_ts {
+            f.put16(40, 0x080A); // kind 8, length 10
+            f.put16(50, 0x0101); // two NOPs
         }
-        // Both options have even lengths: two NOPs pad, or none.
-        if !at.is_multiple_of(4) {
-            f.put16(at, 0x0101);
-        }
-        Some(f)
+        f
     }
 
-    /// The bytes a flow's context fixes (see the module docs): a pure
-    /// ACK with timestamps if `has_ts` and no other option, its dynamic
-    /// fields at zero.
-    pub(crate) fn of_flow(tuple: &FiveTuple, ttl: u8, has_ts: bool) -> HeaderFold {
-        let ts = [TcpOption::Timestamps { tsval: 0, tsecr: 0 }];
-        let options: &[TcpOption] = if has_ts { &ts } else { &[] };
-        HeaderFold::new(tuple, ttl, options).expect("timestamps alone always fold")
-    }
-
-    /// CRC-3 of the header of a pure ACK with `refs`' ident, seq, ack
-    /// and window and with `options`, on the flow whose fold `self` is
-    /// (built by [`HeaderFold::of_flow`] from `tuple`, `ttl` and
-    /// `has_ts`). `None` sends the caller to the byte path.
-    pub(crate) fn ack_crc3(
-        &self,
-        tuple: &FiveTuple,
-        ttl: u8,
-        has_ts: bool,
-        refs: &FieldRefs,
-        options: &[TcpOption],
-    ) -> Option<u8> {
-        let mut f = self.ack(tuple, ttl, has_ts, refs, options)?;
+    /// CRC-3 of the header of the pure ACK on this fold's flow with
+    /// `refs`' ident, seq, ack and window, and with `refs`' timestamps
+    /// if the flow has them. The caller sends an ACK with any other
+    /// option list to [`byte_crc3`].
+    pub(crate) fn ack_crc3(&self, refs: &FieldRefs) -> u8 {
+        let mut f = self.ack(refs);
         let (ip, tcp) = f.checksums();
         f.xor(10, u32::from(ip), 2);
         f.xor(36, u32::from(tcp), 2);
-        Some(crc3_of_word(f.word, f.len as usize))
+        crc3_of_word(f.word, f.len as usize)
     }
 
     /// [`HeaderFold::ack_crc3`]'s header with every field placed but the
     /// two checksums.
-    fn ack(
-        &self,
-        tuple: &FiveTuple,
-        ttl: u8,
-        has_ts: bool,
-        refs: &FieldRefs,
-        options: &[TcpOption],
-    ) -> Option<HeaderFold> {
-        let mut f = match options {
-            [] if !has_ts => *self,
-            [TcpOption::Timestamps { tsval, tsecr }] if has_ts => {
-                let mut f = *self;
-                f.put32(42, *tsval);
-                f.put32(46, *tsecr);
-                f
-            }
-            _ => HeaderFold::new(tuple, ttl, options)?,
-        };
+    fn ack(&self, refs: &FieldRefs) -> HeaderFold {
+        let mut f = *self;
+        if f.has_ts {
+            f.put32(42, refs.tsval);
+            f.put32(46, refs.tsecr);
+        }
         f.put16(4, u32::from(refs.ident));
         f.put32(24, refs.seq.0);
         f.put32(28, refs.ack.0);
         f.put16(34, u32::from(refs.window));
-        Some(f)
+        f
     }
 
     /// The IP and TCP checksums: each sum with its carries added back in
@@ -212,7 +164,9 @@ fn complement(mut sum: u32) -> u16 {
 /// builds the reference every field CRC-3 is checked against. The header
 /// is written on the stack, sized for the longest IP+TCP header, so
 /// neither use allocates: a debug-only allocation per ACK would move
-/// the exact allocation counts that tests hold in debug builds.
+/// the exact allocation counts that tests hold in debug builds. Only a
+/// corrupted segment can rebuild a longer header, which spills to the
+/// heap.
 pub(crate) fn byte_crc3(pkt: &Ipv4Packet) -> u8 {
     let mut header = InlineVec::<u8, 80>::new();
     pkt.header_bytes_into(&mut header);
@@ -222,9 +176,13 @@ pub(crate) fn byte_crc3(pkt: &Ipv4Packet) -> u8 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hack_tcp::{Ipv4Addr, TcpSegment, TcpSeq, Transport};
+    use hack_tcp::{Ipv4Addr, TcpOption, TcpSegment, TcpSeq, Transport};
 
-    fn pkt(ident: u16, window: u16, options: Vec<TcpOption>) -> Ipv4Packet {
+    fn pkt(ident: u16, window: u16, has_ts: bool) -> Ipv4Packet {
+        let ts = TcpOption::Timestamps {
+            tsval: 0xDEAD_BEEF,
+            tsecr: 0x0BAD_F00D,
+        };
         Ipv4Packet {
             src: Ipv4Addr::new(192, 168, 0, 2),
             dst: Ipv4Addr::new(10, 0, 0, 1),
@@ -237,116 +195,59 @@ mod tests {
                 ack: TcpSeq(123_456_789),
                 flags: flags::ACK,
                 window,
-                options: options.into(),
+                options: if has_ts { vec![ts] } else { vec![] }.into(),
                 payload_len: 0,
             }),
         }
     }
 
-    fn ts() -> TcpOption {
-        TcpOption::Timestamps {
-            tsval: 0xDEAD_BEEF,
-            tsecr: 0x0BAD_F00D,
-        }
-    }
-
-    fn sack(n: u32) -> TcpOption {
-        TcpOption::Sack(
-            (0..n)
-                .map(|i| (TcpSeq(1000 + 3000 * i), TcpSeq(2460 + 3000 * i)))
-                .collect(),
-        )
-    }
-
-    /// `p`'s header with every field but the checksums placed, through
-    /// the fold of a flow with timestamps if `has_ts`.
-    fn fold(p: &Ipv4Packet, has_ts: bool) -> Option<HeaderFold> {
+    /// The fold of `p`'s flow, and `p`'s dynamic fields.
+    fn flow(p: &Ipv4Packet) -> (HeaderFold, FieldRefs) {
         let Transport::Tcp(seg) = &p.transport else {
             unreachable!()
         };
-        let tuple = p.five_tuple();
-        let refs = FieldRefs::of(p, seg);
-        HeaderFold::of_flow(&tuple, p.ttl, has_ts).ack(&tuple, p.ttl, has_ts, &refs, &seg.options)
+        let has_ts = seg.timestamps().is_some();
+        let fold = HeaderFold::of_flow(&p.five_tuple(), p.ttl, has_ts);
+        (fold, FieldRefs::of(p, seg))
     }
 
-    /// Field CRC-3 of `p` on a flow with timestamps if `has_ts`.
-    fn field_crc3(p: &Ipv4Packet, has_ts: bool) -> Option<u8> {
-        let Transport::Tcp(seg) = &p.transport else {
-            unreachable!()
-        };
-        let tuple = p.five_tuple();
-        let refs = FieldRefs::of(p, seg);
-        HeaderFold::of_flow(&tuple, p.ttl, has_ts).ack_crc3(
-            &tuple,
-            p.ttl,
-            has_ts,
-            &refs,
-            &seg.options,
-        )
+    /// `p`'s header with every field but the checksums placed.
+    fn fold(p: &Ipv4Packet) -> HeaderFold {
+        let (fold, refs) = flow(p);
+        fold.ack(&refs)
+    }
+
+    /// Field CRC-3 of `p`.
+    fn field_crc3(p: &Ipv4Packet) -> u8 {
+        let (fold, refs) = flow(p);
+        fold.ack_crc3(&refs)
     }
 
     /// Both checksums of `p` through the fold, and as serialized.
-    fn checksums(p: &Ipv4Packet, has_ts: bool) -> ((u16, u16), (u16, u16)) {
+    fn checksums(p: &Ipv4Packet) -> ((u16, u16), (u16, u16)) {
         let bytes = p.header_bytes();
         let at = |i: usize| u16::from_be_bytes([bytes[i], bytes[i + 1]]);
-        (fold(p, has_ts).unwrap().checksums(), (at(10), at(36)))
+        (fold(p).checksums(), (at(10), at(36)))
     }
 
     #[test]
-    fn field_crc3_matches_the_bytes_for_every_foldable_layout() {
+    fn field_crc3_matches_the_bytes_with_and_without_timestamps() {
         for has_ts in [false, true] {
-            // A fourth SACK block fits only beside no timestamps.
-            for n in 0..=if has_ts { 3 } else { 4 } {
-                let mut options = Vec::new();
-                if has_ts {
-                    options.push(ts());
-                }
-                if n > 0 {
-                    options.push(sack(n));
-                }
-                for ident in [0, 1, 0x8000, 0xFFFF] {
-                    for window in [0, 1024, 0xFFFF] {
-                        let p = pkt(ident, window, options.clone());
-                        assert_eq!(field_crc3(&p, has_ts), Some(byte_crc3(&p)), "{p:?}");
-                        let (fold, bytes) = checksums(&p, has_ts);
-                        assert_eq!(fold, bytes, "{p:?}");
-                    }
+            for ident in [0, 1, 0x8000, 0xFFFF] {
+                for window in [0, 1024, 0xFFFF] {
+                    let p = pkt(ident, window, has_ts);
+                    assert_eq!(field_crc3(&p), byte_crc3(&p), "{p:?}");
+                    let (fold, bytes) = checksums(&p);
+                    assert_eq!(fold, bytes, "{p:?}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn an_ack_off_its_flow_layout_is_folded_whole() {
-        // Timestamps on a flow whose fold has none, none on one that has
-        // them, and SACK before timestamps: each is folded from all of
-        // its fields, and still matches its bytes.
-        for (options, has_ts) in [
-            (vec![ts()], false),
-            (vec![], true),
-            (vec![sack(2), ts()], true),
-        ] {
-            let p = pkt(7, 512, options);
-            assert_eq!(field_crc3(&p, has_ts), Some(byte_crc3(&p)), "{p:?}");
-        }
-    }
-
-    #[test]
-    fn other_options_and_overlong_ones_take_the_byte_path() {
-        for options in [
-            vec![TcpOption::Mss(1460)],
-            vec![ts(), TcpOption::WindowScale(7)],
-            vec![TcpOption::SackPermitted],
-            vec![ts(), sack(4)],
-        ] {
-            assert_eq!(field_crc3(&pkt(7, 512, options), true), None);
         }
     }
 
     /// The first `v` for which `p(v)`'s fold satisfies `want`.
     fn craft(p: impl Fn(u16) -> Ipv4Packet, want: impl Fn(&HeaderFold) -> bool) -> Ipv4Packet {
         let v = (0..=u16::MAX)
-            .find(|&v| want(&fold(&p(v), true).unwrap()))
+            .find(|&v| want(&fold(&p(v))))
             .expect("some value crafts it");
         p(v)
     }
@@ -360,13 +261,13 @@ mod tests {
     fn a_sum_of_all_ones_checksums_to_zero() {
         // Ident moves only the IP sum, window only the TCP sum; some
         // value of each makes its sum fold to 0xFFFF.
-        let ip = craft(|v| pkt(v, 1024, vec![ts()]), |f| f.checksums().0 == 0);
-        let tcp = craft(|v| pkt(7, v, vec![ts()]), |f| f.checksums().1 == 0);
+        let ip = craft(|v| pkt(v, 1024, true), |f| f.checksums().0 == 0);
+        let tcp = craft(|v| pkt(7, v, true), |f| f.checksums().1 == 0);
         for p in [ip, tcp] {
-            let (fold, bytes) = checksums(&p, true);
+            let (fold, bytes) = checksums(&p);
             assert_eq!(fold, bytes, "{p:?}");
             assert!(fold.0 == 0 || fold.1 == 0);
-            assert_eq!(field_crc3(&p, true), Some(byte_crc3(&p)));
+            assert_eq!(field_crc3(&p), byte_crc3(&p));
         }
     }
 
@@ -375,7 +276,7 @@ mod tests {
         // All-ones addresses and ports push both sums up to where one
         // round of carries leaves another.
         let wide = |ident: u16, window: u16| {
-            let mut p = pkt(ident, window, vec![ts()]);
+            let mut p = pkt(ident, window, true);
             p.src = Ipv4Addr(u32::MAX);
             p.dst = Ipv4Addr(u32::MAX);
             p.ttl = 255;
@@ -388,9 +289,9 @@ mod tests {
         let ip = craft(|v| wide(v, 1024), |f| carries_twice(f.ip_sum));
         let tcp = craft(|v| wide(7, v), |f| carries_twice(f.tcp_sum));
         for p in [ip, tcp] {
-            let (fold, bytes) = checksums(&p, true);
+            let (fold, bytes) = checksums(&p);
             assert_eq!(fold, bytes, "{p:?}");
-            assert_eq!(field_crc3(&p, true), Some(byte_crc3(&p)));
+            assert_eq!(field_crc3(&p), byte_crc3(&p));
         }
     }
 }

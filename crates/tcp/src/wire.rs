@@ -49,37 +49,6 @@ impl FromIterator<(TcpSeq, TcpSeq)> for SackBlocks {
     }
 }
 
-/// A buffer [`Ipv4Packet::header_bytes_into`] writes a header into: a
-/// `Vec`, or an [`InlineVec`] that keeps the header off the heap.
-pub trait HeaderBuf: std::ops::DerefMut<Target = [u8]> {
-    /// Remove every byte.
-    fn clear(&mut self);
-    /// Append `bytes`.
-    fn extend_from_slice(&mut self, bytes: &[u8]);
-    /// Append one byte.
-    fn push(&mut self, byte: u8) {
-        self.extend_from_slice(&[byte]);
-    }
-}
-
-impl HeaderBuf for Vec<u8> {
-    fn clear(&mut self) {
-        Vec::clear(self);
-    }
-    fn extend_from_slice(&mut self, bytes: &[u8]) {
-        Vec::extend_from_slice(self, bytes);
-    }
-}
-
-impl<const N: usize> HeaderBuf for InlineVec<u8, N> {
-    fn clear(&mut self) {
-        InlineVec::clear(self);
-    }
-    fn extend_from_slice(&mut self, bytes: &[u8]) {
-        InlineVec::extend_from_slice(self, bytes);
-    }
-}
-
 /// An IPv4 address (stored as a `u32` for arithmetic convenience).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Ipv4Addr(pub u32);
@@ -192,7 +161,7 @@ impl TcpOption {
         }
     }
 
-    fn encode(&self, out: &mut impl HeaderBuf) {
+    fn encode(&self, out: &mut InlineVec<u8, 80>) {
         match self {
             TcpOption::Mss(v) => {
                 out.push(2);
@@ -394,20 +363,19 @@ impl Ipv4Packet {
     /// # Panics
     /// Panics for UDP packets (never compressed by HACK).
     pub fn header_bytes(&self) -> Vec<u8> {
-        // The longest IP+TCP header: one allocation.
-        let mut out = Vec::with_capacity(80);
+        let mut out = InlineVec::new();
         self.header_bytes_into(&mut out);
-        out
+        out.to_vec()
     }
 
     /// [`Ipv4Packet::header_bytes`] into a caller-provided buffer
     /// (cleared first): one buffer, no intermediate IP/TCP/pseudo-header
-    /// vectors, and no allocation into a warm `Vec` or an
-    /// `InlineVec<u8, 80>`.
+    /// vectors, and no allocation for any header that fits the 80 bytes
+    /// an IPv4 and a TCP header can span.
     ///
     /// # Panics
     /// Panics for UDP packets (never compressed by HACK).
-    pub fn header_bytes_into(&self, out: &mut impl HeaderBuf) {
+    pub fn header_bytes_into(&self, out: &mut InlineVec<u8, 80>) {
         let Transport::Tcp(tcp) = &self.transport else {
             panic!("header_bytes is only defined for TCP packets");
         };
