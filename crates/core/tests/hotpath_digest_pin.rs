@@ -53,12 +53,21 @@
 //! moved from one per station to one per end of each link, for the path
 //! no earlier pin reaches: a pure upload, whose ACKs the AP compresses
 //! toward the client. Its pins hold `events_dispatched` as well.
+//!
+//! The ninth group was captured immediately before each endpoint's TCP
+//! timer stopped being cancelled and re-pushed whenever its deadline
+//! moved later, for every path a TCP deadline takes: an RTO that really
+//! fires, delayed ACKs, BBR's pacing deadline, short flows whose
+//! re-key tears the timer down, a supervised flow whose RTOs stall, and
+//! a scheduled roam. That change adds and removes events, so its pins
+//! hold a hash of the encoded `RunResult` with `events_dispatched`
+//! zeroed rather than the event count.
 
 use hack_core::{
-    run_dense, ArrivalDist, BssSpec, CbrConfig, ChannelChange, ChannelEvent, CorruptModel,
-    DenseOptions, FlowHealth, GeParams, HackMode, LossConfig, OnOffConfig, RoamEvent, RunResult,
-    ScenarioBuilder, ScenarioConfig, ShortFlowConfig, SizeDist, StandardKind, SupervisorConfig,
-    TrafficModel, World,
+    encode_run_result, run_dense, ArrivalDist, BssSpec, CbrConfig, CcKind, ChannelChange,
+    ChannelEvent, CorruptModel, DenseOptions, FlowHealth, GeParams, HackMode, LossConfig,
+    OnOffConfig, RoamEvent, RunResult, ScenarioBuilder, ScenarioConfig, ShortFlowConfig, SizeDist,
+    StableHasher, StandardKind, SupervisorConfig, TrafficModel, World,
 };
 use hack_sim::SimDuration;
 use hack_tcp::{FiveTuple, Ipv4Addr};
@@ -803,4 +812,175 @@ fn bulk_upload_in_each_holding_mode() {
         })
         .collect();
     assert_counted_pins("bulk upload", &got, &PINS);
+}
+
+// ---------------------------------------------------------------------
+// Captured before the TCP timer stopped being re-pushed on every later
+// deadline.
+// ---------------------------------------------------------------------
+
+/// The hash of `r`'s encoding with `events_dispatched` zeroed: every
+/// simulated outcome, but not how many events it took.
+fn result_hash(mut r: RunResult) -> String {
+    r.events_dispatched = 0;
+    let mut h = StableHasher::new();
+    h.write(&encode_run_result(&r));
+    h.finish_hex()
+}
+
+/// Worlds that reach every path a TCP deadline takes (each was seen to
+/// on an instrumented build). Each one's `check` asserts a visible sign
+/// of the path it is here for.
+#[test]
+fn tcp_timer_paths_keep_their_results() {
+    const PINS: [&str; 8] = [
+        "95832ac3ca2c5f8b209614be535a00a0",
+        "610cf5f6ade91484b35c7e980dc35d3a",
+        "349803921930ab79b0c853a9f2eec6bf",
+        "6fbbbe33e0d8f61fd47a36ccf5164653",
+        "e2ea277bec3ffc0418a331a1551fcbdd",
+        "a6af520b18d787a00efb1c92d7bfab77",
+        "ddeb82fc3bc638c19b39b33c01ec1cd2",
+        "e5ff2ba4d3cb040b5cbff0151f0d8b27",
+    ];
+    let short = |reuse| {
+        TrafficModel::ShortFlows(ShortFlowConfig {
+            sizes: SizeDist::Fixed(30_000),
+            think: ArrivalDist::Fixed(SimDuration::from_millis(3)),
+            reuse,
+        })
+    };
+    let loss_at = |ms, client, per| ChannelEvent {
+        at: SimDuration::from_millis(ms),
+        change: ChannelChange::ClientLoss { client, per },
+    };
+    let roam = |ms, target_bss| RoamEvent {
+        flow: 0,
+        at: SimDuration::from_millis(ms),
+        target_bss,
+    };
+    type Check = fn(&RunResult) -> bool;
+    let worlds: [(ScenarioConfig, Check); 8] = [
+        // Stock TCP on the lossy SoRa testbed: RTOs fire.
+        (
+            ScenarioBuilder::sora_testbed(2, HackMode::Disabled)
+                .duration(SimDuration::from_millis(3000))
+                .seed(17)
+                .build(),
+            |r| r.sender_tcp.iter().map(|s| s.timeouts).sum::<u64>() > 0,
+        ),
+        // Corrupted delivery under bursts: RTOs fire beside HACK.
+        (
+            ScenarioBuilder::dot11n_download(150, 2, HackMode::MoreData)
+                .duration(SimDuration::from_millis(1500))
+                .loss(LossConfig::Burst(GeParams::bursty(0.1, 6.0)))
+                .corrupt(CorruptModel {
+                    data_frac: 0.5,
+                    control_per: 0.02,
+                    fcs_miss: 0.25,
+                })
+                .seed(19)
+                .build(),
+            |r| r.sender_tcp.iter().map(|s| s.timeouts).sum::<u64>() > 0,
+        ),
+        // An upload: the wired server's delayed ACKs arm and cancel
+        // its timer on alternate segments.
+        (
+            ScenarioBuilder::dot11n_download(150, 1, HackMode::Opportunistic)
+                .traffic(TrafficModel::BulkUpload)
+                .duration(SimDuration::from_millis(800))
+                .seed(23)
+                .build(),
+            |r| r.receiver_tcp[0].acks_sent > 0,
+        ),
+        // BBR: the pacing deadline sits beside the RTO.
+        (
+            ScenarioBuilder::dot11n_download(150, 2, HackMode::MoreData)
+                .cc(CcKind::Bbr)
+                .duration(SimDuration::from_millis(1000))
+                .warmup(SimDuration::from_millis(200))
+                .seed(29)
+                .build(),
+            |r| r.flow_goodput_mbps.iter().all(|&g| g > 0.0),
+        ),
+        // Short flows re-keyed per transfer: teardown cancels timers.
+        (
+            ScenarioBuilder::dot11n_download(150, 2, HackMode::MoreData)
+                .traffic_mix(vec![short(false), short(true)])
+                .duration(SimDuration::from_millis(1200))
+                .warmup(SimDuration::from_millis(200))
+                .stagger(SimDuration::from_millis(2))
+                .seed(31)
+                .build(),
+            |r| r.classes.iter().all(|c| c.transfers > 1),
+        ),
+        // A supervised flow whose link all but dies for a second: RTOs
+        // in a row stall it.
+        (
+            ScenarioBuilder::sora_testbed(1, HackMode::MoreData)
+                .duration(SimDuration::from_millis(3000))
+                .dynamics(vec![loss_at(500, 0, 0.98), loss_at(1500, 0, 0.02)])
+                .supervisor(SupervisorConfig::default())
+                .seed(37)
+                .build(),
+            |r| r.sender_tcp[0].timeouts >= 2 && r.supervisor[0].stats.fallbacks >= 1,
+        ),
+        // Two supervised BBR flows, the first lossy until 1.2 s: RTOs
+        // beside the pacing deadline.
+        (
+            ScenarioBuilder::sora_testbed(2, HackMode::Opportunistic)
+                .cc(CcKind::Bbr)
+                .duration(SimDuration::from_millis(2000))
+                .loss(LossConfig::PerClient(vec![0.5, 0.02]))
+                .dynamics(vec![loss_at(1200, 0, 0.02)])
+                .supervisor(SupervisorConfig::default())
+                .seed(41)
+                .build(),
+            |r| r.sender_tcp[0].timeouts > 0,
+        ),
+        // A supervised flow handed to a second AP and back.
+        (
+            {
+                let mut c = ScenarioConfig::builder()
+                    .standard(StandardKind::Dot11n)
+                    .rate_mbps(150)
+                    .hack(HackMode::MoreData)
+                    .bss(vec![
+                        BssSpec {
+                            x: 0.0,
+                            y: 0.0,
+                            channel: 1,
+                            n_clients: 1,
+                        },
+                        BssSpec {
+                            x: 25.0,
+                            y: 0.0,
+                            channel: 6,
+                            n_clients: 0,
+                        },
+                    ])
+                    .duration(SimDuration::from_millis(700))
+                    .warmup(SimDuration::from_millis(5))
+                    .seed(43)
+                    .build();
+                c.supervisor = Some(SupervisorConfig::default());
+                c.roam.schedule = vec![roam(150, 1), roam(400, 0)];
+                c
+            },
+            |r| r.roams == 2,
+        ),
+    ];
+    let got: Vec<String> = worlds
+        .into_iter()
+        .enumerate()
+        .map(|(i, (cfg, check))| {
+            let r = World::builder(cfg).run();
+            assert!(check(&r), "world {i} misses its path: {r:?}");
+            result_hash(r)
+        })
+        .collect();
+    assert_eq!(
+        got, PINS,
+        "results drifted: a TCP timer path no longer matches its pinned result"
+    );
 }
