@@ -509,17 +509,18 @@ impl World {
             Event::TcpTimer(ep, token) => {
                 if current(self.tcp_timers.fire(token)) {
                     self.endpoints[ep].timer_at = None;
-                    let outputs = {
-                        let conn = self.endpoints[ep]
-                            .conn
-                            .as_mut()
-                            .expect("timer on live conn");
-                        conn.on_timer(now)
-                    };
-                    self.check_rto_stall(ep, now);
-                    self.route_out(ep, outputs, now);
-                    self.record_delivery(ep, now);
-                    self.check_estimator(ep, now);
+                    let conn = self.endpoints[ep]
+                        .conn
+                        .as_mut()
+                        .expect("timer on live conn");
+                    // Nothing is due if the deadline moved (`resched_tcp`).
+                    if conn.next_timer().is_some_and(|at| at <= now) {
+                        let outputs = conn.on_timer(now);
+                        self.check_rto_stall(ep, now);
+                        self.route_out(ep, outputs, now);
+                        self.record_delivery(ep, now);
+                        self.check_estimator(ep, now);
+                    }
                     self.resched_tcp(ep, now);
                 }
             }
@@ -1240,17 +1241,37 @@ impl World {
         }
     }
 
+    /// Keep endpoint `ep`'s timer event no later than its connection's
+    /// next deadline, pushing only for an earlier one. A deadline that
+    /// moves later (RFC 6298 §5.3 restarts the RTO on nearly every ACK)
+    /// or goes away leaves the event armed: it fires early, finds
+    /// nothing due and comes back here.
     fn resched_tcp(&mut self, ep: usize, now: SimTime) {
-        let next = self.endpoints[ep]
+        let Some(next) = self.endpoints[ep]
             .conn
             .as_ref()
-            .and_then(Connection::next_timer);
-        let at = next.map(|at| at.max(now));
-        // Same deadline as the armed event: keep it (its token is still
-        // the latest) instead of flooding the queue with a stale-token
-        // event per delivered segment.
-        if at.is_none() || self.endpoints[ep].timer_at != at {
-            self.set_tcp_timer(ep, at);
+            .and_then(Connection::next_timer)
+        else {
+            return;
+        };
+        let at = next.max(now);
+        if self.endpoints[ep].timer_at.is_none_or(|armed| at < armed) {
+            self.set_tcp_timer(ep, Some(at));
+        }
+    }
+
+    /// Arm endpoint `ep`'s TCP timer event at `at`, replacing the armed
+    /// one, or take it out of the queue.
+    fn set_tcp_timer(&mut self, ep: usize, at: Option<SimTime>) {
+        self.endpoints[ep].timer_at = at;
+        let key = ep as u32;
+        match at {
+            Some(at) => self
+                .tcp_timers
+                .schedule(&mut self.sched, key, at, |token| Event::TcpTimer(ep, token)),
+            None => {
+                self.tcp_timers.unschedule(&mut self.sched, key);
+            }
         }
     }
 }
@@ -1261,4 +1282,64 @@ impl World {
 fn current(live: bool) -> bool {
     debug_assert!(live, "a stale event reached the dispatcher");
     live
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scenario::ScenarioBuilder;
+    use hack_sim::SimDuration;
+
+    /// A supervised download 300 ms in, its sender (endpoint 1), and
+    /// the sender's deadline, which lies ahead.
+    fn mid_transfer() -> (World, usize, SimTime, SimTime) {
+        let b = ScenarioBuilder::dot11n_download(150, 1, HackMode::MoreData);
+        let mut w = World::builder(b.supervisor(SupervisorConfig::default()).build()).build();
+        let now = SimTime::from_millis(300);
+        assert!(w.run_until(now) && w.endpoints[1].is_sender);
+        let conn = w.endpoints[1].conn.as_ref().expect("sender is open");
+        let deadline = conn.next_timer().filter(|&d| d > now);
+        (w, 1, now, deadline.expect("data in flight"))
+    }
+
+    #[test]
+    fn only_an_earlier_deadline_pushes() {
+        let (mut w, ep, now, deadline) = mid_transfer();
+        let ms = SimDuration::from_millis(1);
+        // Armed before the deadline (it moved later), at it, after it.
+        for (armed, pushed) in [(now + ms, 0), (deadline, 0), (deadline + ms, 1)] {
+            w.set_tcp_timer(ep, Some(armed));
+            let (pushes, pending) = (w.sched.pushes(), w.sched.pending());
+            w.resched_tcp(ep, now);
+            assert_eq!(w.sched.pushes(), pushes + pushed);
+            assert_eq!(w.sched.pending(), pending, "one event stays armed");
+            assert_eq!(w.endpoints[ep].timer_at, Some(armed.min(deadline)));
+        }
+    }
+
+    #[test]
+    fn an_early_firing_only_rearms() {
+        let (mut w, ep, now, deadline) = mid_transfer();
+        // An estimator window that has run its course, so a stray
+        // `check_estimator` would close it.
+        let e = &mut w.endpoints[ep];
+        let conn = e.conn.as_ref().expect("sender is open");
+        e.watch = health::EndpointWatch::default();
+        e.watch
+            .on_progress(SimTime::ZERO, conn.delivered(), conn.bytes_acked());
+        let (stats, watch) = (format!("{:?}", conn.stats()), e.watch.clone());
+        // Everything due by `now` has run: the timer event is next.
+        w.set_tcp_timer(ep, Some(now));
+        let (pushes, dispatched) = (w.sched.pushes(), w.events_dispatched());
+        assert!(w.run_until(now));
+        assert_eq!(w.events_dispatched(), dispatched + 1);
+        // No timeout, no supervisor news, no packet: its one push is
+        // the event re-armed at the deadline.
+        let conn = w.endpoints[ep].conn.as_ref().expect("sender is open");
+        assert_eq!(format!("{:?}", conn.stats()), stats);
+        assert_eq!(w.endpoints[ep].watch, watch);
+        assert_eq!(w.sched.pushes(), pushes + 1);
+        assert_eq!(w.endpoints[ep].timer_at, Some(deadline));
+        assert_eq!(w.tcp_timers.stale_fired(), 0);
+    }
 }

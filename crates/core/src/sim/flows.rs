@@ -30,10 +30,9 @@ pub(super) struct Endpoint {
     tcp_cfg: TcpConfig,
     iss: u32,
     pub(super) delivered_recorded: u64,
-    /// Deadline of the currently armed retransmit-timer event, so a
-    /// resched to the *same* instant keeps that event instead of
-    /// removing it and pushing an equal one (every delivered segment
-    /// reschedules; the deadline rarely moves).
+    /// When the armed TCP timer event fires, which may be before the
+    /// connection's deadline (see `World::resched_tcp`); `None` when
+    /// nothing is armed.
     pub(super) timer_at: Option<SimTime>,
     /// What the supervisor has already heard about this endpoint.
     pub(super) watch: EndpointWatch,

@@ -27,6 +27,7 @@ const EST_STRIKES: u32 = 2;
 
 /// What the supervisor has already been told about one TCP endpoint.
 #[derive(Default)]
+#[cfg_attr(test, derive(Clone, Debug, PartialEq))]
 pub(super) struct EndpointWatch {
     /// TCP timeouts already reported.
     timeouts_seen: u64,

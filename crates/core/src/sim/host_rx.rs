@@ -14,28 +14,22 @@
 //! ## What settles at the end of a batch
 //!
 //! Each packet of a batch may make its station hold one more TCP ACK,
-//! and each hold rebuilds the blob and asks for an `InstallBlob` event
-//! that supersedes the one the packet before asked for. Each data
-//! segment also re-arms or cancels its endpoint's TCP timer; a receiver
-//! with delayed ACKs arms it on one segment and cancels it on the next.
-//! While a batch is handled, both wait in [`BatchEffects`]: the latest
-//! install per (station, peer) and the latest timer re-arm per
-//! endpoint, one of each. A newer one for the same pair or endpoint
-//! replaces it without touching the queue, one for another pair or
-//! endpoint pushes it first, and the end of the batch pushes what is
-//! left. A superseded install is never pushed.
+//! and each hold rebuilds the blob and asks for an `InstallBlob` that
+//! supersedes the one the packet before asked for. While a batch is
+//! handled, the latest install waits in [`BatchEffects`]: a newer one
+//! for the same (station, peer) replaces it without touching the
+//! queue, one for another pair pushes it first, and the end of the
+//! batch pushes what is left. A superseded install is never pushed.
 //!
-//! That is exact. Each waiting event holds the [`Ticket`] that
+//! That is exact. The waiting install holds the [`Ticket`] that
 //! [`Scheduler::reserve`] gave it when it was asked for, so it pops
 //! where it would have popped if pushed at once, and every request
 //! still takes one place in the order, so `Scheduler::pushes` (and with
 //! it the batching rule above) reads the same. Nothing in between reads
-//! a pending install or a timer's queue entry: an install fires no
-//! earlier than the batch's own instant, after the batch; a clear, a
-//! rebuild or a connection re-key that cancels one goes through the
-//! same slots (`World::cancel_install`, `World::set_tcp_timer`).
-//! Outside a batch both are pushed at once, as before, and cost
-//! nothing more.
+//! it: it fires no earlier than the batch's own instant, and a clear or
+//! rebuild that cancels it goes through the slot (`World::cancel_install`).
+//! A TCP timer needs no slot: a deadline that moves later or goes away
+//! pushes nothing (`World::resched_tcp`).
 
 use hack_phy::StationId;
 use hack_sim::{Scheduler, SimTime, Ticket};
@@ -128,22 +122,18 @@ struct HeldInstall {
     event: Event,
 }
 
-/// The side effects of the batch being handled that a later packet of
-/// it may supersede (see the module doc). Both slots are empty outside
-/// a batch.
+/// The install of the batch being handled that a later packet of it
+/// may supersede (see the module doc); empty outside a batch.
 #[derive(Default)]
 pub(super) struct BatchEffects {
     /// Whether a `HostRx` batch is being handled.
     open: bool,
     install: Option<HeldInstall>,
-    /// An endpoint and the place of its timer's new event, or `None`
-    /// for a cancel.
-    rearm: Option<(usize, Option<Ticket>)>,
 }
 
 impl World {
     /// Hand the packets of `batch` to `station`'s host stack in push
-    /// order, then push the installs and timer re-arms they left.
+    /// order, then push the install they left.
     pub(super) fn on_host_rx_batch(&mut self, station: StationId, batch: u32, now: SimTime) {
         let mut pkts = self.host_rx.take(batch);
         self.effects.open = true;
@@ -158,9 +148,6 @@ impl World {
         self.effects.open = false;
         if let Some(held) = self.effects.install.take() {
             self.push_install(held);
-        }
-        if let Some((ep, ticket)) = self.effects.rearm.take() {
-            self.rearm_tcp(ep, ticket);
         }
         self.host_rx.put_back(batch, pkts);
     }
@@ -227,38 +214,6 @@ impl World {
             (install, self.driver_slot(sid, peer))
         {
             self.compress[flow][side].recycle_blob(bytes);
-        }
-    }
-
-    /// Re-arm endpoint `ep`'s TCP timer at `at`, or cancel it.
-    pub(super) fn set_tcp_timer(&mut self, ep: usize, at: Option<SimTime>) {
-        self.endpoints[ep].timer_at = at;
-        let ticket = at.map(|at| self.sched.reserve(at));
-        if let Some((old, old_ticket)) = self.effects.rearm.take() {
-            // The same endpoint's is superseded: never pushed.
-            if old != ep {
-                self.rearm_tcp(old, old_ticket);
-            }
-        }
-        if self.effects.open {
-            self.effects.rearm = Some((ep, ticket));
-        } else {
-            self.rearm_tcp(ep, ticket);
-        }
-    }
-
-    fn rearm_tcp(&mut self, ep: usize, ticket: Option<Ticket>) {
-        let key = ep as u32;
-        match ticket {
-            Some(ticket) => {
-                self.tcp_timers
-                    .schedule_reserved(&mut self.sched, key, ticket, |token| {
-                        Event::TcpTimer(ep, token)
-                    });
-            }
-            None => {
-                self.tcp_timers.unschedule(&mut self.sched, key);
-            }
         }
     }
 }

@@ -593,23 +593,24 @@ fn assert_counted_pins(what: &str, got: &[(String, u64)], pins: &[(&str, u64)]) 
 /// each zeroed delay.
 #[test]
 fn zero_delay_installs_and_timer_rearms() {
+    // Re-pinned: early TCP-timer firings replace per-ACK cancel+push.
     const PINS: [(&str, u64); 12] = [
-        ("485452440100b8210000000000000832acdfda40f83e170300000000000009040000000000006b020000000000002c180000000000000100000000000000", 4651),
-        ("48545244010061210000000000007ef2cf58a7a5bb3bfb0200000000000070030000000000002602000000000000cf180000000000000100000000000000", 4523),
-        ("4854524401005f290000000000003772055813040de08d0300000000000091040000000000003606000000000000081b0000000000000300000000000000", 5631),
-        ("4854524401004227000000000000ef678584352455335d03000000000000d0030000000000004505000000000000cd1a0000000000000300000000000000", 5401),
+        ("485452440100b8210000000000000832acdfda40f83e170300000000000009040000000000006b020000000000002c180000000000000100000000000000", 4666),
+        ("48545244010061210000000000007ef2cf58a7a5bb3bfb0200000000000070030000000000002602000000000000cf180000000000000100000000000000", 4539),
+        ("4854524401005f290000000000003772055813040de08d0300000000000091040000000000003606000000000000081b0000000000000300000000000000", 5676),
+        ("4854524401004227000000000000ef678584352455335d03000000000000d0030000000000004505000000000000cd1a0000000000000300000000000000", 5443),
         // Re-pinned: a delivered native withdraws the older held ACKs.
-        ("485452440100141c000000000000c27a0c2b9d84d8164904000000000000d1040000000000001402000000000000e5100000000000000100000000000000", 4663),
-        ("485452440100cd230000000000003af4fc148960093fad020000000000005303000000000000b1020000000000001b1b0000000000000100000000000000", 4629),
+        ("485452440100141c000000000000c27a0c2b9d84d8164904000000000000d1040000000000001402000000000000e5100000000000000100000000000000", 4678),
+        ("485452440100cd230000000000003af4fc148960093fad020000000000005303000000000000b1020000000000001b1b0000000000000100000000000000", 4644),
         // Re-pinned: a delivered native withdraws the older held ACKs.
-        ("485452440100c71f0000000000003311033d8956937e9f050000000000007b060000000000006305000000000000470e0000000000000300000000000000", 6070),
-        ("485452440100c227000000000000e18bada1dca6c5f8e1020000000000008703000000000000ec040000000000006b1c0000000000000300000000000000", 5286),
-        ("485452440100a61b0000000000007a499dd4d8d6b4068105000000000000a70500000000000030030000000000004d0d0000000000000100000000000000", 5082),
+        ("485452440100c71f0000000000003311033d8956937e9f050000000000007b060000000000006305000000000000470e0000000000000300000000000000", 6115),
+        ("485452440100c227000000000000e18bada1dca6c5f8e1020000000000008703000000000000ec040000000000006b1c0000000000000300000000000000", 5329),
+        ("485452440100a61b0000000000007a499dd4d8d6b4068105000000000000a70500000000000030030000000000004d0d0000000000000100000000000000", 5097),
         // Re-pinned: a delivered native withdraws the older held ACKs.
-        ("4854524401005c230000000000009acda417cb266f97e302000000000000970300000000000086020000000000005b1a0000000000000100000000000000", 4806),
-        ("4854524401008821000000000000d928b6562de98ee1d705000000000000c006000000000000f006000000000000fe0d0000000000000300000000000000", 6473),
+        ("4854524401005c230000000000009acda417cb266f97e302000000000000970300000000000086020000000000005b1a0000000000000100000000000000", 4821),
+        ("4854524401008821000000000000d928b6562de98ee1d705000000000000c006000000000000f006000000000000fe0d0000000000000300000000000000", 6511),
         // Re-pinned: a delivered native withdraws the older held ACKs.
-        ("485452440100b4270000000000002d69f084cfd063b02103000000000000cf03000000000000ec04000000000000d51b0000000000000300000000000000", 5488),
+        ("485452440100b4270000000000002d69f084cfd063b02103000000000000cf03000000000000ec04000000000000d51b0000000000000300000000000000", 5529),
     ];
     let modes = [
         HackMode::MoreData,
@@ -639,11 +640,12 @@ fn zero_delay_installs_and_timer_rearms() {
 /// for several endpoints.
 #[test]
 fn zero_delay_server_at_ap_batches() {
+    // Re-pinned: early TCP-timer firings replace per-ACK cancel+push.
     // Re-pinned: natives refresh the clients' ends too, so the clients
     // decode the AP's blobs instead of failing them for want of a context.
     const PINS: [(&str, u64); 2] = [
-        ("48545244010008290000000000001911e802af8f138aeb0300000000000083060000000000003b0a0000000000005c140000000000000300000000000000", 1948),
-        ("485452440100e229000000000000fcb8f72eecf082bd0004000000000000fd050000000000001f0a000000000000c3150000000000000300000000000000", 1873),
+        ("48545244010008290000000000001911e802af8f138aeb0300000000000083060000000000003b0a0000000000005c140000000000000300000000000000", 2013),
+        ("485452440100e229000000000000fcb8f72eecf082bd0004000000000000fd050000000000001f0a000000000000c3150000000000000300000000000000", 1943),
     ];
     let b = ScenarioBuilder::dot11n_download(150, 3, HackMode::MoreData)
         .traffic(TrafficModel::Bidirectional)
@@ -670,9 +672,10 @@ fn zero_delay_server_at_ap_batches() {
 /// for (a debug build would otherwise dispatch a stale install).
 #[test]
 fn supervised_fallback_inside_a_delivery_batch() {
+    // Re-pinned: early TCP-timer firings replace per-ACK cancel+push.
     const PINS: [(&str, u64); 1] = [(
         "485452440100dd15000000000000edb5b656054cf5b50f06000000000000e903000000000000c6020000000000001a090000000000000500000000000000",
-        3671,
+        3684,
     )];
     let cfg = ScenarioBuilder::dot11n_download(150, 1, HackMode::MoreData)
         .supervisor(SupervisorConfig::default())
@@ -703,11 +706,12 @@ fn supervised_fallback_inside_a_delivery_batch() {
 /// held ACKs whose native twins are already queued.
 #[test]
 fn supervised_opportunistic_fallback_with_holds() {
+    // Re-pinned: early TCP-timer firings replace per-ACK cancel+push.
     // Re-pinned: the forced flush no longer re-enqueues held ACKs whose
     // native twins are queued, and delivered natives withdraw older ones.
     const PINS: [(&str, u64); 1] = [(
         "4854524401009c16000000000000b93ada4d8dd3636c84070000000000003a040000000000001e07000000000000b9030000000000000700000000000000",
-        3311,
+        3316,
     )];
     let cfg = ScenarioBuilder::dot11n_download(150, 1, HackMode::Opportunistic)
         .supervisor(SupervisorConfig::default())
@@ -792,11 +796,12 @@ fn cid_collision_at_the_ap() {
 /// client, and the client's end of the link decodes the blobs.
 #[test]
 fn bulk_upload_in_each_holding_mode() {
+    // Re-pinned: early TCP-timer firings replace per-ACK cancel+push.
     // Re-pinned: natives refresh the client's end too, so the client
     // decodes the AP's blobs instead of failing them for want of a context.
     const PINS: [(&str, u64); 2] = [
-        ("485452440100455d00000000000095a9cd30ea849dab8904000000000000261a000000000000221500000000000073290000000000000100000000000000", 23565),
-        ("4854524401001c5e000000000000a54ccd8528d408427b04000000000000901a0000000000000a15000000000000062a0000000000000100000000000000", 23584),
+        ("485452440100455d00000000000095a9cd30ea849dab8904000000000000261a000000000000221500000000000073290000000000000100000000000000", 23594),
+        ("4854524401001c5e000000000000a54ccd8528d408427b04000000000000901a0000000000000a15000000000000062a0000000000000100000000000000", 23613),
     ];
     let got: Vec<(String, u64)> = [HackMode::MoreData, HackMode::Opportunistic]
         .into_iter()
