@@ -178,13 +178,14 @@ impl Compressor {
     }
 
     /// The driver learned that `pkt` (native or previously compressed)
-    /// reached the peer: advance the flow's floor.
+    /// reached the peer: advance the flow's floor, and take the TTL of a
+    /// native that changed it.
     pub fn confirm(&mut self, pkt: &Ipv4Packet) {
         let Some(seg) = compressible_ack(pkt) else {
             return;
         };
         if let Some((_, ctx)) = self.flows.get_mut(&pkt.five_tuple()) {
-            ctx.confirmed(&FieldRefs::of(pkt, seg));
+            ctx.confirmed(pkt.ttl, &FieldRefs::of(pkt, seg));
         }
     }
 

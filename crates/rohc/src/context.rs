@@ -167,9 +167,20 @@ impl CompContext {
     }
 
     /// A previously enqueued native (or a compressed ACK, per §3.4
-    /// confirmation) is now known to have reached the peer: advance the
-    /// floor and drop confirmed outstanding entries.
-    pub fn confirmed(&mut self, refs: &FieldRefs) {
+    /// confirmation) with IP TTL `ttl` is now known to have reached the
+    /// peer: advance the floor and drop confirmed outstanding entries.
+    ///
+    /// The peer's context took the TTL of that packet when it arrived
+    /// ([`DecompContext::refresh_native`]), so a packet no older than
+    /// the floor moves this context to its TTL too. Adopting it when the
+    /// native is enqueued instead would compress against a TTL the peer
+    /// may not have yet.
+    pub fn confirmed(&mut self, ttl: u8, refs: &FieldRefs) {
+        let newest = refs.ident.wrapping_sub(self.floor.ident) < 0x8000;
+        if newest && ttl != self.ttl {
+            self.ttl = ttl;
+            self.fold = HeaderFold::of_flow(&self.tuple, ttl, self.has_ts);
+        }
         self.floor.max_with(refs);
         // Outstanding entries are FIFO in transmission order; everything
         // sent up to (and including) the confirmed packet is no longer a
@@ -391,9 +402,9 @@ mod tests {
         assert_eq!(ctx.effective_floor().ack, TcpSeq(2000));
 
         // Confirming the first advances the floor to it and drops it.
-        ctx.confirmed(&FieldRefs::of(&p1, &s1));
+        ctx.confirmed(p1.ttl, &FieldRefs::of(&p1, &s1));
         assert_eq!(ctx.effective_floor().ack, TcpSeq(3000));
-        ctx.confirmed(&FieldRefs::of(&p2, &s2));
+        ctx.confirmed(p2.ttl, &FieldRefs::of(&p2, &s2));
         assert_eq!(ctx.effective_floor().ack, TcpSeq(3000));
         assert!(ctx.outstanding.is_empty());
     }
@@ -459,18 +470,33 @@ mod tests {
         assert!(comp.has_ts && decomp.has_ts);
         check(&comp, &decomp, &ack_packet(4000, 4, 51));
 
-        // A refresh with another TTL (the compressor declines such ACKs
-        // until its context is re-seeded, so only the decompressor's
-        // fold must follow).
+        // A native with another TTL: the decompressor refreshes from it
+        // on arrival, the compressor takes it once it is confirmed.
         let mut native = ack_packet(5000, 5, 52);
         native.ttl = 32;
         let seg = compressible_ack(&native).unwrap();
+        comp.native_enqueued(&native, seg);
+        assert_eq!(comp.ttl, 64, "enqueued, not yet confirmed");
         decomp.refresh_native(&native, seg);
+        comp.confirmed(native.ttl, &FieldRefs::of(&native, seg));
         let mut p = ack_packet(6000, 6, 53);
         p.ttl = 32;
-        let seg = compressible_ack(&p).unwrap();
-        let refs = FieldRefs::of(&p, seg);
-        assert_eq!(decomp.fold.ack_crc3(&refs), byte_crc3(&p));
+        check(&comp, &decomp, &p);
+    }
+
+    #[test]
+    fn only_the_newest_confirmed_packet_moves_the_ttl() {
+        let p0 = ack_packet(1000, 1, 10);
+        let mut ctx = CompContext::from_native(&p0).unwrap();
+        let (old, mut new) = (ack_packet(2000, 2, 11), ack_packet(3000, 3, 12));
+        new.ttl = 60;
+        let refs = |p: &Ipv4Packet| FieldRefs::of(p, compressible_ack(p).unwrap());
+        ctx.confirmed(new.ttl, &refs(&new));
+        assert_eq!(ctx.ttl, 60);
+        // A packet sent before it, confirmed late, leaves the TTL alone.
+        ctx.confirmed(old.ttl, &refs(&old));
+        assert_eq!(ctx.ttl, 60);
+        assert_eq!(ctx.fold, HeaderFold::of_flow(&ctx.tuple, 60, ctx.has_ts));
     }
 
     #[test]

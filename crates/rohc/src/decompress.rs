@@ -808,9 +808,10 @@ mod tests {
 
     #[test]
     fn a_refresh_with_a_new_ttl_keeps_the_fold_in_step() {
-        // The path to the peer changed length: natives arrive with TTL
-        // 60. The compressor declines them until its context is
-        // re-seeded; the decompressor refreshes its live one.
+        // The path to the peer changed length: ACKs now carry TTL 60.
+        // The compressor declines them until a TTL-60 native is
+        // confirmed; the decompressor refreshes its live context from
+        // that native when it arrives.
         let (mut c, mut d) = pair();
         let shorter = |ackno, ident, ts| {
             let mut p = ack(ackno, ident, ts);
@@ -819,11 +820,12 @@ mod tests {
         };
         let native = shorter(3920, 2, 11);
         assert!(c.compress(&native).is_none());
-        assert!(c.drop_context(&native.five_tuple()));
         c.observe_native(&native);
+        assert!(c.compress(&shorter(5380, 3, 12)).is_none(), "unconfirmed");
         d.observe_native(&native);
-        let p = shorter(6840, 3, 12);
-        let seg = c.compress(&p).expect("re-seeded at TTL 60");
+        c.confirm(&native);
+        let p = shorter(6840, 4, 13);
+        let seg = c.compress(&p).expect("the confirmed native's TTL");
         assert_eq!(decode(&mut d, &[seg]), [Packet(p)]);
         assert_eq!(d.stats().crc_failures, 0);
     }
